@@ -887,10 +887,18 @@ let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
   let protocols =
     [ ("heidi-text", fun () -> Orb.Protocol.text); ("giop", fun () -> Giop.protocol ()) ]
   in
+  (* The timeout arm is the default mux with an ORB-wide 1 s call
+     deadline: every reply wait is a deadline wait, so it must keep pace
+     with the untimed arm. *)
   let modes =
-    [ ("mux-32", Orb.default_mux); ("serialized", { Orb.max_in_flight = 1 }) ]
+    [
+      ("mux-32", Orb.default_mux, None);
+      ("mux-32+timeout", Orb.default_mux, Some 1.0);
+      ("serialized", { Orb.max_in_flight = 1 }, None);
+    ]
   in
-  let run_cell (proto_name, mk_protocol) (mode_name, mux) threads =
+  let run_cell (proto_name, mk_protocol) (mode_name, mux, call_timeout)
+      threads =
     Orb.Transport.mem_reset ();
     let protocol = mk_protocol () in
     let server =
@@ -900,7 +908,7 @@ let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
     Orb.start server;
     let target = Orb.export server (nap_skeleton ()) in
     let client =
-      Orb.create ~protocol ~transport:"mem" ~host:"local" ~mux
+      Orb.create ~protocol ~transport:"mem" ~host:"local" ~mux ?call_timeout
         ~retry:Orb.Retry.none ()
     in
     (* Warm the connection cache so every thread shares one stream. *)
@@ -926,6 +934,7 @@ let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
     ( proto_name,
       mode_name,
       mux.Orb.max_in_flight,
+      Option.value call_timeout ~default:0.,
       threads,
       Atomic.get ok,
       Atomic.get failed,
@@ -944,7 +953,7 @@ let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
   table
     [ "protocol"; "mode"; "threads"; "ok"; "failed"; "ok/s"; "peak in-flight"; "conns" ]
     (List.map
-       (fun (proto, mode, _cap, n, ok, fail_, ops, peak, conns) ->
+       (fun (proto, mode, _cap, _timeout, n, ok, fail_, ops, peak, conns) ->
          [
            proto;
            mode;
@@ -959,7 +968,8 @@ let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
   Printf.printf
     "  (service time per call: %.1f ms of server-side sleep; closed-loop\n\
     \  threads sharing ONE client connection, %.2gs per cell. The\n\
-    \  serialized row is the pre-mux client: one call per roundtrip.)\n"
+    \  serialized row is the pre-mux client: one call per roundtrip;\n\
+    \  +timeout rows give every call a 1 s deadline.)\n"
     nap_ms duration;
   let json =
     Obs.Jout.obj
@@ -971,12 +981,13 @@ let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
         ( "cells",
           Obs.Jout.arr
             (List.map
-               (fun (proto, mode, cap, n, ok, fail_, ops, peak, conns) ->
+               (fun (proto, mode, cap, timeout, n, ok, fail_, ops, peak, conns) ->
                  Obs.Jout.obj
                    [
                      ("protocol", Obs.Jout.str proto);
                      ("mode", Obs.Jout.str mode);
                      ("max_in_flight", Obs.Jout.int cap);
+                     ("call_timeout_s", Obs.Jout.num timeout);
                      ("threads", Obs.Jout.int n);
                      ("ok", Obs.Jout.int ok);
                      ("failed", Obs.Jout.int fail_);
@@ -1555,6 +1566,44 @@ let e14 ?(out = "BENCH_deadline.json") ?(duration = 2.0)
    (see E3b on OLS and thread wakeups). Writes BENCH_codec.json for the
    schema-checked smoke test, which pins HCX's bytes/call strictly
    below heidi-text's at every payload size. *)
+(* ---------------- idle deadline wait: CPU of a blocked caller ---------------- *)
+
+(* One call over tcp whose servant holds it for [hold_s] seconds while
+   the caller waits under a [timeout] s deadline. Prints the process CPU
+   time spent during the wait: what an idle client pays for a pending
+   deadline. *)
+let idle_wait ?(hold_s = 10.) ?(timeout = 30.) () =
+  section "idle-wait" "CPU of a client blocked in a call with a deadline";
+  let server = Orb.create ~transport:"tcp" ~host:"127.0.0.1" () in
+  Orb.start server;
+  let target =
+    Orb.export server
+      (Orb.Skeleton.create ~type_id:"IDL:Bench/Hold:1.0"
+         [
+           ("ping", fun _ results -> results.Wire.Codec.put_bool true);
+           ( "hold",
+             fun _ results ->
+               Thread.delay hold_s;
+               results.Wire.Codec.put_bool true );
+         ])
+  in
+  let client = Orb.create ~transport:"tcp" ~host:"127.0.0.1" () in
+  ignore (Orb.invoke client target ~op:"ping" (fun _ -> ()));
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let c0 = cpu () and w0 = Unix.gettimeofday () in
+  ignore (Orb.invoke client target ~op:"hold" ~timeout (fun _ -> ()));
+  let c1 = cpu () and w1 = Unix.gettimeofday () in
+  Orb.shutdown client;
+  Orb.shutdown server;
+  Printf.printf
+    "  blocked %.2f s in one call (deadline %.0f s): process CPU %.1f ms \
+     (%.2f%% of one core)\n"
+    (w1 -. w0) timeout ((c1 -. c0) *. 1000.)
+    (100. *. (c1 -. c0) /. (w1 -. w0))
+
 let e15 ?(out = "BENCH_codec.json") ?(measure_s = 0.4)
     ?(sizes = [ 16; 256; 4096; 65536 ]) () =
   section "E15" "codec sweep: bytes/call and calls/s (hcx vs text vs giop, mem)";
@@ -1738,6 +1787,10 @@ let () =
          bytes/call figures are exact at any quota, so the schema check
          still pins HCX below heidi-text at every size. *)
       e15 ~out ~measure_s:0.05 ~sizes:[ 16; 4096 ] ()
+  | [| _; "--idle-wait" |] ->
+      (* Process CPU while one client call waits 10 s under a 30 s
+         deadline (EXPERIMENTS.md, E14 notes). *)
+      idle_wait ()
   | [| _; "--e12-smoke"; out |] ->
       (* E12 on a compressed timeline: one kill, one restart, a breaker
          window short enough that recovery is measurable inside a

@@ -165,15 +165,20 @@ let all : info list =
     e "C402" "blocking call while holding a lock"
       "A call that can park the thread — a blocking Unix syscall \
        (connect, accept, select, read, write, sleep, waitpid, ...), \
-       Thread.delay/join, or a Locked.wait on a lock other than the \
-       innermost one held — appears inside a with_lock scope. Every \
-       other thread needing that lock stalls for the full duration, \
-       and a wait on a foreign lock releases the wrong mutex, sleeping \
-       with the held one still taken. Restructure as a locked step \
-       function that returns a decision (`Poll remaining`) consumed by \
-       an unlocked retry loop — the pattern Pool.submit and \
-       Transport.Pipe.read_with use. Non-blocking teardown \
-       (Unix.shutdown, Unix.close) is deliberately exempt.";
+       Thread.delay/join, or a Locked.wait/wait_c/wait_until/\
+       wait_until_c on a lock other than the innermost one held — \
+       appears inside a with_lock scope. Every other thread needing \
+       that lock stalls for the full duration, and a wait on a foreign \
+       lock releases the wrong mutex, sleeping with the held one still \
+       taken. To wait for a condition with a deadline, never sleep \
+       under the lock: wait on the innermost held lock with \
+       Locked.wait_until l deadline (or wait_until_c on one of its \
+       conditions) and re-check the predicate on every return — \
+       whoever changes the state broadcasts, and the deadline service \
+       broadcasts when the deadline passes. Pool.submit and \
+       Transport.Pipe.read_with are the pattern. A deliberate sleep \
+       (a retry backoff) belongs outside every lock. Non-blocking \
+       teardown (Unix.shutdown, Unix.close) is deliberately exempt.";
     w "C403" "raw threading primitive outside locked.ml"
       "Mutex, Condition or Thread.create is used directly. Raw \
        primitives bypass the rank table: the runtime checker cannot \

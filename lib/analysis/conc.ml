@@ -106,6 +106,9 @@ type state = {
   ranks : (string, int) Hashtbl.t;  (* lock key -> rank; absent = unknown *)
   ambiguous : (string, unit) Hashtbl.t;  (* key bound to two ranks *)
   mutables : (string, unit) Hashtbl.t;  (* module-level ref/Hashtbl/Buffer *)
+  cond_owner : (string, string) Hashtbl.t;
+      (* [Locked.new_cond l] bindings: condition key -> owning lock key,
+         so a wait on an extra condition is checked against its lock *)
   shims : (string, string) Hashtbl.t;
       (* [let f .. g = Locked.with_lock l g] wrappers -> lock key, so the
          common per-module [with_mutex]/[with_lock] shims stay
@@ -140,6 +143,10 @@ let bind_lock st key rank =
 
 let scan_create st ~binding e =
   match app_view e with
+  | Some ([ "Locked"; "new_cond" ], args) -> (
+      match (binding, Option.bind (pos_arg 0 args) lock_key) with
+      | Some key, Some owner -> Hashtbl.replace st.cond_owner key owner
+      | _ -> ())
   | Some ([ "Locked"; "create" ], args) -> (
       match rank_of_create args with
       | Some (_const, Some v) -> (
@@ -346,17 +353,25 @@ let pass2 st str =
               (fun () -> self.Ast_iterator.expr self body);
             true
         | _ -> false)
-    | [ "Locked"; "wait" ], _ -> (
+    | [ "Locked"; ("wait" | "wait_until" | "wait_c" | "wait_until_c" as fn) ], _
+      -> (
+        (* A condition waits on its owning lock's mutex. *)
+        let on_cond = fn = "wait_c" || fn = "wait_until_c" in
+        let key le =
+          match lock_key le with
+          | Some c when on_cond -> Hashtbl.find_opt st.cond_owner c
+          | k -> k
+        in
         match (pos_arg 0 args, st.held) with
         | Some le, (hk, _) :: _ -> (
-            match lock_key le with
+            match key le with
             | Some k when k <> hk ->
                 report st.reporter ~code:"C402"
                   ~loc:(loc_of e.pexp_loc st.file)
                   (Printf.sprintf
-                     "Locked.wait on foreign lock %S while holding %s: a \
+                     "Locked.%s on foreign lock %S while holding %s: a \
                       wait must target the innermost held lock"
-                     k (describe_held st));
+                     fn k (describe_held st));
                 false
             | _ -> false)
         | _ -> false)
@@ -549,6 +564,7 @@ let check_file reporter path =
           ranks = Hashtbl.create 16;
           ambiguous = Hashtbl.create 4;
           mutables = Hashtbl.create 16;
+          cond_owner = Hashtbl.create 4;
           shims = Hashtbl.create 4;
           held = [];
         }

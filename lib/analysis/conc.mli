@@ -9,8 +9,10 @@
     - [C401] nested [Locked.with_lock] acquisition that does not
       strictly descend the rank table ([Locked.Rank.all]);
     - [C402] a blocking call ([Unix] syscalls that can park the thread,
-      [Thread.delay]/[join]) or a [Locked.wait] on a {e foreign} lock
-      while a lock is held;
+      [Thread.delay]/[join]) or a [Locked.wait]/[wait_c]/[wait_until]/
+      [wait_until_c] on a {e foreign} lock while a lock is held (an
+      extra condition is attributed to the lock passed to its
+      [Locked.new_cond]);
     - [C403] raw [Mutex]/[Condition]/[Thread.create] primitives outside
       [locked.ml] (the one sanctioned implementation site);
     - [C404] module-level mutable state ([ref]/[Hashtbl]/[Buffer])

@@ -211,6 +211,241 @@ let wait_c c =
 let signal_c c = Condition.signal c.c_cond
 let broadcast_c c = Condition.broadcast c.c_cond
 
+(* ---------------- timed waits: the deadline service ---------------- *)
+
+(* OCaml's [Condition] has no timed wait. [wait_until] gets one from a
+   single process-wide service thread: it keeps a min-heap of
+   (absolute deadline, waiter) and broadcasts a waiter's condition when
+   its deadline passes. Waiters always re-check their predicate, so a
+   broadcast that arrives for any reason is only ever a spurious wakeup.
+
+   No lost wakeups. A waiter registers its heap entry while holding its
+   own lock [L] and keeps holding [L] until [Condition.wait] releases it
+   atomically. The service pops a due entry under the heap lock,
+   releases the heap lock, and only then takes [L] to broadcast, so it
+   cannot get [L] before the waiter is parked (or has already woken and
+   moved on): the broadcast always lands.
+
+   Lock order. The heap lock is innermost. A waiter takes it while
+   holding [L]; the service never holds it while taking any [L]. It is
+   a raw mutex outside the rank table, and nothing is acquired under
+   it.
+
+   Cost. A waiter removes its own entry when it wakes, so a call that
+   finished leaves nothing behind to fire. The service sleeps in
+   [Unix.select] on a self-pipe until the earliest deadline; a waiter
+   writes to the pipe only when its deadline is earlier than that sleep
+   target, which calls with equal budgets almost never are — no syscall
+   per wait. The service never sleeps longer than [deadline_linger], so
+   it notices an empty heap within one linger; after a further linger
+   with the heap still empty it exits (closing the pipe), and the next
+   registration starts a fresh one. The thread belongs to the domain that started it, and a
+   domain's join waits for its threads, so a worker domain that started
+   the service is reclaimed once the service idles out. *)
+
+type timer = {
+  tm_at : float;
+  tm_mutex : Mutex.t;
+  tm_cond : Condition.t;
+  mutable tm_slot : int;  (* heap index; -1 once fired or removed *)
+}
+
+type service = {
+  mutable heap : timer array;
+  mutable len : int;
+  mutable running : bool;
+  mutable target : float;  (* when the sleeping service next wakes *)
+  mutable wake : Unix.file_descr option;  (* self-pipe write end *)
+}
+
+let deadline_linger = 0.5
+let svc_mutex = Mutex.create ()
+
+let svc =
+  { heap = [||]; len = 0; running = false; target = neg_infinity; wake = None }
+
+let no_timer =
+  { tm_at = infinity; tm_mutex = Mutex.create (); tm_cond = Condition.create ();
+    tm_slot = -1 }
+
+(* Heap operations: callers hold [svc_mutex]. *)
+let heap_set i tm =
+  svc.heap.(i) <- tm;
+  tm.tm_slot <- i
+
+let rec sift_up i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    let x = svc.heap.(i) and y = svc.heap.(p) in
+    if x.tm_at < y.tm_at then begin
+      heap_set p x;
+      heap_set i y;
+      sift_up p
+    end
+  end
+
+let rec sift_down i =
+  let l = (2 * i) + 1 in
+  if l < svc.len then begin
+    let c =
+      if l + 1 < svc.len && svc.heap.(l + 1).tm_at < svc.heap.(l).tm_at then
+        l + 1
+      else l
+    in
+    let x = svc.heap.(i) and y = svc.heap.(c) in
+    if y.tm_at < x.tm_at then begin
+      heap_set i y;
+      heap_set c x;
+      sift_down c
+    end
+  end
+
+let heap_push tm =
+  if svc.len = Array.length svc.heap then begin
+    let bigger = Array.make (max 16 (2 * svc.len)) no_timer in
+    Array.blit svc.heap 0 bigger 0 svc.len;
+    svc.heap <- bigger
+  end;
+  heap_set svc.len tm;
+  svc.len <- svc.len + 1;
+  sift_up tm.tm_slot
+
+let heap_remove tm =
+  let i = tm.tm_slot in
+  if i >= 0 then begin
+    tm.tm_slot <- -1;
+    svc.len <- svc.len - 1;
+    let last = svc.heap.(svc.len) in
+    svc.heap.(svc.len) <- no_timer;
+    if i < svc.len then begin
+      heap_set i last;
+      sift_up i;
+      sift_down last.tm_slot
+    end
+  end
+
+let drain_pipe r =
+  let b = Bytes.create 64 in
+  let rec go () =
+    match Unix.read r b 0 64 with
+    | 64 -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
+
+let rec service_loop r ~idle_since =
+  Mutex.lock svc_mutex;
+  let now = Unix.gettimeofday () in
+  let rec take_due acc =
+    if svc.len > 0 && svc.heap.(0).tm_at <= now then begin
+      let tm = svc.heap.(0) in
+      heap_remove tm;
+      take_due (tm :: acc)
+    end
+    else acc
+  in
+  match take_due [] with
+  | _ :: _ as due ->
+      Mutex.unlock svc_mutex;
+      (* The heap lock is released: taking a waiter's lock now cannot
+         invert against a waiter that holds it while registering. *)
+      List.iter
+        (fun tm ->
+          Mutex.lock tm.tm_mutex;
+          Condition.broadcast tm.tm_cond;
+          Mutex.unlock tm.tm_mutex)
+        due;
+      service_loop r ~idle_since:None
+  | [] ->
+      let idle_since =
+        if svc.len > 0 then None else Some (Option.value idle_since ~default:now)
+      in
+      (match idle_since with
+      | Some t0 when now -. t0 >= deadline_linger ->
+          svc.running <- false;
+          Option.iter Unix.close svc.wake;
+          svc.wake <- None;
+          Unix.close r;
+          Mutex.unlock svc_mutex
+      | _ ->
+          (* Never asleep longer than the linger: a heap emptied by
+             waiters that woke early is noticed within one linger, and a
+             far-off (or infinite) deadline is still a finite select. *)
+          let target =
+            match idle_since with
+            | Some t0 -> t0 +. deadline_linger
+            | None -> Float.min svc.heap.(0).tm_at (now +. deadline_linger)
+          in
+          svc.target <- target;
+          Mutex.unlock svc_mutex;
+          (match Unix.select [ r ] [] [] (Float.max 0. (target -. now)) with
+          | r' :: _, _, _ -> drain_pipe r'
+          | [], _, _ -> ()
+          | exception Unix.Unix_error _ -> ());
+          service_loop r ~idle_since)
+
+let start_service () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  match
+    Unix.set_nonblock r;
+    Unix.set_nonblock w;
+    Thread.create (fun () -> service_loop r ~idle_since:None) ()
+  with
+  | _ ->
+      svc.running <- true;
+      svc.wake <- Some w;
+      (* Not asleep yet: the new thread computes its first target from
+         the heap, so no registration needs to wake it. *)
+      svc.target <- neg_infinity
+  | exception e ->
+      Unix.close r;
+      Unix.close w;
+      raise e
+
+let register tm =
+  Mutex.protect svc_mutex (fun () ->
+      if not svc.running then start_service ()
+      else if tm.tm_at < svc.target then begin
+        match svc.wake with
+        | Some w -> (
+            (* Non-blocking: a full pipe already holds a pending wakeup. *)
+            try ignore (Unix.single_write_substring w "!" 0 1)
+            with Unix.Unix_error _ -> ())
+        | None -> ()
+      end;
+      heap_push tm)
+
+let unregister tm =
+  Mutex.lock svc_mutex;
+  heap_remove tm;
+  Mutex.unlock svc_mutex
+
+let deadline_service_running () =
+  Mutex.protect svc_mutex (fun () -> svc.running)
+
+let timed_wait mutex cond at =
+  if Unix.gettimeofday () >= at then `Timed_out
+  else begin
+    let tm = { tm_at = at; tm_mutex = mutex; tm_cond = cond; tm_slot = -1 } in
+    register tm;
+    (match Condition.wait cond mutex with
+    | () -> ()
+    | exception e ->
+        unregister tm;
+        raise e);
+    unregister tm;
+    if Unix.gettimeofday () >= at then `Timed_out else `Woken
+  end
+
+let wait_until l at =
+  if Atomic.get checking_flag then check_wait l "intrinsic condition";
+  timed_wait l.l_mutex l.l_cond at
+
+let wait_until_c c at =
+  if Atomic.get checking_flag then check_wait c.c_owner "condition";
+  timed_wait c.c_owner.l_mutex c.c_cond at
+
 (* ---------------- threads and domains ---------------- *)
 
 let spawn _name f =

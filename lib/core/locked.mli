@@ -33,7 +33,7 @@ module Rank : sig
   val mem_listener : int (* 26 — in-memory listener accept queue *)
   val tcp_channel : int (* 25 — tcp channel/listener close guards *)
   val pipe : int (* 24 — in-memory byte pipes *)
-  val fault : int (* 23 — fault-injection plans and counters *)
+  val fault : int (* 23 — fault-injection plans; stalled-read gates *)
   val metrics : int (* 20 — Obs histogram/counter tables *)
   val trace_ids : int (* 15 — trace/span id generator *)
   val objref_cache : int (* 12 — memoized Objref.to_string cache *)
@@ -73,6 +73,40 @@ val new_cond : t -> cond
 val wait_c : cond -> unit
 val signal_c : cond -> unit
 val broadcast_c : cond -> unit
+
+(** {2 Deadline waits} *)
+
+val wait_until : t -> float -> [ `Woken | `Timed_out ]
+(** [wait_until l at] waits on [l]'s intrinsic condition until it is
+    signalled or the absolute [Unix.gettimeofday] instant [at] passes,
+    whichever comes first. Must be called from within {!with_lock} on
+    [l]. Returns [`Timed_out] iff the clock reads [>= at] on return; a
+    deadline already in the past returns at once without parking.
+    [`Woken] may be spurious (any broadcast on [l], including another
+    waiter's deadline): callers re-check their predicate, as with
+    {!wait}.
+
+    The deadline is served by one process-wide service thread that
+    keeps a min-heap of pending deadlines and broadcasts a waiter's
+    condition, holding the waiter's lock and nothing else, once its
+    deadline passes. The waiter registers while holding [l] and parks
+    in the same critical section, so that broadcast cannot be lost. The
+    heap lock is innermost: taken under [l], never the other way round.
+    A waiter that wakes early removes its entry. The service wakes at
+    least every {!deadline_linger} seconds, and exits once the heap has
+    stayed empty for that long (so within two lingers of the last
+    pending deadline going away). *)
+
+val wait_until_c : cond -> float -> [ `Woken | `Timed_out ]
+(** {!wait_until} on an extra condition; must be called holding the
+    condition's owning lock. *)
+
+val deadline_linger : float
+(** Seconds the deadline service stays alive with no pending deadline
+    before its thread exits; also its longest sleep. *)
+
+val deadline_service_running : unit -> bool
+(** Whether the deadline service thread is currently alive. *)
 
 val spawn : string -> (unit -> unit) -> Thread.t
 (** [spawn name f] starts a thread running [f]. The sanctioned

@@ -471,7 +471,10 @@ let serve_connection t sc =
     | None -> ()
   in
   let dec_inflight () =
-    with_lock t (fun () -> sc.s_inflight <- sc.s_inflight - 1)
+    with_lock t (fun () ->
+        sc.s_inflight <- sc.s_inflight - 1;
+        (* Wakes a thread-per-connection drain in [shutdown]. *)
+        Locked.broadcast t.lock)
   in
   let dispatch (req : Protocol.request) =
     let received_at = Unix.gettimeofday () in
@@ -660,7 +663,8 @@ let serve_connection t sc =
     ~finally:(fun () ->
       (try Communicator.close comm with _ -> ());
       with_lock t (fun () ->
-          t.accepted <- List.filter (fun c -> c != sc) t.accepted))
+          t.accepted <- List.filter (fun c -> c != sc) t.accepted;
+          Locked.broadcast t.lock))
     (fun () ->
       try loop () with
       | Transport.Transport_error _ | Transport.Timeout _ ->
@@ -696,6 +700,7 @@ let admit_connection t sc =
           | Some v ->
               t.accepted <- List.filter (fun c -> c != v) t.accepted;
               t.evicted <- t.evicted + 1;
+              Locked.broadcast t.lock;
               Some v
         end
         else None)
@@ -846,26 +851,22 @@ let shutdown ?drain_deadline t =
         | Some pool -> Pool.drain pool ~deadline
         | None ->
             (* Thread-per-connection mode: no queue to drain, only the
-               per-connection in-flight counts to poll. *)
-            let inflight () =
-              with_lock t (fun () ->
-                  List.fold_left (fun acc c -> acc + c.s_inflight) 0 t.accepted)
-            in
+               per-connection in-flight counts, whose every decrement
+               (and every connection removal) broadcasts the ORB lock. *)
             let d = Unix.gettimeofday () +. grace in
-            let rec wait () =
-              let n = inflight () in
-              if n = 0 then `Drained
-              else
-                let remaining = d -. Unix.gettimeofday () in
-                if remaining <= 0. then `Aborted n
-                else begin
-                  (* Tick bounded by the actual deadline, not a fixed
-                     interval: a near deadline fires promptly. *)
-                  Thread.delay (Float.min 0.005 remaining);
-                  wait ()
-                end
-            in
-            wait ()
+            with_lock t (fun () ->
+                let rec wait () =
+                  let n =
+                    List.fold_left (fun acc c -> acc + c.s_inflight) 0 t.accepted
+                  in
+                  if n = 0 then `Drained
+                  else if Unix.gettimeofday () >= d then `Aborted n
+                  else begin
+                    ignore (Locked.wait_until t.lock d);
+                    wait ()
+                  end
+                in
+                wait ())
       in
       (match result with
       | `Drained ->
@@ -1153,9 +1154,12 @@ let exchange_serialized conn msg ~oneway ~deadline
 (* The multiplexed exchange: register a waiter cell under the demux
    lock, send under the (short) connection write lock, then block on the
    condition variable until the reader delivers the reply, the
-   connection dies, or the per-call deadline passes. OCaml's [Condition]
-   has no timed wait, so deadline waits poll at [Transport.poll_interval]
-   like the rest of the runtime; deadline-free waits park properly. *)
+   connection dies, or the per-call deadline passes. Both waits —
+   admission and reply — park on the demux lock: without a deadline in
+   [Locked.wait], with one in [Locked.wait_until], which the deadline
+   service wakes when the deadline passes. The reader's delivery, an
+   unregister and [mux_kill] all broadcast the same lock, so a reply
+   wakes its caller at once, however far off the deadline is. *)
 let exchange_mux t conn mx msg ~oneway ~deadline
     ~(span : Obs.Trace.span option) =
   let fail_ phase ~fatal err = raise (Exchange_failed { phase; fatal; err }) in
@@ -1174,9 +1178,9 @@ let exchange_mux t conn mx msg ~oneway ~deadline
      sender's return. A dead connection fails fast as a send-phase error:
      nothing was sent, the retry engine treats it exactly like the stale
      cached connection it is. *)
-  let admit_step () =
+  let admission =
     Locked.with_lock mx.mx_lock (fun () ->
-        let rec admit () =
+        let rec admit timed_out =
           match mx.mx_dead with
           | Some err -> `Dead err
           | None ->
@@ -1192,22 +1196,18 @@ let exchange_mux t conn mx msg ~oneway ~deadline
                 end;
                 `Admitted (registered, mx.mx_inflight)
               end
+              else if timed_out then `Saturated
               else
                 match deadline with
                 | None ->
                     Locked.wait mx.mx_lock;
-                    admit ()
-                | Some d ->
-                    let remaining = d -. Unix.gettimeofday () in
-                    if remaining <= 0. then `Saturated else `Poll remaining
+                    admit false
+                | Some d -> admit (Locked.wait_until mx.mx_lock d = `Timed_out)
         in
-        admit ())
+        admit false)
   in
-  let rec admit_loop () =
-    match admit_step () with
-    | `Poll remaining ->
-        Thread.delay (Float.min Transport.poll_interval remaining);
-        admit_loop ()
+  let registered, inflight_now =
+    match admission with
     | `Dead err -> fail_ `Send ~fatal:true err
     | `Saturated ->
         (* Never sent: the connection is healthy, just saturated.
@@ -1218,7 +1218,6 @@ let exchange_mux t conn mx msg ~oneway ~deadline
                 (Communicator.peer conn.comm)))
     | `Admitted (registered, inflight_now) -> (registered, inflight_now)
   in
-  let registered, inflight_now = admit_loop () in
   if registered then begin
     mux_gauge t mx inflight_now;
     (* Monotone max via CAS: losing a race means someone recorded an
@@ -1262,30 +1261,27 @@ let exchange_mux t conn mx msg ~oneway ~deadline
   in
   if oneway then None
   else begin
-    let await_step () =
+    let outcome =
       Locked.with_lock mx.mx_lock (fun () ->
-          let rec await () =
+          let rec await timed_out =
             match !cell with
             | Some reply -> `Got reply
             | None -> (
                 match mx.mx_dead with
                 | Some err -> `Dead err
                 | None -> (
-                    match deadline with
-                    | None ->
-                        Locked.wait mx.mx_lock;
-                        await ()
-                    | Some d ->
-                        let remaining = d -. Unix.gettimeofday () in
-                        if remaining <= 0. then `Expired else `Poll remaining))
+                    if timed_out then `Expired
+                    else
+                      match deadline with
+                      | None ->
+                          Locked.wait mx.mx_lock;
+                          await false
+                      | Some d ->
+                          await (Locked.wait_until mx.mx_lock d = `Timed_out)))
           in
-          await ())
+          await false)
     in
-    let rec await_loop () =
-      match await_step () with
-      | `Poll remaining ->
-          Thread.delay (Float.min Transport.poll_interval remaining);
-          await_loop ()
+    match outcome with
       | `Got reply ->
           (match span with
           | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
@@ -1312,8 +1308,6 @@ let exchange_mux t conn mx msg ~oneway ~deadline
             (Transport.Timeout
                (Printf.sprintf "reply %d from %s timed out" msg_id
                   (Communicator.peer conn.comm)))
-    in
-    await_loop ()
   end
 
 let exchange_core t conn msg ~oneway ~deadline ~(span : Obs.Trace.span option)
@@ -1348,58 +1342,73 @@ let conn_quiet conn =
    the current encoding. [`Offer]: this call owns the connection's one
    offer. While an offer is in flight all other calls hold here — the
    hold-until-answer discipline both communicator re-pointings rely
-   on. An offering call additionally waits for in-flight replies to
-   drain, so an out-of-order earlier reply cannot arrive after the
-   switch in the wrong encoding. *)
+   on — parked on the gate lock, which [nego_resolve] broadcasts. An
+   offering call additionally waits for in-flight replies to drain, so
+   an out-of-order earlier reply cannot arrive after the switch in the
+   wrong encoding; it parks on the demux lock, which every delivery,
+   unregister and kill broadcasts. Deadline-bounded waits use
+   [Locked.wait_until] on the same locks. *)
 let nego_gate conn ~deadline ~can_offer =
-  let step () =
-    Locked.with_lock conn.nego_lock (fun () ->
-        match conn.nego with
-        | Nego_idle -> `Plain
-        | Nego_fresh ->
-            if not can_offer then `Plain
-            else if conn_quiet conn then begin
-              conn.nego <- Nego_offering;
-              `Offer
-            end
-            else `Busy
-        | Nego_offering -> (
-            match deadline with
-            | None ->
-                Locked.wait conn.nego_lock;
-                `Again
-            | Some d ->
-                let remaining = d -. Unix.gettimeofday () in
-                if remaining <= 0. then `Expired else `Poll remaining))
+  (* [true] once the deadline has passed (never without one). *)
+  let park l =
+    match deadline with
+    | None ->
+        Locked.wait l;
+        false
+    | Some d -> Locked.wait_until l d = `Timed_out
   in
-  let rec loop () =
-    match step () with
-    | `Plain -> `Plain
-    | `Offer -> `Offer
-    | `Again -> loop ()
-    | `Busy ->
-        (* Wait for the demux to drain; replies arrive on the reader
-           thread, which does not signal our gate — poll. *)
-        Thread.delay Transport.poll_interval;
-        loop ()
-    | `Poll remaining ->
-        Thread.delay (Float.min Transport.poll_interval remaining);
-        loop ()
-    | `Expired ->
-        (* Never sent; the connection is healthy, just mid-offer. *)
-        raise
-          (Exchange_failed
-             {
-               phase = `Send;
-               fatal = false;
-               err =
-                 Transport.Timeout
-                   (Printf.sprintf
-                      "timed out behind a codec negotiation to %s"
-                      (Communicator.peer conn.comm));
-             })
+  let rec gate () =
+    let decision =
+      Locked.with_lock conn.nego_lock (fun () ->
+          let rec decide timed_out =
+            match conn.nego with
+            | Nego_idle -> `Plain
+            | Nego_fresh ->
+                if not can_offer then `Plain
+                else if conn_quiet conn then begin
+                  conn.nego <- Nego_offering;
+                  `Offer
+                end
+                else `Busy
+            | Nego_offering ->
+                if timed_out then `Expired else decide (park conn.nego_lock)
+          in
+          decide false)
+    in
+    match (decision, conn.mux) with
+    | `Busy, Some mx -> (
+        let drained =
+          Locked.with_lock mx.mx_lock (fun () ->
+              let rec drain timed_out =
+                if mx.mx_dead <> None then `Dead
+                else if mx.mx_inflight = 0 then `Quiet
+                else if timed_out then `Expired
+                else drain (park mx.mx_lock)
+              in
+              drain false)
+        in
+        match drained with
+        | `Quiet -> gate ()
+        (* The admission step reports the dead connection. *)
+        | `Dead -> `Plain
+        | `Expired -> expired ())
+    | `Busy, None | `Plain, _ -> `Plain
+    | `Offer, _ -> `Offer
+    | `Expired, _ -> expired ()
+  and expired () =
+    (* Never sent; the connection is healthy, just mid-offer. *)
+    raise
+      (Exchange_failed
+         {
+           phase = `Send;
+           fatal = false;
+           err =
+             Transport.Timeout
+               (Printf.sprintf "timed out behind a codec negotiation to %s"
+                  (Communicator.peer conn.comm));
+         })
   in
-  loop ()
+  gate ()
 
 (* Run the connection's one offer: send [msg] with the offer slot
    attached, then act on what comes back. An answer re-points both

@@ -18,10 +18,12 @@
    synchronize threads and domains alike, so admission semantics are
    identical across backends.
 
-   OCaml's [Condition] has no timed wait, so deadline-bounded waits poll
-   at the transport layer's granularity — the same compromise
-   [Transport.Pipe.read_with] makes: each locked step either decides or
-   returns [`Poll], and the delay happens with the lock released. *)
+   Deadline-bounded waits (Block admission, [drain]) park on the pool's
+   [change] condition with [Locked.wait_until_c]: a freed slot or a
+   finished job wakes them at once, and the deadline service wakes them
+   when the deadline passes. Each wakeup re-runs the whole admission
+   decision under the lock, so a deadline and a freed slot racing each
+   other resolve exactly as if they had arrived in either order. *)
 
 type admission = Reject | Block of float option
 type backend = Systhreads | Domains
@@ -56,8 +58,6 @@ type t = {
   mutable rejected : int;
   mutable domains : unit Domain.t list;  (* worker handles; Domains only *)
 }
-
-let poll_interval = 0.005
 
 let rec worker_loop t =
   let job =
@@ -129,59 +129,12 @@ let create config =
 
 let submit t ?(cancel = fun () -> ()) ?expire run =
   let job = { run; cancel } in
-  (* One locked step: accept, reject, park on [change] (no deadline), or
-     hand a [`Poll] back to the unlocked retry loop below. [expire] — the
-     request's own remaining-budget instant — bounds EVERY blocking wait:
-     an admission policy must never park a reader past the moment the
-     caller gives up, so the effective wait deadline is the min of the
-     admission deadline and the expiry, and a lapsed expiry is reported
-     as [`Expired], distinct from an overload rejection. *)
-  let step deadline =
-    Locked.with_lock t.lock (fun () ->
-        let accept () =
-          Queue.push job t.queue;
-          t.submitted <- t.submitted + 1;
-          Locked.signal_c t.nonempty;
-          `Accepted
-        in
-        let reject reason =
-          t.rejected <- t.rejected + 1;
-          `Rejected reason
-        in
-        let expired () =
-          t.rejected <- t.rejected + 1;
-          `Expired
-        in
-        let has_space () = Queue.length t.queue < t.config.queue_capacity in
-        let rec attempt () =
-          if (match expire with Some x -> Unix.gettimeofday () >= x | None -> false)
-          then expired ()
-          else if not t.accepting then
-            reject "draining: not accepting new requests"
-          else if has_space () then accept ()
-          else
-            match t.config.admission with
-            | Reject -> reject "overloaded: request queue is full"
-            | Block None -> (
-                match expire with
-                | None ->
-                    Locked.wait_c t.change;
-                    attempt ()
-                | Some x ->
-                    (* No admission deadline, but the request itself has
-                       one: poll so the wait wakes when it lapses. *)
-                    `Poll (x -. Unix.gettimeofday ()))
-            | Block (Some _) -> (
-                match deadline with
-                | None -> assert false  (* deadline set below for Block Some *)
-                | Some d ->
-                    let remaining = d -. Unix.gettimeofday () in
-                    if remaining <= 0. then
-                      reject "overloaded: queue full past admission deadline"
-                    else `Poll remaining)
-        in
-        attempt ())
-  in
+  (* [expire] — the request's own remaining-budget instant — bounds
+     EVERY blocking wait: an admission policy must never park a reader
+     past the moment the caller gives up, so the effective wait deadline
+     is the min of the admission deadline and the expiry, and a lapsed
+     expiry is reported as [`Expired], distinct from an overload
+     rejection. *)
   let deadline =
     match t.config.admission with
     | Block (Some s) ->
@@ -189,14 +142,53 @@ let submit t ?(cancel = fun () -> ()) ?expire run =
         Some (match expire with Some x -> Float.min d x | None -> d)
     | _ -> None
   in
-  let rec loop () =
-    match step deadline with
-    | `Poll remaining ->
-        Thread.delay (Float.min poll_interval (Float.max 0.0005 remaining));
-        loop ()
-    | (`Accepted | `Rejected _ | `Expired) as decision -> decision
-  in
-  loop ()
+  Locked.with_lock t.lock (fun () ->
+      let accept () =
+        Queue.push job t.queue;
+        t.submitted <- t.submitted + 1;
+        Locked.signal_c t.nonempty;
+        `Accepted
+      in
+      let reject reason =
+        t.rejected <- t.rejected + 1;
+        `Rejected reason
+      in
+      let expired () =
+        t.rejected <- t.rejected + 1;
+        `Expired
+      in
+      let has_space () = Queue.length t.queue < t.config.queue_capacity in
+      let rec attempt () =
+        if (match expire with Some x -> Unix.gettimeofday () >= x | None -> false)
+        then expired ()
+        else if not t.accepting then
+          reject "draining: not accepting new requests"
+        else if has_space () then accept ()
+        else
+          match t.config.admission with
+          | Reject -> reject "overloaded: request queue is full"
+          | Block None -> (
+              match expire with
+              | None ->
+                  Locked.wait_c t.change;
+                  attempt ()
+              | Some x ->
+                  (* No admission deadline, but the request itself has
+                     one: the next attempt reports the lapse. *)
+                  ignore (Locked.wait_until_c t.change x);
+                  attempt ())
+          | Block (Some _) -> (
+              match deadline with
+              | None -> assert false  (* deadline set above for Block Some *)
+              | Some d ->
+                  if Unix.gettimeofday () >= d then
+                    reject "overloaded: queue full past admission deadline"
+                  else begin
+                    ignore (Locked.wait_until_c t.change d);
+                    attempt ()
+                  end)
+      in
+      attempt ())
 
 let depth t = Locked.with_lock t.lock (fun () -> Queue.length t.queue)
 let active t = Locked.with_lock t.lock (fun () -> t.active)
@@ -213,31 +205,23 @@ let drain t ~deadline =
       (* Wake submitters blocked on admission so they observe the drain
          and reject instead of waiting on space that may never free. *)
       Locked.broadcast_c t.change);
-  let step () =
-    Locked.with_lock t.lock (fun () ->
-        let rec wait () =
-          if Queue.is_empty t.queue && t.active = 0 then `Drained
-          else
-            match deadline with
-            | None ->
-                Locked.wait_c t.change;
+  Locked.with_lock t.lock (fun () ->
+      let rec wait () =
+        if Queue.is_empty t.queue && t.active = 0 then `Drained
+        else
+          match deadline with
+          | None ->
+              Locked.wait_c t.change;
+              wait ()
+          | Some d ->
+              if Unix.gettimeofday () >= d then
+                `Aborted (Queue.length t.queue + t.active)
+              else begin
+                ignore (Locked.wait_until_c t.change d);
                 wait ()
-            | Some d ->
-                let remaining = d -. Unix.gettimeofday () in
-                if remaining <= 0. then
-                  `Aborted (Queue.length t.queue + t.active)
-                else `Poll remaining
-        in
-        wait ())
-  in
-  let rec loop () =
-    match step () with
-    | `Poll remaining ->
-        Thread.delay (Float.min poll_interval remaining);
-        loop ()
-    | (`Drained | `Aborted _) as outcome -> outcome
-  in
-  loop ()
+              end
+      in
+      wait ())
 
 let stop t =
   let dropped, handles =

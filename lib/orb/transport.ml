@@ -29,12 +29,6 @@ type channel = {
   peer : string;
 }
 
-(* Granularity of the timed waits used where the OS gives us no native
-   timed primitive (in-memory pipes, injected read stalls). Coarse
-   enough to stay cheap, fine enough that deadlines are honoured well
-   within the +-100ms the tests assert. *)
-let poll_interval = 0.005
-
 type listener = {
   accept : unit -> channel;
   shutdown : unit -> unit;
@@ -375,13 +369,13 @@ module Pipe = struct
     end
 
   (* Blocks until [check buf pos len] returns (consume, result), where
-     [consume] counts from [pos]. [deadline] is re-read on every wakeup
-     so a deadline installed mid-wait still takes effect. Without a
-     deadline we park on the lock's condition; with one we poll, since
-     OCaml's [Condition] has no timed wait — each locked step either
-     decides or hands [`Poll] to the unlocked delay loop below. *)
+     [consume] counts from [pos]. Without a deadline we park on the
+     lock's condition; with one, [Locked.wait_until] parks until a write
+     or close broadcasts the lock or the deadline service fires at the
+     deadline. [deadline] is re-read on every wakeup, so a deadline
+     installed mid-wait takes effect from the next wakeup on. *)
   let read_with t ?(deadline = fun () -> None) check ~what =
-    let step () =
+    let outcome =
       Locked.with_lock t.lock (fun () ->
           let rec wait () =
             match check t.buf t.pos (Buffer.length t.buf) with
@@ -397,21 +391,18 @@ module Pipe = struct
                       Locked.wait t.lock;
                       wait ()
                   | Some d ->
-                      let remaining = d -. Unix.gettimeofday () in
-                      if remaining <= 0. then `Timeout else `Poll remaining
+                      if Unix.gettimeofday () >= d then `Timeout
+                      else begin
+                        ignore (Locked.wait_until t.lock d);
+                        wait ()
+                      end
           in
           wait ())
     in
-    let rec loop () =
-      match step () with
-      | `Done result -> result
-      | `Closed -> fail "in-memory channel closed while reading %s" what
-      | `Timeout -> timeout_fail "in-memory read of %s timed out" what
-      | `Poll remaining ->
-          Thread.delay (Float.min poll_interval remaining);
-          loop ()
-    in
-    loop ()
+    match outcome with
+    | `Done result -> result
+    | `Closed -> fail "in-memory channel closed while reading %s" what
+    | `Timeout -> timeout_fail "in-memory read of %s timed out" what
 end
 
 let mem_channel_pair ~peer_a ~peer_b =
@@ -677,43 +668,47 @@ end
 
 let faulty_channel inner =
   (* [broken] marks a connection killed by an injected fault; every
-     later operation fails like a dead socket would. *)
+     later operation fails like a dead socket would. [stall] guards
+     [broken] and [deadline] for a stalled read parked on it: [kill]
+     and [set_deadline] broadcast it. *)
+  let stall = Locked.create ~name:"fault.stall" ~rank:Locked.Rank.fault in
   let broken = ref false in
   let deadline = ref None in
   let guard () =
     if !broken then fail "connection to %s broken by injected fault" inner.peer
   in
   let kill () =
-    broken := true;
+    Locked.with_lock stall (fun () ->
+        broken := true;
+        Locked.broadcast stall);
     inner.close ()
   in
   let on_read read =
     guard ();
     match Fault.draw `Read ~peer:inner.peer with
-    | Some Fault.Stall_read ->
+    | Some Fault.Stall_read -> (
         (* Hang exactly like a peer that stopped responding: wake only
            when the channel deadline passes or the channel dies. *)
-        let rec stall () =
-          (match !deadline with
-          | Some d when Unix.gettimeofday () >= d ->
-              timeout_fail "read from %s timed out (injected stall)" inner.peer
-          | _ -> ());
-          guard ();
-          (* Sleep to the actual deadline, not a fixed tick: a stalled
-             read with 1ms of budget left must wake in ~1ms, not after
-             a full poll interval — lapsed deadlines are load-shedding
-             signals and every extra tick is latency the caller pays. *)
-          let nap =
-            match !deadline with
-            | Some d ->
-                Float.min poll_interval
-                  (Float.max 0.0005 (d -. Unix.gettimeofday ()))
-            | None -> poll_interval
-          in
-          Thread.delay nap;
-          stall ()
+        let outcome =
+          Locked.with_lock stall (fun () ->
+              let rec hang () =
+                match !deadline with
+                | Some d when Unix.gettimeofday () >= d -> `Timed_out
+                | _ when !broken -> `Broken
+                | Some d ->
+                    ignore (Locked.wait_until stall d);
+                    hang ()
+                | None ->
+                    Locked.wait stall;
+                    hang ()
+              in
+              hang ())
         in
-        stall ()
+        match outcome with
+        | `Timed_out ->
+            timeout_fail "read from %s timed out (injected stall)" inner.peer
+        | `Broken ->
+            fail "connection to %s broken by injected fault" inner.peer)
     | Some Fault.Drop_read ->
         kill ();
         fail "connection to %s dropped by injected fault" inner.peer
@@ -753,7 +748,9 @@ let faulty_channel inner =
     close = (fun () -> kill ());
     set_deadline =
       (fun d ->
-        deadline := d;
+        Locked.with_lock stall (fun () ->
+            deadline := d;
+            Locked.broadcast stall);
         inner.set_deadline d);
     set_recv_limit = inner.set_recv_limit;
     peer = inner.peer;

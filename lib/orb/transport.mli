@@ -64,13 +64,6 @@ type channel = {
   peer : string;  (** Peer description for logs. *)
 }
 
-val poll_interval : float
-(** Granularity (seconds) of the timed waits used where the OS gives no
-    native timed primitive — in-memory pipe reads, injected read stalls,
-    and the client demultiplexer's deadline waits (OCaml's [Condition]
-    has no timed wait). Coarse enough to stay cheap, fine enough that
-    deadlines are honoured well within what the tests assert. *)
-
 type listener = {
   accept : unit -> channel;  (** Blocks until a client connects. *)
   shutdown : unit -> unit;  (** Stop accepting; wakes blocked accepts. *)

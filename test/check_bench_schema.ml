@@ -322,6 +322,8 @@ let check_e11 path root =
       ignore (want_str cell "protocol");
       ignore (want_str cell "mode");
       check (want_num cell "max_in_flight" >= 1.) "max_in_flight must be >= 1";
+      check (want_num cell "call_timeout_s" >= 0.)
+        "call_timeout_s must be >= 0 (0 = no deadline)";
       check (want_num cell "threads" > 0.) "cell threads must be > 0";
       check (want_num cell "ok" > 0.) "every cell must complete calls";
       check (want_num cell "failed" = 0.)
@@ -355,7 +357,10 @@ let check_e11 path root =
          in both modes (>= 8), the multiplexed client must deliver at
          least 2x the serialized throughput. The servant sleeps for its
          service time, so the ratio is pipelining, not CPU luck. *)
-      let by_mode pred = List.filter (fun c -> pred (want_num c "max_in_flight")) mine in
+      let untimed = List.filter (fun c -> want_num c "call_timeout_s" = 0.) mine in
+      let by_mode pred =
+        List.filter (fun c -> pred (want_num c "max_in_flight")) untimed
+      in
       let muxed = by_mode (fun m -> m > 1.) and serial = by_mode (fun m -> m = 1.) in
       let threads_of cs = List.map (fun c -> want_num c "threads") cs in
       let common =
@@ -371,7 +376,37 @@ let check_e11 path root =
         (m_ok >= 2. *. s_ok)
         (Printf.sprintf
            "protocol %s: mux must be >= 2x serialized at %.0f threads (got %.0f vs %.0f)"
-           proto t m_ok s_ok))
+           proto t m_ok s_ok);
+      (* The deadline arm: a 1 s call deadline must not slow the mux
+         down. A deadline wait that sleeps in fixed ticks instead of
+         waking on the reply costs a 2 ms call a whole tick. *)
+      let timed =
+        List.filter
+          (fun c ->
+            want_num c "call_timeout_s" > 0. && want_num c "max_in_flight" > 1.)
+          mine
+      in
+      check (timed <> [])
+        (Printf.sprintf "protocol %s must include a call_timeout arm" proto);
+      List.iter
+        (fun c ->
+          let n = want_num c "threads" in
+          match List.find_opt (fun m -> want_num m "threads" = n) muxed with
+          | None ->
+              raise
+                (Bad
+                (Printf.sprintf
+                   "protocol %s: call_timeout arm at %.0f threads has no \
+                    untimed mux cell to compare with"
+                   proto n))
+          | Some m ->
+              let tr = want_num c "ok_per_s" and ur = want_num m "ok_per_s" in
+              check (tr >= 0.5 *. ur)
+                (Printf.sprintf
+                   "protocol %s: with a call_timeout the mux must keep >= 0.5x \
+                    the untimed calls/s at %.0f threads (got %.0f vs %.0f)"
+                   proto n tr ur))
+        timed)
     protos;
   Printf.printf "%s: schema OK (%d cells, %d ok calls total)\n" path
     (List.length cells)

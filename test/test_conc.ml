@@ -23,8 +23,9 @@ let corpus_cases () =
 let test_corpus () =
   let cases = corpus_cases () in
   (* One fixture per C4xx code, plus the second C404 shape (the
-     unlocked stats counter). *)
-  Alcotest.(check int) "fixture count" 9 (List.length cases);
+     unlocked stats counter) and the second C402 shape (a deadline
+     wait on a foreign lock). *)
+  Alcotest.(check int) "fixture count" 10 (List.length cases);
   List.iter
     (fun case ->
       let path = Filename.concat corpus_dir case in
@@ -85,6 +86,33 @@ let test_disable () =
   Analysis.Conc.check_file reporter (Filename.concat corpus_dir "C404_unlocked.ml");
   Alcotest.(check int) "disabled code dropped" 0
     (List.length (Diag.diagnostics reporter))
+
+(* An extra condition waits on the mutex of the lock it was made from:
+   a timed wait on it under a nested inner lock is the same C402. *)
+let test_cond_wait_owner () =
+  let tmp = Filename.temp_file "conc_cond" ".ml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      let oc = open_out tmp in
+      output_string oc
+        {|let outer = Locked.create ~name:"o" ~rank:Locked.Rank.pool
+let inner = Locked.create ~name:"i" ~rank:Locked.Rank.mux
+let space = Locked.new_cond outer
+let right at = Locked.with_lock outer (fun () -> Locked.wait_until_c space at)
+let wrong at =
+  Locked.with_lock outer (fun () ->
+      Locked.with_lock inner (fun () -> Locked.wait_until_c space at))
+|};
+      close_out oc;
+      let reporter = Diag.reporter () in
+      Analysis.Conc.check_file reporter tmp;
+      Alcotest.(check (list (pair string int)))
+        "one C402, on the nested wait"
+        [ ("C402", 7) ]
+        (List.map
+           (fun d -> (d.Diag.code, d.Diag.loc.Idl.Loc.line))
+           (Diag.diagnostics reporter)))
 
 let test_unparsable () =
   let tmp = Filename.temp_file "conc_bad" ".ml" in
@@ -211,6 +239,8 @@ let () =
           Alcotest.test_case "lib/ is clean" `Quick test_lib_clean;
           Alcotest.test_case "werror + json" `Quick test_werror_and_json;
           Alcotest.test_case "disable code" `Quick test_disable;
+          Alcotest.test_case "timed wait on a condition's owner" `Quick
+            test_cond_wait_owner;
           Alcotest.test_case "unparsable input" `Quick test_unparsable;
         ] );
       ( "runtime",
