@@ -1566,7 +1566,11 @@ let e14 ?(out = "BENCH_deadline.json") ?(duration = 2.0)
    (see E3b on OLS and thread wakeups). Writes BENCH_codec.json for the
    schema-checked smoke test, which pins HCX's bytes/call strictly
    below heidi-text's at every payload size. *)
-(* ---------------- idle deadline wait: CPU of a blocked caller ---------------- *)
+(* ---------------- idle CPU: a blocked caller, an idle server ---------------- *)
+
+let process_cpu () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
 
 (* One call over tcp whose servant holds it for [hold_s] seconds while
    the caller waits under a [timeout] s deadline. Prints the process CPU
@@ -1589,13 +1593,9 @@ let idle_wait ?(hold_s = 10.) ?(timeout = 30.) () =
   in
   let client = Orb.create ~transport:"tcp" ~host:"127.0.0.1" () in
   ignore (Orb.invoke client target ~op:"ping" (fun _ -> ()));
-  let cpu () =
-    let t = Unix.times () in
-    t.Unix.tms_utime +. t.Unix.tms_stime
-  in
-  let c0 = cpu () and w0 = Unix.gettimeofday () in
+  let c0 = process_cpu () and w0 = Unix.gettimeofday () in
   ignore (Orb.invoke client target ~op:"hold" ~timeout (fun _ -> ()));
-  let c1 = cpu () and w1 = Unix.gettimeofday () in
+  let c1 = process_cpu () and w1 = Unix.gettimeofday () in
   Orb.shutdown client;
   Orb.shutdown server;
   Printf.printf
@@ -1603,6 +1603,23 @@ let idle_wait ?(hold_s = 10.) ?(timeout = 30.) () =
      (%.2f%% of one core)\n"
     (w1 -. w0) timeout ((c1 -. c0) *. 1000.)
     (100. *. (c1 -. c0) /. (w1 -. w0))
+
+(* A started tcp server under the default policy that receives no
+   call for [hold_s] seconds: the process CPU its parked worker domains
+   and listener cost. *)
+let idle_server ?(hold_s = 10.) () =
+  section "idle-server" "CPU of a started server with no traffic";
+  let server = Orb.create ~transport:"tcp" ~host:"127.0.0.1" () in
+  Orb.start server;
+  let c0 = process_cpu () in
+  Thread.delay hold_s;
+  let c1 = process_cpu () in
+  Orb.shutdown server;
+  Printf.printf
+    "  %d worker domains idle for %.0f s: process CPU %.1f ms (%.2f%% of \
+     one core)\n"
+    Orb.Pool.default_config.Orb.Pool.workers hold_s ((c1 -. c0) *. 1000.)
+    (100. *. (c1 -. c0) /. hold_s)
 
 let e15 ?(out = "BENCH_codec.json") ?(measure_s = 0.4)
     ?(sizes = [ 16; 256; 4096; 65536 ]) () =
@@ -1791,6 +1808,10 @@ let () =
       (* Process CPU while one client call waits 10 s under a 30 s
          deadline (EXPERIMENTS.md, E14 notes). *)
       idle_wait ()
+  | [| _; "--idle-server" |] ->
+      (* Process CPU of a started server with no traffic for 10 s
+         (EXPERIMENTS.md, E13 notes). *)
+      idle_server ()
   | [| _; "--e12-smoke"; out |] ->
       (* E12 on a compressed timeline: one kill, one restart, a breaker
          window short enough that recovery is measurable inside a

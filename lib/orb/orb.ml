@@ -496,7 +496,7 @@ let serve_connection t sc =
       | None -> false
     in
     if with_lock t (fun () -> t.draining) then
-      reject_request req "draining: not accepting new requests"
+      reject_request req Pool.refused_draining
     else if
       t.policy.max_pipelined > 0 && sc.s_inflight >= t.policy.max_pipelined
     then
@@ -580,11 +580,12 @@ let serve_connection t sc =
           in
           (* Runs iff the pool is stopped while this request is still
              queued (immediate shutdown): answer it like an admission
-             refusal so a pipelined client fails fast instead of
-             waiting out its call deadline on a silently dropped job. *)
+             refusal so a pipelined client learns at once that it never
+             ran — and may re-send it elsewhere — instead of waiting out
+             its call deadline on a silently dropped job. *)
           let cancel () =
             dec_inflight ();
-            reject_request req "shutting down: request dropped before execution"
+            reject_request req Pool.refused_cancelled
           in
           (* Shed point 2 (admission): [?expire] caps any Block parking
              at the request's own remaining budget. *)
@@ -1516,8 +1517,32 @@ let exchange t conn msg ~oneway ~deadline ~(span : Obs.Trace.span option) =
 let count_failure t e =
   match e with Transport.Timeout _ -> Atomic.incr t.timeouts | _ -> ()
 
+(* The retry taxonomy as the ORB applies it: [Retry.classify], plus the
+   two refusals a server sends only for requests it never executed
+   ([Pool.never_executed]) — CORBA's TRANSIENT with COMPLETED_NO, so a
+   re-send cannot duplicate work. Overload refusals stay Permanent. *)
+let classify = function
+  | System_exception m when Pool.never_executed m -> Retry.Transient
+  | e -> Retry.classify e
+
+let retryable t ~attempt e =
+  attempt < t.retry.Retry.max_attempts && classify e = Retry.Transient
+
+(* The never-executed refusal answering [msg], as the exception the
+   caller would otherwise see. The id check keeps a desynchronized
+   stream's reply (someone else's refusal) from passing for ours. *)
+let refusal_of msg resp =
+  match (msg, resp) with
+  | ( Protocol.Request { Protocol.req_id; _ },
+      Some
+        (Protocol.Reply
+           { Protocol.rep_id; status = Protocol.Status_system_error m; _ }) )
+    when rep_id = req_id && Pool.never_executed m ->
+      Some (System_exception m)
+  | _ -> None
+
 let breaker_failure t key e =
-  match (t.breaker, Retry.classify e) with
+  match (t.breaker, classify e) with
   | Some br, (Retry.Transient | Retry.Deadline) -> Breaker.failure br key
   | _ -> ()
 
@@ -1679,20 +1704,28 @@ let rec request_reply t target ~make_msg ~oneway ~timeout ~notify ~span
              on this replica or the next. *)
           breaker_failure t key e;
           count_failure t e;
-          if Retry.retryable t.retry ~attempt:n e then retry_after ~failed_ep:ep e
+          if retryable t ~attempt:n e then retry_after ~failed_ep:ep e
           else fail e
       | conn, fresh -> (
-          match
-            exchange t conn
-              (make_msg (Objref.at_endpoint target ep) (budget_now ()))
-              ~oneway ~deadline ~span
-          with
-          | resp ->
-              breaker_success t key;
-              (* Successes replenish the retry budget — the ~10% ratio
-                 that keeps the aggregate retry rate bounded. *)
-              Retry.Budget.deposit t.retry_budget;
-              resp
+          let msg = make_msg (Objref.at_endpoint target ep) (budget_now ()) in
+          match exchange t conn msg ~oneway ~deadline ~span with
+          | resp -> (
+              match refusal_of msg resp with
+              | Some e ->
+                  (* Refused unexecuted (draining, or cancelled in a
+                     stopping pool's queue): re-sending — here or on
+                     another replica — is duplicate-safe, under the
+                     retry policy and budget. Out of attempts, the
+                     refusal is the answer. *)
+                  breaker_failure t key e;
+                  if retryable t ~attempt:n e then retry_after ~failed_ep:ep e
+                  else resp
+              | None ->
+                  breaker_success t key;
+                  (* Successes replenish the retry budget — the ~10%
+                     ratio that keeps the aggregate retry rate bounded. *)
+                  Retry.Budget.deposit t.retry_budget;
+                  resp)
           | exception Exchange_failed { phase; fatal; err = e } ->
               (* Never leave a failed connection poisoning the cache —
                  unless the failure says the connection itself is fine
@@ -1713,7 +1746,7 @@ let rec request_reply t target ~make_msg ~oneway ~timeout ~notify ~span
                     not fresh
               in
               if not retry_safe then maybe_dispatched ();
-              if retry_safe && Retry.retryable t.retry ~attempt:n e then
+              if retry_safe && retryable t ~attempt:n e then
                 retry_after ~failed_ep:ep e
               else fail e)
     in
@@ -1750,7 +1783,7 @@ let rec request_reply t target ~make_msg ~oneway ~timeout ~notify ~span
                 count_failure t e;
                 (* The probe never dispatches anything, so failing over
                    is duplicate-safe — under the same retry budget. *)
-                if multi && Retry.retryable t.retry ~attempt:n e then
+                if multi && retryable t ~attempt:n e then
                   retry_after ~failed_ep:ep e
                 else fail e))
   in
@@ -1902,7 +1935,7 @@ let invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload
           &&
           match e with
           | Breaker.Circuit_open _ -> true
-          | e -> Retry.classify e = Retry.Transient
+          | e -> classify e = Retry.Transient
         in
         if duplicate_safe then call ~hops ~via_forward:false logical
         else raise e
@@ -2351,8 +2384,7 @@ module Naming = struct
           &&
           match e with
           | Breaker.Circuit_open _ -> true
-          | Remote_exception _ | System_exception _ -> false
-          | e -> Retry.classify e = Retry.Transient
+          | e -> classify e = Retry.Transient
         in
         if not refresh_safe then raise e
         else begin

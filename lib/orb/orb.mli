@@ -87,9 +87,9 @@ type server_policy = {
 }
 
 val default_server_policy : server_policy
-(** [Pool.default_config] workers, unlimited connections, 64 pipelined
-    requests per connection, {!Wire.Codec.default_limits}, 10 ms initial
-    accept backoff. *)
+(** [Pool.default_config]'s pool (one worker domain per core, 2 to 8),
+    unlimited connections, 64 pipelined requests per connection,
+    {!Wire.Codec.default_limits}, 10 ms initial accept backoff. *)
 
 (** The client's connection-sharing policy (DESIGN.md "Client connection
     model"). With [max_in_flight > 1] (the default) each cached outbound
@@ -169,9 +169,11 @@ val create :
       deadline never send one either way.
     - [retry] — the {!Retry.policy} for transient connection failures
       (default {!Retry.default}: 3 attempts with exponential backoff).
-      Retries fire only for connection setup and sends that failed
-      before any reply bytes were read — a dispatched request is never
-      duplicated.
+      Retries fire only for connection setup, sends that failed
+      before any reply bytes were read, and the refusals a server sends
+      for requests it never executed ({!Pool.never_executed}: draining,
+      or cancelled in a stopping pool's queue) — a dispatched request is
+      never duplicated.
     - [retry_budget] — config for the client-wide {!Retry.Budget}
       (default {!Retry.Budget.default_config}). Every retry and
       failover first withdraws a credit; successes deposit [ratio] of
@@ -198,7 +200,8 @@ val start : t -> unit
 val shutdown : ?drain_deadline:float -> t -> unit
 (** Stop the server. Phase 1 always: close the listener and flip the
     ORB into draining, so connections still open answer new requests
-    with ["draining: ..."] system exceptions. With [drain_deadline]
+    with {!Pool.refused_draining} system exceptions, which clients
+    retry or fail over under their retry policy. With [drain_deadline]
     (seconds), phase 2 waits up to that long for requests already
     admitted — queued or executing — to finish dispatching before
     phase 3 force-closes every connection and stops the pool; the

@@ -35,8 +35,22 @@ type config = {
   backend : backend;
 }
 
+(* One worker per core (why: pool.mli). The floor keeps a second worker
+   for a servant that calls back into its own ORB on a 1-core host; the
+   cap keeps a process hosting several started ORBs well clear of the
+   runtime's live-domain limit. *)
 let default_config =
-  { workers = 8; queue_capacity = 64; admission = Reject; backend = Domains }
+  {
+    workers = min 8 (max 2 (Domain.recommended_domain_count ()));
+    queue_capacity = 64;
+    admission = Reject;
+    backend = Domains;
+  }
+
+let refused_draining = "draining: not accepting new requests"
+let refused_cancelled = "shutting down: request dropped before execution"
+let never_executed reason =
+  reason = refused_draining || reason = refused_cancelled
 
 (* A queued job and what to do with it if the pool is stopped before a
    worker picks it up. The cancel callback must answer the peer (a
@@ -162,7 +176,7 @@ let submit t ?(cancel = fun () -> ()) ?expire run =
         if (match expire with Some x -> Unix.gettimeofday () >= x | None -> false)
         then expired ()
         else if not t.accepting then
-          reject "draining: not accepting new requests"
+          reject refused_draining
         else if has_space () then accept ()
         else
           match t.config.admission with

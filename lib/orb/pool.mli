@@ -37,7 +37,27 @@ type config = {
 }
 
 val default_config : config
-(** 8 workers, 64 queued requests, [Reject] admission, [Domains]. *)
+(** [min 8 (max 2 (Domain.recommended_domain_count ()))] workers, 64
+    queued requests, [Reject] admission, [Domains]. One worker per core:
+    each domain has its own minor heap and takes part in every
+    stop-the-world minor collection, so more domains than cores only
+    add GC cost. The floor of 2 leaves a servant that calls back into
+    its own ORB a second worker on a 1-core host. Servants that block or
+    nap should use [Systhreads] or set [workers] explicitly. *)
+
+val refused_draining : string
+(** The reason a draining server gives for a request it refused at
+    intake. *)
+
+val refused_cancelled : string
+(** The reason a stopping server gives for a queued request that {!stop}
+    cancelled. *)
+
+val never_executed : string -> bool
+(** [true] for {!refused_draining} and {!refused_cancelled}: refusals
+    that guarantee the job never ran, so a client may re-send the
+    request without risking a duplicate. Overload refusals are not
+    among them. *)
 
 type t
 

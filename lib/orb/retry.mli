@@ -18,7 +18,9 @@
     - [Deadline] — {!Transport.Timeout}. Never retried by the ORB: the
       request may be executing on the peer right now.
     - [Permanent] — everything else (decoded system errors, protocol
-      errors, user exceptions). Retrying cannot help. *)
+      errors, user exceptions). Retrying cannot help. The ORB treats
+      the two system errors a server sends only for requests it never
+      executed ({!Pool.never_executed}) as [Transient]. *)
 type error_class = Transient | Deadline | Permanent
 
 val classify : exn -> error_class

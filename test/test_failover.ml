@@ -13,8 +13,8 @@ type replica = { orb : Orb.t; r : Orb.Objref.t; count : int ref }
 
 (* One replica: counts every dispatched call, so the tests can assert
    both load spread and (for at-most-once) exactly-how-many-times. *)
-let start_replica () =
-  let orb = Orb.create ~transport:"mem" ~host:"local" () in
+let start_replica ?server_policy () =
+  let orb = Orb.create ?server_policy ~transport:"mem" ~host:"local" () in
   Orb.start orb;
   let count = ref 0 in
   let m = Mutex.create () in
@@ -126,6 +126,60 @@ let test_midflight_death_lands_on_survivors () =
   done;
   Orb.shutdown client;
   shutdown_all (List.tl replicas)
+
+(* A replica with one worker queues every call but the one it runs.
+   Shut down, it refuses the queued calls unexecuted ("dropped before
+   execution") and any late ones while draining; both refusals must
+   fail over like a send failure, whatever the pool size. *)
+let test_queued_calls_on_dying_replica_fail_over () =
+  let one_worker =
+    {
+      Orb.default_server_policy with
+      pool = Some { Orb.Pool.default_config with workers = 1 };
+    }
+  in
+  let doomed = start_replica ~server_policy:one_worker () in
+  let survivor = start_replica () in
+  let client =
+    Orb.create ~transport:"mem" ~host:"local"
+      ~retry:{ Orb.Retry.default with max_attempts = 4; base_delay = 0.005 }
+      ()
+  in
+  let target = multi_ref [ doomed; survivor ] in
+  for _ = 1 to 12 do
+    ignore (get client target)
+  done;
+  (* Staggered starts let power-of-two-choices see the in-flight counts,
+     so about half the calls land on the doomed replica: one runs there
+     and the rest queue behind it until the shutdown below. *)
+  let results = Array.make 12 `Pending in
+  let threads =
+    Array.init (Array.length results) (fun i ->
+        Thread.delay 0.003;
+        Thread.create
+          (fun () ->
+            results.(i) <-
+              (match Orb.invoke client target ~op:"slow" (fun _ -> ()) with
+              | Some d -> `Ok (d.Wire.Codec.get_long ())
+              | None -> `Err "no reply"
+              | exception e -> `Err (Printexc.to_string e)))
+          ())
+  in
+  Thread.delay 0.015;
+  Orb.shutdown doomed.orb;
+  Array.iter Thread.join threads;
+  Alcotest.(check bool) "queued calls were refused unexecuted" true
+    ((Orb.stats doomed.orb).Orb.rejected > 0);
+  Array.iteri
+    (fun i res ->
+      match res with
+      | `Ok 7 -> ()
+      | `Ok n -> Alcotest.failf "call %d: corrupted result %d" i n
+      | `Err m -> Alcotest.failf "call %d did not fail over: %s" i m
+      | `Pending -> Alcotest.failf "call %d never finished" i)
+    results;
+  Orb.shutdown client;
+  Orb.shutdown survivor.orb
 
 (* ---------------- breaker-open endpoints are skipped ---------------- *)
 
@@ -305,6 +359,8 @@ let () =
             test_calls_spread_over_replicas;
           Alcotest.test_case "mid-flight death lands on survivors" `Quick
             test_midflight_death_lands_on_survivors;
+          Alcotest.test_case "queued calls on a dying replica fail over"
+            `Quick test_queued_calls_on_dying_replica_fail_over;
           Alcotest.test_case "breaker-open endpoint skipped" `Quick
             test_breaker_open_endpoint_skipped;
           Alcotest.test_case "ambiguous failure never re-sent" `Quick

@@ -17,9 +17,10 @@ let echo_skeleton ?(noted = Atomic.make 0) () =
       ("note", fun _args _results -> Atomic.incr noted);
     ]
 
-(* The default pool (8 workers) caps server-side concurrency below some
-   of the thread counts used here; a wider pool keeps the server out of
-   the way so the tests observe the CLIENT's connection behaviour. *)
+(* The default pool (one worker per core, 2 to 8) caps server-side
+   concurrency below some of the thread counts used here; a wider pool
+   keeps the server out of the way so the tests observe the CLIENT's
+   connection behaviour. *)
 let wide_pool =
   { Orb.default_server_policy with
     pool =

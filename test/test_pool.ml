@@ -194,6 +194,54 @@ let test_pool_drain () =
   release ();
   ignore (Orb.Pool.stop pool)
 
+(* ---------------- default sizing ---------------- *)
+
+let test_default_workers_follow_host () =
+  Alcotest.(check int) "one worker per core, 2 to 8"
+    (min 8 (max 2 (Domain.recommended_domain_count ())))
+    Orb.Pool.default_config.Orb.Pool.workers;
+  Alcotest.(check bool) "default server policy uses it" true
+    (Orb.default_server_policy.Orb.pool = Some Orb.Pool.default_config)
+
+(* The reason for the floor of 2: a servant that calls another servant
+   on its own ORB holds one worker while the nested call needs a
+   second. With one worker the nested call would queue behind its
+   caller until its timeout. *)
+let test_default_policy_serves_nested_call () =
+  let server = Orb.create ~transport:"mem" ~host:"local" () in
+  Orb.start server;
+  let inner = Orb.export server (echo_skeleton ()) in
+  let relay =
+    Orb.Skeleton.create ~type_id:"IDL:Test/Relay:1.0"
+      [
+        ( "relay",
+          fun args results ->
+            let s = args.Wire.Codec.get_string () in
+            match
+              Orb.invoke server inner ~op:"echo" ~timeout:5.0 (fun e ->
+                  e.Wire.Codec.put_string s)
+            with
+            | Some d -> results.Wire.Codec.put_string (d.Wire.Codec.get_string ())
+            | None -> failwith "nested call returned no reply" );
+      ]
+  in
+  let outer = Orb.export server relay in
+  let client = Orb.create ~transport:"mem" ~host:"local" () in
+  let t0 = Unix.gettimeofday () in
+  (match
+     Orb.invoke client outer ~op:"relay" ~timeout:5.0 (fun e ->
+         e.Wire.Codec.put_string "hi")
+   with
+  | Some d ->
+      Alcotest.(check string) "nested reply" "echo:hi" (d.Wire.Codec.get_string ())
+  | None -> Alcotest.fail "relay returned no reply");
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "well inside the timeout (%.3fs)" elapsed)
+    true (elapsed < 1.0);
+  Orb.shutdown client;
+  Orb.shutdown server
+
 (* ------------- ORB-level: overload, pipelining, eviction ------------- *)
 
 let tiny_pool =
@@ -717,6 +765,13 @@ let () =
           Alcotest.test_case "block admission deadline" `Quick
             test_pool_block_admission_deadline;
           Alcotest.test_case "drain" `Quick test_pool_drain;
+        ] );
+      ( "sizing",
+        [
+          Alcotest.test_case "default workers follow the host" `Quick
+            test_default_workers_follow_host;
+          Alcotest.test_case "default policy serves a nested call" `Quick
+            test_default_policy_serves_nested_call;
         ] );
       ( "overload",
         [
