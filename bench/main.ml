@@ -573,9 +573,11 @@ let e8 () =
    what does a fully traced call — client span with four phase timings,
    context propagated on the wire, server span, byte counters, two
    histogram observations, ring-buffer export — cost over the disabled
-   baseline (one boolean load per probe point)? Writes BENCH_obs.json
-   for the schema-checked smoke test. *)
-let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) () =
+   baseline (one boolean load per probe point)? The measurement is
+   repeated [repeats] times; the artifact reports the median overhead
+   with its p10/p90 spread. Writes BENCH_obs.json for the
+   schema-checked smoke test. *)
+let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) ?(repeats = 11) () =
   section "E9" "observability overhead: trace-off vs trace-on (mem, text)";
   let mk_pair ?server_obs ?client_obs () =
     let server = Orb.create ?obs:server_obs () in
@@ -613,26 +615,33 @@ let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) () =
   let s1, c1, t1 = mk_pair ~server_obs ~client_obs () in
   ignore (batch c0 t0 50);  (* warm connections, caches, code *)
   ignore (batch c1 t1 50);
-  (* Interleave off/on batches so clock drift, CPU frequency and GC
-     state bias neither side; per side, take the median batch. *)
+  let quantile p l =
+    let a = Array.of_list (List.sort compare l) in
+    a.(min (Array.length a - 1) (int_of_float (p *. float_of_int (Array.length a))))
+  in
+  let median = quantile 0.5 in
+  (* One repeat: interleave off/on batches so clock drift, CPU frequency
+     and GC state bias neither side; per side, take the median batch. *)
   let n_batches = 5 in
   let per_batch = max 1 (calls / n_batches) in
-  let offs = ref [] and ons = ref [] in
-  for _ = 1 to n_batches do
-    offs := batch c0 t0 per_batch :: !offs;
-    ons := batch c1 t1 per_batch :: !ons
-  done;
-  let median l =
-    let a = List.sort compare l in
-    List.nth a (List.length a / 2)
+  let measure () =
+    let offs = ref [] and ons = ref [] in
+    for _ = 1 to n_batches do
+      offs := batch c0 t0 per_batch :: !offs;
+      ons := batch c1 t1 per_batch :: !ons
+    done;
+    (median !offs, median !ons)
   in
-  let off_ns = median !offs and on_ns = median !ons in
+  let runs = List.init repeats (fun _ -> measure ()) in
+  let pcts = List.map (fun (off, on) -> (on -. off) /. off *. 100.) runs in
+  let off_ns = median (List.map fst runs) and on_ns = median (List.map snd runs) in
   let spans_of obs = (Obs.snapshot obs).Obs.spans_emitted in
   Orb.shutdown c0;
   Orb.shutdown s0;
   Orb.shutdown c1;
   Orb.shutdown s1;
-  let overhead_pct = (on_ns -. off_ns) /. off_ns *. 100. in
+  let overhead_pct = median pcts in
+  let p10 = quantile 0.1 pcts and p90 = quantile 0.9 pcts in
   (* Cross-check the traces themselves: the last client/server span pair
      must belong to one trace. *)
   let last l = List.nth l (List.length l - 1) in
@@ -640,8 +649,11 @@ let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) () =
   let shared = cs.Obs.Trace.trace_id = ss.Obs.Trace.trace_id in
   Printf.printf "  %-46s %10.1f ns/call\n" "trace off (disabled obs)" off_ns;
   Printf.printf "  %-46s %10.1f ns/call\n" "trace on (spans + metrics + ring)" on_ns;
-  Printf.printf "  overhead: %.1f%%  (client spans %d, server spans %d, shared trace id: %b)\n"
-    overhead_pct (spans_of client_obs) (spans_of server_obs) shared;
+  Printf.printf
+    "  overhead: %.1f%% (p10 %.1f%%, p90 %.1f%%, %d repeats)  (client spans %d, \
+     server spans %d, shared trace id: %b)\n"
+    overhead_pct p10 p90 repeats (spans_of client_obs) (spans_of server_obs)
+    shared;
   let json =
     Obs.Jout.obj
       [
@@ -649,9 +661,12 @@ let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) () =
         ("transport", Obs.Jout.str "mem");
         ("protocol", Obs.Jout.str "heidi-text");
         ("calls", Obs.Jout.int calls);
+        ("repeats", Obs.Jout.int repeats);
         ("trace_off_ns_per_call", Obs.Jout.num off_ns);
         ("trace_on_ns_per_call", Obs.Jout.num on_ns);
         ("overhead_pct", Obs.Jout.num overhead_pct);
+        ("overhead_pct_p10", Obs.Jout.num p10);
+        ("overhead_pct_p90", Obs.Jout.num p90);
         ("client_spans", Obs.Jout.int (spans_of client_obs));
         ("server_spans", Obs.Jout.int (spans_of server_obs));
         ("shared_trace_id", Obs.Jout.bool shared);
@@ -1756,7 +1771,7 @@ let () =
   | [| _; "--e9-smoke"; out |] ->
       (* CI smoke mode (`dune build @bench-smoke`): run only E9 with a
          tiny call quota, writing [out] for the schema check. *)
-      e9 ~out ~calls:40 ()
+      e9 ~out ~calls:40 ~repeats:3 ()
   | [| _; "--e10"; out |] ->
       (* Full E10 only: the overload ablation at real duration and
          client counts, without the rest of the bench suite. *)

@@ -99,4 +99,5 @@ let () =
     (!reads_c - before)
     (Orb.stats client).Orb.forwards;
 
-  Printf.printf "\nstats snapshot: %s\n" (Orb.stats_to_json (Orb.stats client))
+  Printf.printf "\nobs snapshot: %s\n"
+    (Orb.Obs.snapshot_to_json (Orb.Obs.snapshot (Orb.obs client)))

@@ -127,8 +127,11 @@ let add_bytes t ~endpoint ~dir n =
       ignore (Atomic.fetch_and_add c.bytes_out n);
       Atomic.incr c.writes
 
-let incr t ~name =
-  Atomic.incr (find_or_create t.counters name (fun () -> Atomic.make 0))
+let incr ?(by = 1) t ~name =
+  ignore
+    (Atomic.fetch_and_add
+       (find_or_create t.counters name (fun () -> Atomic.make 0))
+       by)
 
 let set_gauge t ~name v =
   Atomic.set (find_or_create t.gauges name (fun () -> Atomic.make 0.)) v

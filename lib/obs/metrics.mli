@@ -15,8 +15,9 @@ val add_bytes : t -> endpoint:string -> dir:[ `In | `Out ] -> int -> unit
 (** Account [n] wire bytes to the endpoint's counter, plus one
     read/write operation. *)
 
-val incr : t -> name:string -> unit
-(** Bump a named event counter. *)
+val incr : ?by:int -> t -> name:string -> unit
+(** Add [by] (default 1) to a named event counter, creating it on first
+    use. *)
 
 val set_gauge : t -> name:string -> float -> unit
 (** Set a named level gauge (last write wins) — e.g. the server worker

@@ -2,9 +2,14 @@
     wire-level metrics ({!Metrics}) and pluggable span export
     ({!Sink}), bundled behind one per-ORB switchable instance.
 
-    The ORB consults {!enabled} at every probe point, so a disabled
-    instance costs one boolean load per call — bench E9 measures the
-    enabled ("trace-on") overhead against that baseline. *)
+    The ORB consults {!enabled} at every tracing probe point, so a
+    disabled instance costs one boolean load per probe — bench E9
+    measures the enabled ("trace-on") overhead against that baseline.
+    The ORB's own event counters (connections opened, requests served,
+    retries, sheds, negotiations, ...) ignore the switch: it bumps them
+    straight into {!metrics}, so they count on a disabled instance too,
+    and [Orb.stats] reads them back. Use one instance per ORB, or the
+    ORBs sharing it read summed counters. *)
 
 module Jout = Jout
 module Trace = Trace
@@ -15,8 +20,8 @@ type t
 
 val create : ?enabled:bool -> unit -> t
 (** A fresh instance; [enabled] defaults to [true]. (The ORB creates a
-    disabled one when none is supplied, so observability is strictly
-    opt-in per address space.) *)
+    disabled one when none is supplied, so tracing is opt-in per address
+    space; its event counters still land there.) *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit

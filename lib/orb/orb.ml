@@ -114,38 +114,15 @@ type t = {
   server_chain : Interceptor.chain;
   mutable accepted : sconn list;  (* server-side connections *)
   mutable next_req_id : int;
-  mutable opened : int;  (* outbound connections ever opened *)
-  (* Hot-path counters are [Atomic.t], not lock-guarded mutables: they
-     are bumped from pool worker domains, demux reader threads, and
-     callers concurrently, and several increment sites used to take the
-     ORB lock for nothing but the counter (see the C404 fixture pinning
-     the unlocked-mutable anti-pattern this replaces). Cold counters
-     mutated only under [lock] alongside other state stay mutable. *)
-  served : int Atomic.t;  (* requests dispatched *)
-  retries : int Atomic.t;  (* attempts beyond the first, across all calls *)
-  timeouts : int Atomic.t;  (* calls that hit their deadline *)
-  rejected : int Atomic.t;  (* requests refused by admission control *)
-  expired_pre_admission : int Atomic.t;
-      (* requests shed at decode/admission: budget lapsed before queueing *)
-  expired_in_queue : int Atomic.t;
-      (* requests shed at execution: budget lapsed while queued, or
-         remaining budget below the service-time estimate (doomed) *)
   service_ewma_us : int Atomic.t;
       (* EWMA of pool-dispatch service time in µs (0 until the first
          completion) — the doomed-request shed threshold *)
-  mutable evicted : int;  (* connections evicted by the LRU limit *)
-  mutable drains_clean : int;  (* graceful drains that finished in time *)
-  mutable drain_aborted_jobs : int;  (* dispatches abandoned at force-close *)
   mux_peak : int Atomic.t;  (* highest in-flight count any connection saw *)
-  codec_negotiations : int Atomic.t;  (* connections switched to a negotiated codec *)
-  codec_fallbacks : int Atomic.t;  (* offers that fell back to the base protocol *)
   mutable bootstrap_registry : (string, Objref.t) Hashtbl.t option;
   fwd_cache : (string, Objref.t) Hashtbl.t;
       (* logical target (stringified) -> last Locate_forward redirect;
          invalidated when the forwarded target fails *)
   rng : Random.State.t;  (* replica selection; guarded by [mutex] *)
-  failovers : int Atomic.t;  (* attempts rerouted away from a failed replica *)
-  mutable forwards_followed : int;  (* Locate_forward redirects honoured *)
 }
 
 (* One cached outbound connection. [conn_mutex] serializes sends (each
@@ -228,27 +205,13 @@ let create ?(protocol = Protocol.text) ?(codecs = [])
     server_chain = Interceptor.empty_chain ();
     accepted = [];
     next_req_id = 1;
-    opened = 0;
-    served = Atomic.make 0;
-    retries = Atomic.make 0;
-    timeouts = Atomic.make 0;
-    rejected = Atomic.make 0;
-    expired_pre_admission = Atomic.make 0;
-    expired_in_queue = Atomic.make 0;
     service_ewma_us = Atomic.make 0;
-    evicted = 0;
-    drains_clean = 0;
-    drain_aborted_jobs = 0;
     mux_peak = Atomic.make 0;
-    codec_negotiations = Atomic.make 0;
-    codec_fallbacks = Atomic.make 0;
     bootstrap_registry = None;
     fwd_cache = Hashtbl.create 8;
     (* Fixed seed: replica selection only needs spread, not entropy, and
        determinism keeps test runs reproducible. *)
     rng = Random.State.make [| 0x9e3779b9 |];
-    failovers = Atomic.make 0;
-    forwards_followed = 0;
   }
 
 let protocol t = t.proto
@@ -281,6 +244,38 @@ let meter_channel t label codec chan =
 let with_lock t f = Locked.with_lock t.lock f
 let port t = with_lock t (fun () -> t.bound_port)
 
+(* ---------------- event counters ---------------- *)
+
+(* The ORB counts its events in one place: named counters in its
+   [Obs] metrics registry, bumped by [count] whatever the tracing switch
+   says (a counter is one atomic add; only spans, histograms, byte
+   meters and gauges follow the switch). The names are defined once
+   here, for the bump sites and for [stats], which reads them back. *)
+module Event = struct
+  let opened = "client:connections_opened"
+  let retries = "client:retries"
+  let timeouts = "client:timeouts"
+  let failovers = "client:failover"
+  let forwards = "client:forwards"
+  let budget_exhausted = "client:retry_budget_exhausted"
+  let orphan_replies = "client:orphan_replies"
+  let c_negotiated = "client:codec_negotiated"
+  let c_fallback = "client:codec_fallback"
+  let served = "server:served"
+  let rejected = "server:rejected"
+  let malformed = "server:malformed"
+  let evicted = "server:evicted"
+  let expired_pre_admission = "server:expired_pre_admission"
+  let expired_in_queue = "server:expired_in_queue"
+  let doomed_in_queue = "server:doomed_in_queue"
+  let drained = "server:drained"
+  let drain_aborted_jobs = "server:drain_aborted_jobs"
+  let s_negotiated = "server:codec_negotiated"
+  let s_fallback = "server:codec_fallback"
+end
+
+let count ?by t name = Obs.Metrics.incr ?by (Obs.metrics t.obs) ~name
+
 (* ---------------- server side ---------------- *)
 
 let handle_request_inner t (req : Protocol.request) : Protocol.reply option =
@@ -292,7 +287,7 @@ let handle_request_inner t (req : Protocol.request) : Protocol.reply option =
         { Protocol.rep_id = req.Protocol.req_id; status; payload;
           nego_answer = "" }
   in
-  Atomic.incr t.served;
+  count t Event.served;
   match Object_adapter.lookup t.oa req.Protocol.target.Objref.oid with
   | None ->
       reply
@@ -442,27 +437,18 @@ let serve_connection t sc =
       match decided with
       | Some (Some p) ->
           Communicator.set_protocol ~dir:`Recv comm p;
-          Atomic.incr t.codec_negotiations;
-          Obs.incr t.obs ~name:"server:codec_negotiated"
-      | Some None ->
-          Atomic.incr t.codec_fallbacks;
-          Obs.incr t.obs ~name:"server:codec_fallback"
+          count t Event.s_negotiated
+      | Some None -> count t Event.s_fallback
       | None -> ()
     end
   in
-  (* Admission refusal: a diagnosable System_exception reply, never a
-     dropped connection. *)
-  let reject_request (req : Protocol.request) reason =
-    Atomic.incr t.rejected;
-    Obs.incr t.obs ~name:"server:rejected";
-    if not req.Protocol.oneway then error_reply req.Protocol.req_id reason
-  in
-  (* Budget-expiry shedding: like an admission refusal, but counted and
-     worded as the Timeout-class outcome it is — the client's budget
-     lapsed, nobody is waiting for the result anymore. *)
-  let expire_request (req : Protocol.request) ~counter ~obs_name reason =
-    Atomic.incr counter;
-    Obs.incr t.obs ~name:obs_name;
+  (* Refusal, counted under [event]: a diagnosable System_exception
+     reply, never a dropped connection. Admission refusals count as
+     [Event.rejected]; budget-expiry sheds are counted and worded as the
+     Timeout-class outcome they are — the client's budget lapsed, nobody
+     is waiting for the result anymore. *)
+  let refuse event (req : Protocol.request) reason =
+    count t event;
     if not req.Protocol.oneway then error_reply req.Protocol.req_id reason
   in
   let finish_dispatch req =
@@ -496,18 +482,17 @@ let serve_connection t sc =
       | None -> false
     in
     if with_lock t (fun () -> t.draining) then
-      reject_request req Pool.refused_draining
+      refuse Event.rejected req Pool.refused_draining
     else if
       t.policy.max_pipelined > 0 && sc.s_inflight >= t.policy.max_pipelined
     then
-      reject_request req
+      refuse Event.rejected req
         (Printf.sprintf "too many pipelined requests (limit %d)"
            t.policy.max_pipelined)
     else if expired_now () then
       (* Shed point 1 (decode): the budget lapsed in transit — drop
          before enqueueing anything. *)
-      expire_request req ~counter:t.expired_pre_admission
-        ~obs_name:"server:expired_pre_admission"
+      refuse Event.expired_pre_admission req
         "expired before admission: request deadline budget lapsed"
     else begin
       with_lock t (fun () -> sc.s_inflight <- sc.s_inflight + 1);
@@ -542,15 +527,13 @@ let serve_connection t sc =
                 in
                 if expired_now () then
                   try
-                    expire_request req ~counter:t.expired_in_queue
-                      ~obs_name:"server:expired_in_queue"
+                    refuse Event.expired_in_queue req
                       "expired in queue: request deadline budget lapsed \
                        before execution"
                   with _ -> (try Communicator.close comm with _ -> ())
                 else if doomed_now () then
                   try
-                    expire_request req ~counter:t.expired_in_queue
-                      ~obs_name:"server:doomed_in_queue"
+                    refuse Event.doomed_in_queue req
                       "doomed in queue: remaining deadline budget below \
                        the service-time estimate"
                   with _ -> (try Communicator.close comm with _ -> ())
@@ -585,7 +568,7 @@ let serve_connection t sc =
              its call deadline on a silently dropped job. *)
           let cancel () =
             dec_inflight ();
-            reject_request req Pool.refused_cancelled
+            refuse Event.rejected req Pool.refused_cancelled
           in
           (* Shed point 2 (admission): [?expire] caps any Block parking
              at the request's own remaining budget. *)
@@ -595,11 +578,10 @@ let serve_connection t sc =
                 (float_of_int (Pool.depth pool))
           | `Rejected reason ->
               dec_inflight ();
-              reject_request req reason
+              refuse Event.rejected req reason
           | `Expired ->
               dec_inflight ();
-              expire_request req ~counter:t.expired_pre_admission
-                ~obs_name:"server:expired_pre_admission"
+              refuse Event.expired_pre_admission req
                 "expired before admission: request deadline budget lapsed \
                  while awaiting queue space")
     end
@@ -645,7 +627,7 @@ let serve_connection t sc =
         (* Decodable-but-invalid frame, fully consumed: the stream is
            still synchronized, so answer with a diagnosable error
            instead of silently dropping the connection. *)
-        Obs.incr t.obs ~name:"server:malformed";
+        count t Event.malformed;
         Log.warn (fun m ->
             m "malformed frame from %s: %s" (Communicator.peer comm) reason);
         error_reply
@@ -700,7 +682,6 @@ let admit_connection t sc =
           | None -> None
           | Some v ->
               t.accepted <- List.filter (fun c -> c != v) t.accepted;
-              t.evicted <- t.evicted + 1;
               Locked.broadcast t.lock;
               Some v
         end
@@ -709,7 +690,7 @@ let admit_connection t sc =
   match victim with
   | None -> ()
   | Some v ->
-      Obs.incr t.obs ~name:"server:evicted";
+      count t Event.evicted;
       (try Communicator.close v.scomm with _ -> ())
 
 let start t =
@@ -870,13 +851,8 @@ let shutdown ?drain_deadline t =
                 wait ())
       in
       (match result with
-      | `Drained ->
-          with_lock t (fun () -> t.drains_clean <- t.drains_clean + 1);
-          Obs.incr t.obs ~name:"server:drained"
-      | `Aborted n ->
-          with_lock t (fun () ->
-              t.drain_aborted_jobs <- t.drain_aborted_jobs + n);
-          Obs.incr t.obs ~name:"server:drain_aborted");
+      | `Drained -> count t Event.drained
+      | `Aborted n -> count ~by:n t Event.drain_aborted_jobs);
       (match span with
       | None -> ()
       | Some s ->
@@ -991,7 +967,7 @@ let mux_reader t conn mx =
              corresponds to what we sent (a corrupted or rewritten id).
              Poisoned: kill, so no later call can be handed the wrong
              payload. *)
-          Obs.incr t.obs ~name:"client:orphan_replies";
+          count t Event.orphan_replies;
           mux_kill conn mx
             (System_exception
                (Printf.sprintf
@@ -1058,11 +1034,11 @@ let get_connection t endpoint =
             | Some winner -> `Lost winner
             | None ->
                 Hashtbl.replace t.conns endpoint c;
-                t.opened <- t.opened + 1;
                 `Won)
       in
       match outcome with
       | `Won ->
+          count t Event.opened;
           (* The reader starts only for the connection that actually
              enters the cache — a race loser is closed before any
              request can be sent on it. *)
@@ -1428,8 +1404,7 @@ let exchange_offer t conn msg ~oneway ~deadline ~span =
     | other -> other
   in
   let fallback () =
-    Atomic.incr t.codec_fallbacks;
-    Obs.incr t.obs ~name:"client:codec_fallback";
+    count t Event.c_fallback;
     nego_resolve conn Nego_idle
   in
   match exchange_core t conn offered ~oneway ~deadline ~span with
@@ -1463,8 +1438,7 @@ let exchange_offer t conn msg ~oneway ~deadline ~span =
       | Some p ->
           Communicator.set_protocol conn.comm p;
           conn.c_codec := p.Protocol.name;
-          Atomic.incr t.codec_negotiations;
-          Obs.incr t.obs ~name:"client:codec_negotiated";
+          count t Event.c_negotiated;
           nego_resolve conn Nego_idle;
           Some (Protocol.Reply r)
       | None ->
@@ -1511,11 +1485,8 @@ let exchange t conn msg ~oneway ~deadline ~(span : Obs.Trace.span option) =
   | `Plain -> exchange_core t conn msg ~oneway ~deadline ~span
   | `Offer -> exchange_offer t conn msg ~oneway ~deadline ~span
 
-(* Counted atomically, NOT under the ORB lock: this runs on the exchange
-   failure path from arbitrary caller threads and pool domains, and the
-   lock guarded nothing about it (the C404 pattern). *)
 let count_failure t e =
-  match e with Transport.Timeout _ -> Atomic.incr t.timeouts | _ -> ()
+  match e with Transport.Timeout _ -> count t Event.timeouts | _ -> ()
 
 (* The retry taxonomy as the ORB applies it: [Retry.classify], plus the
    two refusals a server sends only for requests it never executed
@@ -1632,10 +1603,7 @@ let rec request_reply t target ~make_msg ~oneway ~timeout ~notify ~span
     | untried -> untried
   in
   let count_failover () =
-    if multi then begin
-      Atomic.incr t.failovers;
-      Obs.incr t.obs ~name:"client:failover"
-    end
+    if multi then count t Event.failovers
   in
   (* [gate_spins] bounds the selection/gate race: an endpoint can trip
      between the read-only availability check and [before_call]. *)
@@ -1650,13 +1618,13 @@ let rec request_reply t target ~make_msg ~oneway ~timeout ~notify ~span
          bucket means the client fleet is already retrying at its bound:
          fail fast (Permanent class) instead of joining the storm. *)
       if not (Retry.Budget.try_withdraw t.retry_budget) then begin
-        Obs.incr t.obs ~name:"client:retry_budget_exhausted";
+        count t Event.budget_exhausted;
         fail
           (Retry.Budget_exhausted
              (Printf.sprintf "retry budget exhausted (last error: %s)"
                 (Printexc.to_string e)))
       end;
-      Atomic.incr t.retries;
+      count t Event.retries;
       (match span with
       | Some s -> s.Obs.Trace.retries <- s.Obs.Trace.retries + 1
       | None -> ());
@@ -1859,10 +1827,8 @@ let cached_forward t target =
   with_lock t (fun () -> Hashtbl.find_opt t.fwd_cache (forward_key target))
 
 let note_forward t target fwd =
-  with_lock t (fun () ->
-      Hashtbl.replace t.fwd_cache (forward_key target) fwd;
-      t.forwards_followed <- t.forwards_followed + 1);
-  Obs.incr t.obs ~name:"client:forwards"
+  with_lock t (fun () -> Hashtbl.replace t.fwd_cache (forward_key target) fwd);
+  count t Event.forwards
 
 let invalidate_forward t target =
   with_lock t (fun () -> Hashtbl.remove t.fwd_cache (forward_key target))
@@ -2094,8 +2060,14 @@ let smart_proxy t ?capacity ?invalidate_on target =
   in
   Smart.create ?capacity ?invalidate_on ~codec:t.proto.Protocol.codec raw target
 
-let connections_opened t = with_lock t (fun () -> t.opened)
-let requests_served t = Atomic.get t.served
+(* Reads event counters out of one snapshot of the ORB's registry; a
+   counter never bumped reads 0. *)
+let counters t =
+  let m = Obs.Metrics.snapshot (Obs.metrics t.obs) in
+  fun name -> Option.value (List.assoc_opt name m.counters) ~default:0
+
+let connections_opened t = counters t Event.opened
+let requests_served t = counters t Event.served
 
 type stats = {
   opened : int;
@@ -2124,25 +2096,15 @@ type stats = {
   codec_fallbacks : int;
 }
 
+(* A typed view over one snapshot of the ORB's [Obs] registry, plus the
+   gauges and the breaker/budget/pool numbers their modules keep. *)
 let stats t =
-  let ( opened,
-        forwards,
-        evicted,
-        drains_clean,
-        drain_aborted_jobs,
-        server_connections,
-        mux_in_flight,
-        pool ) =
+  let server_connections, mux_in_flight, pool =
     with_lock t (fun () ->
         (* Count only live connections: a closed communicator may linger
            in [t.accepted] until its serving thread finishes unwinding,
            and must not inflate the gauge. *)
-        ( t.opened,
-          t.forwards_followed,
-          t.evicted,
-          t.drains_clean,
-          t.drain_aborted_jobs,
-          List.length
+        ( List.length
             (List.filter
                (fun c -> not (Communicator.is_closed c.scomm))
                t.accepted),
@@ -2169,65 +2131,33 @@ let stats t =
   let pool_depth, pool_active =
     match pool with Some p -> (Pool.depth p, Pool.active p) | None -> (0, 0)
   in
+  let c = counters t in
   {
-    opened;
-    served = Atomic.get t.served;
-    retries = Atomic.get t.retries;
-    timeouts = Atomic.get t.timeouts;
-    failovers = Atomic.get t.failovers;
-    forwards;
+    opened = c Event.opened;
+    served = c Event.served;
+    retries = c Event.retries;
+    timeouts = c Event.timeouts;
+    failovers = c Event.failovers;
+    forwards = c Event.forwards;
     breaker_trips;
     breaker_fast_fails;
     breaker_states;
     server_connections;
-    rejected = Atomic.get t.rejected;
-    expired_pre_admission = Atomic.get t.expired_pre_admission;
-    expired_in_queue = Atomic.get t.expired_in_queue;
+    rejected = c Event.rejected;
+    expired_pre_admission = c Event.expired_pre_admission;
+    expired_in_queue = c Event.expired_in_queue + c Event.doomed_in_queue;
     retry_budget_balance = Retry.Budget.balance t.retry_budget;
     retry_budget_exhaustions = Retry.Budget.exhaustions t.retry_budget;
-    evicted;
-    drains_clean;
-    drain_aborted_jobs;
+    evicted = c Event.evicted;
+    drains_clean = c Event.drained;
+    drain_aborted_jobs = c Event.drain_aborted_jobs;
     pool_depth;
     pool_active;
     mux_in_flight;
     mux_peak_in_flight = Atomic.get t.mux_peak;
-    codec_negotiations = Atomic.get t.codec_negotiations;
-    codec_fallbacks = Atomic.get t.codec_fallbacks;
+    codec_negotiations = c Event.c_negotiated + c Event.s_negotiated;
+    codec_fallbacks = c Event.c_fallback + c Event.s_fallback;
   }
-
-(* The stats snapshot as one JSON object — what an operator scrapes to
-   debug a failover decision after the fact. *)
-let stats_to_json (s : stats) =
-  Obs.Jout.(
-    obj
-      [
-        ("opened", int s.opened);
-        ("served", int s.served);
-        ("retries", int s.retries);
-        ("timeouts", int s.timeouts);
-        ("failovers", int s.failovers);
-        ("forwards", int s.forwards);
-        ("breaker_trips", int s.breaker_trips);
-        ("breaker_fast_fails", int s.breaker_fast_fails);
-        ( "breaker_states",
-          obj (List.map (fun (k, st) -> (k, str st)) s.breaker_states) );
-        ("server_connections", int s.server_connections);
-        ("rejected", int s.rejected);
-        ("expired_pre_admission", int s.expired_pre_admission);
-        ("expired_in_queue", int s.expired_in_queue);
-        ("retry_budget_balance", int s.retry_budget_balance);
-        ("retry_budget_exhaustions", int s.retry_budget_exhaustions);
-        ("evicted", int s.evicted);
-        ("drains_clean", int s.drains_clean);
-        ("drain_aborted_jobs", int s.drain_aborted_jobs);
-        ("pool_depth", int s.pool_depth);
-        ("pool_active", int s.pool_active);
-        ("mux_in_flight", int s.mux_in_flight);
-        ("mux_peak_in_flight", int s.mux_peak_in_flight);
-        ("codec_negotiations", int s.codec_negotiations);
-        ("codec_fallbacks", int s.codec_fallbacks);
-      ])
 
 let breaker_state t target =
   match t.breaker with

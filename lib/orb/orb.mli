@@ -152,7 +152,8 @@ val create :
     wire protocol's service-context slot, and the transport feeds
     per-endpoint byte counters. Omitted: a disabled context — no spans,
     no measurable overhead, and the empty trace context keeps wire
-    messages byte-identical to pre-slot peers.
+    messages byte-identical to pre-slot peers. Either way the ORB's
+    event counters (see {!stats}) count into this context.
 
     Fault-tolerance knobs (see DESIGN.md "Failure model"):
     - [call_timeout] — default per-call deadline in seconds; a call whose
@@ -223,8 +224,9 @@ val adapter : t -> Object_adapter.t
 
 val obs : t -> Obs.t
 (** The ORB's observability context (a disabled one when [create] was
-    not given [~obs]). [Obs.snapshot] on it reads the metrics;
-    [Obs.add_sink] attaches span consumers. *)
+    not given [~obs]). [Obs.snapshot] on it reads the metrics, including
+    the always-on event counters behind {!stats}; [Obs.add_sink]
+    attaches span consumers. *)
 
 val client_interceptors : t -> Interceptor.chain
 (** The chain applied around every outgoing {!invoke}. Client-side
@@ -375,10 +377,18 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val stats_to_json : stats -> string
-(** The snapshot as one JSON object (breaker states as a nested
-    object) — scrape-ready, like the bench outputs. *)
+(** A typed view over one snapshot of the ORB's {!obs} registry. The
+    event counts ([opened], [served], [retries], [rejected], ...) are
+    its named counters — ["client:connections_opened"],
+    ["server:served"], ... — which the ORB bumps whether or not tracing
+    is enabled; a field that counts one event in two roles is the sum
+    of both ([codec_negotiations] = ["client:codec_negotiated"] +
+    ["server:codec_negotiated"]; [expired_in_queue] =
+    ["server:expired_in_queue"] + ["server:doomed_in_queue"]). The
+    breaker, retry-budget and pool fields come from those modules, and
+    the connection and in-flight fields are gauges read now. Two ORBs
+    sharing one [Obs.t] read summed counters: give each its own. For
+    JSON, render {!Obs.snapshot} with [Obs.snapshot_to_json]. *)
 
 val breaker_state : t -> Objref.t -> Breaker.state option
 (** Circuit state for the target's primary endpoint; [None] when no

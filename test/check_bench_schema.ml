@@ -219,7 +219,12 @@ let check_e9 path root =
     let on = want_num root "trace_on_ns_per_call" in
     check (off > 0.) "trace_off_ns_per_call must be > 0";
     check (on > 0.) "trace_on_ns_per_call must be > 0";
-    ignore (want_num root "overhead_pct");
+    check (want_num root "repeats" >= 1.) "repeats must be >= 1";
+    let pct = want_num root "overhead_pct" in
+    check
+      (want_num root "overhead_pct_p10" <= pct
+      && pct <= want_num root "overhead_pct_p90")
+      "overhead_pct (the median) must lie within its p10..p90";
     check (want_num root "client_spans" > 0.) "client_spans must be > 0";
     check (want_num root "server_spans" > 0.) "server_spans must be > 0";
     check (want_bool root "shared_trace_id")
@@ -257,6 +262,10 @@ let check_e9 path root =
       "client_snapshot must include the invoke:echo histogram";
     let endpoints = want_arr metrics "endpoints" in
     check (endpoints <> []) "client_snapshot must include endpoint byte counters";
+    (* The ORB's event counters, the source of [Orb.stats]. *)
+    check
+      (want_num (field metrics "counters") "client:connections_opened" >= 1.)
+      "client_snapshot counters must include client:connections_opened";
     List.iter
       (fun e ->
         check

@@ -445,6 +445,61 @@ let test_retry_count_on_span () =
   Orb.shutdown client;
   Orb.shutdown server2
 
+(* The ORB's event counters ignore the tracing switch: with both sides on
+   disabled instances (no spans, no histograms), the registry still holds
+   the connection, negotiation and dispatch counts, and [Orb.stats] is a
+   view of exactly those counters. *)
+let test_orb_counters_with_tracing_off () =
+  let server_obs = Obs.create ~enabled:false () in
+  let client_obs = Obs.create ~enabled:false () in
+  let codecs = [ Orb.Protocol.hcx ] in
+  let server = Orb.create ~codecs ~obs:server_obs () in
+  Orb.start server;
+  let client = Orb.create ~codecs ~obs:client_obs () in
+  Fun.protect
+    ~finally:(fun () ->
+      Orb.shutdown client;
+      Orb.shutdown server)
+    (fun () ->
+      let target = Orb.export server (echo_skeleton ()) in
+      for i = 1 to 3 do
+        Alcotest.(check string) "call" ("echo:" ^ string_of_int i)
+          (invoke_string client target ~op:"echo" (string_of_int i))
+      done;
+      let counters obs =
+        let snap = Obs.snapshot obs in
+        Alcotest.(check int) "no spans" 0 snap.Obs.spans_emitted;
+        Alcotest.(check int) "no histograms" 0
+          (List.length snap.Obs.metrics.Metrics.latencies);
+        fun name ->
+          match List.assoc_opt name snap.Obs.metrics.Metrics.counters with
+          | Some n -> n
+          | None -> Alcotest.failf "counter %s missing" name
+      in
+      let cc = counters client_obs and sc = counters server_obs in
+      let cst = Orb.stats client and sst = Orb.stats server in
+      Alcotest.(check int) "client:connections_opened" 1
+        (cc "client:connections_opened");
+      Alcotest.(check int) "client:codec_negotiated" 1
+        (cc "client:codec_negotiated");
+      Alcotest.(check int) "server:codec_negotiated" 1
+        (sc "server:codec_negotiated");
+      Alcotest.(check int) "server:served" 3 (sc "server:served");
+      Alcotest.(check int) "stats.opened" (cc "client:connections_opened")
+        cst.Orb.opened;
+      Alcotest.(check int) "connections_opened"
+        (cc "client:connections_opened")
+        (Orb.connections_opened client);
+      Alcotest.(check int) "client stats.codec_negotiations"
+        (cc "client:codec_negotiated")
+        cst.Orb.codec_negotiations;
+      Alcotest.(check int) "server stats.codec_negotiations"
+        (sc "server:codec_negotiated")
+        sst.Orb.codec_negotiations;
+      Alcotest.(check int) "stats.served" (sc "server:served") sst.Orb.served;
+      Alcotest.(check int) "requests_served" (sc "server:served")
+        (Orb.requests_served server))
+
 let () =
   Alcotest.run "obs"
     [
@@ -481,5 +536,7 @@ let () =
           Alcotest.test_case "stock interceptor composes" `Quick
             test_stock_interceptor_composes;
           Alcotest.test_case "retry count on span" `Quick test_retry_count_on_span;
+          Alcotest.test_case "orb counters count with tracing off" `Quick
+            test_orb_counters_with_tracing_off;
         ] );
     ]
