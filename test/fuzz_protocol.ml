@@ -71,6 +71,7 @@ type mutation =
   | Budget_hostile  (* well-formed envelope, hostile deadline slot *)
   | Nego_hostile  (* well-formed envelope, hostile negotiation slot *)
   | Varint_overlong  (* varint framing only: 10-group length prefix *)
+  | Varint_negative  (* varint framing only: 9th group sets bit 62 *)
   | Varint_truncate  (* varint framing only: body cut mid-varint *)
   | Version_bogus  (* varint framing only: stomp the codec version byte *)
 
@@ -84,6 +85,7 @@ let mutation_name = function
   | Budget_hostile -> "budget-hostile"
   | Nego_hostile -> "nego-hostile"
   | Varint_overlong -> "varint-overlong"
+  | Varint_negative -> "varint-negative"
   | Varint_truncate -> "varint-truncate"
   | Version_bogus -> "version-bogus"
 
@@ -162,7 +164,8 @@ let mutate ~binary rng m body =
   | Header_damage -> body (* handled at the framing layer *)
   | Budget_hostile | Nego_hostile ->
       body (* the bodies are purpose-built, not mutated *)
-  | Varint_overlong -> body (* handled at the framing layer *)
+  | Varint_overlong | Varint_negative ->
+      body (* handled at the framing layer *)
   | Varint_truncate ->
       (* Cut at a random point and end on a continuation bit: some
          varint inside the body now promises bytes that never come. *)
@@ -196,7 +199,9 @@ let uvarint n =
    stream stays synchronized; [`Damage] corrupts the frame header
    itself; [`Overlong] (varint framing) sends a length prefix of ten
    continuation groups — more than any honest encoder can produce, so
-   the server must kill the connection rather than guess. *)
+   the server must kill the connection rather than guess; [`Negative]
+   (varint framing) sends nine groups whose last one sets bit 62, a
+   length that would decode negative. *)
 let frame proto ~style rng body =
   match proto.Orb.Protocol.framing with
   | Orb.Protocol.Line ->
@@ -214,7 +219,7 @@ let frame proto ~style rng body =
           let pos = Random.State.int rng (Bytes.length h) in
           Bytes.set h pos (Char.chr (Random.State.int rng 256));
           Bytes.to_string h ^ "\n" ^ body
-      | `Honest | `Overlong ->
+      | `Honest | `Overlong | `Negative ->
           (* Honest header for the (mutated) body, so the stream stays
              synchronized and the server can keep the connection. *)
           Printf.sprintf "%s%08x\n%s" header (String.length body) body)
@@ -229,6 +234,7 @@ let frame proto ~style rng body =
           Bytes.set h pos (Char.chr (Random.State.int rng 256));
           Bytes.to_string h ^ body
       | `Overlong -> String.make 1 magic ^ String.make 10 '\xff' ^ "\x01" ^ body
+      | `Negative -> String.make 1 magic ^ String.make 8 '\xff' ^ "\x40" ^ body
       | `Honest -> String.make 1 magic ^ uvarint (String.length body) ^ body)
 
 (* ------------------------------------------------------------------ *)
@@ -408,7 +414,7 @@ let run_proto ~ptag (pname, proto) =
         [|
           Truncate; Bit_flip; Length_inflate; Token_swap; Oversize;
           Header_damage; Budget_hostile; Nego_hostile; Varint_overlong;
-          Varint_truncate; Version_bogus;
+          Varint_negative; Varint_truncate; Version_bogus;
         |]
   in
   let tally = { sent = 0; reconnects = 0; error_replies = 0 } in
@@ -434,6 +440,7 @@ let run_proto ~ptag (pname, proto) =
       match m with
       | Header_damage -> `Damage
       | Varint_overlong -> `Overlong
+      | Varint_negative -> `Negative
       | _ -> `Honest
     in
     let hostile = frame proto ~style rng (mutate ~binary rng m body) in

@@ -842,6 +842,37 @@ let test_hcx_frame_header () =
   chan.Orb.Transport.close ();
   listener.Orb.Transport.shutdown ()
 
+let test_hcx_negative_frame_length () =
+  (* A 9th length group with bit 6 set lands on bit 62, the sign bit of
+     an OCaml int: the decoded length would be negative and slip past
+     the [max_frame_bytes] test. It must fail as a protocol error on
+     both transports, never reach the channel as a negative count. *)
+  let hostile = String.make 1 P.hcx_magic ^ String.make 8 '\xff' ^ "\x40" in
+  List.iter
+    (fun (transport, host) ->
+      let listener = Orb.Transport.listen ~proto:transport ~host ~port:0 in
+      let port = listener.Orb.Transport.bound_port in
+      let accepted = ref None in
+      let t =
+        Thread.create
+          (fun () -> accepted := Some (listener.Orb.Transport.accept ()))
+          ()
+      in
+      let chan = Orb.Transport.connect ~proto:transport ~host ~port in
+      Thread.join t;
+      let server = Orb.Communicator.wrap P.hcx (Option.get !accepted) in
+      chan.Orb.Transport.write (hostile ^ String.make 64 'A');
+      (match Orb.Communicator.recv_opt server with
+      | exception P.Protocol_error _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: expected Protocol_error, got %s" transport
+            (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: negative frame length accepted" transport);
+      chan.Orb.Transport.close ();
+      Orb.Communicator.close server;
+      listener.Orb.Transport.shutdown ())
+    [ ("mem", "local"); ("tcp", "127.0.0.1") ]
+
 let () =
   Alcotest.run "protocol"
     [
@@ -902,5 +933,7 @@ let () =
           Alcotest.test_case "message boundaries" `Quick test_framing_preserves_message_boundaries;
           Alcotest.test_case "GIOP frame header" `Quick test_giop_frame_header;
           Alcotest.test_case "HCX frame header" `Quick test_hcx_frame_header;
+          Alcotest.test_case "HCX negative frame length" `Quick
+            test_hcx_negative_frame_length;
         ] );
     ]
