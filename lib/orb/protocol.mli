@@ -135,7 +135,7 @@ val text : t
 
 val hcx : t
 (** HCX ("heidi-compact"): {!Wire.Hcx_codec} over {!Varint_prefixed}
-    framing — the compact zero-copy binary protocol. Usually reached
+    framing — the compact binary protocol. Usually reached
     via codec negotiation ([Orb.create ~codecs:[Protocol.hcx]]) rather
     than configured as the base protocol, so mixed-version peers
     converge without manual configuration. *)

@@ -7,8 +7,11 @@
     small values — the overwhelming majority of ids, lengths and enum
     tags — cost one byte. Floats are fixed-width little-endian. Because
     nothing is aligned, a decoder can start at any offset of a larger
-    buffer: {!make_decoder_view} decodes a sub-view without copying the
-    framed bytes out first. *)
+    string: {!make_decoder_view} decodes a sub-range in place.
+
+    Encoders take their buffer from a one-slot-per-domain cache and
+    return it on [finish]; the result string is the only allocation a
+    warm encoder makes per message. *)
 
 val version : int
 (** Wire-format version this implementation encodes (currently 1); the
@@ -21,7 +24,7 @@ val codec : Codec.t
 val make_decoder_view :
   Codec.limits -> string -> off:int -> len:int -> Codec.decoder
 (** [make_decoder_view limits buf ~off ~len] decodes the HCX payload
-    occupying [buf.[off .. off+len-1]] in place — the zero-copy receive
-    path; no [String.sub] of the frame is taken. Raises
+    occupying [buf.[off .. off+len-1]] in place; no [String.sub] of
+    the range is taken (strings inside it are still copied out). Raises
     [Invalid_argument] if the range is out of bounds and
     {!Codec.Type_error} if the version byte is not {!version}. *)
