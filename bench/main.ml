@@ -283,7 +283,35 @@ let e4 () =
                (Est.Build.of_spec (Est.Resolve.spec (Idl.Parser.parse_string fig3_idl)))));
     ]
   in
-  print_results ~unit_:"ns/run" (run_tests (Test.make_grouped ~name:"template" tests))
+  print_results ~unit_:"ns/run" (run_tests (Test.make_grouped ~name:"template" tests));
+  (* Build scaling: one module shape repeated 8 to 64 times. Time is the
+     best of 15 builds; the allocation count is exact. Flat per-declaration
+     columns mean a build linear in the declarations. *)
+  let rows =
+    List.map
+      (fun modules ->
+        let sem = Est.Resolve.spec (Idl.Parser.parse_string (Scale_idl.generate ~modules)) in
+        let decls = float_of_int (Hashtbl.length sem.Est.Sem.entities) in
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Est.Build.of_spec sem));
+        let words = Gc.minor_words () -. w0 in
+        let best = ref infinity in
+        for _ = 1 to 15 do
+          let t0 = Unix.gettimeofday () in
+          ignore (Sys.opaque_identity (Est.Build.of_spec sem));
+          best := Float.min !best (Unix.gettimeofday () -. t0)
+        done;
+        [
+          string_of_int modules;
+          Printf.sprintf "%.0f" decls;
+          Printf.sprintf "%.2f" (!best *. 1e3);
+          Printf.sprintf "%.1f" (!best *. 1e6 /. decls);
+          Printf.sprintf "%.0f" (words /. decls);
+        ])
+      [ 8; 16; 32; 64 ]
+  in
+  print_endline "  EST build scaling (bench/scale_idl.ml spec):";
+  table [ "modules"; "decls"; "build ms"; "us/decl"; "minor words/decl" ] rows
 
 (* ================= E5: generated code size ========================= *)
 

@@ -1,3 +1,8 @@
+(* What the node builders need besides the entity: the spec, its
+   variability test (built once per spec) and the memoized entity node
+   constructor of [of_spec]. *)
+type ctx = { spec : Sem.spec; is_variable : Ctype.t -> bool; mk : Sem.entity -> Node.t }
+
 let bool_prop b = if b then "true" else ""
 
 let type_name_of ty =
@@ -35,12 +40,12 @@ let kind_tag ty =
   | Ctype.Enum _ -> "enum"
   | Ctype.Alias _ -> assert false
 
-let add_type_props spec node ~prefix ty =
+let add_type_props cx node ~prefix ty =
   let key base = if prefix = "" then base else prefix ^ String.capitalize_ascii base in
   Node.add_prop node (if prefix = "" then "type" else prefix ^ "Type") (Ctype.to_string ty);
   Node.add_prop node (key "typeName") (type_name_of ty);
   Node.add_prop node (key "typeKind") (kind_tag ty);
-  Node.add_prop node (key "isVariable") (bool_prop (Sem.is_variable spec ty));
+  Node.add_prop node (key "isVariable") (bool_prop (cx.is_variable ty));
   (* For sequence-rooted types, expose the element type so templates can
      derive iterator/element spellings (Fig. 3's HdSSequenceIter). *)
   match Ctype.resolve_alias ty with
@@ -48,7 +53,7 @@ let add_type_props spec node ~prefix ty =
       Node.add_prop node (key "seqElemType") (Ctype.to_string elem)
   | _ -> ()
 
-let param_node spec (p : Sem.param) =
+let param_node cx (p : Sem.param) =
   let n = Node.create ~name:p.p_name ~kind:"Param" in
   Node.add_prop n "paramName" p.p_name;
   Node.add_prop n "paramMode"
@@ -57,41 +62,41 @@ let param_node spec (p : Sem.param) =
     | Idl.Ast.Out -> "out"
     | Idl.Ast.Inout -> "inout"
     | Idl.Ast.Incopy -> "incopy");
-  add_type_props spec n ~prefix:"" p.p_type;
+  add_type_props cx n ~prefix:"" p.p_type;
   (* Fig. 9 tests [@if ${defaultParam} == ""], so absence is the empty
      string rather than a missing property. *)
   Node.add_prop n "defaultParam"
     (match p.p_default with Some v -> Value.to_string v | None -> "");
   n
 
-let operation_node spec (op : Sem.operation) =
+let operation_node cx (op : Sem.operation) =
   let n = Node.create ~name:op.op_name ~kind:"Operation" in
   Node.add_prop n "methodName" op.op_name;
-  add_type_props spec n ~prefix:"return" op.op_return;
+  add_type_props cx n ~prefix:"return" op.op_return;
   Node.add_prop n "isOneway" (bool_prop op.op_oneway);
-  List.iter (fun p -> Node.add_child n ~group:"paramList" (param_node spec p)) op.op_params;
+  List.iter (fun p -> Node.add_child n ~group:"paramList" (param_node cx p)) op.op_params;
   List.iter
     (fun xqn ->
       let r = Node.create ~name:(last xqn) ~kind:"Raise" in
       Node.add_prop r "exceptionName" (Sem.flat_of_qname xqn);
-      add_named_props r xqn (Sem.repo_id spec xqn);
+      add_named_props r xqn (Sem.repo_id cx.spec xqn);
       Node.add_child n ~group:"raisesList" r)
     op.op_raises;
   n
 
-let attribute_node spec (at : Sem.attribute) =
+let attribute_node cx (at : Sem.attribute) =
   let n = Node.create ~name:at.at_name ~kind:"Attribute" in
   Node.add_prop n "attributeName" at.at_name;
-  add_type_props spec n ~prefix:"attribute" at.at_type;
+  add_type_props cx n ~prefix:"attribute" at.at_type;
   Node.add_prop n "attributeQualifier" (if at.at_readonly then "readonly" else "");
   n
 
-let member_nodes spec fields =
+let member_nodes cx fields =
   List.map
     (fun (f : Sem.field) ->
       let n = Node.create ~name:f.f_name ~kind:"Member" in
       Node.add_prop n "memberName" f.f_name;
-      add_type_props spec n ~prefix:"" f.f_type;
+      add_type_props cx n ~prefix:"" f.f_type;
       n)
     fields
 
@@ -106,22 +111,22 @@ let group_of_entity = function
   | Sem.E_const _ -> "constList"
   | Sem.E_except _ -> "exceptionList"
 
-let rec entity_node spec mk (e : Sem.entity) : Node.t =
+let rec entity_node cx (e : Sem.entity) : Node.t =
   match e with
   | Sem.E_module (qn, members) ->
       let n = Node.create ~name:(last qn) ~kind:"Module" in
       Node.add_prop n "moduleName" (last qn);
-      add_named_props n qn (Sem.repo_id spec qn);
-      attach_members spec mk n members;
+      add_named_props n qn (Sem.repo_id cx.spec qn);
+      attach_members cx n members;
       n
-  | Sem.E_interface i -> interface_node spec mk i
+  | Sem.E_interface i -> interface_node cx i
   | Sem.E_struct s ->
       let n = Node.create ~name:(last s.s_qname) ~kind:"Struct" in
       Node.add_prop n "structName" (last s.s_qname);
       add_named_props n s.s_qname s.s_repo_id;
       List.iter
         (fun m -> Node.add_child n ~group:"memberList" m)
-        (member_nodes spec s.s_fields);
+        (member_nodes cx s.s_fields);
       n
   | Sem.E_union u ->
       let n = Node.create ~name:(last u.u_qname) ~kind:"Union" in
@@ -133,7 +138,7 @@ let rec entity_node spec mk (e : Sem.entity) : Node.t =
         (fun (c : Sem.union_case) ->
           let cn = Node.create ~name:c.uc_name ~kind:"Case" in
           Node.add_prop cn "caseName" c.uc_name;
-          add_type_props spec cn ~prefix:"" c.uc_type;
+          add_type_props cx cn ~prefix:"" c.uc_type;
           List.iter
             (fun label ->
               let ln = Node.create ~name:"" ~kind:"Label" in
@@ -165,13 +170,13 @@ let rec entity_node spec mk (e : Sem.entity) : Node.t =
       let n = Node.create ~name:(last a.a_qname) ~kind:"Alias" in
       Node.add_prop n "aliasName" (last a.a_qname);
       add_named_props n a.a_qname a.a_repo_id;
-      add_type_props spec n ~prefix:"" a.a_target;
+      add_type_props cx n ~prefix:"" a.a_target;
       n
   | Sem.E_const c ->
       let n = Node.create ~name:(last c.c_qname) ~kind:"Const" in
       Node.add_prop n "constName" (last c.c_qname);
       add_named_props n c.c_qname c.c_repo_id;
-      add_type_props spec n ~prefix:"" c.c_type;
+      add_type_props cx n ~prefix:"" c.c_type;
       Node.add_prop n "value" (Value.to_string c.c_value);
       n
   | Sem.E_except x ->
@@ -180,10 +185,10 @@ let rec entity_node spec mk (e : Sem.entity) : Node.t =
       add_named_props n x.x_qname x.x_repo_id;
       List.iter
         (fun m -> Node.add_child n ~group:"memberList" m)
-        (member_nodes spec x.x_fields);
+        (member_nodes cx x.x_fields);
       n
 
-and interface_node spec mk (i : Sem.interface) =
+and interface_node cx (i : Sem.interface) =
   let n = Node.create ~name:(last i.i_qname) ~kind:"Interface" in
   Node.add_prop n "interfaceName" (last i.i_qname);
   add_named_props n i.i_qname i.i_repo_id;
@@ -193,40 +198,45 @@ and interface_node spec mk (i : Sem.interface) =
   let inherit_node qn =
     let b = Node.create ~name:(last qn) ~kind:"Inherit" in
     Node.add_prop b "inheritedName" (Sem.flat_of_qname qn);
-    add_named_props b qn (Sem.repo_id spec qn);
+    add_named_props b qn (Sem.repo_id cx.spec qn);
     b
   in
   List.iter
     (fun qn -> Node.add_child n ~group:"inheritedList" (inherit_node qn))
     i.i_inherits;
+  let ancestors = Sem.ancestors cx.spec i in
   List.iter
     (fun (b : Sem.interface) ->
       Node.add_child n ~group:"allInheritedList" (inherit_node b.i_qname))
-    (Sem.ancestors spec i);
+    ancestors;
   List.iter
-    (fun op -> Node.add_child n ~group:"methodList" (operation_node spec op))
+    (fun op -> Node.add_child n ~group:"methodList" (operation_node cx op))
     i.i_ops;
   List.iter
-    (fun at -> Node.add_child n ~group:"attributeList" (attribute_node spec at))
+    (fun at -> Node.add_child n ~group:"attributeList" (attribute_node cx at))
     i.i_attrs;
-  List.iter
-    (fun op -> Node.add_child n ~group:"allMethodList" (operation_node spec op))
-    (Sem.all_operations spec i);
-  List.iter
-    (fun at -> Node.add_child n ~group:"allAttributeList" (attribute_node spec at))
-    (Sem.all_attributes spec i);
-  attach_members spec mk n i.i_decls;
+  (* The flattened lists reuse the ancestors' own operation and attribute
+     nodes, base first, then this interface's: no node is built twice. *)
+  let declaring = List.map (fun b -> cx.mk (Sem.E_interface b)) ancestors @ [ n ] in
+  let flatten ~all ~own =
+    List.iter
+      (fun d -> List.iter (fun c -> Node.add_child n ~group:all c) (Node.group d own))
+      declaring
+  in
+  flatten ~all:"allMethodList" ~own:"methodList";
+  flatten ~all:"allAttributeList" ~own:"attributeList";
+  attach_members cx n i.i_decls;
   n
 
 (* Attach child entities to [parent], each in its per-kind group. Relative
    source order is preserved within each kind — the defining property of
    the EST (Fig. 7). *)
-and attach_members spec mk parent member_qns =
+and attach_members cx parent member_qns =
   List.iter
     (fun qn ->
-      match Sem.find spec qn with
+      match Sem.find cx.spec qn with
       | None -> ()
-      | Some e -> Node.add_child parent ~group:(group_of_entity e) (mk e))
+      | Some e -> Node.add_child parent ~group:(group_of_entity e) (cx.mk e))
     member_qns
 
 (* Nodes are memoized by qualified name so that an entity declared inside a
@@ -234,12 +244,14 @@ and attach_members spec mk parent member_qns =
    flattened groups. *)
 let of_spec (spec : Sem.spec) : Node.t =
   let memo : (Sem.qname, Node.t) Hashtbl.t = Hashtbl.create 64 in
-  let rec memo_node e =
+  let is_variable = Sem.is_variable spec in
+  let rec cx = { spec; is_variable; mk = memo_node }
+  and memo_node e =
     let qn = Sem.entity_qname e in
     match Hashtbl.find_opt memo qn with
     | Some n -> n
     | None ->
-        let n = entity_node spec memo_node e in
+        let n = entity_node cx e in
         Hashtbl.replace memo qn n;
         n
   in

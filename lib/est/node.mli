@@ -9,7 +9,18 @@
 
     Nodes are stringly-typed on purpose — this is the contract between the
     compiler front-end and the template engine, mirroring the paper's
-    [Ast::New(name, kind, parent)] / [AddProp(key, value)] interface. *)
+    [Ast::New(name, kind, parent)] / [AddProp(key, value)] interface.
+
+    {2 Costs}
+
+    With [p] the properties and [g] the groups of a node (a few each, in
+    the trees {!Build} makes), appending is O(1) apart from finding the
+    key or group: [add_prop] and [add_child] are O(p) and O(g), and
+    never copy the lists. Reads are O(p) or O(g) and allocate nothing,
+    except that the first [group] read after an [add_child] to that
+    group rebuilds its insertion-order list once, O(children). [props],
+    [groups] and [equal] build fresh lists on every call; they serve
+    dumps and tests, not template evaluation. *)
 
 type t
 
@@ -21,18 +32,22 @@ val kind : t -> string
 
 val add_prop : t -> string -> string -> unit
 (** [add_prop n key value] sets property [key]; replaces an existing value
-    while keeping the original insertion position. *)
+    while keeping the original insertion position. O(p). *)
 
 val prop : t -> string -> string option
+(** O(p); allocates nothing. *)
+
 val prop_or : t -> string -> default:string -> string
 val props : t -> (string * string) list
 (** All properties in insertion order. *)
 
 val add_child : t -> group:string -> t -> unit
-(** Append a child to the named group, creating the group if needed. *)
+(** Append a child to the named group, creating the group if needed.
+    O(g). *)
 
 val group : t -> string -> t list
-(** The children of a group, in insertion order; [[]] if absent. *)
+(** The children of a group, in insertion order; [[]] if absent. O(g)
+    and allocation-free, except on the first read after an append. *)
 
 val groups : t -> (string * t list) list
 (** All groups in insertion order. *)

@@ -165,30 +165,33 @@ let all_attributes spec (i : interface) =
   let bases = ancestors spec i in
   List.concat_map (fun b -> b.i_attrs) bases @ i.i_attrs
 
-(** [is_variable spec t] — exact variable-length computation, consulting
-    struct/union member types through the entity table (unlike the
-    conservative {!Ctype.is_variable_length}). *)
-let is_variable spec t =
+(** [is_variable spec] is the exact variable-length test for the types
+    of [spec], consulting struct/union member types through the entity
+    table (unlike the conservative {!Ctype.is_variable_length}).
+
+    The partial application indexes every struct and union by flat name
+    once; apply it once per spec and reuse the closure. Two aggregates
+    may share a flat name ([A::B_C] and [A_B::C]): a type naming it is
+    variable if either is. An aggregate already on the path being
+    walked counts as fixed, which cuts the cycles such a collision can
+    make. *)
+let is_variable spec =
+  let members = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun _ e ->
+      match e with
+      | E_struct s ->
+          Hashtbl.add members (flat_of_qname s.s_qname) (List.map (fun f -> f.f_type) s.s_fields)
+      | E_union u ->
+          Hashtbl.add members (flat_of_qname u.u_qname) (List.map (fun c -> c.uc_type) u.u_cases)
+      | _ -> ())
+    spec.entities;
   let rec go seen t =
     match Ctype.resolve_alias t with
     | Ctype.String _ | Ctype.Sequence _ | Ctype.Objref _ | Ctype.Any -> true
     | Ctype.Struct n | Ctype.Union n ->
-        if List.mem n seen then false
-        else
-          let seen = n :: seen in
-          let check_fields fields =
-            List.exists (fun f -> go seen f.f_type) fields
-          in
-          Hashtbl.fold
-            (fun _ e acc ->
-              acc
-              ||
-              match e with
-              | E_struct s when flat_of_qname s.s_qname = n -> check_fields s.s_fields
-              | E_union u when flat_of_qname u.u_qname = n ->
-                  List.exists (fun c -> go seen c.uc_type) u.u_cases
-              | _ -> false)
-            spec.entities false
+        (not (List.mem n seen))
+        && List.exists (List.exists (go (n :: seen))) (Hashtbl.find_all members n)
     | _ -> false
   in
-  go [] t
+  go []

@@ -63,8 +63,7 @@ let apply_named_map st ~line fn_name raw =
   | Some fn -> fn raw
   | None -> error st ~line "unknown map function %S" fn_name
 
-let subst st ~line segments =
-  let buf = Buffer.create 64 in
+let subst_into buf st ~line segments =
   List.iter
     (function
       | Ast.Lit s -> Buffer.add_string buf s
@@ -72,7 +71,11 @@ let subst st ~line segments =
       | Ast.Mapped (v, fn) ->
           (* Inline maps override any -map declaration in scope. *)
           Buffer.add_string buf (apply_named_map st ~line fn (resolve_raw st ~line v)))
-    segments;
+    segments
+
+let subst st ~line segments =
+  let buf = Buffer.create 64 in
+  subst_into buf st ~line segments;
   Buffer.contents buf
 
 let eval_operand st ~line = function
@@ -88,7 +91,7 @@ let rec eval_items st items = List.iter (eval_item st) items
 
 and eval_item st = function
   | Ast.Text { segments; newline; line } ->
-      Buffer.add_string st.current (subst st ~line segments);
+      subst_into st.current st ~line segments;
       if newline then Buffer.add_char st.current '\n'
   | Ast.Openfile { segments; line } ->
       let filename = subst st ~line segments in
@@ -121,10 +124,12 @@ and eval_item st = function
                   ("isLast", if idx = count - 1 then "true" else "");
                 ]
               in
-              st.stack <- { node = child; bindings; maps } :: st.stack;
-              Fun.protect
-                ~finally:(fun () -> st.stack <- List.tl st.stack)
-                (fun () -> eval_items st body))
+              (* An exception abandons the whole [run] and its state,
+                 so only the normal path pops the frame. *)
+              let outer = st.stack in
+              st.stack <- { node = child; bindings; maps } :: outer;
+              eval_items st body;
+              st.stack <- outer)
             children)
 
 let run ?(maps = Maps.empty) (tmpl : Ast.t) (root : Est.Node.t) : output =

@@ -180,6 +180,85 @@ let test_text_errors () =
       "node \"K\" \"n\" endnode trailing";
     ]
 
+(* ---------------- golden guard ---------------- *)
+
+(* Specs under idl/shapes with the shapes the EST build shares or walks
+   through the entity table: deep inheritance across modules, structs
+   nesting structs directly and through aliases, unions with struct
+   arms, colliding flat names. Their goldens hold the EST text dump and
+   each mapping's output, byte for byte. *)
+let golden_dir = "idl/shapes"
+let golden_specs = [ "shapes"; "union" ]
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every generated file under a header line, then stdout; or the error
+   that stopped the mapping. *)
+let render_mapping (m : Mappings.Mapping.t) ~filename src =
+  match Core.Compiler.compile_string ~filename ~mapping:m src with
+  | r ->
+      String.concat ""
+        (List.map (fun (name, c) -> Printf.sprintf "=== %s\n%s" name c) r.Core.Compiler.files)
+      ^ Printf.sprintf "=== stdout\n%s" r.stdout
+  | exception e -> Printf.sprintf "error: %s\n" (Printexc.to_string e)
+
+let test_golden_guard () =
+  List.iter
+    (fun spec ->
+      let src = read_file (Filename.concat golden_dir (spec ^ ".idl")) in
+      let check what actual =
+        let golden = Filename.concat golden_dir (Printf.sprintf "%s.%s.golden" spec what) in
+        Alcotest.(check string) golden (read_file golden) actual
+      in
+      check "est" (Est.Dump.to_text (est_of src));
+      List.iter
+        (fun (m : Mappings.Mapping.t) ->
+          check m.name (render_mapping m ~filename:(spec ^ ".idl") src))
+        Mappings.Registry.all)
+    golden_specs
+
+(* ---------------- build cost ---------------- *)
+
+(* An interface's inherited operations and attributes are its ancestors'
+   own nodes, not copies. *)
+let test_inherited_nodes_shared () =
+  let root = est_of (read_file (Filename.concat golden_dir "shapes.idl")) in
+  let scene = find_interface root "Scene" in
+  let ancestors =
+    List.map
+      (fun b -> find_interface root (N.name b))
+      (N.group scene "allInheritedList")
+  in
+  Alcotest.(check (list string))
+    "ancestors, base first" [ "Base"; "Mid"; "Canvas"; "Layer" ]
+    (List.map N.name ancestors);
+  let check_shared all own =
+    let expected = List.concat_map (fun a -> N.group a own) (ancestors @ [ scene ]) in
+    Alcotest.(check int) (all ^ " length") (List.length expected)
+      (List.length (N.group scene all));
+    List.iter2
+      (fun e a -> Alcotest.(check bool) (all ^ " shares " ^ N.name e) true (e == a))
+      expected (N.group scene all)
+  in
+  check_shared "allMethodList" "methodList";
+  check_shared "allAttributeList" "attributeList"
+
+(* Minor words allocated by Build.of_spec per entity, on a generated
+   spec of [modules] modules. *)
+let build_words_per_entity modules =
+  let sem = Est.Resolve.spec (Idl.Parser.parse_string (Scale_idl.generate ~modules)) in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Est.Build.of_spec sem));
+  (Gc.minor_words () -. w0) /. float_of_int (Hashtbl.length sem.Est.Sem.entities)
+
+(* Building is linear in the declarations: per entity, a spec four times
+   larger allocates at most 1.2x as much. Allocation counts are exact,
+   so this is no timing gate. A quadratic term shows as 1.6x here. *)
+let test_build_allocation_linear () =
+  let small = build_words_per_entity 8 and large = build_words_per_entity 32 in
+  if large > 1.2 *. small then
+    Alcotest.failf "minor words per entity: %.0f at 8 modules, %.0f at 32 (%.2fx > 1.2x)"
+      small large (large /. small)
+
 let () =
   Alcotest.run "est"
     [
@@ -199,5 +278,11 @@ let () =
           Alcotest.test_case "perl rendering (Fig. 8)" `Quick test_perl_dump_shape;
           Alcotest.test_case "text round-trip" `Quick test_text_roundtrip;
           Alcotest.test_case "malformed text" `Quick test_text_errors;
+        ] );
+      ( "build",
+        [
+          Alcotest.test_case "golden guard" `Quick test_golden_guard;
+          Alcotest.test_case "inherited nodes shared" `Quick test_inherited_nodes_shared;
+          Alcotest.test_case "allocation linear" `Quick test_build_allocation_linear;
         ] );
     ]

@@ -271,6 +271,43 @@ let test_is_variable () =
   Alcotest.(check bool) "long" false (S.is_variable spec C.Long);
   Alcotest.(check bool) "string" true (S.is_variable spec (C.String None))
 
+(* Aggregates are looked up by flat name, so the answer for a name that
+   two aggregates share is the OR of both; aliases, union arms and
+   structs nesting structs are followed. *)
+let test_is_variable_shapes () =
+  let spec =
+    analyze
+      {|module A { struct B_C { long x; double y; }; };
+        module A_B { struct C { string s; }; };
+        module X { struct Y_Z { long a; }; };
+        module X_Y { struct Z { X::Y_Z inner; }; };
+        struct Fixed { long a; };
+        struct Var { string s; };
+        typedef Var VarAlias;
+        typedef Fixed FixedAlias;
+        struct ViaAlias { VarAlias v; };
+        struct ViaFixedAlias { FixedAlias f; };
+        union VarArm switch (long) { case 1: ViaAlias v; case 2: long n; };
+        union FixedArms switch (long) { case 1: Fixed f; default: octet o; };
+        struct HoldsUnion { FixedArms u; };
+        struct Self { long n; sequence<Self> kids; };|}
+  in
+  let check what expected ty = Alcotest.(check bool) what expected (S.is_variable spec ty) in
+  check "colliding flat name A_B_C: variable wins" true (C.Struct "A_B_C");
+  (* X_Y::Z holds X::Y_Z, whose flat name is its own: the cycle is cut. *)
+  check "self-colliding flat name X_Y_Z: cycle cut, fixed" false (C.Struct "X_Y_Z");
+  check "alias of a variable struct" true (C.Alias ("VarAlias", C.Struct "Var"));
+  check "alias of a fixed struct" false (C.Alias ("FixedAlias", C.Struct "Fixed"));
+  check "struct nesting through an alias" true (C.Struct "ViaAlias");
+  check "struct nesting a fixed alias" false (C.Struct "ViaFixedAlias");
+  check "union with a variable struct arm" true (C.Union "VarArm");
+  check "union with fixed arms" false (C.Union "FixedArms");
+  check "struct holding a fixed union" false (C.Struct "HoldsUnion");
+  (* The resolver accepts a struct holding an anonymous sequence of
+     itself; only some mappings reject it. *)
+  check "struct holding sequence<Self>" true (C.Struct "Self");
+  check "sequence<Self>" true (C.Sequence (C.Struct "Self", None))
+
 let test_warnings_for_dangling_forward () =
   let spec = analyze "interface Never;" in
   Alcotest.(check bool) "warned" true (spec.S.warnings <> [])
@@ -302,6 +339,8 @@ let () =
         [
           Alcotest.test_case "semantic errors" `Quick test_errors;
           Alcotest.test_case "variable-length computation" `Quick test_is_variable;
+          Alcotest.test_case "variable-length: aliases, unions, collisions" `Quick
+            test_is_variable_shapes;
           Alcotest.test_case "dangling forward warns" `Quick test_warnings_for_dangling_forward;
         ] );
     ]
