@@ -13,6 +13,9 @@ let echo_skeleton () =
       ("echo", fun args results ->
           results.Wire.Codec.put_string ("echo:" ^ args.Wire.Codec.get_string ()));
       ("noreply", fun args _ -> ignore (args.Wire.Codec.get_string ()));
+      ("sleepy", fun args results ->
+          Thread.delay (float_of_int (args.Wire.Codec.get_long ()) /. 1000.);
+          results.Wire.Codec.put_bool true);
     ]
 
 let invoke_string client target ~op s =
@@ -28,7 +31,7 @@ let hcx_v2 =
     Wire.Hcx_codec.codec
 
 let with_pair ?(transport = "mem") ?(host = "local") ~server_codecs
-    ?server_compat ~client_codecs ?client_compat f =
+    ?server_compat ~client_codecs ?client_compat ?mux f =
   let server =
     Orb.create ~transport ~host ~codecs:server_codecs
       ?codec_compat:server_compat ()
@@ -36,7 +39,7 @@ let with_pair ?(transport = "mem") ?(host = "local") ~server_codecs
   Orb.start server;
   let client =
     Orb.create ~transport ~host ~codecs:client_codecs
-      ?codec_compat:client_compat ()
+      ?codec_compat:client_compat ?mux ()
   in
   Fun.protect
     ~finally:(fun () ->
@@ -70,26 +73,77 @@ let test_converge_on_hcx () =
 
 let test_concurrent_first_calls_negotiate_once () =
   (* Eight threads race the fresh connection: exactly one carries the
-     offer, the rest hold behind the gate, and nothing is misframed. *)
+     offer, the rest hold behind the gate, and nothing is misframed —
+     under the default mux and at one in-flight slot. *)
+  List.iter
+    (fun mux ->
+      with_pair ~server_codecs:[ P.hcx ] ~client_codecs:[ P.hcx ] ?mux
+        (fun ~server ~client ->
+          let target = Orb.export server (echo_skeleton ()) in
+          let results = Array.make 8 "" in
+          let threads =
+            List.init 8 (fun i ->
+                Thread.create
+                  (fun () ->
+                    results.(i) <-
+                      invoke_string client target ~op:"echo" (string_of_int i))
+                  ())
+          in
+          List.iter Thread.join threads;
+          Array.iteri
+            (fun i got ->
+              Alcotest.(check string) "racing call"
+                (Printf.sprintf "echo:%d" i) got)
+            results;
+          check_stats "client" client ~nego:1 ~fallback:0;
+          check_stats "server" server ~nego:1 ~fallback:0))
+    [ None; Some { Orb.max_in_flight = 1 } ]
+
+let test_timeout_behind_offer_keeps_connection () =
+  (* The offering first call is slow; a concurrent call whose deadline
+     passes while it holds behind the offer fails with the negotiation
+     timeout. It sent nothing: the connection survives and negotiates
+     exactly once. *)
   with_pair ~server_codecs:[ P.hcx ] ~client_codecs:[ P.hcx ]
     (fun ~server ~client ->
       let target = Orb.export server (echo_skeleton ()) in
-      let results = Array.make 8 "" in
-      let threads =
-        List.init 8 (fun i ->
-            Thread.create
-              (fun () ->
-                results.(i) <-
-                  invoke_string client target ~op:"echo" (string_of_int i))
-              ())
+      let offered = ref false in
+      let offering =
+        Thread.create
+          (fun () ->
+            match
+              Orb.invoke client target ~op:"sleepy" (fun e ->
+                  e.Wire.Codec.put_long 200)
+            with
+            | Some d -> offered := d.Wire.Codec.get_bool ()
+            | None -> ())
+          ()
       in
-      List.iter Thread.join threads;
-      Array.iteri
-        (fun i got ->
-          Alcotest.(check string) "racing call" (Printf.sprintf "echo:%d" i) got)
-        results;
-      check_stats "client" client ~nego:1 ~fallback:0;
-      check_stats "server" server ~nego:1 ~fallback:0)
+      let deadline = Unix.gettimeofday () +. 5. in
+      while
+        (Orb.stats server).Orb.pool_active = 0
+        && Unix.gettimeofday () < deadline
+      do
+        Thread.delay 0.005
+      done;
+      (match
+         Orb.invoke client target ~op:"echo" ~timeout:0.05 (fun e ->
+             e.Wire.Codec.put_string "late")
+       with
+      | Some _ | None -> Alcotest.fail "expected a negotiation timeout"
+      | exception Orb.Transport.Timeout m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "timed out behind the offer (%s)" m)
+            true
+            (Tutil.contains m "codec negotiation")
+      | exception e ->
+          Alcotest.failf "expected Timeout, got %s" (Printexc.to_string e));
+      Thread.join offering;
+      Alcotest.(check bool) "offering call answered" true !offered;
+      Alcotest.(check string) "next call works" "echo:x"
+        (invoke_string client target ~op:"echo" "x");
+      Alcotest.(check int) "one connection" 1 (Orb.connections_opened client);
+      check_stats "client" client ~nego:1 ~fallback:0)
 
 let test_oneway_does_not_offer () =
   (* Oneways cannot carry an offer (there is no reply to answer on);
@@ -299,6 +353,8 @@ let () =
           Alcotest.test_case "both sides speak hcx" `Quick test_converge_on_hcx;
           Alcotest.test_case "concurrent first calls negotiate once" `Quick
             test_concurrent_first_calls_negotiate_once;
+          Alcotest.test_case "timeout behind the offer keeps the connection"
+            `Quick test_timeout_behind_offer_keeps_connection;
           Alcotest.test_case "oneway does not offer" `Quick
             test_oneway_does_not_offer;
         ] );
