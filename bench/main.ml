@@ -893,9 +893,9 @@ let e10 ?(out = "BENCH_overload.json") ?(duration = 1.5)
    connection — against a servant that sleeps for a fixed service time.
    Sleeping releases the OCaml runtime lock, so throughput depends only
    on how many calls the connection lets in flight: the serialized
-   client (max_in_flight = 1) is pinned near 1/service_time no matter
-   how many threads pile on, while the demultiplexed client scales until
-   it hits the in-flight cap or the thread count. *)
+   client (the demux at max_in_flight = 1) is pinned near
+   1/service_time no matter how many threads pile on, while the default
+   client scales until it hits the in-flight cap or the thread count. *)
 let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
     ?(thread_counts = [ 1; 2; 4; 8; 16; 32 ]) () =
   section "E11" "client mux: pipelined calls over one shared connection";
@@ -1011,7 +1011,7 @@ let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
   Printf.printf
     "  (service time per call: %.1f ms of server-side sleep; closed-loop\n\
     \  threads sharing ONE client connection, %.2gs per cell. The\n\
-    \  serialized row is the pre-mux client: one call per roundtrip;\n\
+    \  serialized row is the demux at one slot: one call per roundtrip;\n\
     \  +timeout rows give every call a 1 s deadline.)\n"
     nap_ms duration;
   let json =

@@ -14,7 +14,6 @@
    handler swallowed the exception. *)
 
 module Rank = struct
-  let nego = 72
   let communicator = 70
   let pool = 60
   let connection_cache = 50
@@ -38,7 +37,6 @@ module Rank = struct
 
   let all =
     [
-      ("nego", nego);
       ("communicator", communicator);
       ("pool", pool);
       ("connection_cache", connection_cache);

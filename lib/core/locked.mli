@@ -18,8 +18,7 @@ module Rank : sig
   (* Higher rank = acquired first (outermost). While holding rank [r],
      only locks of rank [< r] may be taken. *)
 
-  val nego : int (* 72 — per-connection codec-negotiation gate *)
-  val communicator : int (* 70 — per-connection send/exchange locks *)
+  val communicator : int (* 70 — per-connection send locks *)
   val pool : int (* 60 — server worker pool queue *)
   val connection_cache : int (* 50 — ORB state: conns, counters, rng *)
   val interceptor : int (* 47 — interceptor chains and counters *)

@@ -57,14 +57,13 @@ let default_server_policy =
     accept_backoff = 0.01;
   }
 
-(* The client's connection-sharing policy. With [max_in_flight > 1] each
-   cached outbound connection runs a reply demultiplexer: a reader
-   thread correlates replies to waiting callers by request id, so many
-   calls from many threads pipeline over one connection (the server has
-   decoded pipelined requests and replied out of order since the worker
-   pool landed — this unlocks the client half). [max_in_flight = 1]
-   reproduces the historical serialized behaviour: the connection mutex
-   is held across the whole roundtrip. *)
+(* The client's connection-sharing policy. Each cached outbound
+   connection runs a reply demultiplexer: a reader thread correlates
+   replies to waiting callers by request id, so up to [max_in_flight]
+   two-way calls from many threads pipeline over one connection (the
+   server decodes pipelined requests and replies out of order). At
+   [max_in_flight = 1] the two-way calls take turns on one slot; a
+   limit below 1 counts as 1. *)
 type mux = { max_in_flight : int }
 
 let default_mux = { max_in_flight = 32 }
@@ -72,7 +71,7 @@ let default_mux = { max_in_flight = 32 }
    client never trips a default server's pipelining cap. *)
 
 (* Client-side negotiation state of one connection, guarded by its
-   [nego_lock]. [Nego_offering] is the hold-until-answer gate: while an
+   demux lock. [Nego_offering] is the hold-until-answer gate: while an
    offer's roundtrip is in flight every other send on the connection
    waits, so the encoding switch lands on a quiet stream — no frame of
    the old encoding can be in flight when either side re-points its
@@ -113,7 +112,7 @@ type t = {
   client_chain : Interceptor.chain;
   server_chain : Interceptor.chain;
   mutable accepted : sconn list;  (* server-side connections *)
-  mutable next_req_id : int;
+  next_req_id : int Atomic.t;
   service_ewma_us : int Atomic.t;
       (* EWMA of pool-dispatch service time in µs (0 until the first
          completion) — the doomed-request shed threshold *)
@@ -125,34 +124,32 @@ type t = {
   rng : Random.State.t;  (* replica selection; guarded by [mutex] *)
 }
 
-(* One cached outbound connection. [conn_mutex] serializes sends (each
-   framed message must hit the wire whole). [mux = None]: the serialized
-   model — the same mutex is then held across the entire roundtrip, so
-   receives are serialized too. [mux = Some]: the reply demultiplexer
-   below owns all receives and the mutex covers only the send. *)
+(* One cached outbound connection. [conn_lock] serializes sends (each
+   framed message must hit the wire whole); the reply demultiplexer
+   below owns all receives. *)
 and conn = {
   comm : Communicator.t;
   conn_lock : Locked.t;  (* send lock; rank [communicator] *)
-  mux : mux_state option;
-  nego_lock : Locked.t;  (* negotiation gate; rank [nego] *)
-  mutable nego : nego_state;  (* guarded by [nego_lock] *)
+  mux : mux_state;
   c_codec : string ref;
       (* current codec label for per-codec byte metering; re-pointed at
          the negotiated switch *)
 }
 
-(* Demultiplexer state, guarded by [mx_mutex]. Waiters register a cell
+(* Demultiplexer state, guarded by [mx_lock]. Waiters register a cell
    in [mx_pending] keyed by request id before sending; the connection's
-   reader thread fills the cell and signals [mx_cond]. [mx_dead] is the
-   terminal state: set once by whoever observes the connection die
+   reader thread fills the cell and broadcasts [mx_lock]. [mx_dead] is
+   the terminal state: set once by whoever observes the connection die
    (reader I/O failure, send failure, a waiter's deadline expiring),
    after which every current and future waiter fails with that error. *)
 and mux_state = {
-  mx_lock : Locked.t;  (* rank [mux]; intrinsic cond: delivery/death/slot free *)
+  mx_lock : Locked.t;
+      (* rank [mux]; intrinsic cond: delivery/death/slot free/offer settled *)
   mx_pending : (int, Protocol.message option ref) Hashtbl.t;
   mutable mx_dead : exn option;
   mutable mx_inflight : int;  (* registered waiters = replies owed *)
-  mx_limit : int;  (* admission bound: mux.max_in_flight *)
+  mx_limit : int;  (* admission bound: mux.max_in_flight, at least 1 *)
+  mutable mx_nego : nego_state;
   mx_gauge : string;  (* obs gauge name, precomputed off the hot path *)
 }
 
@@ -204,7 +201,7 @@ let create ?(protocol = Protocol.text) ?(codecs = [])
     client_chain = Interceptor.empty_chain ();
     server_chain = Interceptor.empty_chain ();
     accepted = [];
-    next_req_id = 1;
+    next_req_id = Atomic.make 1;
     service_ewma_us = Atomic.make 0;
     mux_peak = Atomic.make 0;
     bootstrap_registry = None;
@@ -773,13 +770,17 @@ let start t =
 let mux_gauge t mx n = Obs.set_gauge t.obs ~name:mx.mx_gauge (float_of_int n)
 
 (* Declare the connection dead and wake every waiter. First caller wins
-   (later deaths keep the original error); the close also unblocks a
-   reader parked inside a transport read. The connection is NOT removed
+   (later deaths keep the original error). Every close of a client
+   connection goes through here: besides closing the channel, which
+   unblocks a reader parked inside a transport read, the broadcast wakes
+   the callers waiting for admission or a reply AND the reader thread,
+   which may be parked on the demux lock (idle, nothing in flight) where
+   a plain close would never reach it. The connection is NOT removed
    from the cache here: the next caller that picks it up fails fast in
-   send phase, burns one retry-classified attempt, and reconnects —
-   exactly the stale-cached-connection semantics the serialized path
-   always had. *)
-let mux_kill conn mx err =
+   send phase, burns one retry-classified attempt, and reconnects — the
+   stale-cached-connection semantics. *)
+let mux_kill conn err =
+  let mx = conn.mux in
   let first =
     Locked.with_lock mx.mx_lock (fun () ->
         let first = mx.mx_dead = None in
@@ -788,15 +789,6 @@ let mux_kill conn mx err =
         first)
   in
   if first then try Communicator.close conn.comm with _ -> ()
-
-(* Closing a muxed connection must go through [mux_kill]: besides
-   closing the channel it wakes the waiters AND the reader thread, which
-   may be parked on the demux condvar (idle, nothing in flight) where a
-   plain close would never reach it. *)
-let close_connection c err =
-  match c.mux with
-  | Some mx -> mux_kill c mx err
-  | None -> ( try Communicator.close c.comm with _ -> ())
 
 (* Shutdown in three phases. Phase 1 stops intake: the listener closes
    and [draining] makes every connection reject new requests with a
@@ -882,7 +874,7 @@ let shutdown ?drain_deadline t =
   (match pool with Some p -> ignore (Pool.stop p) | None -> ());
   List.iter
     (fun c ->
-      close_connection c (Transport.Transport_error "ORB shut down"))
+      mux_kill c (Transport.Transport_error "ORB shut down"))
     conns;
   (* Also close server-side connections so peers observe the shutdown and
      their connection caches reopen against a replacement. *)
@@ -913,11 +905,11 @@ let export_cached t ~key ~type_id build =
    every in-flight call; per-call deadlines are enforced at the waiter's
    condition variable instead, and an expired waiter kills the whole
    connection (below). *)
-let mux_reader t conn mx =
+let mux_reader t conn =
+  let mx = conn.mux in
   (* Park until the connection owes us a reply. Issuing the blocking
      transport read only while a call is registered keeps idle
-     connections read-free — exactly the serialized client's behavior,
-     which both the fault-injection plans (a [Stall_read] drawn at
+     connections read-free, which both the fault-injection plans (a [Stall_read] drawn at
      read-call time must land on the read for the call under test, not
      on a reader that has been parked inside the transport since the
      previous call) and the thread accounting at shutdown depend on.
@@ -968,7 +960,7 @@ let mux_reader t conn mx =
              Poisoned: kill, so no later call can be handed the wrong
              payload. *)
           count t Event.orphan_replies;
-          mux_kill conn mx
+          mux_kill conn
             (System_exception
                (Printf.sprintf
                   "reply id %d does not match any in-flight request \
@@ -976,9 +968,9 @@ let mux_reader t conn mx =
                   rep_id))
         end
     | Protocol.Request _ | Protocol.Locate_request _ ->
-        mux_kill conn mx
+        mux_kill conn
           (System_exception "peer sent a non-reply where a reply was expected")
-    | exception e -> mux_kill conn mx e
+    | exception e -> mux_kill conn e
   in
   loop ()
 
@@ -1007,25 +999,21 @@ let get_connection t endpoint =
       let c_codec = ref t.proto.Protocol.name in
       let chan = meter_channel t (endpoint_key endpoint) c_codec chan in
       let mux =
-        if t.mux_cfg.max_in_flight <= 1 then None
-        else
-          Some
-            {
-              mx_lock = Locked.create ~name:"mux" ~rank:Locked.Rank.mux;
-              mx_pending = Hashtbl.create 16;
-              mx_dead = None;
-              mx_inflight = 0;
-              mx_limit = t.mux_cfg.max_in_flight;
-              mx_gauge = "client:in_flight:" ^ endpoint_key endpoint;
-            }
+        {
+          mx_lock = Locked.create ~name:"mux" ~rank:Locked.Rank.mux;
+          mx_pending = Hashtbl.create 16;
+          mx_dead = None;
+          mx_inflight = 0;
+          mx_limit = max 1 t.mux_cfg.max_in_flight;
+          mx_nego = (if t.codecs = [] then Nego_idle else Nego_fresh);
+          mx_gauge = "client:in_flight:" ^ endpoint_key endpoint;
+        }
       in
       let c =
         { comm = Communicator.wrap t.proto chan;
           conn_lock =
             Locked.create ~name:"conn.send" ~rank:Locked.Rank.communicator;
           mux;
-          nego_lock = Locked.create ~name:"conn.nego" ~rank:Locked.Rank.nego;
-          nego = (if t.codecs = [] then Nego_idle else Nego_fresh);
           c_codec }
       in
       let outcome =
@@ -1042,10 +1030,7 @@ let get_connection t endpoint =
           (* The reader starts only for the connection that actually
              enters the cache — a race loser is closed before any
              request can be sent on it. *)
-          (match c.mux with
-          | Some mx ->
-              ignore (Locked.spawn "orb.mux_reader" (fun () -> mux_reader t c mx))
-          | None -> ());
+          ignore (Locked.spawn "orb.mux_reader" (fun () -> mux_reader t c));
           (c, true)
       | `Lost winner ->
           (try Communicator.close c.comm with _ -> ());
@@ -1067,7 +1052,7 @@ let drop_connection t endpoint =
   match victim with
   | None -> ()
   | Some c ->
-      close_connection c (Transport.Transport_error "connection closed locally")
+      mux_kill c (Transport.Transport_error "connection closed locally")
 
 (* Identity-aware drop for failure paths that hold the failed connection:
    with many waiters waking from one connection death at once, the first
@@ -1078,67 +1063,51 @@ let drop_this_connection t endpoint c =
       match Hashtbl.find_opt t.conns endpoint with
       | Some cur when cur == c -> Hashtbl.remove t.conns endpoint
       | _ -> ());
-  close_connection c (Transport.Transport_error "connection closed locally")
+  mux_kill c (Transport.Transport_error "connection closed locally")
 
-let next_req_id t =
-  with_lock t (fun () ->
-      let id = t.next_req_id in
-      t.next_req_id <- t.next_req_id + 1;
-      id)
+let next_req_id t = Atomic.fetch_and_add t.next_req_id 1
 
 (* Tags a transport failure with the exchange phase it struck in.
    [`Send] means no reply bytes were read — retry-safe territory;
    [`Recv] means the request went out and anything may have happened.
    [fatal] tells the caller whether the connection itself is tainted and
-   must leave the cache (every serialized failure is; a multiplexed call
-   that timed out before even sending is not). *)
+   must leave the cache (a call that timed out before sending, waiting
+   for a slot or behind the codec offer, leaves it healthy). *)
 exception
   Exchange_failed of { phase : [ `Send | `Recv ]; fatal : bool; err : exn }
 
-(* The historical exchange: the connection mutex held across the whole
-   roundtrip, the per-call deadline installed on the channel itself.
-   Still the entire story for [mux.max_in_flight <= 1] connections. *)
-let exchange_serialized conn msg ~oneway ~deadline
-    ~(span : Obs.Trace.span option) =
-  Locked.with_lock conn.conn_lock @@ fun () ->
-  Fun.protect
-    ~finally:(fun () ->
-      try Communicator.set_deadline conn.comm None with _ -> ())
-    (fun () ->
-      Communicator.set_deadline conn.comm deadline;
-      let t0 = match span with Some _ -> Obs.Trace.now () | None -> 0. in
-      (try Communicator.send conn.comm msg
-       with e -> raise (Exchange_failed { phase = `Send; fatal = true; err = e }));
-      let t1 =
-        match span with
-        | Some s ->
-            let t1 = Obs.Trace.now () in
-            s.Obs.Trace.send_s <- t1 -. t0;
-            t1
-        | None -> 0.
-      in
-      if oneway then None
-      else
-        match Communicator.recv conn.comm with
-        | reply ->
-            (match span with
-            | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
-            | None -> ());
-            Some reply
-        | exception e ->
-            raise (Exchange_failed { phase = `Recv; fatal = true; err = e }))
+(* Substring search, for classifying a peer's error reply. Error path
+   only — allocation is fine. *)
+let contains_sub ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
 
-(* The multiplexed exchange: register a waiter cell under the demux
-   lock, send under the (short) connection write lock, then block on the
-   condition variable until the reader delivers the reply, the
-   connection dies, or the per-call deadline passes. Both waits —
-   admission and reply — park on the demux lock: without a deadline in
-   [Locked.wait], with one in [Locked.wait_until], which the deadline
-   service wakes when the deadline passes. The reader's delivery, an
-   unregister and [mux_kill] all broadcast the same lock, so a reply
-   wakes its caller at once, however far off the deadline is. *)
-let exchange_mux t conn mx msg ~oneway ~deadline
-    ~(span : Obs.Trace.span option) =
+(* The offer is settled: every call held behind it may proceed. *)
+let nego_settle mx =
+  Locked.with_lock mx.mx_lock (fun () ->
+      mx.mx_nego <- Nego_idle;
+      Locked.broadcast mx.mx_lock)
+
+(* The client exchange: admit, send, await. Admission registers a waiter
+   cell under the demux lock, the send runs under the (short) connection
+   write lock, then the caller blocks until the reader delivers the
+   reply, the connection dies, or the per-call deadline passes. Every
+   wait parks on the demux lock: without a deadline in [Locked.wait],
+   with one in [Locked.wait_until], which the deadline service wakes
+   when the deadline passes. The reader's delivery, an unregister,
+   [nego_settle] and [mux_kill] all broadcast the same lock, so a caller
+   wakes at once, however far off its deadline is.
+
+   Admission is also the negotiation gate. The first two-way request on
+   a connection that negotiates takes the connection's one offer, but
+   only once nothing is in flight, so an earlier reply cannot arrive
+   after the switch in the wrong encoding. While the offer is out every
+   other call waits, oneways and locates included: the hold-until-answer
+   discipline both communicator re-pointings rely on. *)
+let rec exchange t conn msg ~oneway ~deadline ~(span : Obs.Trace.span option)
+    =
+  let mx = conn.mux in
   let fail_ phase ~fatal err = raise (Exchange_failed { phase; fatal; err }) in
   let msg_id =
     match msg with
@@ -1147,8 +1116,11 @@ let exchange_mux t conn mx msg ~oneway ~deadline
     | Protocol.Reply _ | Protocol.Locate_reply _ | Protocol.Locate_forward _ ->
         0
   in
+  let can_offer =
+    match msg with Protocol.Request r -> not r.Protocol.oneway | _ -> false
+  in
   let cell = ref None in
-  (* Admission + registration, atomically with the death check: [mux_kill]
+  (* One decision per wakeup, atomically with the death check: [mux_kill]
      wakes exactly the waiters registered at that instant, so a waiter
      that got in under the same lock section can never be missed.
      Registration happens BEFORE the send — the reply can overtake the
@@ -1157,45 +1129,57 @@ let exchange_mux t conn mx msg ~oneway ~deadline
      cached connection it is. *)
   let admission =
     Locked.with_lock mx.mx_lock (fun () ->
-        let rec admit timed_out =
-          match mx.mx_dead with
-          | Some err -> `Dead err
-          | None ->
-              if oneway || mx.mx_inflight < mx.mx_limit then begin
-                let registered = not oneway in
-                if registered then begin
-                  Hashtbl.replace mx.mx_pending msg_id cell;
-                  mx.mx_inflight <- mx.mx_inflight + 1;
-                  (* Wake the reader: it parks on this condvar while
-                     nothing is in flight and only enters the transport
-                     read once it owes a reply. *)
-                  Locked.broadcast mx.mx_lock
-                end;
-                `Admitted (registered, mx.mx_inflight)
-              end
-              else if timed_out then `Saturated
-              else
-                match deadline with
-                | None ->
-                    Locked.wait mx.mx_lock;
-                    admit false
-                | Some d -> admit (Locked.wait_until mx.mx_lock d = `Timed_out)
+        let admit ~offer =
+          if not oneway then begin
+            Hashtbl.replace mx.mx_pending msg_id cell;
+            mx.mx_inflight <- mx.mx_inflight + 1;
+            (* Wake the reader: it parks on this lock while nothing is in
+               flight and only enters the transport read once it owes a
+               reply. *)
+            Locked.broadcast mx.mx_lock
+          end;
+          `Admitted (offer, mx.mx_inflight)
         in
-        admit false)
+        let rec decide timed_out =
+          match (mx.mx_dead, mx.mx_nego) with
+          | Some err, _ -> `Dead err
+          | None, Nego_offering -> park timed_out `Behind_offer
+          | None, Nego_fresh when can_offer ->
+              if mx.mx_inflight = 0 then begin
+                mx.mx_nego <- Nego_offering;
+                admit ~offer:true
+              end
+              else park timed_out `Behind_offer
+          | None, (Nego_fresh | Nego_idle) ->
+              if oneway || mx.mx_inflight < mx.mx_limit then admit ~offer:false
+              else park timed_out `No_slot
+        and park timed_out expired =
+          if timed_out then expired
+          else
+            match deadline with
+            | None ->
+                Locked.wait mx.mx_lock;
+                decide false
+            | Some d -> decide (Locked.wait_until mx.mx_lock d = `Timed_out)
+        in
+        decide false)
   in
-  let registered, inflight_now =
+  let offer, inflight_now =
     match admission with
     | `Dead err -> fail_ `Send ~fatal:true err
-    | `Saturated ->
-        (* Never sent: the connection is healthy, just saturated.
-           Not fatal — the cache entry stays. *)
+    | (`Behind_offer | `No_slot) as why ->
+        (* Never sent: the connection is healthy, just mid-offer or
+           saturated. Not fatal — the cache entry stays. *)
         fail_ `Send ~fatal:false
           (Transport.Timeout
-             (Printf.sprintf "timed out waiting for an in-flight slot to %s"
+             (Printf.sprintf "timed out %s to %s"
+                (match why with
+                | `Behind_offer -> "behind a codec negotiation"
+                | `No_slot -> "waiting for an in-flight slot")
                 (Communicator.peer conn.comm)))
-    | `Admitted (registered, inflight_now) -> (registered, inflight_now)
+    | `Admitted a -> a
   in
-  if registered then begin
+  if not oneway then begin
     mux_gauge t mx inflight_now;
     (* Monotone max via CAS: losing a race means someone recorded an
        even higher peak, so losing is winning. *)
@@ -1220,13 +1204,20 @@ let exchange_mux t conn mx msg ~oneway ~deadline
     in
     mux_gauge t mx n
   in
+  let wire =
+    match msg with
+    | Protocol.Request r when offer ->
+        Protocol.Request
+          { r with Protocol.nego_offer = Protocol.Nego.offer_of t.codecs }
+    | _ -> msg
+  in
   let t0 = match span with Some _ -> Obs.Trace.now () | None -> 0. in
-  (try Locked.with_lock conn.conn_lock (fun () -> Communicator.send conn.comm msg)
+  (try Locked.with_lock conn.conn_lock (fun () -> Communicator.send conn.comm wire)
    with e ->
      (* A failed send may have left a partial frame on the wire: the
         stream is desynchronized for every in-flight call. Kill. *)
      unregister ();
-     mux_kill conn mx e;
+     mux_kill conn e;
      fail_ `Send ~fatal:true e);
   let t1 =
     match span with
@@ -1263,7 +1254,8 @@ let exchange_mux t conn mx msg ~oneway ~deadline
           (match span with
           | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
           | None -> ());
-          Some reply
+          if offer then settle_offer t conn msg reply ~oneway ~deadline ~span
+          else Some reply
       | `Dead err ->
           unregister ();
           fail_ `Recv ~fatal:true err
@@ -1275,7 +1267,7 @@ let exchange_mux t conn mx msg ~oneway ~deadline
              whose reads stall: the cache entry goes, the next attempt
              dials fresh. Collateral waiters see a transport error
              (retry-classifiable), not our timeout. *)
-          mux_kill conn mx
+          mux_kill conn
             (Transport.Transport_error
                (Printf.sprintf
                   "connection to %s closed: a call deadline expired \
@@ -1287,133 +1279,22 @@ let exchange_mux t conn mx msg ~oneway ~deadline
                   (Communicator.peer conn.comm)))
   end
 
-let exchange_core t conn msg ~oneway ~deadline ~(span : Obs.Trace.span option)
-    =
-  match conn.mux with
-  | None -> exchange_serialized conn msg ~oneway ~deadline ~span
-  | Some mx -> exchange_mux t conn mx msg ~oneway ~deadline ~span
-
-(* ---------------- client side: codec negotiation ---------------- *)
-
-let nego_resolve conn state =
-  Locked.with_lock conn.nego_lock (fun () ->
-      conn.nego <- state;
-      Locked.broadcast conn.nego_lock)
-
-(* Substring search, for classifying a peer's error reply. Error path
-   only — allocation is fine. *)
-let contains_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-(* Nothing registered on the demultiplexer: the offer's encoding switch
-   will land on a quiet reply stream. Serialized connections are always
-   quiet here — the roundtrip is atomic under the connection lock. *)
-let conn_quiet conn =
-  match conn.mux with
-  | None -> true
-  | Some mx -> Locked.with_lock mx.mx_lock (fun () -> mx.mx_inflight = 0)
-
-(* The negotiation gate every send passes through. [`Plain]: proceed in
-   the current encoding. [`Offer]: this call owns the connection's one
-   offer. While an offer is in flight all other calls hold here — the
-   hold-until-answer discipline both communicator re-pointings rely
-   on — parked on the gate lock, which [nego_resolve] broadcasts. An
-   offering call additionally waits for in-flight replies to drain, so
-   an out-of-order earlier reply cannot arrive after the switch in the
-   wrong encoding; it parks on the demux lock, which every delivery,
-   unregister and kill broadcasts. Deadline-bounded waits use
-   [Locked.wait_until] on the same locks. *)
-let nego_gate conn ~deadline ~can_offer =
-  (* [true] once the deadline has passed (never without one). *)
-  let park l =
-    match deadline with
-    | None ->
-        Locked.wait l;
-        false
-    | Some d -> Locked.wait_until l d = `Timed_out
-  in
-  let rec gate () =
-    let decision =
-      Locked.with_lock conn.nego_lock (fun () ->
-          let rec decide timed_out =
-            match conn.nego with
-            | Nego_idle -> `Plain
-            | Nego_fresh ->
-                if not can_offer then `Plain
-                else if conn_quiet conn then begin
-                  conn.nego <- Nego_offering;
-                  `Offer
-                end
-                else `Busy
-            | Nego_offering ->
-                if timed_out then `Expired else decide (park conn.nego_lock)
-          in
-          decide false)
-    in
-    match (decision, conn.mux) with
-    | `Busy, Some mx -> (
-        let drained =
-          Locked.with_lock mx.mx_lock (fun () ->
-              let rec drain timed_out =
-                if mx.mx_dead <> None then `Dead
-                else if mx.mx_inflight = 0 then `Quiet
-                else if timed_out then `Expired
-                else drain (park mx.mx_lock)
-              in
-              drain false)
-        in
-        match drained with
-        | `Quiet -> gate ()
-        (* The admission step reports the dead connection. *)
-        | `Dead -> `Plain
-        | `Expired -> expired ())
-    | `Busy, None | `Plain, _ -> `Plain
-    | `Offer, _ -> `Offer
-    | `Expired, _ -> expired ()
-  and expired () =
-    (* Never sent; the connection is healthy, just mid-offer. *)
-    raise
-      (Exchange_failed
-         {
-           phase = `Send;
-           fatal = false;
-           err =
-             Transport.Timeout
-               (Printf.sprintf "timed out behind a codec negotiation to %s"
-                  (Communicator.peer conn.comm));
-         })
-  in
-  gate ()
-
-(* Run the connection's one offer: send [msg] with the offer slot
-   attached, then act on what comes back. An answer re-points both
-   directions of the communicator; no answer means the peer is older
-   (or found nothing compatible) — stay on the base protocol. A
+(* Act on the reply to the connection's one offer. An answer re-points
+   both directions of the communicator; no answer means the peer is
+   older (or found nothing compatible) — stay on the base protocol. A
    deadline-era peer that predates negotiation rejects the offer's
    empty forced budget slot with a recoverable error reply and never
    dispatches, so that one shape is detected and the request re-sent
-   once without the offer. *)
-let exchange_offer t conn msg ~oneway ~deadline ~span =
-  let offered =
-    match msg with
-    | Protocol.Request r ->
-        Protocol.Request
-          { r with Protocol.nego_offer = Protocol.Nego.offer_of t.codecs }
-    | other -> other
-  in
+   once without the offer. A failed offer needs no settling: every
+   failure after admission kills the connection, and admission checks
+   death before the offer state. *)
+and settle_offer t conn msg reply ~oneway ~deadline ~span =
   let fallback () =
     count t Event.c_fallback;
-    nego_resolve conn Nego_idle
+    nego_settle conn.mux
   in
-  match exchange_core t conn offered ~oneway ~deadline ~span with
-  | exception e ->
-      (* Resolve without counting a fallback: the connection is failing,
-         not declining — unblock any held callers and re-raise. *)
-      nego_resolve conn Nego_idle;
-      raise e
-  | Some (Protocol.Reply r) when r.Protocol.nego_answer <> "" -> (
+  match reply with
+  | Protocol.Reply r when r.Protocol.nego_answer <> "" -> (
       let tok = r.Protocol.nego_answer in
       let chosen =
         (* Match the answer by name, then vet the version pair with the
@@ -1439,13 +1320,18 @@ let exchange_offer t conn msg ~oneway ~deadline ~span =
           Communicator.set_protocol conn.comm p;
           conn.c_codec := p.Protocol.name;
           count t Event.c_negotiated;
-          nego_resolve conn Nego_idle;
-          Some (Protocol.Reply r)
+          nego_settle conn.mux;
+          Some reply
       | None ->
           (* The peer answered a codec we never offered and has already
-             switched its stream: we cannot follow. Poison the
-             connection before anything is misread. *)
-          nego_resolve conn Nego_idle;
+             switched its stream: we cannot follow. Kill the connection
+             before the calls held behind the offer send on it; they
+             see a transport error (retry-classifiable). *)
+          mux_kill conn
+            (Transport.Transport_error
+               (Printf.sprintf
+                  "connection to %s closed: peer answered an unknown codec"
+                  (Communicator.peer conn.comm)));
           raise
             (Exchange_failed
                {
@@ -1456,8 +1342,7 @@ let exchange_offer t conn msg ~oneway ~deadline ~span =
                      (Printf.sprintf
                         "peer answered unknown codec %S in negotiation" tok);
                }))
-  | Some
-      (Protocol.Reply { Protocol.status = Protocol.Status_system_error m; _ })
+  | Protocol.Reply { Protocol.status = Protocol.Status_system_error m; _ }
     when (match msg with
          | Protocol.Request { Protocol.budget_us = None; _ } -> true
          | _ -> false)
@@ -1466,24 +1351,12 @@ let exchange_offer t conn msg ~oneway ~deadline ~span =
          forced budget slot recoverably, without dispatching anything —
          re-sending the plain request is duplicate-safe. *)
       fallback ();
-      exchange_core t conn msg ~oneway ~deadline ~span
-  | resp ->
+      exchange t conn msg ~oneway ~deadline ~span
+  | _ ->
       (* A reply with no answer slot, or a non-reply (e.g. a forward):
          the peer did not negotiate. *)
       fallback ();
-      resp
-
-let exchange t conn msg ~oneway ~deadline ~(span : Obs.Trace.span option) =
-  let can_offer =
-    t.codecs <> []
-    &&
-    match msg with
-    | Protocol.Request r -> not r.Protocol.oneway
-    | _ -> false
-  in
-  match nego_gate conn ~deadline ~can_offer with
-  | `Plain -> exchange_core t conn msg ~oneway ~deadline ~span
-  | `Offer -> exchange_offer t conn msg ~oneway ~deadline ~span
+      Some reply
 
 let count_failure t e =
   match e with Transport.Timeout _ -> count t Event.timeouts | _ -> ()
@@ -1533,11 +1406,11 @@ let call_deadline t timeout =
    counter. Caller holds the ORB mutex (for the connection table); the
    counter itself is written under its demux lock, so this is a hint,
    not an invariant — exactly what load balancing needs. No cached
-   connection, or a serialized one, counts as idle. *)
+   connection counts as idle. *)
 let inflight_hint t ep =
   match Hashtbl.find_opt t.conns ep with
-  | Some { mux = Some mx; _ } -> mx.mx_inflight
-  | Some _ | None -> 0
+  | Some c -> c.mux.mx_inflight
+  | None -> 0
 
 (* Power-of-two-choices over per-endpoint in-flight counts: draw two
    candidates, keep the less loaded — near-optimal load spread for a
@@ -2111,10 +1984,7 @@ let stats t =
           (* Racy-by-design snapshot of the per-connection counters:
              each is written under its own demux lock; the sum is a
              point-in-time gauge, not an invariant. *)
-          Hashtbl.fold
-            (fun _ c acc ->
-              match c.mux with Some mx -> acc + mx.mx_inflight | None -> acc)
-            t.conns 0,
+          Hashtbl.fold (fun _ c acc -> acc + c.mux.mx_inflight) t.conns 0,
           t.pool ))
   in
   let breaker_trips, breaker_fast_fails, breaker_states =

@@ -92,13 +92,12 @@ val default_server_policy : server_policy
     {!Wire.Codec.default_limits}, 10 ms initial accept backoff. *)
 
 (** The client's connection-sharing policy (DESIGN.md "Client connection
-    model"). With [max_in_flight > 1] (the default) each cached outbound
-    connection runs a reply demultiplexer: a dedicated reader thread
-    correlates replies to blocked callers by request id, so up to
-    [max_in_flight] calls from concurrent threads pipeline over one
-    shared connection. [max_in_flight = 1] reproduces the historical
-    serialized client — the connection is locked across the whole
-    roundtrip — kept for interop comparison (bench §E11). *)
+    model"). Each cached outbound connection runs a reply demultiplexer:
+    a dedicated reader thread correlates replies to blocked callers by
+    request id, so up to [max_in_flight] two-way calls from concurrent
+    threads pipeline over one shared connection. [max_in_flight = 1]
+    lets one two-way call in flight at a time (the bench §E11 baseline);
+    a limit below 1 counts as 1. *)
 type mux = { max_in_flight : int }
 
 val default_mux : mux
@@ -361,7 +360,7 @@ type stats = {
   pool_active : int;  (** Pool workers currently executing (0 without a pool). *)
   mux_in_flight : int;
       (** Client calls currently awaiting replies, summed over cached
-          multiplexed connections (0 with [max_in_flight = 1]). *)
+          connections. *)
   mux_peak_in_flight : int;
       (** Highest in-flight count any single client connection reached —
           [> 1] is the proof that calls actually pipelined. *)

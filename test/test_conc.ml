@@ -223,8 +223,8 @@ let test_rank_table_strictly_ordered () =
   Alcotest.(check int) "no duplicate ranks"
     (List.length values)
     (List.length (List.sort_uniq compare values));
-  Alcotest.(check bool) "nego outermost" true
-    (List.for_all (fun v -> v <= Locked.Rank.nego) values);
+  Alcotest.(check bool) "communicator outermost" true
+    (List.for_all (fun v -> v <= Locked.Rank.communicator) values);
   Alcotest.(check bool) "sinks innermost" true
     (List.for_all (fun v -> v >= Locked.Rank.sinks) values)
 
