@@ -111,7 +111,9 @@ let telnet_scenario () =
 (* The negotiated upgrade: both ORBs start on the text protocol (the
    universally-understood floor) and advertise the HCX compact codec;
    the first two-way call carries the offer, the server answers, and
-   every later call on the connection is HCX. *)
+   every later call on the connection is HCX, payload and envelope
+   alike. The offering call itself, and every call on a connection
+   that falls back, stays in text. *)
 let negotiation_scenario () =
   Printf.printf "=== codec negotiation (text floor -> hcx) ===\n";
   let server = Orb.create ~codecs:[ Orb.Protocol.hcx ] () in

@@ -28,7 +28,10 @@ type span = {
   mutable finished_at : float;  (** NaN until {!finish}. *)
   mutable marshal_s : float;
       (** Client phase timings, seconds; NaN = this phase was not timed
-          (e.g. payload-level [invoke_raw], or server spans). *)
+          (e.g. server spans, or a call that never marshalled: it failed
+          first, or a smart proxy sent the encoding it already held).
+          [marshal_s] adds up every encoding the call made: one per
+          codec its attempts sent in. *)
   mutable send_s : float;
   mutable wait_s : float;
   mutable unmarshal_s : float;
@@ -36,6 +39,9 @@ type span = {
   mutable breaker : string option;  (** Circuit state at call entry. *)
   mutable outcome : outcome option;
   mutable notes : (string * string) list;
+      (** Key/value annotations, newest first. The ORB adds one
+          [("codec", name)] per attempt that sent a request: the payload
+          codec it travelled in ([text], [hcx], ...). *)
 }
 
 val now : unit -> float

@@ -91,9 +91,10 @@ let send_framed t ~mk_header body =
        header and body slices stay adjacent on the wire. *)
     t.chan.Transport.writev [ Buffer.contents hdr; body ]
 
-let send t msg =
-  let body = t.sproto.Protocol.encode_message msg in
-  match t.sproto.Protocol.framing with
+let send ?(proto : Protocol.t option) t msg =
+  let proto = match proto with Some p -> p | None -> t.sproto in
+  let body = proto.Protocol.encode_message msg in
+  match proto.Protocol.framing with
   | Protocol.Line ->
       if String.contains body '\n' then
         raise
@@ -218,5 +219,6 @@ let close t =
 
 let is_closed t = t.closed
 let peer t = t.chan.Transport.peer
-let protocol t = t.sproto
+let protocol ?(dir = `Send) t =
+  match dir with `Send -> t.sproto | `Recv -> t.rproto
 let set_deadline t d = t.chan.Transport.set_deadline d

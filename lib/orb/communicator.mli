@@ -11,8 +11,11 @@ val wrap : ?limits:Wire.Codec.limits -> Protocol.t -> Transport.channel -> t
     receive limit, and payload decoding runs through the protocol's
     [decode_limited]. *)
 
-val send : t -> Protocol.message -> unit
-(** Encode, frame and write one message.
+val send : ?proto:Protocol.t -> t -> Protocol.message -> unit
+(** Encode, frame and write one message in [proto] (default: the
+    current send-side protocol). A caller that marshalled the payload
+    in some protocol passes it here, so the envelope goes out in the
+    same one.
     @raise Transport.Transport_error on I/O failure. *)
 
 val recv : t -> Protocol.message
@@ -49,9 +52,11 @@ val is_closed : t -> bool
 
 val peer : t -> string
 
-val protocol : t -> Protocol.t
-(** The current {e send}-side protocol (send and receive agree except
-    inside a negotiated codec switch). *)
+val protocol : ?dir:[ `Send | `Recv ] -> t -> Protocol.t
+(** The current protocol of one side of the stream (default [`Send];
+    the two agree except inside a negotiated codec switch). Read
+    [`Recv] after a receive, before re-pointing that side, to learn the
+    protocol the frame just received was decoded with. *)
 
 val set_protocol : ?dir:[ `Both | `Send | `Recv ] -> t -> Protocol.t -> unit
 (** Re-point the communicator at another protocol — the mechanism of a

@@ -18,7 +18,10 @@ type t = {
   on_request : Protocol.request -> Protocol.request;
       (** May rewrite the request (e.g. stamp a context token into the
           payload is not possible — payloads are opaque — but operation,
-          target and oneway flag are fair game) or raise {!Reject}. *)
+          target and oneway flag are fair game) or raise {!Reject}. On
+          the client side the payload is still empty here: it is
+          marshalled later, in the codec of the connection the call is
+          admitted to. *)
   on_reply : Protocol.request -> Protocol.reply -> Protocol.reply;
       (** Observes/rewrites the reply paired with its request. *)
   on_error : Protocol.request -> exn -> unit;

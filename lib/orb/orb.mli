@@ -7,9 +7,9 @@
 
     Server side: {!start} binds the bootstrap port and spawns one thread
     per accepted connection (Fig. 5). Client side: {!invoke} implements
-    Fig. 4 — it builds a [Call], marshals via the caller's closure, sends
-    the request on a cached connection, and returns a decoder positioned
-    at the reply payload. *)
+    Fig. 4 — it builds a [Call], takes a cached connection, marshals via
+    the caller's closure in that connection's codec, sends the request,
+    and returns a decoder positioned at the reply payload. *)
 
 (** {1 Submodules} *)
 
@@ -49,7 +49,12 @@ type t
 exception Remote_exception of {
   repo_id : string;  (** Repository ID of the raised IDL exception. *)
   payload : string;  (** Encoded exception members. *)
-  codec : Wire.Codec.t;  (** Codec to decode [payload] with. *)
+  codec : Wire.Codec.t;
+      (** Codec to decode [payload] with: the codec of the frame the
+          reply came in, the same one the request was sent in. The base
+          protocol's on the offering call of a negotiating connection
+          and on a connection that fell back; the negotiated codec on
+          every later call. *)
 }
 (** A declared (IDL) exception raised by the remote implementation. *)
 
@@ -229,7 +234,10 @@ val obs : t -> Obs.t
 
 val client_interceptors : t -> Interceptor.chain
 (** The chain applied around every outgoing {!invoke}. Client-side
-    {!Interceptor.Reject} propagates to the caller. *)
+    {!Interceptor.Reject} propagates to the caller. The chain sees the
+    request before its payload is marshalled (the codec is not known
+    until a connection admits the call), so with an empty payload;
+    replies carry their payload as received. *)
 
 val server_interceptors : t -> Interceptor.chain
 (** The chain applied around the dispatch path (Section 5's Orbix-style
@@ -263,6 +271,16 @@ val invoke :
     calls. [timeout] (seconds) overrides the ORB's [call_timeout] for
     this call.
 
+    A payload rides in the codec of the frame that carries it. [marshal]
+    runs once the call holds an in-flight slot on its connection, outside
+    every lock, in the codec of the protocol that connection sends in:
+    the base protocol on the offering request of a negotiating
+    connection and on a connection that fell back, the negotiated codec
+    after the switch. A retry or failover onto a connection with the
+    same codec reuses the bytes, so [marshal] runs at most once per
+    codec per call; it must not depend on being run once. The decoder
+    reads the reply in the codec the request was sent in.
+
     A multi-endpoint [target] (see {!Objref.make_multi}) is one logical
     object behind several replicas: each call picks a replica by
     power-of-two-choices over the per-endpoint in-flight counts,
@@ -285,21 +303,13 @@ val locate : t -> ?timeout:float -> Objref.t -> bool
     oid is currently exported, without invoking anything.
     @raise Transport.Transport_error when the peer is unreachable. *)
 
-val invoke_raw :
-  t ->
-  Objref.t ->
-  op:string ->
-  ?oneway:bool ->
-  ?timeout:float ->
-  string ->
-  string option
-(** Payload-level {!invoke}: already-encoded request payload in, reply
-    payload out ([None] for oneway). Same exceptions as {!invoke}. *)
-
 val smart_proxy :
   t -> ?capacity:int -> ?invalidate_on:string list -> Objref.t -> Smart.t
-(** A client-side caching proxy for [target], bound to this ORB's
-    protocol codec (see {!Smart}). *)
+(** A client-side caching proxy for [target] (see {!Smart}). Its calls
+    go through {!invoke}'s path, so their payloads ride in the codec of
+    the frame that carries them like any call's; the memo keys encode
+    the arguments in this ORB's base protocol codec, and each cached
+    reply keeps the codec it arrived in. *)
 
 val connections_opened : t -> int
 (** Total outbound connections ever opened — with the connection cache

@@ -1,11 +1,19 @@
+type invoker =
+  Objref.t ->
+  op:string ->
+  Wire.Codec.t * string ->
+  (Wire.Codec.encoder -> unit) ->
+  Wire.Codec.t * string
+
 type t = {
-  invoker : Orb_intf.raw_invoker;
-  codec : Wire.Codec.t;
+  invoker : invoker;
+  codec : Wire.Codec.t;  (* the memo key's encoding *)
   target : Objref.t;
   capacity : int;
   invalidate_on : string list;
   lock : Locked.t;
-  memo : (string * string, string) Hashtbl.t;  (* (op, args) -> reply payload *)
+  memo : (string * string, Wire.Codec.t * string) Hashtbl.t;
+      (* (op, args) -> reply payload and the codec it is in *)
   mutable order : (string * string) list;  (* newest first *)
   mutable hits : int;
   mutable misses : int;
@@ -32,10 +40,10 @@ let invalidate t =
       Hashtbl.reset t.memo;
       t.order <- [])
 
-let remember t key payload =
+let remember t key reply =
   with_lock t (fun () ->
       if not (Hashtbl.mem t.memo key) then (
-        Hashtbl.replace t.memo key payload;
+        Hashtbl.replace t.memo key reply;
         t.order <- key :: t.order;
         if List.length t.order > t.capacity then
           match List.rev t.order with
@@ -47,9 +55,9 @@ let remember t key payload =
 let lookup t key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.memo key with
-      | Some payload ->
+      | Some reply ->
           t.hits <- t.hits + 1;
-          Some payload
+          Some reply
       | None ->
           t.misses <- t.misses + 1;
           None)
@@ -60,17 +68,19 @@ let call t ~op marshal =
     marshal e;
     e.Wire.Codec.finish ()
   in
+  let fetch () = t.invoker t.target ~op (t.codec, args) marshal in
+  let decode ((codec : Wire.Codec.t), payload) = codec.decoder payload in
   if List.mem op t.invalidate_on then (
     invalidate t;
-    t.codec.Wire.Codec.decoder (t.invoker t.target ~op args))
+    decode (fetch ()))
   else
     let key = (op, args) in
     match lookup t key with
-    | Some payload -> t.codec.Wire.Codec.decoder payload
+    | Some reply -> decode reply
     | None ->
-        let payload = t.invoker t.target ~op args in
-        remember t key payload;
-        t.codec.Wire.Codec.decoder payload
+        let reply = fetch () in
+        remember t key reply;
+        decode reply
 
 let hits t = with_lock t (fun () -> t.hits)
 let misses t = with_lock t (fun () -> t.misses)

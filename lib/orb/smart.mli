@@ -13,21 +13,41 @@
     reads cost no remote call, and list the corresponding setter in
     [invalidate_on] so writes flush the cached state.
 
+    A payload rides in the codec of the frame that carries it, so after
+    a negotiated codec switch the same call travels in another codec
+    than before it. The memo key therefore encodes the arguments in one
+    fixed codec, and each cached reply keeps the codec it arrived in:
+    a result cached from the base-protocol offering call still decodes
+    right after the switch.
+
     Construct through {!Orb.smart_proxy}, which binds the ORB's invoker
-    and protocol codec. *)
+    and base protocol codec. *)
 
 type t
+
+type invoker =
+  Objref.t ->
+  op:string ->
+  Wire.Codec.t * string ->
+  (Wire.Codec.encoder -> unit) ->
+  Wire.Codec.t * string
+(** [invoker target ~op (codec, args) marshal]: one two-way call whose
+    arguments [marshal] writes; [args] is their encoding in [codec],
+    which the invoker may send as is when its connection speaks
+    [codec]. Returns the reply payload with the codec it is encoded
+    in. Raises the ORB's exceptions on failure. *)
 
 val create :
   ?capacity:int ->
   ?invalidate_on:string list ->
   codec:Wire.Codec.t ->
-  Orb_intf.raw_invoker ->
+  invoker ->
   Objref.t ->
   t
-(** [capacity] bounds the memo (default 64, oldest evicted first).
-    Operations listed in [invalidate_on] flush the whole memo before
-    being invoked and are never cached themselves. *)
+(** [codec] encodes the memo keys. [capacity] bounds the memo (default
+    64, oldest evicted first). Operations listed in [invalidate_on]
+    flush the whole memo before being invoked and are never cached
+    themselves. *)
 
 val call : t -> op:string -> (Wire.Codec.encoder -> unit) -> Wire.Codec.decoder
 (** Like a two-way [Orb.invoke], but repeated calls with identical

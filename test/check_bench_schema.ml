@@ -344,7 +344,8 @@ let check_e11 path root =
       check (want_num cell "connections" = 1.)
         "each cell must share exactly one connection";
       (* The demux must actually pipeline when threads allow; the
-         serialized client must never report demux in-flight counts. *)
+         serialized client (the demux with one slot) must never have
+         more than one call in flight, so its peak is at most 1. *)
       let mi = want_num cell "max_in_flight" and th = want_num cell "threads" in
       if mi > 1. && th > 1. then
         check (want_num cell "peak_in_flight" > 1.)

@@ -203,12 +203,12 @@ let test_disabled_is_inert () =
 
 (* ---------------- end to end ---------------- *)
 
-let with_traced_pair ~transport ~host f =
+let with_traced_pair ?(codecs = []) ~transport ~host f =
   let server_obs = Obs.create () in
   let client_obs = Obs.create () in
-  let server = Orb.create ~transport ~host ~obs:server_obs () in
+  let server = Orb.create ~transport ~host ~codecs ~obs:server_obs () in
   Orb.start server;
-  let client = Orb.create ~transport ~host ~obs:client_obs () in
+  let client = Orb.create ~transport ~host ~codecs ~obs:client_obs () in
   Fun.protect
     ~finally:(fun () ->
       Orb.shutdown client;
@@ -445,6 +445,38 @@ let test_retry_count_on_span () =
   Orb.shutdown client;
   Orb.shutdown server2
 
+(* Each attempt records the codec its payload travelled in as a [codec]
+   note, on the client span and on the server span: a trace tells
+   whether a call rode text or the negotiated hcx. *)
+let test_codec_note () =
+  with_traced_pair ~codecs:[ Orb.Protocol.hcx ] ~transport:"mem" ~host:"local"
+    (fun ~server ~client ~server_obs ~client_obs ->
+      let client_sink, client_spans = Obs.Sink.ring () in
+      Obs.add_sink client_obs client_sink;
+      let server_sink, server_spans = Obs.Sink.ring () in
+      Obs.add_sink server_obs server_sink;
+      let target = Orb.export server (echo_skeleton ()) in
+      for i = 1 to 3 do
+        Alcotest.(check string) "call" ("echo:" ^ string_of_int i)
+          (invoke_string client target ~op:"echo" (string_of_int i))
+      done;
+      let codecs spans =
+        List.map
+          (fun s ->
+            List.filter_map
+              (fun (k, v) -> if k = "codec" then Some v else None)
+              s.Trace.notes)
+          spans
+      in
+      let want = [ [ "text" ]; [ "hcx" ]; [ "hcx" ] ] in
+      Alcotest.(check (list (list string))) "client spans" want
+        (codecs (client_spans ()));
+      Alcotest.(check (list (list string))) "server spans" want
+        (codecs (await_spans ~n:3 server_spans));
+      Tutil.check_contains ~what:"note in the span JSON"
+        (Trace.to_json (List.nth (client_spans ()) 1))
+        {|"notes": {"codec": "hcx"}|})
+
 (* The ORB's event counters ignore the tracing switch: with both sides on
    disabled instances (no spans, no histograms), the registry still holds
    the connection, negotiation and dispatch counts, and [Orb.stats] is a
@@ -536,6 +568,7 @@ let () =
           Alcotest.test_case "stock interceptor composes" `Quick
             test_stock_interceptor_composes;
           Alcotest.test_case "retry count on span" `Quick test_retry_count_on_span;
+          Alcotest.test_case "codec note per attempt" `Quick test_codec_note;
           Alcotest.test_case "orb counters count with tracing off" `Quick
             test_orb_counters_with_tracing_off;
         ] );
