@@ -34,21 +34,6 @@ let print_results ?(unit_ = "ns/call") results =
 
 let section id title = Printf.printf "\n==== %s: %s ====\n" id title
 
-let table header rows =
-  let widths =
-    List.fold_left
-      (fun acc row -> List.map2 (fun w cell -> max w (String.length cell)) acc row)
-      (List.map String.length header)
-      rows
-  in
-  let print_row row =
-    List.iter2 (fun w cell -> Printf.printf "  %-*s" (w + 2) cell) widths row;
-    print_newline ()
-  in
-  print_row header;
-  print_row (List.map (fun w -> String.make w '-') widths);
-  List.iter print_row rows
-
 (* ---------------- shared fixtures ---------------- *)
 
 let heidi_mapping = Option.get (Mappings.Registry.find "heidi-cpp")
@@ -83,7 +68,7 @@ let t1 () =
   let idl_types =
     [ "long"; "boolean"; "float"; "short"; "double"; "char"; "octet"; "string" ]
   in
-  table
+  Record.table
     [ "IDL Type"; "Prescribed C++ Type"; "Alternate C++ Mapping" ]
     (List.map (fun t -> [ t; prescribed t; alternate t ]) idl_types);
   print_endline "  (paper rows: long/CORBA::Long/long, boolean/CORBA::Boolean/XBool,";
@@ -173,7 +158,7 @@ let e2 () =
     W.encode e v;
     String.length (e.Wire.Codec.finish ())
   in
-  table
+  Record.table
     [ "workload"; "text bytes"; "cdr bytes" ]
     (List.map
        (fun (name, v) ->
@@ -311,7 +296,9 @@ let e4 () =
       [ 8; 16; 32; 64 ]
   in
   print_endline "  EST build scaling (bench/scale_idl.ml spec):";
-  table [ "modules"; "decls"; "build ms"; "us/decl"; "minor words/decl" ] rows
+  Record.table
+    [ "modules"; "decls"; "build ms"; "us/decl"; "minor words/decl" ]
+    rows
 
 (* ================= E5: generated code size ========================= *)
 
@@ -367,7 +354,9 @@ let e5 () =
         ])
       Mappings.Registry.all
   in
-  table [ "mapping"; "language"; "IDL LoC"; "generated LoC"; "expansion" ] rows;
+  Record.table
+    [ "mapping"; "language"; "IDL LoC"; "generated LoC"; "expansion" ]
+    rows;
   let tcl = Option.get (Mappings.Registry.find "tcl") in
   let tcl_generated =
     List.fold_left
@@ -586,7 +575,7 @@ let e8 () =
       string_of_int st.Orb.opened;
     ]
   in
-  table
+  Record.table
     [ "fault rate"; "ok"; "failed"; "timeout"; "retries"; "conns opened" ]
     (List.map run_at [ 0.0; 0.05; 0.1; 0.2 ]);
   Printf.printf
@@ -597,14 +586,60 @@ let e8 () =
 
 (* ================= E9: observability overhead ====================== *)
 
+(* E9's sample span and the traced client's metrics snapshot, as cells:
+   strings become labels, numbers metrics. *)
+let span_cell (s : Obs.Trace.span) =
+  let opt k = Option.fold ~none:[] ~some:(fun v -> [ (k, v) ]) in
+  Record.cell
+    ([ ("series", "sample_span"); ("trace_id", s.trace_id); ("span_id", s.span_id) ]
+    @ opt "parent_id" s.parent_id
+    @ [ ("kind", Obs.Trace.kind_to_string s.kind); ("operation", s.operation);
+        ("endpoint", s.endpoint) ]
+    @ opt "breaker" s.breaker
+    @ opt "outcome" (Option.map Obs.Trace.outcome_to_string s.outcome)
+    @ List.rev_map (fun (k, v) -> ("note:" ^ k, v)) s.notes)
+    [ ("req_id", float_of_int s.req_id); ("started_at", s.started_at);
+      ("duration_s", Obs.Trace.duration s); ("marshal_s", s.marshal_s);
+      ("send_s", s.send_s); ("wait_s", s.wait_s); ("unmarshal_s", s.unmarshal_s);
+      ("retries", float_of_int s.retries) ]
+
+let snapshot_cells (m : Obs.Metrics.snapshot) =
+  let named series name = [ ("series", series); ("name", name) ] in
+  let n = float_of_int in
+  List.concat_map
+    (fun (h : Obs.Metrics.hist_view) ->
+      Record.cell (named "latency" h.name)
+        [ ("total", n h.total); ("sum_s", h.sum_s); ("max_s", h.max_s);
+          ("mean_s", h.mean_s) ]
+      :: List.filter_map
+           (fun (le, count) ->
+             let le = if le = infinity then "inf" else Record.num_label le in
+             if count = 0 then None
+             else
+               Some
+                 (Record.cell (named "latency_bucket" h.name @ [ ("le_s", le) ])
+                    [ ("count", n count) ]))
+           h.buckets)
+    m.latencies
+  @ List.map
+      (fun (e : Obs.Metrics.bytes_view) ->
+        Record.cell [ ("series", "endpoint"); ("endpoint", e.endpoint) ]
+          [ ("bytes_in", n e.bytes_in); ("bytes_out", n e.bytes_out);
+            ("reads", n e.reads); ("writes", n e.writes) ])
+      m.endpoints
+  @ List.map
+      (fun (k, v) -> Record.cell (named "counter" k) [ ("value", n v) ])
+      m.counters
+  @ List.map (fun (k, v) -> Record.cell (named "gauge" k) [ ("value", v) ]) m.gauges
+
 (* Trace-off vs trace-on, same workload (mem transport, text protocol):
    what does a fully traced call — client span with four phase timings,
    context propagated on the wire, server span, byte counters, two
    histogram observations, ring-buffer export — cost over the disabled
    baseline (one boolean load per probe point)? The measurement is
    repeated [repeats] times; the artifact reports the median overhead
-   with its p10/p90 spread. Writes BENCH_obs.json for the
-   schema-checked smoke test. *)
+   with its p10/p90 spread. Writes BENCH_obs.json, checked by the e9.*
+   gates in the smoke test. *)
 let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) ?(repeats = 11) () =
   section "E9" "observability overhead: trace-off vs trace-on (mem, text)";
   let mk_pair ?server_obs ?client_obs () =
@@ -643,11 +678,7 @@ let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) ?(repeats = 11) () =
   let s1, c1, t1 = mk_pair ~server_obs ~client_obs () in
   ignore (batch c0 t0 50);  (* warm connections, caches, code *)
   ignore (batch c1 t1 50);
-  let quantile p l =
-    let a = Array.of_list (List.sort compare l) in
-    a.(min (Array.length a - 1) (int_of_float (p *. float_of_int (Array.length a))))
-  in
-  let median = quantile 0.5 in
+  let median = Record.quantile 0.5 in
   (* One repeat: interleave off/on batches so clock drift, CPU frequency
      and GC state bias neither side; per side, take the median batch. *)
   let n_batches = 5 in
@@ -662,51 +693,40 @@ let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) ?(repeats = 11) () =
   in
   let runs = List.init repeats (fun _ -> measure ()) in
   let pcts = List.map (fun (off, on) -> (on -. off) /. off *. 100.) runs in
-  let off_ns = median (List.map fst runs) and on_ns = median (List.map snd runs) in
-  let spans_of obs = (Obs.snapshot obs).Obs.spans_emitted in
+  let spans_of obs = float_of_int (Obs.snapshot obs).Obs.spans_emitted in
   Orb.shutdown c0;
   Orb.shutdown s0;
   Orb.shutdown c1;
   Orb.shutdown s1;
-  let overhead_pct = median pcts in
-  let p10 = quantile 0.1 pcts and p90 = quantile 0.9 pcts in
   (* Cross-check the traces themselves: the last client/server span pair
      must belong to one trace. *)
   let last l = List.nth l (List.length l - 1) in
   let cs = last (client_spans ()) and ss = last (server_spans ()) in
   let shared = cs.Obs.Trace.trace_id = ss.Obs.Trace.trace_id in
-  Printf.printf "  %-46s %10.1f ns/call\n" "trace off (disabled obs)" off_ns;
-  Printf.printf "  %-46s %10.1f ns/call\n" "trace on (spans + metrics + ring)" on_ns;
-  Printf.printf
-    "  overhead: %.1f%% (p10 %.1f%%, p90 %.1f%%, %d repeats)  (client spans %d, \
-     server spans %d, shared trace id: %b)\n"
-    overhead_pct p10 p90 repeats (spans_of client_obs) (spans_of server_obs)
-    shared;
-  let json =
-    Obs.Jout.obj
-      [
-        ("experiment", Obs.Jout.str "E9");
-        ("transport", Obs.Jout.str "mem");
-        ("protocol", Obs.Jout.str "heidi-text");
-        ("calls", Obs.Jout.int calls);
-        ("repeats", Obs.Jout.int repeats);
-        ("trace_off_ns_per_call", Obs.Jout.num off_ns);
-        ("trace_on_ns_per_call", Obs.Jout.num on_ns);
-        ("overhead_pct", Obs.Jout.num overhead_pct);
-        ("overhead_pct_p10", Obs.Jout.num p10);
-        ("overhead_pct_p90", Obs.Jout.num p90);
-        ("client_spans", Obs.Jout.int (spans_of client_obs));
-        ("server_spans", Obs.Jout.int (spans_of server_obs));
-        ("shared_trace_id", Obs.Jout.bool shared);
-        ("sample_client_span", Obs.Trace.to_json cs);
-        ("client_snapshot", Obs.snapshot_to_json (Obs.snapshot client_obs));
-      ]
+  let trace arm ns =
+    { Record.labels = [ ("series", "trace"); ("trace", arm) ];
+      metrics = [ ("ns_per_call", Record.spread ns) ] }
   in
-  let oc = open_out out in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  let r =
+    Record.make ~experiment:"E9" ~repeats
+      ~config:
+        Record.[ ("transport", Str "mem"); ("protocol", Str "heidi-text");
+                 ("calls", Num (float_of_int calls)) ]
+      ([
+         trace "off" (List.map fst runs);
+         trace "on" (List.map snd runs);
+         { labels = [ ("series", "overhead") ];
+           metrics = [ ("overhead_pct", Record.spread pcts) ] };
+         Record.cell
+           [ ("series", "spans"); ("shared_trace_id", string_of_bool shared) ]
+           [ ("client_spans", spans_of client_obs);
+             ("server_spans", spans_of server_obs) ];
+         span_cell cs;
+       ]
+      @ snapshot_cells (Obs.snapshot client_obs).Obs.metrics)
+  in
+  Record.print r;
+  Record.write out r
 
 (* ================= E10: overload policy ============================ *)
 
@@ -715,8 +735,8 @@ let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) ?(repeats = 11) () =
    thread-per-connection model, at increasing client counts. Closed-loop
    clients (next call only after the previous outcome) on the mem
    transport; every outcome is counted, so goodput + rejections +
-   failures accounts for every call. Writes BENCH_overload.json for the
-   schema-checked smoke test.
+   failures accounts for every call. Writes BENCH_overload.json, checked
+   by the e10.* gates in the smoke test.
 
    Honesty note: OCaml systhreads share one runtime lock, so total
    CPU throughput is bounded by one core in BOTH configurations — the
@@ -814,79 +834,32 @@ let e10 ?(out = "BENCH_overload.json") ?(duration = 1.5)
     in
     List.iter Thread.join threads;
     Orb.shutdown server;
-    let lats = Array.of_list (List.sort compare !latencies) in
-    let n_ok = Array.length lats in
-    let pct p =
-      if n_ok = 0 then 0.
-      else lats.(min (n_ok - 1) (int_of_float (float_of_int n_ok *. p))) *. 1000.
-    in
-    ( server_name,
-      n_clients,
-      Atomic.get ok,
-      Atomic.get rejected,
-      Atomic.get failed,
-      float_of_int (Atomic.get ok) /. duration,
-      pct 0.5,
-      pct 0.95,
-      (if n_ok = 0 then 0. else lats.(n_ok - 1) *. 1000.) )
+    let ms p = Record.quantile p !latencies *. 1000. in
+    let n a = float_of_int (Atomic.get a) in
+    Record.cell
+      [ ("server", server_name); ("clients", string_of_int n_clients) ]
+      [ ("ok", n ok); ("rejected", n rejected); ("failed", n failed);
+        ("ok_per_s", n ok /. duration); ("p50_ms", ms 0.5); ("p95_ms", ms 0.95);
+        ("max_ms", ms 1.0) ]
   in
   let cells =
     List.concat_map
       (fun server -> List.map (run_cell server) client_counts)
       servers
   in
-  table
-    [ "server"; "clients"; "ok"; "rejected"; "failed"; "ok/s"; "p50 ms"; "p95 ms"; "max ms" ]
-    (List.map
-       (fun (srv, n, ok, rej, fail_, ops, p50, p95, mx) ->
-         [
-           srv;
-           string_of_int n;
-           string_of_int ok;
-           string_of_int rej;
-           string_of_int fail_;
-           Printf.sprintf "%.0f" ops;
-           Printf.sprintf "%.1f" p50;
-           Printf.sprintf "%.1f" p95;
-           Printf.sprintf "%.1f" mx;
-         ])
-       cells);
+  let r =
+    Record.make ~experiment:"E10"
+      ~config:
+        Record.[ ("transport", Str "mem"); ("protocol", Str "heidi-text");
+                 ("duration_s", Num duration); ("service_ms", Num service_ms) ]
+      cells
+  in
+  Record.print r;
   Printf.printf
     "  (service demand per call: %.2f ms of pure-OCaml CPU; closed-loop\n\
     \  clients, %.2gs per cell. Rejections are answered calls, not drops.)\n"
     service_ms duration;
-  let json =
-    Obs.Jout.obj
-      [
-        ("experiment", Obs.Jout.str "E10");
-        ("transport", Obs.Jout.str "mem");
-        ("protocol", Obs.Jout.str "heidi-text");
-        ("duration_s", Obs.Jout.num duration);
-        ("service_ms", Obs.Jout.num service_ms);
-        ( "cells",
-          Obs.Jout.arr
-            (List.map
-               (fun (srv, n, ok, rej, fail_, ops, p50, p95, mx) ->
-                 Obs.Jout.obj
-                   [
-                     ("server", Obs.Jout.str srv);
-                     ("clients", Obs.Jout.int n);
-                     ("ok", Obs.Jout.int ok);
-                     ("rejected", Obs.Jout.int rej);
-                     ("failed", Obs.Jout.int fail_);
-                     ("ok_per_s", Obs.Jout.num ops);
-                     ("p50_ms", Obs.Jout.num p50);
-                     ("p95_ms", Obs.Jout.num p95);
-                     ("max_ms", Obs.Jout.num mx);
-                   ])
-               cells) );
-      ]
-  in
-  let oc = open_out out in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  Record.write out r
 
 (* Client connection multiplexing (DESIGN.md "Client connection model"):
    N closed-loop threads share ONE client ORB — and therefore one cached
@@ -974,16 +947,15 @@ let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
     let st = Orb.stats client in
     Orb.shutdown client;
     Orb.shutdown server;
-    ( proto_name,
-      mode_name,
-      mux.Orb.max_in_flight,
-      Option.value call_timeout ~default:0.,
-      threads,
-      Atomic.get ok,
-      Atomic.get failed,
-      float_of_int (Atomic.get ok) /. duration,
-      st.Orb.mux_peak_in_flight,
-      st.Orb.opened )
+    let n a = float_of_int (Atomic.get a) in
+    Record.cell
+      [ ("protocol", proto_name); ("mode", mode_name);
+        ("max_in_flight", string_of_int mux.Orb.max_in_flight);
+        ("call_timeout_s", Record.num_label (Option.value call_timeout ~default:0.));
+        ("threads", string_of_int threads) ]
+      [ ("ok", n ok); ("failed", n failed); ("ok_per_s", n ok /. duration);
+        ("peak_in_flight", float_of_int st.Orb.mux_peak_in_flight);
+        ("connections", float_of_int st.Orb.opened) ]
   in
   let cells =
     List.concat_map
@@ -993,59 +965,21 @@ let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
           modes)
       protocols
   in
-  table
-    [ "protocol"; "mode"; "threads"; "ok"; "failed"; "ok/s"; "peak in-flight"; "conns" ]
-    (List.map
-       (fun (proto, mode, _cap, _timeout, n, ok, fail_, ops, peak, conns) ->
-         [
-           proto;
-           mode;
-           string_of_int n;
-           string_of_int ok;
-           string_of_int fail_;
-           Printf.sprintf "%.0f" ops;
-           string_of_int peak;
-           string_of_int conns;
-         ])
-       cells);
+  let r =
+    Record.make ~experiment:"E11"
+      ~config:
+        Record.[ ("transport", Str "mem"); ("duration_s", Num duration);
+                 ("service_ms", Num nap_ms) ]
+      cells
+  in
+  Record.print r;
   Printf.printf
     "  (service time per call: %.1f ms of server-side sleep; closed-loop\n\
     \  threads sharing ONE client connection, %.2gs per cell. The\n\
     \  serialized row is the demux at one slot: one call per roundtrip;\n\
     \  +timeout rows give every call a 1 s deadline.)\n"
     nap_ms duration;
-  let json =
-    Obs.Jout.obj
-      [
-        ("experiment", Obs.Jout.str "E11");
-        ("transport", Obs.Jout.str "mem");
-        ("duration_s", Obs.Jout.num duration);
-        ("service_ms", Obs.Jout.num nap_ms);
-        ( "cells",
-          Obs.Jout.arr
-            (List.map
-               (fun (proto, mode, cap, timeout, n, ok, fail_, ops, peak, conns) ->
-                 Obs.Jout.obj
-                   [
-                     ("protocol", Obs.Jout.str proto);
-                     ("mode", Obs.Jout.str mode);
-                     ("max_in_flight", Obs.Jout.int cap);
-                     ("call_timeout_s", Obs.Jout.num timeout);
-                     ("threads", Obs.Jout.int n);
-                     ("ok", Obs.Jout.int ok);
-                     ("failed", Obs.Jout.int fail_);
-                     ("ok_per_s", Obs.Jout.num ops);
-                     ("peak_in_flight", Obs.Jout.int peak);
-                     ("connections", Obs.Jout.int conns);
-                   ])
-               cells) );
-      ]
-  in
-  let oc = open_out out in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  Record.write out r
 
 (* ================= E12: replica kill/restart sweep ================== *)
 
@@ -1164,7 +1098,6 @@ let e12 ?(out = "BENCH_failover.json") ?(duration = 3.0) ?(clients = 8)
     List.fold_left (fun acc i -> Float.max acc (rate ok_b i)) 0. recovery_buckets
   in
   let ratio = if steady > 0. then recovery /. steady else 0. in
-  let recovered = ratio >= 0.8 in
   let failed_total =
     Array.fold_left (fun acc a -> acc + Atomic.get a) 0 failed_b
   in
@@ -1172,82 +1105,43 @@ let e12 ?(out = "BENCH_failover.json") ?(duration = 3.0) ?(clients = 8)
   (* p95 latency per phase: pre-kill steady state, the outage (kill to
      restart), and after the restarted replica could rejoin. *)
   let p95_ms phase =
-    let xs =
-      List.filter_map (fun (t, d) -> if phase t then Some d else None) !lats
-    in
-    let xs = List.sort compare xs in
-    match List.length xs with
-    | 0 -> 0.
-    | len -> 1000. *. List.nth xs (min (len - 1) (int_of_float (0.95 *. float_of_int len)))
+    1000.
+    *. Record.quantile 0.95
+         (List.filter_map (fun (t, d) -> if phase t then Some d else None) !lats)
   in
   let p95_steady = p95_ms (fun t -> t >= bucket_s && t < kill_at) in
   let p95_outage = p95_ms (fun t -> t >= kill_at && t < restart_at) in
   let p95_after =
     p95_ms (fun t -> t >= restart_at +. reset_timeout && t < duration)
   in
-  table
-    [ "phase"; "window"; "ok/s"; "p95 ms" ]
-    [
-      [ "steady"; Printf.sprintf "buckets 1-%d" (kill_bucket - 1);
-        Printf.sprintf "%.0f" steady; Printf.sprintf "%.2f" p95_steady ];
-      [ "outage"; "kill..restart"; "-"; Printf.sprintf "%.2f" p95_outage ];
-      [ "recovery (best)";
-        Printf.sprintf "kill..+%.2gs" reset_timeout;
-        Printf.sprintf "%.0f" recovery; "-" ];
-      [ "after restart"; "restart+reset.."; "-";
-        Printf.sprintf "%.2f" p95_after ];
-    ];
-  Printf.printf
-    "  kill at %.2fs, restart at %.2fs; recovery %.0f%% of steady %s\n\
-    \  ok %d, failed %d, failovers %d, forwards %d; served %s\n"
-    kill_at restart_at (100. *. ratio)
-    (if recovered then "(recovered)" else "(NOT recovered)")
-    ok_total failed_total st.Orb.failovers st.Orb.forwards
-    (String.concat "/"
-       (Array.to_list
-          (Array.map (fun a -> string_of_int (Atomic.get a)) served)));
-  let json =
-    Obs.Jout.obj
-      [
-        ("experiment", Obs.Jout.str "E12");
-        ("transport", Obs.Jout.str "mem");
-        ("duration_s", Obs.Jout.num duration);
-        ("bucket_s", Obs.Jout.num bucket_s);
-        ("replicas", Obs.Jout.int n_replicas);
-        ("clients", Obs.Jout.int clients);
-        ("kill_at_s", Obs.Jout.num kill_at);
-        ("restart_at_s", Obs.Jout.num restart_at);
-        ("reset_timeout_s", Obs.Jout.num reset_timeout);
-        ("steady_ok_per_s", Obs.Jout.num steady);
-        ("recovery_ok_per_s", Obs.Jout.num recovery);
-        ("recovery_ratio", Obs.Jout.num ratio);
-        ("recovered_within_window", Obs.Jout.bool recovered);
-        ("ok_total", Obs.Jout.int ok_total);
-        ("failed_total", Obs.Jout.int failed_total);
-        ("failovers", Obs.Jout.int st.Orb.failovers);
-        ("p95_steady_ms", Obs.Jout.num p95_steady);
-        ("p95_outage_ms", Obs.Jout.num p95_outage);
-        ("p95_after_restart_ms", Obs.Jout.num p95_after);
-        ( "replica_served",
-          Obs.Jout.arr
-            (Array.to_list
-               (Array.map (fun a -> Obs.Jout.int (Atomic.get a)) served)) );
-        ( "buckets",
-          Obs.Jout.arr
-            (List.init n_buckets (fun i ->
-                 Obs.Jout.obj
-                   [
-                     ("t_s", Obs.Jout.num (float_of_int i *. bucket_s));
-                     ("ok", Obs.Jout.int (Atomic.get ok_b.(i)));
-                     ("failed", Obs.Jout.int (Atomic.get failed_b.(i)));
-                   ])) );
-      ]
+  let n = float_of_int in
+  let count a = n (Atomic.get a) in
+  let r =
+    Record.make ~experiment:"E12"
+      ~config:
+        Record.[ ("transport", Str "mem"); ("duration_s", Num duration);
+                 ("bucket_s", Num bucket_s); ("replicas", Num (n n_replicas));
+                 ("clients", Num (n clients)); ("kill_at_s", Num kill_at);
+                 ("restart_at_s", Num restart_at);
+                 ("reset_timeout_s", Num reset_timeout) ]
+      (Record.cell [ ("series", "summary") ]
+         [ ("steady_ok_per_s", steady); ("recovery_ok_per_s", recovery);
+           ("recovery_ratio", ratio); ("ok_total", n ok_total);
+           ("failed_total", n failed_total); ("failovers", n st.Orb.failovers);
+           ("p95_steady_ms", p95_steady); ("p95_outage_ms", p95_outage);
+           ("p95_after_restart_ms", p95_after) ]
+      :: List.mapi
+           (fun i a ->
+             Record.cell [ ("series", "replica"); ("replica", string_of_int i) ]
+               [ ("served", count a) ])
+           (Array.to_list served)
+      @ List.init n_buckets (fun i ->
+            Record.cell [ ("series", "bucket"); ("bucket", string_of_int i) ]
+              [ ("t_s", n i *. bucket_s); ("ok", count ok_b.(i));
+                ("failed", count failed_b.(i)) ]))
   in
-  let oc = open_out out in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  Record.print r;
+  Record.write out r
 
 (* Multicore dispatch (DESIGN.md §11 "Domains vs systhreads"): a
    CPU-bound servant — a checksum over an incopy-style string payload —
@@ -1255,10 +1149,10 @@ let e12 ?(out = "BENCH_failover.json") ?(duration = 3.0) ?(clients = 8)
    Domain workers execute dispatches on separate cores, so throughput
    should scale with the worker count up to the machine's cores;
    systhread workers share one runtime lock, so their arm stays flat no
-   matter how many workers the pool has. The artifact records the
-   machine's core count: the schema check asserts the >= 2.5x 4-domain
-   scaling only when the host actually has >= 4 cores, and always
-   asserts structure and call conservation (a 1-core CI box can verify
+   matter how many workers the pool has. The record carries the host's
+   core count: gate e13.scales asserts the >= 2.5x 4-domain scaling
+   only when the host has >= 4 cores, and the other gates always assert
+   structure and call conservation (a 1-core CI box can verify
    correctness but cannot exhibit parallelism). *)
 let e13 ?(out = "BENCH_multicore.json") ?(duration = 1.5)
     ?(worker_counts = [ 1; 2; 4 ]) ?(payload_kb = 8) ?(passes = 120) () =
@@ -1340,12 +1234,11 @@ let e13 ?(out = "BENCH_multicore.json") ?(duration = 1.5)
     in
     List.iter Thread.join threads;
     Orb.shutdown server;
-    ( backend_name,
-      workers,
-      n_clients,
-      Atomic.get ok,
-      Atomic.get failed,
-      float_of_int (Atomic.get ok) /. duration )
+    let n a = float_of_int (Atomic.get a) in
+    Record.cell
+      [ ("backend", backend_name); ("workers", string_of_int workers);
+        ("clients", string_of_int n_clients) ]
+      [ ("ok", n ok); ("failed", n failed); ("ok_per_s", n ok /. duration) ]
   in
   let cells =
     List.concat_map
@@ -1355,64 +1248,22 @@ let e13 ?(out = "BENCH_multicore.json") ?(duration = 1.5)
         (fun w -> [ run_cell "systhreads" Orb.Pool.Systhreads w ])
         worker_counts
   in
-  let base =
-    List.find_map
-      (fun (b, w, _, _, _, ops) ->
-        if b = "domains" && w = 1 then Some ops else None)
+  let r =
+    Record.make ~experiment:"E13"
+      ~config:
+        Record.[ ("transport", Str "mem"); ("protocol", Str "heidi-text");
+                 ("duration_s", Num duration);
+                 ("payload_kb", Num (float_of_int payload_kb));
+                 ("service_ms", Num service_ms) ]
       cells
   in
-  table
-    [ "backend"; "workers"; "clients"; "ok"; "failed"; "ok/s"; "vs 1-domain" ]
-    (List.map
-       (fun (b, w, n, ok, fail_, ops) ->
-         [
-           b;
-           string_of_int w;
-           string_of_int n;
-           string_of_int ok;
-           string_of_int fail_;
-           Printf.sprintf "%.0f" ops;
-           (match base with
-           | Some base when base > 0. -> Printf.sprintf "%.2fx" (ops /. base)
-           | _ -> "-");
-         ])
-       cells);
+  Record.print r;
   Printf.printf
     "  (service demand per call: %.2f ms of pure-OCaml checksum over a\n\
     \  %d KiB incopy payload; closed-loop clients, %.2gs per cell;\n\
     \  this host reports %d recommended domain(s) — scaling needs >= 4.)\n"
     service_ms payload_kb duration cores;
-  let json =
-    Obs.Jout.obj
-      [
-        ("experiment", Obs.Jout.str "E13");
-        ("transport", Obs.Jout.str "mem");
-        ("protocol", Obs.Jout.str "heidi-text");
-        ("duration_s", Obs.Jout.num duration);
-        ("payload_kb", Obs.Jout.int payload_kb);
-        ("service_ms", Obs.Jout.num service_ms);
-        ("cores", Obs.Jout.int cores);
-        ( "cells",
-          Obs.Jout.arr
-            (List.map
-               (fun (b, w, n, ok, fail_, ops) ->
-                 Obs.Jout.obj
-                   [
-                     ("backend", Obs.Jout.str b);
-                     ("workers", Obs.Jout.int w);
-                     ("clients", Obs.Jout.int n);
-                     ("ok", Obs.Jout.int ok);
-                     ("failed", Obs.Jout.int fail_);
-                     ("ok_per_s", Obs.Jout.num ops);
-                   ])
-               cells) );
-      ]
-  in
-  let oc = open_out out in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  Record.write out r
 
 (* ================= E14: deadline propagation under saturation ====== *)
 
@@ -1516,99 +1367,40 @@ let e14 ?(out = "BENCH_deadline.json") ?(duration = 2.0)
     let elapsed = Unix.gettimeofday () -. t0 in
     let st = Orb.stats server in
     Orb.shutdown server;
-    ( (if propagate then "on" else "off"),
-      mult,
-      rate,
-      Atomic.get ok,
-      Atomic.get timeout,
-      Atomic.get shed,
-      Atomic.get failed,
-      float_of_int (Atomic.get ok) /. elapsed,
-      Atomic.get executed,
-      st.Orb.expired_pre_admission,
-      st.Orb.expired_in_queue,
-      st.Orb.rejected )
+    let n a = float_of_int (Atomic.get a) and i = float_of_int in
+    Record.cell
+      [ ("propagation", if propagate then "on" else "off");
+        ("multiplier", string_of_int mult) ]
+      [ ("offered_per_s", rate); ("ok", n ok); ("timeout", n timeout);
+        ("shed", n shed); ("failed", n failed); ("goodput_per_s", n ok /. elapsed);
+        ("executed", n executed);
+        ("expired_pre_admission", i st.Orb.expired_pre_admission);
+        ("expired_in_queue", i st.Orb.expired_in_queue);
+        ("rejected", i st.Orb.rejected) ]
   in
   let cells =
     List.concat_map
       (fun propagate -> List.map (run_cell ~propagate) multipliers)
       [ true; false ]
   in
-  table
-    [
-      "propagation"; "load"; "offered/s"; "ok"; "timeout"; "shed"; "goodput/s";
-      "executed"; "exp_pre"; "exp_queue"; "rejected";
-    ]
-    (List.map
-       (fun (arm, m, rate, ok, tmo, shed, _fail, gput, exec, pre, q, rej) ->
-         [
-           arm;
-           Printf.sprintf "%dx" m;
-           Printf.sprintf "%.0f" rate;
-           string_of_int ok;
-           string_of_int tmo;
-           string_of_int shed;
-           Printf.sprintf "%.0f" gput;
-           string_of_int exec;
-           string_of_int pre;
-           string_of_int q;
-           string_of_int rej;
-         ])
-       cells);
+  let r =
+    Record.make ~experiment:"E14"
+      ~config:
+        Record.[ ("transport", Str "mem"); ("duration_s", Num duration);
+                 ("service_ms", Num (service_s *. 1000.));
+                 ("deadline_ms", Num (deadline_s *. 1000.));
+                 ("capacity_per_s", Num capacity) ]
+      cells
+  in
+  Record.print r;
   Printf.printf
     "  (open-loop: %d senders paced to load x %.0f calls/s capacity; every\n\
     \  call has a %.0f ms deadline over %.0f ms of sleep service. \"executed\"\n\
     \  counts servant runs — off-arm executions above ok-count are capacity\n\
     \  burned on already-dead requests; the on-arm sheds them in queue.)\n"
     senders capacity (deadline_s *. 1000.) (service_s *. 1000.);
-  let json =
-    Obs.Jout.obj
-      [
-        ("experiment", Obs.Jout.str "E14");
-        ("transport", Obs.Jout.str "mem");
-        ("duration_s", Obs.Jout.num duration);
-        ("service_ms", Obs.Jout.num (service_s *. 1000.));
-        ("deadline_ms", Obs.Jout.num (deadline_s *. 1000.));
-        ("capacity_per_s", Obs.Jout.num capacity);
-        ( "cells",
-          Obs.Jout.arr
-            (List.map
-               (fun (arm, m, rate, ok, tmo, shed, fail_, gput, exec, pre, q, rej) ->
-                 Obs.Jout.obj
-                   [
-                     ("propagation", Obs.Jout.str arm);
-                     ("multiplier", Obs.Jout.int m);
-                     ("offered_per_s", Obs.Jout.num rate);
-                     ("ok", Obs.Jout.int ok);
-                     ("timeout", Obs.Jout.int tmo);
-                     ("shed", Obs.Jout.int shed);
-                     ("failed", Obs.Jout.int fail_);
-                     ("goodput_per_s", Obs.Jout.num gput);
-                     ("executed", Obs.Jout.int exec);
-                     ("expired_pre_admission", Obs.Jout.int pre);
-                     ("expired_in_queue", Obs.Jout.int q);
-                     ("rejected", Obs.Jout.int rej);
-                   ])
-               cells) );
-      ]
-  in
-  let oc = open_out out in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  Record.write out r
 
-(* ================= E15: codec sweep ================================ *)
-
-(* The compact-codec claim (paper Section 5: "for many applications, a
-   simple protocol or messaging format may suffice" — and a cheaper one
-   pays at every call): the same echo workload under the heidi-text,
-   GIOP and HCX envelopes, swept across payload sizes. Bytes are read
-   from the Obs channel meter, so the figure is what actually crossed
-   the transport, framing included. Calls/s is a monotonic-clock loop
-   (see E3b on OLS and thread wakeups). Writes BENCH_codec.json for the
-   schema-checked smoke test, which pins HCX's bytes/call strictly
-   below heidi-text's at every payload size. *)
 (* ---------------- idle CPU: a blocked caller, an idle server ---------------- *)
 
 let process_cpu () =
@@ -1664,6 +1456,17 @@ let idle_server ?(hold_s = 10.) () =
     Orb.Pool.default_config.Orb.Pool.workers hold_s ((c1 -. c0) *. 1000.)
     (100. *. (c1 -. c0) /. hold_s)
 
+(* ================= E15: codec sweep ================================ *)
+
+(* The compact-codec claim (paper Section 5: "for many applications, a
+   simple protocol or messaging format may suffice" — and a cheaper one
+   pays at every call): the same echo workload under the heidi-text,
+   GIOP and HCX envelopes, swept across payload sizes. Bytes are read
+   from the Obs channel meter, so the figure is what actually crossed
+   the transport, framing included. Calls/s is a monotonic-clock loop
+   (see E3b on OLS and thread wakeups). Writes BENCH_codec.json; gate
+   e15.hcx_below_text pins HCX's bytes/call strictly below heidi-text's
+   at every payload size. *)
 let e15 ?(out = "BENCH_codec.json") ?(measure_s = 0.4)
     ?(sizes = [ 16; 256; 4096; 65536 ]) () =
   section "E15" "codec sweep: bytes/call and calls/s (hcx vs text vs giop, mem)";
@@ -1724,56 +1527,24 @@ let e15 ?(out = "BENCH_codec.json") ?(measure_s = 0.4)
     let calls_per_s = float_of_int !n /. elapsed in
     Orb.shutdown client;
     Orb.shutdown server;
-    (pname, size, bytes_per_call, ns_per_call, calls_per_s)
+    Record.cell
+      [ ("protocol", pname); ("payload_bytes", string_of_int size) ]
+      [ ("bytes_per_call", bytes_per_call); ("ns_per_call", ns_per_call);
+        ("calls_per_s", calls_per_s) ]
   in
-  let rows =
-    List.concat_map (fun proto -> List.map (run_row proto) sizes) protos
+  let r =
+    Record.make ~experiment:"E15"
+      ~config:Record.[ ("transport", Str "mem"); ("measure_s", Num measure_s) ]
+      (List.concat_map (fun proto -> List.map (run_row proto) sizes) protos)
   in
-  table
-    [ "protocol"; "payload B"; "bytes/call"; "ns/call"; "calls/s" ]
-    (List.map
-       (fun (p, size, bpc, ns, cps) ->
-         [
-           p;
-           string_of_int size;
-           Printf.sprintf "%.0f" bpc;
-           Printf.sprintf "%.0f" ns;
-           Printf.sprintf "%.0f" cps;
-         ])
-       rows);
+  Record.print r;
   Printf.printf
     "  (bytes/call from the Obs channel meter over %d metered calls per\n\
     \  row: request + reply, envelope + payload + framing. HCX varints\n\
     \  and byte-count framing vs text tokens vs GIOP's 12-byte header\n\
     \  and CDR padding.)\n"
     50;
-  let json =
-    Obs.Jout.obj
-      [
-        ("experiment", Obs.Jout.str "E15");
-        ("transport", Obs.Jout.str "mem");
-        ("measure_s", Obs.Jout.num measure_s);
-        ("payload_sizes", Obs.Jout.arr (List.map Obs.Jout.int sizes));
-        ( "rows",
-          Obs.Jout.arr
-            (List.map
-               (fun (p, size, bpc, ns, cps) ->
-                 Obs.Jout.obj
-                   [
-                     ("protocol", Obs.Jout.str p);
-                     ("payload_bytes", Obs.Jout.int size);
-                     ("bytes_per_call", Obs.Jout.num bpc);
-                     ("ns_per_call", Obs.Jout.num ns);
-                     ("calls_per_s", Obs.Jout.num cps);
-                   ])
-               rows) );
-      ]
-  in
-  let oc = open_out out in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  Record.write out r
 
 (* ================= F-series: figure regeneration pointers ========== *)
 
@@ -1790,63 +1561,43 @@ let figures () =
   print_endline
     "  Figs. 4-5 flow    : test/test_orb.ml interaction trace; examples/heidi_media.exe"
 
+(* The experiments that write a bench record: [FLAG OUT] runs the full
+   measurement, [FLAG-smoke OUT] the small quota `dune build @bench-smoke`
+   checks — small enough for a test run, large enough for the gates. *)
+type experiment = { flag : string; full : string -> unit; smoke : string -> unit }
+
+let experiments =
+  [
+    { flag = "--e9"; full = (fun out -> e9 ~out ());
+      smoke = (fun out -> e9 ~out ~calls:40 ~repeats:3 ()) };
+    { flag = "--e10"; full = (fun out -> e10 ~out ());
+      smoke = (fun out -> e10 ~out ~duration:0.25 ~client_counts:[ 2; 6 ] ()) };
+    (* Both codecs x both client modes at 1 and 8 threads: the 2x gate. *)
+    { flag = "--e11"; full = (fun out -> e11 ~out ());
+      smoke = (fun out -> e11 ~out ~duration:0.2 ~thread_counts:[ 1; 8 ] ()) };
+    (* A compressed timeline whose breaker window fits in a second. *)
+    { flag = "--e12"; full = (fun out -> e12 ~out ());
+      smoke = (fun out -> e12 ~out ~duration:1.0 ~clients:4 ~reset_timeout:0.2 ()) };
+    { flag = "--e13"; full = (fun out -> e13 ~out ());
+      smoke =
+        (fun out ->
+          e13 ~out ~duration:0.2 ~worker_counts:[ 1; 4 ] ~payload_kb:2 ~passes:30 ()) };
+    (* Unsaturated (1x) and deep saturation (4x). *)
+    { flag = "--e14"; full = (fun out -> e14 ~out ());
+      smoke = (fun out -> e14 ~out ~duration:0.4 ~multipliers:[ 1; 4 ] ()) };
+    (* Bytes/call are exact at any quota. *)
+    { flag = "--e15"; full = (fun out -> e15 ~out ());
+      smoke = (fun out -> e15 ~out ~measure_s:0.05 ~sizes:[ 16; 4096 ] ()) };
+  ]
+
 let () =
+  let runs =
+    List.concat_map
+      (fun e -> [ (e.flag, e.full); (e.flag ^ "-smoke", e.smoke) ])
+      experiments
+  in
   match Sys.argv with
-  | [| _; "--e9"; out |] ->
-      (* Full E9 only: the trace-overhead measurement at the real call
-         quota (the §E9 no-regression pin for Obs-layer changes). *)
-      e9 ~out ()
-  | [| _; "--e9-smoke"; out |] ->
-      (* CI smoke mode (`dune build @bench-smoke`): run only E9 with a
-         tiny call quota, writing [out] for the schema check. *)
-      e9 ~out ~calls:40 ~repeats:3 ()
-  | [| _; "--e10"; out |] ->
-      (* Full E10 only: the overload ablation at real duration and
-         client counts, without the rest of the bench suite. *)
-      e10 ~out ()
-  | [| _; "--e10-smoke"; out |] ->
-      (* E10 with tiny cells: exercises both serving models end to end
-         and writes a schema-checkable artifact in about a second. *)
-      e10 ~out ~duration:0.25 ~client_counts:[ 2; 6 ] ()
-  | [| _; "--e11"; out |] ->
-      (* Full E11 only: the client-mux concurrency sweep. *)
-      e11 ~out ()
-  | [| _; "--e11-smoke"; out |] ->
-      (* E11 with tiny cells: both codecs x both client modes at 1 and 8
-         threads — enough to exercise the demux end to end and let the
-         schema check assert the >= 2x scaling invariant. *)
-      e11 ~out ~duration:0.2 ~thread_counts:[ 1; 8 ] ()
-  | [| _; "--e12"; out |] ->
-      (* Full E12 only: the replica kill/restart sweep. *)
-      e12 ~out ()
-  | [| _; "--e13"; out |] ->
-      (* Full E13 only: the multicore dispatch sweep at real duration
-         and payload (the BENCH_multicore.json artifact). *)
-      e13 ~out ()
-  | [| _; "--e13-smoke"; out |] ->
-      (* E13 with a small payload and short cells: exercises both pool
-         backends end to end (domain spawn/join, cancel-on-stop, the
-         domain-keyed checker) and writes a schema-checkable artifact.
-         The scaling assertion self-gates on the host's core count. *)
-      e13 ~out ~duration:0.2 ~worker_counts:[ 1; 4 ] ~payload_kb:2 ~passes:30 ()
-  | [| _; "--e14"; out |] ->
-      (* Full E14 only: the deadline-propagation saturation sweep (the
-         BENCH_deadline.json artifact). *)
-      e14 ~out ()
-  | [| _; "--e14-smoke"; out |] ->
-      (* E14 with short cells at the two interesting loads: unsaturated
-         (1x) and deep saturation (4x) — enough for the schema check to
-         assert that propagation never loses goodput at saturation. *)
-      e14 ~out ~duration:0.4 ~multipliers:[ 1; 4 ] ()
-  | [| _; "--e15"; out |] ->
-      (* Full E15 only: the codec sweep (the BENCH_codec.json artifact
-         behind the §E15 table in EXPERIMENTS.md). *)
-      e15 ~out ()
-  | [| _; "--e15-smoke"; out |] ->
-      (* E15 with short timing loops at the two interesting sizes; the
-         bytes/call figures are exact at any quota, so the schema check
-         still pins HCX below heidi-text at every size. *)
-      e15 ~out ~measure_s:0.05 ~sizes:[ 16; 4096 ] ()
+  | [| _; flag; out |] when List.mem_assoc flag runs -> (List.assoc flag runs) out
   | [| _; "--idle-wait" |] ->
       (* Process CPU while one client call waits 10 s under a 30 s
          deadline (EXPERIMENTS.md, E14 notes). *)
@@ -1855,12 +1606,6 @@ let () =
       (* Process CPU of a started server with no traffic for 10 s
          (EXPERIMENTS.md, E13 notes). *)
       idle_server ()
-  | [| _; "--e12-smoke"; out |] ->
-      (* E12 on a compressed timeline: one kill, one restart, a breaker
-         window short enough that recovery is measurable inside a
-         second — lets the schema check assert the >= 80% recovery
-         invariant on every test run. *)
-      e12 ~out ~duration:1.0 ~clients:4 ~reset_timeout:0.2 ()
   | _ ->
       print_endline "Reproduction benches: Customizing IDL Mappings and ORB Protocols";
       print_endline "(Welling & Ott, Middleware 2000) -- see EXPERIMENTS.md for analysis";

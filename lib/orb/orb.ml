@@ -107,6 +107,7 @@ type t = {
   mutable bound_port : int;
   mutable running : bool;
   mutable draining : bool;  (* shutdown in its grace window *)
+  mutable closed : bool;  (* shut down: no new connections until [start] *)
   mutable pool : Pool.t option;  (* workers; created at [start] *)
   conns : (string * string * int, conn) Hashtbl.t;  (* endpoint -> cached conn *)
   client_chain : Interceptor.chain;
@@ -197,6 +198,7 @@ let create ?(protocol = Protocol.text) ?(codecs = [])
     bound_port = 0;
     running = false;
     draining = false;
+    closed = false;
     pool = None;
     conns = Hashtbl.create 16;
     client_chain = Interceptor.empty_chain ();
@@ -713,6 +715,7 @@ let start t =
           t.bound_port <- l.Transport.bound_port;
           t.running <- true;
           t.draining <- false;
+          t.closed <- false;
           Some l
         end)
   in
@@ -874,6 +877,7 @@ let shutdown ?drain_deadline t =
     with_lock t (fun () ->
         let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
         Hashtbl.reset t.conns;
+        t.closed <- true;
         let acc = t.accepted in
         t.accepted <- [];
         let p = t.pool in
@@ -1002,9 +1006,21 @@ let mux_reader t conn =
    connection that then fails on receive means the request most likely
    reached a live server, so it is never retried (duplicate-dispatch
    risk); only a cached (possibly stale) connection justifies the
-   reconnect-and-retry path. *)
+   reconnect-and-retry path.
+
+   After [shutdown] a miss fails at once (a permanent error: no retry,
+   no backoff), and a connect that was in flight when shutdown emptied
+   the cache is closed instead of cached — nothing would close it
+   later, and its reader thread would keep its domain from joining. *)
+let orb_closed = System_exception "ORB shut down: no new connections"
+
 let get_connection t endpoint =
-  match with_lock t (fun () -> Hashtbl.find_opt t.conns endpoint) with
+  match
+    with_lock t (fun () ->
+        match Hashtbl.find_opt t.conns endpoint with
+        | None when t.closed -> raise orb_closed
+        | found -> found)
+  with
   | Some c -> (c, false)
   | None -> (
       let proto_name, host, port = endpoint in
@@ -1033,12 +1049,16 @@ let get_connection t endpoint =
       let outcome =
         with_lock t (fun () ->
             match Hashtbl.find_opt t.conns endpoint with
+            | _ when t.closed -> `Closed
             | Some winner -> `Lost winner
             | None ->
                 Hashtbl.replace t.conns endpoint c;
                 `Won)
       in
       match outcome with
+      | `Closed ->
+          (try Communicator.close c.comm with _ -> ());
+          raise orb_closed
       | `Won ->
           count t Event.opened;
           (* The reader starts only for the connection that actually

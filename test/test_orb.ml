@@ -457,6 +457,31 @@ let test_server_connections_gauge () =
       in
       Alcotest.(check int) "gauge returns to zero" 0 (settle ()))
 
+(* A client that has been shut down dials nothing: a later call fails at
+   once with an error naming the shutdown and opens no connection, and a
+   oneway sent from another domain leaves that domain joinable (a cached
+   fresh connection's reader thread would keep it from joining). *)
+let test_no_dial_after_shutdown () =
+  with_pair (List.hd configs) (fun ~name:_ ~server ~client ->
+      let target = Orb.export server (echo_skeleton ()) in
+      Alcotest.(check string) "before shutdown" "echo:x"
+        (invoke_string client target ~op:"echo" "x");
+      Orb.shutdown client;
+      let opened = (Orb.stats client).Orb.opened in
+      (match invoke_string client target ~op:"echo" "y" with
+      | _ -> Alcotest.fail "a call after shutdown was answered"
+      | exception Orb.System_exception m ->
+          Alcotest.(check bool) ("names the shutdown: " ^ m) true
+            (Tutil.contains m "shut down"));
+      Alcotest.(check int) "no connection opened" opened (Orb.stats client).Orb.opened;
+      Domain.join
+        (Domain.spawn (fun () ->
+             try
+               ignore
+                 (Orb.invoke client target ~op:"noreply" ~oneway:true (fun e ->
+                      e.Wire.Codec.put_string "late"))
+             with Orb.System_exception _ -> ())))
+
 let () =
   Alcotest.run "orb"
     [
@@ -487,6 +512,8 @@ let () =
             test_smart_proxy_oneway_rewrite;
           Alcotest.test_case "server connections gauge" `Quick
             test_server_connections_gauge;
+          Alcotest.test_case "no dial after shutdown" `Quick
+            test_no_dial_after_shutdown;
         ] );
       ( "concurrency",
         [
