@@ -153,8 +153,11 @@ let e11 =
           (all (fun c -> cap c <> 1. || metric "peak_in_flight" c <= 1.));
         gate "e11.both_codecs" "cells cover >= 2 codecs" (fun r ->
             List.length (distinct "protocol" r.cells) >= 2);
-        gate "e11.both_modes" "each codec covers >= 2 client modes"
-          (per_codec (fun _ cs -> List.length (distinct "mode" cs) >= 2));
+        gate "e11.both_modes"
+          "each codec measures the multiplexed and the serialized mode"
+          (per_codec (fun _ cs ->
+               List.exists (fun c -> cap c > 1.) cs
+               && List.exists (fun c -> label "mode" c = "serialized" && cap c = 1.) cs));
         gate "e11.eight_threads"
           "each codec measures >= 8 threads untimed in both modes"
           (per_codec (fun _ cs -> high cs <> []));

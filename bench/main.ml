@@ -1574,7 +1574,7 @@ let experiments =
       smoke = (fun out -> e10 ~out ~duration:0.25 ~client_counts:[ 2; 6 ] ()) };
     (* Both codecs x both client modes at 1 and 8 threads: the 2x gate. *)
     { flag = "--e11"; full = (fun out -> e11 ~out ());
-      smoke = (fun out -> e11 ~out ~duration:0.2 ~thread_counts:[ 1; 8 ] ()) };
+      smoke = (fun out -> e11 ~out ~duration:0.5 ~thread_counts:[ 1; 8 ] ()) };
     (* A compressed timeline whose breaker window fits in a second. *)
     { flag = "--e12"; full = (fun out -> e12 ~out ());
       smoke = (fun out -> e12 ~out ~duration:1.0 ~clients:4 ~reset_timeout:0.2 ()) };

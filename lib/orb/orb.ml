@@ -12,6 +12,9 @@ module Smart = Smart
 module Retry = Retry
 module Breaker = Breaker
 module Pool = Pool
+module Mux = Mux
+module Nego = Nego
+module Admit = Admit
 
 let src = Logs.Src.create "orb" ~doc:"HeidiRMI ORB runtime"
 
@@ -70,17 +73,6 @@ let default_mux = { max_in_flight = 32 }
 (* Below the default server policy's [max_pipelined] (64), so a default
    client never trips a default server's pipelining cap. *)
 
-(* Client-side negotiation state of one connection, guarded by its
-   demux lock. [Nego_offering] is the hold-until-answer gate: while an
-   offer's roundtrip is in flight every other send on the connection
-   waits, so the encoding switch lands on a quiet stream — no frame of
-   the old encoding can be in flight when either side re-points its
-   communicator. *)
-type nego_state =
-  | Nego_idle  (* negotiation off, already resolved, or fallen back *)
-  | Nego_fresh  (* no offer sent yet on this connection *)
-  | Nego_offering  (* offer in flight: all other sends hold *)
-
 type t = {
   proto : Protocol.t;
   codecs : Protocol.t list;
@@ -102,14 +94,15 @@ type t = {
   policy : server_policy;
   mux_cfg : mux;  (* client connection-sharing policy *)
   oa : Object_adapter.t;
-  lock : Locked.t;  (* guards the mutable fields below; rank [connection_cache] *)
+  lock : Locked.t;
+      (* guards the mutable fields below, [adm] and [cache]; rank
+         [connection_cache] *)
   mutable listener : Transport.listener option;
   mutable bound_port : int;
   mutable running : bool;
-  mutable draining : bool;  (* shutdown in its grace window *)
-  mutable closed : bool;  (* shut down: no new connections until [start] *)
+  adm : Admit.t;  (* server admission: pipelining cap, draining *)
   mutable pool : Pool.t option;  (* workers; created at [start] *)
-  conns : (string * string * int, conn) Hashtbl.t;  (* endpoint -> cached conn *)
+  cache : (string * string * int, conn) Mux.cache;  (* endpoint -> conn *)
   client_chain : Interceptor.chain;
   server_chain : Interceptor.chain;
   mutable accepted : sconn list;  (* server-side connections *)
@@ -126,33 +119,19 @@ type t = {
 }
 
 (* One cached outbound connection. [conn_lock] serializes sends (each
-   framed message must hit the wire whole); the reply demultiplexer
-   below owns all receives. *)
+   framed message must hit the wire whole); its reader thread
+   ([mux_reader]) owns all receives. *)
 and conn = {
   comm : Communicator.t;
   conn_lock : Locked.t;  (* send lock; rank [communicator] *)
-  mux : mux_state;
+  mx_lock : Locked.t;
+      (* guards [mux]; rank [mux]; intrinsic cond: delivery, death, slot
+         free, offer settled *)
+  mux : Mux.t;
+  mx_gauge : string;  (* obs gauge name, precomputed off the hot path *)
   c_codec : string ref;
       (* current codec label for per-codec byte metering; re-pointed at
          the negotiated switch *)
-}
-
-(* Demultiplexer state, guarded by [mx_lock]. Waiters register a cell
-   in [mx_pending] keyed by request id before sending; the connection's
-   reader thread fills the cell and broadcasts [mx_lock]. [mx_dead] is
-   the terminal state: set once by whoever observes the connection die
-   (reader I/O failure, send failure, a waiter's deadline expiring),
-   after which every current and future waiter fails with that error. *)
-and mux_state = {
-  mx_lock : Locked.t;
-      (* rank [mux]; intrinsic cond: delivery/death/slot free/offer settled *)
-  mx_pending : (int, Protocol.message option ref) Hashtbl.t;
-  mutable mx_dead : exn option;
-  mutable mx_inflight : int;  (* registered waiters = replies owed *)
-  mutable mx_unsent : int;  (* admitted oneways not yet on the wire *)
-  mx_limit : int;  (* admission bound: mux.max_in_flight, at least 1 *)
-  mutable mx_nego : nego_state;
-  mx_gauge : string;  (* obs gauge name, precomputed off the hot path *)
 }
 
 (* One accepted server-side connection: its reader thread decodes
@@ -160,13 +139,10 @@ and mux_state = {
    serialized by [s_write]. *)
 and sconn = {
   scomm : Communicator.t;
-  s_write : Locked.t;  (* reply serialization; rank [communicator] *)
+  s_write : Locked.t;  (* reply serialization and [s_nego]; rank [communicator] *)
   mutable s_last_active : float;  (* for idle-LRU eviction *)
-  mutable s_inflight : int;  (* requests read but not yet answered *)
-  mutable s_nego : (string * Protocol.t) option;
-      (* negotiation answer awaiting its reply, and the protocol the
-         send side switches to once it is out; guarded by [s_write] *)
-  mutable s_negotiated : bool;  (* an offer was processed; guarded by [s_write] *)
+  s_adm : Admit.conn;  (* requests read but not yet answered; ORB lock *)
+  s_nego : Nego.server;
   s_codec : string ref;  (* current codec label for byte metering *)
 }
 
@@ -197,10 +173,9 @@ let create ?(protocol = Protocol.text) ?(codecs = [])
     listener = None;
     bound_port = 0;
     running = false;
-    draining = false;
-    closed = false;
+    adm = Admit.create ~cap:server_policy.max_pipelined;
     pool = None;
-    conns = Hashtbl.create 16;
+    cache = Mux.cache ();
     client_chain = Interceptor.empty_chain ();
     server_chain = Interceptor.empty_chain ();
     accepted = [];
@@ -394,22 +369,22 @@ let handle_request t proto (req : Protocol.request) : Protocol.reply option =
 let serve_connection t sc =
   let comm = sc.scomm in
   (* Replies can come from several pool workers and the reader thread
-     interleaved; the write mutex keeps each framed message whole. A
+     interleaved; the write lock keeps each framed message whole. A
      dispatched request's reply goes out in [proto], the protocol its
      request came in and its payload is encoded in. A pending
      negotiation answer rides the next reply out, after which the send
-     side switches to the chosen protocol — the offering client holds
-     all further sends until it has the answer, so no frame of the old
-     encoding is in flight across the switch. *)
+     side switches to the chosen protocol (DESIGN.md §13). *)
   let send_msg ?proto msg =
     Locked.with_lock sc.s_write (fun () ->
-        match (msg, sc.s_nego) with
-        | Protocol.Reply r, Some (tok, p) ->
-            Communicator.send ?proto comm
-              (Protocol.Reply { r with Protocol.nego_answer = tok });
-            sc.s_nego <- None;
-            Communicator.set_protocol ~dir:`Send comm p;
-            sc.s_codec := p.Protocol.name
+        match msg with
+        | Protocol.Reply r -> (
+            match Nego.take_answer sc.s_nego with
+            | Some (tok, p) ->
+                Communicator.send ?proto comm
+                  (Protocol.Reply { r with Protocol.nego_answer = tok });
+                Communicator.set_protocol ~dir:`Send comm p;
+                sc.s_codec := p.Protocol.name
+            | None -> Communicator.send ?proto comm msg)
         | _ -> Communicator.send ?proto comm msg)
   in
   let error_reply rep_id reason =
@@ -418,44 +393,48 @@ let serve_connection t sc =
          { Protocol.rep_id; status = Protocol.Status_system_error reason;
            payload = ""; nego_answer = "" })
   in
-  (* Server half of codec negotiation, run on the reader thread at
-     offer-read time. The receive side switches immediately: the
-     offering client sends nothing further until it has processed our
-     answer, so the next inbound frame is already in the chosen
-     encoding. The send side switches in [send_msg] when the answer
-     goes out. Offers ride only two-way requests, and only the first
-     one on a connection is honoured. *)
-  let process_offer (req : Protocol.request) =
-    if (not req.Protocol.oneway) && t.codecs <> [] then begin
-      let decided =
-        Locked.with_lock sc.s_write (fun () ->
-            if sc.s_negotiated then None
-            else begin
-              sc.s_negotiated <- true;
-              match
-                Protocol.Nego.choose ~offer:req.Protocol.nego_offer
-                  ~supported:t.codecs ~compatible:t.codec_compat
-              with
-              | Some (p, tok) ->
-                  sc.s_nego <- Some (tok, p);
-                  Some (Some p)
-              | None -> Some None
-            end)
-      in
-      match decided with
-      | Some (Some p) ->
-          Communicator.set_protocol ~dir:`Recv comm p;
-          count t Event.s_negotiated
-      | Some None -> count t Event.s_fallback
-      | None -> ()
-    end
+  (* The server half of negotiation, on the reader thread at offer-read
+     time. The receive side switches at once: the offering client sends
+     nothing more until it has our answer. *)
+  let process_offer req =
+    match
+      Locked.with_lock sc.s_write (fun () ->
+          Nego.offer sc.s_nego ~codecs:t.codecs ~compat:t.codec_compat req)
+    with
+    | Nego.Switch p ->
+        Communicator.set_protocol ~dir:`Recv comm p;
+        count t Event.s_negotiated
+    | Nego.No_common -> count t Event.s_fallback
+    | Nego.Ignored -> ()
   in
-  (* Refusal, counted under [event]: a diagnosable System_exception
-     reply, never a dropped connection. Admission refusals count as
-     [Event.rejected]; budget-expiry sheds are counted and worded as the
-     Timeout-class outcome they are — the client's budget lapsed, nobody
-     is waiting for the result anymore. *)
-  let refuse event (req : Protocol.request) reason =
+  (* A refusal is a diagnosable System_exception reply, never a dropped
+     connection. Budget-expiry sheds are counted and worded as the
+     Timeout-class outcome they are: nobody waits for the result. *)
+  let refuse (req : Protocol.request) (r : Admit.refusal) =
+    let event, reason =
+      match r with
+      | Admit.Draining -> (Event.rejected, Pool.refused_draining)
+      | Admit.Over_cap ->
+          ( Event.rejected,
+            Printf.sprintf "too many pipelined requests (limit %d)"
+              t.policy.max_pipelined )
+      | Admit.Expired_at_decode ->
+          ( Event.expired_pre_admission,
+            "expired before admission: request deadline budget lapsed" )
+      | Admit.Rejected reason -> (Event.rejected, reason)
+      | Admit.Expired_awaiting_space ->
+          ( Event.expired_pre_admission,
+            "expired before admission: request deadline budget lapsed while \
+             awaiting queue space" )
+      | Admit.Expired_in_queue ->
+          ( Event.expired_in_queue,
+            "expired in queue: request deadline budget lapsed before execution" )
+      | Admit.Doomed_in_queue ->
+          ( Event.doomed_in_queue,
+            "doomed in queue: remaining deadline budget below the \
+             service-time estimate" )
+      | Admit.Cancelled -> (Event.rejected, Pool.refused_cancelled)
+    in
     count t event;
     if not req.Protocol.oneway then error_reply req.Protocol.req_id reason
   in
@@ -464,94 +443,52 @@ let serve_connection t sc =
     | Some rep -> send_msg ~proto (Protocol.Reply rep)
     | None -> ()
   in
-  let dec_inflight () =
+  (* Every uncount broadcasts: it may wake a thread-per-connection
+     drain in [shutdown]. *)
+  let uncount f =
     with_lock t (fun () ->
-        sc.s_inflight <- sc.s_inflight - 1;
-        (* Wakes a thread-per-connection drain in [shutdown]. *)
-        Locked.broadcast t.lock)
+        Locked.broadcast t.lock;
+        f sc.s_adm)
   in
+  let finish () = uncount Admit.finish in
+  (* A failed reply means the connection died under it: close it so the
+     reader thread unwinds and reaps it. *)
+  let or_close f = try f () with _ -> ( try Communicator.close comm with _ -> ()) in
   let dispatch proto (req : Protocol.request) =
     let received_at = Unix.gettimeofday () in
     sc.s_last_active <- received_at;
     (* The wire budget is relative (no clock sync with the peer): anchor
-       it to our own receive time. Everything downstream — admission
-       waits, the pre-execution check — compares against this absolute
-       instant on the server's clock. Conservative by the network
-       transit time: we may execute work the client has just given up
-       on, never shed work it is still waiting for. *)
+       it to our own receive time. Conservative by the transit time: we
+       may execute work the client has just given up on, never shed
+       work it is still waiting for. *)
     let expiry =
       Option.map
         (fun b -> received_at +. (float_of_int b /. 1e6))
         req.Protocol.budget_us
     in
-    let expired_now () =
-      match expiry with
-      | Some x -> Unix.gettimeofday () >= x
-      | None -> false
-    in
-    if with_lock t (fun () -> t.draining) then
-      refuse Event.rejected req Pool.refused_draining
-    else if
-      t.policy.max_pipelined > 0 && sc.s_inflight >= t.policy.max_pipelined
-    then
-      refuse Event.rejected req
-        (Printf.sprintf "too many pipelined requests (limit %d)"
-           t.policy.max_pipelined)
-    else if expired_now () then
-      (* Shed point 1 (decode): the budget lapsed in transit — drop
-         before enqueueing anything. *)
-      refuse Event.expired_pre_admission req
-        "expired before admission: request deadline budget lapsed"
-    else begin
-      with_lock t (fun () -> sc.s_inflight <- sc.s_inflight + 1);
-      match with_lock t (fun () -> t.pool) with
-      | None ->
-          (* Thread-per-connection mode: dispatch inline on the reader
-             thread, exactly the paper's Fig. 5 loop. No queue, so the
-             decode-point check above is the only shed point. *)
-          Fun.protect ~finally:dec_inflight (fun () -> finish_dispatch proto req)
-      | Some pool -> (
-          let job () =
-            Fun.protect ~finally:dec_inflight (fun () ->
-                (* Shed point 3 (pre-execution): a queued request whose
-                   budget lapsed while waiting is answered without ever
-                   running the servant — the zombie-work kill. A request
-                   that has not lapsed yet but whose remaining budget is
-                   below the learned service time is equally dead: it
-                   would be guaranteed to complete after its deadline,
-                   so executing it burns a worker on a reply nobody can
-                   use. Under FIFO saturation the oldest not-yet-expired
-                   request always has near-zero budget left, so without
-                   the doomed check expiry shedding alone recovers no
-                   goodput at all. *)
-                let doomed_now () =
-                  match expiry with
-                  | None -> false
-                  | Some x ->
-                      let ewma = Atomic.get t.service_ewma_us in
-                      ewma > 0
-                      && x -. Unix.gettimeofday ()
-                         < 1.25 *. float_of_int ewma /. 1e6
-                in
-                if expired_now () then
-                  try
-                    refuse Event.expired_in_queue req
-                      "expired in queue: request deadline budget lapsed \
-                       before execution"
-                  with _ -> (try Communicator.close comm with _ -> ())
-                else if doomed_now () then
-                  try
-                    refuse Event.doomed_in_queue req
-                      "doomed in queue: remaining deadline budget below \
-                       the service-time estimate"
-                  with _ -> (try Communicator.close comm with _ -> ())
-                else begin
+    match
+      with_lock t (fun () ->
+          match Admit.arrive t.adm sc.s_adm ~expiry ~now:(Unix.gettimeofday ()) with
+          | Admit.Run -> Ok t.pool
+          | Admit.Refuse r -> Error r)
+    with
+    | Error r -> refuse req r
+    | Ok None ->
+        (* Thread-per-connection mode: dispatch inline on the reader
+           thread, the paper's Fig. 5 loop. No queue, so decode is the
+           only shed point. *)
+        Fun.protect ~finally:finish (fun () -> finish_dispatch proto req)
+    | Ok (Some pool) -> (
+        let job () =
+          Fun.protect ~finally:finish (fun () ->
+              match
+                Admit.pickup ~expiry ~now:(Unix.gettimeofday ())
+                  ~service_us:(Atomic.get t.service_ewma_us)
+              with
+              | Admit.Refuse r -> or_close (fun () -> refuse req r)
+              | Admit.Run ->
                   let run_started = Unix.gettimeofday () in
-                  (try finish_dispatch proto req
-                   with _ ->
-                     (* The connection died under the reply: close it so
-                        the reader thread unwinds and reaps it. *)
-                     (try Communicator.close comm with _ -> ()));
+                  or_close (fun () -> finish_dispatch proto req);
                   let sample_us =
                     int_of_float ((Unix.gettimeofday () -. run_started) *. 1e6)
                   in
@@ -566,33 +503,19 @@ let serve_connection t sc =
                     if not (Atomic.compare_and_set t.service_ewma_us cur next)
                     then ewma_update ()
                   in
-                  ewma_update ()
-                end)
-          in
-          (* Runs iff the pool is stopped while this request is still
-             queued (immediate shutdown): answer it like an admission
-             refusal so a pipelined client learns at once that it never
-             ran — and may re-send it elsewhere — instead of waiting out
-             its call deadline on a silently dropped job. *)
-          let cancel () =
-            dec_inflight ();
-            refuse Event.rejected req Pool.refused_cancelled
-          in
-          (* Shed point 2 (admission): [?expire] caps any Block parking
-             at the request's own remaining budget. *)
-          match Pool.submit pool ~cancel ?expire:expiry job with
-          | `Accepted ->
-              Obs.set_gauge t.obs ~name:"server:pool_depth"
-                (float_of_int (Pool.depth pool))
-          | `Rejected reason ->
-              dec_inflight ();
-              refuse Event.rejected req reason
-          | `Expired ->
-              dec_inflight ();
-              refuse Event.expired_pre_admission req
-                "expired before admission: request deadline budget lapsed \
-                 while awaiting queue space")
-    end
+                  ewma_update ())
+        in
+        (* Runs iff the pool stops with this request still queued: a
+           pipelined client learns at once that it never ran, and may
+           re-send it elsewhere. *)
+        let cancel () = refuse req (uncount Admit.cancel) in
+        (* [?expire] caps any Block parking at the request's own budget. *)
+        match Pool.submit pool ~cancel ?expire:expiry job with
+        | `Accepted ->
+            Obs.set_gauge t.obs ~name:"server:pool_depth"
+              (float_of_int (Pool.depth pool))
+        | (`Rejected _ | `Expired) as o ->
+            refuse req (uncount (fun c -> Admit.submitted c o)))
   in
   let rec loop () =
     match Communicator.recv_opt comm with
@@ -681,7 +604,9 @@ let admit_connection t sc =
         let limit = t.policy.max_connections in
         if limit > 0 && List.length t.accepted > limit then begin
           let candidates = List.filter (fun c -> c != sc) t.accepted in
-          let idle = List.filter (fun c -> c.s_inflight = 0) candidates in
+          let idle =
+            List.filter (fun c -> c.s_adm.Admit.inflight = 0) candidates
+          in
           let stalest l =
             List.fold_left
               (fun best c ->
@@ -714,8 +639,8 @@ let start t =
           t.listener <- Some l;
           t.bound_port <- l.Transport.bound_port;
           t.running <- true;
-          t.draining <- false;
-          t.closed <- false;
+          t.adm.Admit.draining <- false;
+          Mux.reopen t.cache;
           Some l
         end)
   in
@@ -752,9 +677,8 @@ let start t =
                     Locked.create ~name:"sconn.write"
                       ~rank:Locked.Rank.communicator;
                   s_last_active = Unix.gettimeofday ();
-                  s_inflight = 0;
-                  s_nego = None;
-                  s_negotiated = false;
+                  s_adm = Admit.conn ();
+                  s_nego = Nego.server ();
                   s_codec;
                 }
               in
@@ -783,28 +707,21 @@ let start t =
 
 (* ---------------- client connection teardown ---------------- *)
 
-let mux_gauge t mx n = Obs.set_gauge t.obs ~name:mx.mx_gauge (float_of_int n)
+let mux_gauge t conn n =
+  Obs.set_gauge t.obs ~name:conn.mx_gauge (float_of_int n)
 
-(* Declare the connection dead and wake every waiter. First caller wins
-   (later deaths keep the original error). Every close of a client
-   connection goes through here: besides closing the channel, which
-   unblocks a reader parked inside a transport read, the broadcast wakes
-   the callers waiting for admission or a reply AND the reader thread,
-   which may be parked on the demux lock (idle, nothing in flight) where
-   a plain close would never reach it. The connection is NOT removed
-   from the cache here: the next caller that picks it up fails fast in
-   send phase, burns one retry-classified attempt, and reconnects — the
-   stale-cached-connection semantics. *)
+(* Declare the connection dead and wake every waiter; the first death
+   also closes the channel, which unblocks a reader parked inside a
+   transport read. Every close of a client connection goes through
+   here. It does NOT leave the cache: the next caller that picks it up
+   fails fast in send phase, burns one retry-classified attempt, and
+   reconnects — the stale-cached-connection semantics. *)
 let mux_kill conn err =
-  let mx = conn.mux in
-  let first =
-    Locked.with_lock mx.mx_lock (fun () ->
-        let first = mx.mx_dead = None in
-        if first then mx.mx_dead <- Some err;
-        Locked.broadcast mx.mx_lock;
-        first)
-  in
-  if first then try Communicator.close conn.comm with _ -> ()
+  if
+    Locked.with_lock conn.mx_lock (fun () ->
+        Locked.broadcast conn.mx_lock;
+        Mux.kill conn.mux err)
+  then try Communicator.close conn.comm with _ -> ()
 
 (* Shutdown in three phases. Phase 1 stops intake: the listener closes
    and [draining] makes every connection reject new requests with a
@@ -820,7 +737,7 @@ let shutdown ?drain_deadline t =
         t.listener <- None;
         let was = t.running in
         t.running <- false;
-        t.draining <- true;
+        t.adm.Admit.draining <- true;
         (l, t.pool, was))
   in
   (match listener with Some l -> l.Transport.shutdown () | None -> ());
@@ -847,7 +764,9 @@ let shutdown ?drain_deadline t =
             with_lock t (fun () ->
                 let rec wait () =
                   let n =
-                    List.fold_left (fun acc c -> acc + c.s_inflight) 0 t.accepted
+                    List.fold_left
+                      (fun acc c -> acc + c.s_adm.Admit.inflight)
+                      0 t.accepted
                   in
                   if n = 0 then `Drained
                   else if Unix.gettimeofday () >= d then `Aborted n
@@ -875,9 +794,7 @@ let shutdown ?drain_deadline t =
           Obs.emit t.obs s));
   let conns, accepted, pool =
     with_lock t (fun () ->
-        let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-        Hashtbl.reset t.conns;
-        t.closed <- true;
+        let cs = Mux.close t.cache in
         let acc = t.accepted in
         t.accepted <- [];
         let p = t.pool in
@@ -919,75 +836,53 @@ let export_cached t ~key ~type_id build =
 (* The per-connection reader thread: the only receiver this connection
    ever has. It runs with NO channel deadline — a deadline firing
    between the frame header and body would desynchronize the stream for
-   every in-flight call; per-call deadlines are enforced at the waiter's
-   condition variable instead, and an expired waiter kills the whole
-   connection (below). *)
+   every in-flight call; per-call deadlines are enforced at the
+   waiter's condition instead. It enters the transport read only while
+   a reply is owed, so idle connections are read-free, which both the
+   fault-injection plans (a [Stall_read] drawn at read-call time must
+   land on the read for the call under test) and the thread accounting
+   at shutdown depend on. A reply [Mux.deliver] cannot hand to its
+   waiter means the stream no longer corresponds to what we sent:
+   poisoned, killed, so no later call can be handed the wrong
+   payload. *)
 let mux_reader t conn =
-  let mx = conn.mux in
-  (* Park until the connection owes us a reply. Issuing the blocking
-     transport read only while a call is registered keeps idle
-     connections read-free, which both the fault-injection plans (a [Stall_read] drawn at
-     read-call time must land on the read for the call under test, not
-     on a reader that has been parked inside the transport since the
-     previous call) and the thread accounting at shutdown depend on.
-     Returns [false] when the connection dies while idle. *)
-  let await_work () =
-    Locked.with_lock mx.mx_lock (fun () ->
-        let rec wait () =
-          if mx.mx_dead <> None then false
-          else if Hashtbl.length mx.mx_pending > 0 then true
-          else begin
-            Locked.wait mx.mx_lock;
-            wait ()
-          end
-        in
-        wait ())
+  let mx = conn.mux and lock = conn.mx_lock in
+  let rec await_work () =
+    match Mux.reader mx with
+    | Mux.Read -> true
+    | Mux.Stop -> false
+    | Mux.Idle ->
+        Locked.wait lock;
+        await_work ()
   in
-  let deliver rep_id reply =
-    let delivered =
-      Locked.with_lock mx.mx_lock (fun () ->
-          match Hashtbl.find_opt mx.mx_pending rep_id with
-          | Some cell ->
-              cell := Some reply;
-              Hashtbl.remove mx.mx_pending rep_id;
-              mx.mx_inflight <- mx.mx_inflight - 1;
-              Locked.broadcast mx.mx_lock;
-              Some mx.mx_inflight
-          | None -> None)
-    in
-    match delivered with
-    | Some n ->
-        mux_gauge t mx n;
-        true
-    | None -> false
+  let poisoned rep_id what =
+    count t Event.orphan_replies;
+    mux_kill conn
+      (System_exception
+         (Printf.sprintf "reply id %d %s (connection dropped)" rep_id what))
   in
   let rec loop () =
-    if not (await_work ()) then ()
-    else
-    match Communicator.recv conn.comm with
-    | (Protocol.Reply { Protocol.rep_id; _ }
-      | Protocol.Locate_reply { rep_id; _ }
-      | Protocol.Locate_forward { rep_id; _ }) as reply ->
-        if deliver rep_id reply then loop ()
-        else begin
-          (* No waiter for this id. Deadline expiry kills the whole
-             connection, so a live demux owes a reply to every id it is
-             still reading — an unknown id means the stream no longer
-             corresponds to what we sent (a corrupted or rewritten id).
-             Poisoned: kill, so no later call can be handed the wrong
-             payload. *)
-          count t Event.orphan_replies;
-          mux_kill conn
-            (System_exception
-               (Printf.sprintf
-                  "reply id %d does not match any in-flight request \
-                   (connection dropped)"
-                  rep_id))
-        end
-    | Protocol.Request _ | Protocol.Locate_request _ ->
-        mux_kill conn
-          (System_exception "peer sent a non-reply where a reply was expected")
-    | exception e -> mux_kill conn e
+    if Locked.with_lock lock await_work then
+      match Communicator.recv conn.comm with
+      | exception e -> mux_kill conn e
+      | msg -> (
+          match
+            Locked.with_lock lock (fun () ->
+                let d = Mux.deliver mx msg in
+                if d == Mux.Delivered then Locked.broadcast lock;
+                (d, mx.Mux.inflight))
+          with
+          | Mux.Delivered, n ->
+              mux_gauge t conn n;
+              loop ()
+          | Mux.Orphan id, _ ->
+              poisoned id "does not match any in-flight request"
+          | Mux.Wrong_kind id, _ ->
+              poisoned id "answers a different kind of request"
+          | Mux.Not_a_reply, _ ->
+              mux_kill conn
+                (System_exception
+                   "peer sent a non-reply where a reply was expected"))
   in
   loop ()
 
@@ -998,105 +893,55 @@ let mux_reader t conn =
    there is no available connection is a new connection opened").
 
    The blocking [Transport.connect] happens OUTSIDE the ORB mutex — a
-   slow or hung connect must not stall every concurrent call and the
-   stats counters. Losing a connect race is resolved first-wins: the
-   cache entry that got there first is kept, ours is closed.
+   slow or hung connect must not stall every concurrent call. The
+   decisions are [Mux.lookup] and [Mux.install]: first dial wins, and
+   after [shutdown] a miss fails at once (a permanent error) and a
+   connect in flight is closed instead of cached.
 
    Returns the connection plus whether WE opened it just now: a fresh
    connection that then fails on receive means the request most likely
    reached a live server, so it is never retried (duplicate-dispatch
    risk); only a cached (possibly stale) connection justifies the
-   reconnect-and-retry path.
-
-   After [shutdown] a miss fails at once (a permanent error: no retry,
-   no backoff), and a connect that was in flight when shutdown emptied
-   the cache is closed instead of cached — nothing would close it
-   later, and its reader thread would keep its domain from joining. *)
+   reconnect-and-retry path. *)
 let orb_closed = System_exception "ORB shut down: no new connections"
 
 let get_connection t endpoint =
-  match
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.conns endpoint with
-        | None when t.closed -> raise orb_closed
-        | found -> found)
-  with
-  | Some c -> (c, false)
-  | None -> (
+  match with_lock t (fun () -> Mux.lookup t.cache endpoint) with
+  | Mux.Cached c -> (c, false)
+  | Mux.Won | Mux.Shut -> raise orb_closed
+  | Mux.Dial -> (
       let proto_name, host, port = endpoint in
       let chan = Transport.connect ~proto:proto_name ~host ~port in
       let c_codec = ref t.proto.Protocol.name in
       let chan = meter_channel t (endpoint_key endpoint) c_codec chan in
-      let mux =
-        {
-          mx_lock = Locked.create ~name:"mux" ~rank:Locked.Rank.mux;
-          mx_pending = Hashtbl.create 16;
-          mx_dead = None;
-          mx_inflight = 0;
-          mx_unsent = 0;
-          mx_limit = max 1 t.mux_cfg.max_in_flight;
-          mx_nego = (if t.codecs = [] then Nego_idle else Nego_fresh);
-          mx_gauge = "client:in_flight:" ^ endpoint_key endpoint;
-        }
-      in
       let c =
         { comm = Communicator.wrap t.proto chan;
           conn_lock =
             Locked.create ~name:"conn.send" ~rank:Locked.Rank.communicator;
-          mux;
+          mx_lock = Locked.create ~name:"mux" ~rank:Locked.Rank.mux;
+          mux =
+            Mux.create ~limit:t.mux_cfg.max_in_flight ~negotiate:(t.codecs <> []);
+          mx_gauge = "client:in_flight:" ^ endpoint_key endpoint;
           c_codec }
       in
-      let outcome =
-        with_lock t (fun () ->
-            match Hashtbl.find_opt t.conns endpoint with
-            | _ when t.closed -> `Closed
-            | Some winner -> `Lost winner
-            | None ->
-                Hashtbl.replace t.conns endpoint c;
-                `Won)
-      in
-      match outcome with
-      | `Closed ->
-          (try Communicator.close c.comm with _ -> ());
-          raise orb_closed
-      | `Won ->
+      match with_lock t (fun () -> Mux.install t.cache endpoint c) with
+      | Mux.Won ->
           count t Event.opened;
-          (* The reader starts only for the connection that actually
-             enters the cache — a race loser is closed before any
-             request can be sent on it. *)
+          (* Only the connection that enters the cache gets a reader. *)
           ignore (Locked.spawn "orb.mux_reader" (fun () -> mux_reader t c));
           (c, true)
-      | `Lost winner ->
+      | Mux.Cached winner ->
           (try Communicator.close c.comm with _ -> ());
-          (winner, false))
-
-let drop_connection t endpoint =
-  (* The close (channel shutdown + demux teardown) runs outside the ORB
-     lock, like [drop_this_connection] and [shutdown] already do: a
-     lock-held close would stall every concurrent call behind this
-     endpoint's teardown syscalls. *)
-  let victim =
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.conns endpoint with
-        | Some c ->
-            Hashtbl.remove t.conns endpoint;
-            Some c
-        | None -> None)
-  in
-  match victim with
-  | None -> ()
-  | Some c ->
-      mux_kill c (Transport.Transport_error "connection closed locally")
+          (winner, false)
+      | Mux.Dial | Mux.Shut ->
+          (try Communicator.close c.comm with _ -> ());
+          raise orb_closed)
 
 (* Identity-aware drop for failure paths that hold the failed connection:
    with many waiters waking from one connection death at once, the first
-   may drop-and-reconnect before the second reaches its handler — a
-   blind [drop_connection] would then tear down the healthy replacement. *)
+   may drop-and-reconnect before the second reaches its handler. *)
 let drop_this_connection t endpoint c =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.conns endpoint with
-      | Some cur when cur == c -> Hashtbl.remove t.conns endpoint
-      | _ -> ());
+  with_lock t (fun () -> Mux.remove t.cache endpoint c);
   mux_kill c (Transport.Transport_error "connection closed locally")
 
 let next_req_id t = Atomic.fetch_and_add t.next_req_id 1
@@ -1110,118 +955,60 @@ let next_req_id t = Atomic.fetch_and_add t.next_req_id 1
 exception
   Exchange_failed of { phase : [ `Send | `Recv ]; fatal : bool; err : exn }
 
-(* Substring search, for classifying a peer's error reply. Error path
-   only — allocation is fine. *)
-let contains_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
+(* Decides again after every wakeup on [lock] until [decide] stops
+   holding, or answers the hold once [deadline] has passed. The one wait
+   with an optional deadline: [Locked.wait_until] is woken by the
+   deadline service, so a caller wakes at once on a broadcast however
+   far off its deadline is. *)
+let rec hold_from lock deadline decide expired =
+  let v = decide expired in
+  if expired || not (Mux.holds v) then v
+  else
+    hold_from lock deadline decide
+      (match deadline with
+      | None ->
+          Locked.wait lock;
+          false
+      | Some d -> Locked.wait_until lock d = `Timed_out)
 
-(* The offer is settled: every call held behind it may proceed. *)
-let nego_settle mx =
-  Locked.with_lock mx.mx_lock (fun () ->
-      mx.mx_nego <- Nego_idle;
-      Locked.broadcast mx.mx_lock)
+let hold lock deadline decide =
+  hold_from lock deadline decide
+    (match deadline with Some d -> Unix.gettimeofday () >= d | None -> false)
 
-(* The client exchange: admit, send, await. Admission registers a waiter
-   cell under the demux lock, the send runs under the (short) connection
-   write lock, then the caller blocks until the reader delivers the
-   reply, the connection dies, or the per-call deadline passes. Every
-   wait parks on the demux lock: without a deadline in [Locked.wait],
-   with one in [Locked.wait_until], which the deadline service wakes
-   when the deadline passes. The reader's delivery, an unregister,
-   [nego_settle] and [mux_kill] all broadcast the same lock, so a caller
-   wakes at once, however far off its deadline is.
-
-   Admission is also the negotiation gate. The first two-way request on
-   a connection that negotiates takes the connection's one offer, but
-   only once nothing is in flight and every oneway admitted before it
-   is on the wire, so neither an earlier reply nor an earlier oneway
-   can cross the switch in the wrong encoding. While the offer is out
-   every other call waits, oneways and locates included: the
-   hold-until-answer discipline both communicator re-pointings rely
-   on.
-
-   Admission also fixes the protocol the message goes out in: the
-   connection's send protocol at that instant (the base protocol for
-   the offer itself). A request's payload is marshalled in it by
-   [payload], after admission and outside both locks, and the envelope
-   is sent in the same protocol value, so a frame never mixes two
-   codecs. The reply comes back with that protocol: its payload is in
-   the same codec. *)
-let rec exchange t conn msg ~payload ~oneway ~deadline
-    ~(span : Obs.Trace.span option) =
-  let mx = conn.mux in
+(* The client exchange: admit, marshal, send, await — each decision is
+   [Mux]'s, under the demux lock; this is the shell that waits, sends
+   and wakes (DESIGN.md §9). Admission fixes the protocol the message
+   goes out in (the base protocol for the offer itself); the payload is
+   marshalled in its codec after admission, outside both locks, so a
+   frame never mixes two codecs, and the reply comes back with that
+   protocol. *)
+let rec exchange t conn msg ~payload ~deadline ~(span : Obs.Trace.span option) =
+  let mx = conn.mux and lock = conn.mx_lock in
   let fail_ phase ~fatal err = raise (Exchange_failed { phase; fatal; err }) in
-  let msg_id =
-    match msg with
-    | Protocol.Request r -> r.Protocol.req_id
-    | Protocol.Locate_request { req_id; _ } -> req_id
-    | Protocol.Reply _ | Protocol.Locate_reply _ | Protocol.Locate_forward _ ->
-        0
+  let cell = Mux.cell msg in
+  let oneway = cell.Mux.kind = Mux.Oneway in
+  let verdict, inflight_now, proto =
+    Locked.with_lock lock (fun () ->
+        let v = hold lock deadline (fun expired -> Mux.admit mx cell ~expired) in
+        (v, mx.Mux.inflight, Communicator.protocol conn.comm))
   in
-  let can_offer =
-    match msg with Protocol.Request r -> not r.Protocol.oneway | _ -> false
-  in
-  let cell = ref None in
-  (* One decision per wakeup, atomically with the death check: [mux_kill]
-     wakes exactly the waiters registered at that instant, so a waiter
-     that got in under the same lock section can never be missed.
-     Registration happens BEFORE the send — the reply can overtake the
-     sender's return. A dead connection fails fast as a send-phase error:
-     nothing was sent, the retry engine treats it exactly like the stale
-     cached connection it is. *)
-  let admission =
-    Locked.with_lock mx.mx_lock (fun () ->
-        let admit ~offer =
-          if not oneway then begin
-            Hashtbl.replace mx.mx_pending msg_id cell;
-            mx.mx_inflight <- mx.mx_inflight + 1
-          end
-          else mx.mx_unsent <- mx.mx_unsent + 1;
-          `Admitted (offer, mx.mx_inflight, Communicator.protocol conn.comm)
-        in
-        let rec decide timed_out =
-          match (mx.mx_dead, mx.mx_nego) with
-          | Some err, _ -> `Dead err
-          | None, Nego_offering -> park timed_out `Behind_offer
-          | None, Nego_fresh when can_offer ->
-              if mx.mx_inflight = 0 && mx.mx_unsent = 0 then begin
-                mx.mx_nego <- Nego_offering;
-                admit ~offer:true
-              end
-              else park timed_out `Behind_offer
-          | None, (Nego_fresh | Nego_idle) ->
-              if oneway || mx.mx_inflight < mx.mx_limit then admit ~offer:false
-              else park timed_out `No_slot
-        and park timed_out expired =
-          if timed_out then expired
-          else
-            match deadline with
-            | None ->
-                Locked.wait mx.mx_lock;
-                decide false
-            | Some d -> decide (Locked.wait_until mx.mx_lock d = `Timed_out)
-        in
-        decide false)
-  in
-  let offer, inflight_now, proto =
-    match admission with
-    | `Dead err -> fail_ `Send ~fatal:true err
-    | (`Behind_offer | `No_slot) as why ->
+  let offer =
+    match verdict with
+    | Mux.Admitted -> false
+    | Mux.Admitted_offer -> true
+    | Mux.Dead err -> fail_ `Send ~fatal:true err
+    | why ->
         (* Never sent: the connection is healthy, just mid-offer or
            saturated. Not fatal — the cache entry stays. *)
         fail_ `Send ~fatal:false
           (Transport.Timeout
              (Printf.sprintf "timed out %s to %s"
-                (match why with
-                | `Behind_offer -> "behind a codec negotiation"
-                | `No_slot -> "waiting for an in-flight slot")
+                (if why == Mux.Behind_offer then "behind a codec negotiation"
+                 else "waiting for an in-flight slot")
                 (Communicator.peer conn.comm)))
-    | `Admitted a -> a
   in
   if not oneway then begin
-    mux_gauge t mx inflight_now;
+    mux_gauge t conn inflight_now;
     (* Monotone max via CAS: losing a race means someone recorded an
        even higher peak, so losing is winning. *)
     let rec bump () =
@@ -1233,29 +1020,11 @@ let rec exchange t conn msg ~payload ~oneway ~deadline
     in
     bump ()
   end;
-  (* Undoes admission: a two-way's reply cell, a oneway's unsent mark
-     (once it is on the wire, or failed), and with [reoffer] — nothing
-     was sent — an offer this call took, which passes to the next
-     two-way call. *)
   let unregister ?(reoffer = false) () =
-    let n =
-      Locked.with_lock mx.mx_lock (fun () ->
-          if Hashtbl.mem mx.mx_pending msg_id then begin
-            Hashtbl.remove mx.mx_pending msg_id;
-            mx.mx_inflight <- mx.mx_inflight - 1;
-            Locked.broadcast mx.mx_lock
-          end;
-          if oneway then begin
-            mx.mx_unsent <- mx.mx_unsent - 1;
-            if mx.mx_unsent = 0 then Locked.broadcast mx.mx_lock
-          end;
-          if reoffer then begin
-            mx.mx_nego <- Nego_fresh;
-            Locked.broadcast mx.mx_lock
-          end;
-          mx.mx_inflight)
-    in
-    mux_gauge t mx n
+    mux_gauge t conn
+      (Locked.with_lock lock (fun () ->
+           if Mux.unregister mx cell ~reoffer then Locked.broadcast lock;
+           mx.Mux.inflight))
   in
   let wire =
     match msg with
@@ -1301,142 +1070,86 @@ let rec exchange t conn msg ~payload ~oneway ~deadline
     unregister ();
     None
   end
-  else begin
-    let outcome =
-      Locked.with_lock mx.mx_lock (fun () ->
-          (* Wake the reader: it parks on this lock while nothing is in
-             flight and only enters the transport read once it owes a
-             reply. Woken at registration instead, it would contend for
-             the runtime while this thread still marshals and sends: a
-             lone caller's mem echo cost about 10% more CPU. *)
-          Locked.broadcast mx.mx_lock;
-          let rec await timed_out =
-            match !cell with
-            | Some reply -> `Got reply
-            | None -> (
-                match mx.mx_dead with
-                | Some err -> `Dead err
-                | None -> (
-                    if timed_out then `Expired
-                    else
-                      match deadline with
-                      | None ->
-                          Locked.wait mx.mx_lock;
-                          await false
-                      | Some d ->
-                          await (Locked.wait_until mx.mx_lock d = `Timed_out)))
-          in
-          await false)
-    in
-    match outcome with
-      | `Got reply ->
-          (match span with
-          | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
-          | None -> ());
-          if offer then
-            settle_offer t conn msg proto reply ~payload ~oneway ~deadline ~span
-          else Some (proto, reply)
-      | `Dead err ->
-          unregister ();
-          fail_ `Recv ~fatal:true err
-      | `Expired ->
-          unregister ();
-          (* The stream still owes us a reply we will never consume;
-             leaving the connection alive would hand that reply to some
-             later call. Kill it — which is also what heals an endpoint
-             whose reads stall: the cache entry goes, the next attempt
-             dials fresh. Collateral waiters see a transport error
-             (retry-classifiable), not our timeout. *)
-          mux_kill conn
-            (Transport.Transport_error
-               (Printf.sprintf
-                  "connection to %s closed: a call deadline expired \
-                   mid-stream"
-                  (Communicator.peer conn.comm)));
-          fail_ `Recv ~fatal:true
-            (Transport.Timeout
-               (Printf.sprintf "reply %d from %s timed out" msg_id
-                  (Communicator.peer conn.comm)))
-  end
+  else
+    (* The broadcast wakes the reader, parked while nothing is owed.
+       Woken at registration instead, it would contend for the runtime
+       while this thread still marshals and sends: a lone caller's mem
+       echo cost about 10% more CPU. *)
+    match
+      Locked.with_lock lock (fun () ->
+          Locked.broadcast lock;
+          hold lock deadline (fun _ -> Mux.await mx cell))
+    with
+    | Mux.Replied ->
+        let reply = Option.get cell.Mux.reply in
+        (match span with
+        | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
+        | None -> ());
+        if offer then settle_offer t conn msg proto reply ~payload ~deadline ~span
+        else Some (proto, reply)
+    | Mux.Dead err ->
+        unregister ();
+        fail_ `Recv ~fatal:true err
+    | _ ->
+        unregister ();
+        (* The stream still owes us a reply we will never consume;
+           leaving the connection alive would hand that reply to some
+           later call. Kill it — which also heals an endpoint whose
+           reads stall. Collateral waiters see a transport error
+           (retry-classifiable), not our timeout. *)
+        mux_kill conn
+          (Transport.Transport_error
+             (Printf.sprintf
+                "connection to %s closed: a call deadline expired mid-stream"
+                (Communicator.peer conn.comm)));
+        fail_ `Recv ~fatal:true
+          (Transport.Timeout
+             (Printf.sprintf "reply %d from %s timed out" cell.Mux.id
+                (Communicator.peer conn.comm)))
 
-(* Act on the reply to the connection's one offer. An answer re-points
-   both directions of the communicator; no answer means the peer is
-   older (or found nothing compatible) — stay on the base protocol. A
-   deadline-era peer that predates negotiation rejects the offer's
-   empty forced budget slot with a recoverable error reply and never
-   dispatches, so that one shape is detected and the request re-sent
-   once without the offer. A failed offer needs no settling: every
-   failure after admission kills the connection, and admission checks
-   death before the offer state. The offer and its reply travel in the
-   base protocol [proto], whatever the answer. *)
-and settle_offer t conn msg proto reply ~payload ~oneway ~deadline ~span =
-  let fallback () =
-    count t Event.c_fallback;
-    nego_settle conn.mux
+(* Act on [Nego.answer]'s verdict on the reply to the connection's one
+   offer. A failed offer needs no settling: every failure after
+   admission kills the connection, and admission checks death before
+   the gate. The offer and its reply travel in the base protocol
+   [proto], whatever the answer. *)
+and settle_offer t conn msg proto reply ~payload ~deadline ~span =
+  let settle () =
+    Locked.with_lock conn.mx_lock (fun () ->
+        Mux.settle conn.mux;
+        Locked.broadcast conn.mx_lock)
   in
-  match reply with
-  | Protocol.Reply r when r.Protocol.nego_answer <> "" -> (
-      let tok = r.Protocol.nego_answer in
-      let chosen =
-        (* Match the answer by name, then vet the version pair with the
-           same predicate the server used: an old client and a new
-           server (or vice versa) converge as long as [codec_compat]
-           vouches that the two wire versions interoperate — each side
-           then speaks its own implementation of the codec. *)
-        match Protocol.Nego.parse_token tok with
-        | Some (nm, ver) -> (
-            match
-              List.find_opt (fun p -> p.Protocol.name = nm) t.codecs
-            with
-            | Some p
-              when ver = p.Protocol.version
-                   || t.codec_compat ~name:nm ~offered:ver
-                        ~local:p.Protocol.version ->
-                Some p
-            | Some _ | None -> None)
-        | None -> None
-      in
-      match chosen with
-      | Some p ->
-          Communicator.set_protocol conn.comm p;
-          conn.c_codec := p.Protocol.name;
-          count t Event.c_negotiated;
-          nego_settle conn.mux;
-          Some (proto, reply)
-      | None ->
-          (* The peer answered a codec we never offered and has already
-             switched its stream: we cannot follow. Kill the connection
-             before the calls held behind the offer send on it; they
-             see a transport error (retry-classifiable). *)
-          mux_kill conn
-            (Transport.Transport_error
-               (Printf.sprintf
-                  "connection to %s closed: peer answered an unknown codec"
-                  (Communicator.peer conn.comm)));
-          raise
-            (Exchange_failed
-               {
-                 phase = `Recv;
-                 fatal = true;
-                 err =
-                   System_exception
-                     (Printf.sprintf
-                        "peer answered unknown codec %S in negotiation" tok);
-               }))
-  | Protocol.Reply { Protocol.status = Protocol.Status_system_error m; _ }
-    when (match msg with
-         | Protocol.Request { Protocol.budget_us = None; _ } -> true
-         | _ -> false)
-         && contains_sub ~sub:"malformed deadline slot" m ->
-      (* The pre-negotiation deadline-era peer: it rejected the empty
-         forced budget slot recoverably, without dispatching anything —
-         re-sending the plain request is duplicate-safe. *)
-      fallback ();
-      exchange t conn msg ~payload ~oneway ~deadline ~span
-  | _ ->
-      (* A reply with no answer slot, or a non-reply (e.g. a forward):
-         the peer did not negotiate. *)
-      fallback ();
+  match Nego.answer ~codecs:t.codecs ~compat:t.codec_compat msg reply with
+  | Nego.Chosen p ->
+      Communicator.set_protocol conn.comm p;
+      conn.c_codec := p.Protocol.name;
+      count t Event.c_negotiated;
+      settle ();
+      Some (proto, reply)
+  | Nego.Unknown tok ->
+      (* Kill before the calls held behind the offer send on it; they
+         see a transport error (retry-classifiable). *)
+      mux_kill conn
+        (Transport.Transport_error
+           (Printf.sprintf
+              "connection to %s closed: peer answered an unknown codec"
+              (Communicator.peer conn.comm)));
+      raise
+        (Exchange_failed
+           {
+             phase = `Recv;
+             fatal = true;
+             err =
+               System_exception
+                 (Printf.sprintf
+                    "peer answered unknown codec %S in negotiation" tok);
+           })
+  | Nego.Resend ->
+      count t Event.c_fallback;
+      settle ();
+      exchange t conn msg ~payload ~deadline ~span
+  | Nego.Fallback ->
+      count t Event.c_fallback;
+      settle ();
       Some (proto, reply)
 
 (* Locates and probes carry no payload. *)
@@ -1456,17 +1169,11 @@ let classify = function
 let retryable t ~attempt e =
   attempt < t.retry.Retry.max_attempts && classify e = Retry.Transient
 
-(* The never-executed refusal answering [msg], as the exception the
-   caller would otherwise see. The id check keeps a desynchronized
-   stream's reply (someone else's refusal) from passing for ours. *)
-let refusal_of msg resp =
-  match (msg, resp) with
-  | ( Protocol.Request { Protocol.req_id; _ },
-      Some
-        ( _,
-          Protocol.Reply
-            { Protocol.rep_id; status = Protocol.Status_system_error m; _ } ) )
-    when rep_id = req_id && Pool.never_executed m ->
+(* The never-executed refusal answering a call, as the exception the
+   caller would otherwise see. *)
+let refusal_of = function
+  | Some (_, Protocol.Reply { Protocol.status = Protocol.Status_system_error m; _ })
+    when Pool.never_executed m ->
       Some (System_exception m)
   | _ -> None
 
@@ -1493,8 +1200,8 @@ let call_deadline t timeout =
    not an invariant — exactly what load balancing needs. No cached
    connection counts as idle. *)
 let inflight_hint t ep =
-  match Hashtbl.find_opt t.conns ep with
-  | Some c -> c.mux.mx_inflight
+  match Hashtbl.find_opt t.cache.Mux.conns ep with
+  | Some c -> c.mux.Mux.inflight
   | None -> 0
 
 (* Power-of-two-choices over per-endpoint in-flight counts: draw two
@@ -1530,7 +1237,7 @@ let pick_endpoint t = function
    may be executing on a server (fresh-connection receive failures) —
    callers with a duplicate-safe fallback of their own (forward-cache
    invalidation, naming re-resolve) must not re-send after it fires. *)
-let rec request_reply t target ~make_msg ~payload ~oneway ~timeout ~notify
+let rec request_reply t target ~make_msg ~payload ~timeout ~notify
     ~span ?(maybe_dispatched = fun () -> ()) () =
   let eps = Objref.endpoints target in
   let multi = match eps with _ :: _ :: _ -> true | _ -> false in
@@ -1637,9 +1344,9 @@ let rec request_reply t target ~make_msg ~payload ~oneway ~timeout ~notify
           else fail e
       | conn, fresh -> (
           let msg = make_msg (Objref.at_endpoint target ep) (budget_now ()) in
-          match exchange t conn msg ~payload ~oneway ~deadline ~span with
+          match exchange t conn msg ~payload ~deadline ~span with
           | resp -> (
-              match refusal_of msg resp with
+              match refusal_of resp with
               | Some e ->
                   (* Refused unexecuted (draining, or cancelled in a
                      stopping pool's queue): re-sending — here or on
@@ -1729,13 +1436,8 @@ and probe t target ~endpoint ~timeout =
   in
   let deadline = call_deadline t timeout in
   let conn, _ = get_connection t endpoint in
-  match
-    exchange t conn msg ~payload:no_payload ~oneway:false ~deadline ~span:None
-  with
-  | Some (_, (Protocol.Locate_reply _ | Protocol.Locate_forward _)) -> ()
-  | Some _ | None ->
-      drop_this_connection t endpoint conn;
-      raise (System_exception "unexpected message in reply to breaker probe")
+  match exchange t conn msg ~payload:no_payload ~deadline ~span:None with
+  | _ -> ()
   | exception Exchange_failed { fatal; err = e; _ } ->
       if fatal then drop_this_connection t endpoint conn;
       raise e
@@ -1812,13 +1514,6 @@ let payload_encoder ?seed ~span marshal =
         | None -> ());
         payload
 
-(* Desynchronized-stream teardown when the call went through replica
-   selection: the failing envelope may have travelled over any of the
-   target's endpoints, so drop them all (rare, and correctness beats
-   keeping a possibly-poisoned connection warm). *)
-let drop_target_connections t target =
-  List.iter (drop_connection t) (Objref.endpoints target)
-
 (* The forward cache is keyed by the logical target's printed form —
    the same identity the application holds. *)
 let forward_key target = Objref.to_string target
@@ -1867,11 +1562,8 @@ let invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload =
         nego_offer = "";
       }
   in
-  (* Honour interceptor rewrites of the oneway flag: the wire message
-     carries [req.oneway], so the reply-wait decision must follow it —
-     waiting for a reply the server will never send would hang until
-     the deadline. *)
-  let oneway = req.Protocol.oneway in
+  (* An interceptor's rewrite of the oneway flag is honoured: the
+     exchange waits for a reply by the flag the wire message carries. *)
   let logical = req.Protocol.target in
   let notify e = Interceptor.apply_error t.client_chain req e in
   let maybe_dispatched () = dispatched := true in
@@ -1887,7 +1579,7 @@ let invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload =
       Protocol.Request { req with Protocol.target = tgt; budget_us = budget }
     in
     match
-      request_reply t actual ~make_msg ~payload ~oneway ~timeout ~notify ~span
+      request_reply t actual ~make_msg ~payload ~timeout ~notify ~span
         ~maybe_dispatched ()
     with
     | exception e when via_forward ->
@@ -1908,35 +1600,16 @@ let invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload =
         else raise e
     | None -> None
     | Some (proto, Protocol.Reply reply) -> (
-        let { Protocol.rep_id; status; payload; _ } =
+        let { Protocol.status; payload; _ } =
           Interceptor.apply_reply t.client_chain req reply
         in
-        if rep_id <> req_id then begin
-          (* The stream is desynchronized: whatever reply belongs to
-             this request is still in flight, and a later caller reusing
-             the cached connection would be handed it. Never reuse the
-             connection. *)
-          drop_target_connections t actual;
-          raise
-            (System_exception
-               (Printf.sprintf
-                  "reply id %d does not match request id %d (connection \
-                   dropped)"
-                  rep_id req_id))
-        end;
         let codec = proto.Protocol.codec in
         match status with
         | Protocol.Status_ok -> Some (codec, payload)
         | Protocol.Status_user_exception repo_id ->
             raise (Remote_exception { repo_id; payload; codec })
         | Protocol.Status_system_error m -> raise (System_exception m))
-    | Some (_, Protocol.Locate_forward { rep_id; target = fwd }) ->
-        if rep_id <> req_id then begin
-          drop_target_connections t actual;
-          raise
-            (System_exception
-               "forward reply id mismatch (connection dropped)")
-        end;
+    | Some (_, Protocol.Locate_forward { target = fwd; _ }) ->
         if hops >= max_forward_hops then
           raise
             (System_exception
@@ -1948,14 +1621,9 @@ let invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload =
            Nothing dispatched — re-sending is duplicate-safe. *)
         note_forward t logical fwd;
         call ~hops:(hops + 1) ~via_forward:true fwd
-    | Some
-        ( _,
-          ( Protocol.Request _ | Protocol.Locate_request _
-          | Protocol.Locate_reply _ ) ) ->
-        (* Equally desynchronized: a non-reply where a reply belongs. *)
-        drop_target_connections t actual;
-        raise
-          (System_exception "peer sent a non-reply where a reply was expected")
+    | Some _ ->
+        (* [Mux.deliver] hands a request only a reply or a forward. *)
+        assert false
   in
   match cached_forward t logical with
   | Some fwd -> call ~hops:1 ~via_forward:true fwd
@@ -1973,27 +1641,15 @@ let locate t ?timeout target =
      parsing it unchanged. *)
   let make_msg tgt _budget = Protocol.Locate_request { req_id; target = tgt } in
   match
-    request_reply t target ~make_msg ~payload:no_payload ~oneway:false
-      ~timeout
+    request_reply t target ~make_msg ~payload:no_payload ~timeout
       ~notify:(fun _ -> ())
       ~span:None ()
   with
-  | Some (_, Protocol.Locate_reply { rep_id; found; forward = _ }) ->
-      if rep_id <> req_id then begin
-        drop_target_connections t target;
-        raise (System_exception "locate reply id mismatch (connection dropped)")
-      end
-      else found
-  | Some (_, Protocol.Locate_forward { rep_id; _ }) ->
-      if rep_id <> req_id then begin
-        drop_target_connections t target;
-        raise (System_exception "locate reply id mismatch (connection dropped)")
-      end
-      else true
-  | Some _ ->
-      drop_target_connections t target;
-      raise (System_exception "unexpected message in reply to locate")
-  | None -> raise (System_exception "no reply to locate")
+  | Some (_, Protocol.Locate_reply { found; _ }) -> found
+  | _ ->
+      (* [Mux.deliver] hands a locate only a locate reply or a forward,
+         and a forward counts as found. *)
+      true
 
 let invoke_with t target ~op ~oneway ~timeout ~dispatched marshal =
   with_client_span t target ~op (fun span ->
@@ -2091,7 +1747,9 @@ let stats t =
           (* Racy-by-design snapshot of the per-connection counters:
              each is written under its own demux lock; the sum is a
              point-in-time gauge, not an invariant. *)
-          Hashtbl.fold (fun _ c acc -> acc + c.mux.mx_inflight) t.conns 0,
+          Hashtbl.fold
+            (fun _ c acc -> acc + c.mux.Mux.inflight)
+            t.cache.Mux.conns 0,
           t.pool ))
   in
   let breaker_trips, breaker_fast_fails, breaker_states =

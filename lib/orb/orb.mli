@@ -27,6 +27,14 @@ module Retry : module type of Retry
 module Breaker : module type of Breaker
 module Pool : module type of Pool
 
+(** The connection state machines, as decisions with no lock and no I/O
+    (DESIGN.md §8, §9, §13); the ORB is the shell that takes the lock,
+    calls one of them, then waits, broadcasts or sends. *)
+
+module Mux : module type of Mux
+module Nego : module type of Nego
+module Admit : module type of Admit
+
 (** The observability layer (library [Obs]) plus the one piece that
     needs ORB types: a stock metrics-feeding interceptor. See
     DESIGN.md "Observability". *)

@@ -417,7 +417,7 @@ let test_timed_call_tcp () =
    finishing to the held call's servant starting: two mem hops apart. *)
 let test_call_behind_offer_starts_promptly () =
   let gaps =
-    List.init 5 (fun _ ->
+    List.init 11 (fun _ ->
         let slow_done = ref 0. and echo_started = ref 0. in
         let in_slow = Atomic.make false in
         let server =
@@ -463,7 +463,7 @@ let test_call_behind_offer_starts_promptly () =
             !echo_started -. !slow_done))
   in
   let gap = median gaps in
-  Printf.printf "held call started %.3f ms after the answer (median of 5)\n"
+  Printf.printf "held call started %.3f ms after the answer (median of 11)\n"
     (gap *. 1000.);
   if gap > 0.002 then
     Alcotest.failf

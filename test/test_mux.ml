@@ -374,6 +374,50 @@ let test_admission_timeout_keeps_connection () =
       Orb.shutdown server)
     [ 2; 1 ]
 
+let test_wrong_kind_reply_drops_connection () =
+  (* A scripted peer answers a request with a Locate_reply. The demux
+     hands a reply only to a waiter of its kind, so it kills the
+     connection instead of handing the call a locate answer. *)
+  let listener = Orb.Transport.listen ~proto:"mem" ~host:"local" ~port:0 in
+  let port = listener.Orb.Transport.bound_port in
+  let closed_by_client = Atomic.make false in
+  let peer =
+    Thread.create
+      (fun () ->
+        let comm =
+          Orb.Communicator.wrap Orb.Protocol.text (listener.Orb.Transport.accept ())
+        in
+        (match Orb.Communicator.recv comm with
+        | Orb.Protocol.Request r ->
+            Orb.Communicator.send comm
+              (Orb.Protocol.Locate_reply
+                 { rep_id = r.Orb.Protocol.req_id; found = true; forward = None })
+        | _ -> ());
+        (try ignore (Orb.Communicator.recv comm)
+         with _ -> Atomic.set closed_by_client true);
+        Orb.Communicator.close comm)
+      ()
+  in
+  let client = Orb.create ~retry:Orb.Retry.none () in
+  let target =
+    Orb.Objref.make ~proto:"mem" ~host:"local" ~port ~oid:"x" ~type_id:echo_type
+  in
+  (match
+     Orb.invoke client target ~op:"echo" (fun e -> e.Wire.Codec.put_string "a")
+   with
+  | exception Orb.System_exception m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "kind mismatch reported (%s)" m)
+        true
+        (Tutil.contains m "different kind")
+  | _ -> Alcotest.fail "a locate answer reached a request");
+  eventually ~msg:"the client to drop the connection" (fun () ->
+      Atomic.get closed_by_client);
+  Thread.join peer;
+  Alcotest.(check int) "nothing left in flight" 0 (Orb.stats client).Orb.mux_in_flight;
+  Orb.shutdown client;
+  listener.Orb.Transport.shutdown ()
+
 (* ---------------- other protocols and transports ---------------- *)
 
 let test_giop_under_mux () =
@@ -451,6 +495,8 @@ let () =
             test_deadline_kills_connection;
           Alcotest.test_case "admission timeout keeps the connection" `Quick
             test_admission_timeout_keeps_connection;
+          Alcotest.test_case "wrong-kind reply drops the connection" `Quick
+            test_wrong_kind_reply_drops_connection;
         ] );
       ( "protocols",
         [
