@@ -101,10 +101,12 @@ let telnet_scenario () =
   in
   Printf.printf "typing:  %s\n" line;
   chan.Orb.Transport.write (line ^ "\n");
-  let reply = chan.Orb.Transport.read_line () in
+  (* [max] bounds the reply line: a longer one is discarded and raises
+     [Frame_limit]. *)
+  let reply = chan.Orb.Transport.read_line ~max:4096 in
   Printf.printf "reply:   %s\n" reply;
   chan.Orb.Transport.write (line ^ "\n");
-  Printf.printf "again:   %s\n" (chan.Orb.Transport.read_line ());
+  Printf.printf "again:   %s\n" (chan.Orb.Transport.read_line ~max:4096);
   chan.Orb.Transport.close ();
   Orb.shutdown server
 

@@ -175,8 +175,8 @@ let all : info list =
        Locked.wait_until l deadline (or wait_until_c on one of its \
        conditions) and re-check the predicate on every return — \
        whoever changes the state broadcasts, and the deadline service \
-       broadcasts when the deadline passes. Pool.submit and \
-       Transport.Pipe.read_with are the pattern. A deliberate sleep \
+       broadcasts when the deadline passes. Pool.submit and the mux \
+       hold in orb.ml are the pattern. A deliberate sleep \
        (a retry backoff) belongs outside every lock. Non-blocking \
        teardown (Unix.shutdown, Unix.close) is deliberately exempt.";
     w "C403" "raw threading primitive outside locked.ml"

@@ -32,7 +32,7 @@ type span = {
 
 (* Monotonic-enough clock: the repo standardizes on gettimeofday for
    deadlines and bench loops, so spans use the same time base and their
-   timestamps are directly comparable with channel deadlines. *)
+   timestamps are directly comparable with call deadlines. *)
 let now () = Unix.gettimeofday ()
 
 (* ---------------- id generation ---------------- *)

@@ -12,32 +12,12 @@ type t = {
   mutable closed : bool;
 }
 
-(* Bound memory while a frame is still in flight: for line framing the
-   line IS the frame, so the channel receive limit is the frame
-   limit; for length-prefixed framing only the short fixed-size
-   header travels on a line; varint framing never reads lines at all. *)
-let install_recv_limit proto limits chan =
-  let line_limit =
-    match proto.Protocol.framing with
-    | Protocol.Line -> limits.Wire.Codec.max_frame_bytes
-    | Protocol.Length_prefixed { header } -> String.length header + 64
-    | Protocol.Varint_prefixed _ -> 64
-  in
-  chan.Transport.set_recv_limit (Some line_limit)
-
 let wrap ?(limits = Wire.Codec.default_limits) proto chan =
-  install_recv_limit proto limits chan;
   { sproto = proto; rproto = proto; chan; limits; closed = false }
 
 let set_protocol ?(dir = `Both) t proto =
-  (match dir with
-  | `Both | `Send -> t.sproto <- proto
-  | `Recv -> ());
-  match dir with
-  | `Both | `Recv ->
-      t.rproto <- proto;
-      install_recv_limit proto t.limits t.chan
-  | `Send -> ()
+  (match dir with `Both | `Send -> t.sproto <- proto | `Recv -> ());
+  match dir with `Both | `Recv -> t.rproto <- proto | `Send -> ()
 
 (* Length-prefixed framing: magic header, 8 hex digits of body length,
    newline (for telnet-friendliness of the header even in binary
@@ -143,9 +123,13 @@ let recv_opt t =
         req_id_hint = None;
       }
   in
+  (* Each line read is bounded while the frame is still in flight: for
+     line framing the line IS the frame, so its limit is the frame
+     limit; for length-prefixed framing only the short fixed-size
+     header travels on a line; varint framing never reads lines. *)
   match t.rproto.Protocol.framing with
   | Protocol.Line -> (
-      match t.chan.Transport.read_line () with
+      match t.chan.Transport.read_line ~max:t.limits.Wire.Codec.max_frame_bytes with
       | line -> decode line
       | exception Transport.Frame_limit reason ->
           (* The transport discarded the oversized line through its
@@ -153,7 +137,7 @@ let recv_opt t =
           Error { reason; req_id_hint = None })
   | Protocol.Length_prefixed { header } ->
       let hline =
-        try t.chan.Transport.read_line ()
+        try t.chan.Transport.read_line ~max:(String.length header + 64)
         with Transport.Frame_limit m ->
           (* Binary stream: resynchronizing on a newline is meaningless
              when the header itself is damaged. Fatal. *)
@@ -221,4 +205,3 @@ let is_closed t = t.closed
 let peer t = t.chan.Transport.peer
 let protocol ?(dir = `Send) t =
   match dir with `Send -> t.sproto | `Recv -> t.rproto
-let set_deadline t d = t.chan.Transport.set_deadline d

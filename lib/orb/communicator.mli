@@ -7,9 +7,10 @@ type t
 val wrap : ?limits:Wire.Codec.limits -> Protocol.t -> Transport.channel -> t
 (** Wrap an accepted or connected channel. [limits] (default
     {!Wire.Codec.default_limits}) bounds what {!recv}/{!recv_opt} will
-    decode: the frame limit is installed on the channel as its line
-    receive limit, and payload decoding runs through the protocol's
-    [decode_limited]. *)
+    decode: each line read is bounded by the receive protocol's framing
+    (the frame limit for line framing, a short header for
+    length-prefixed framing), and payload decoding runs through the
+    protocol's [decode_limited]. *)
 
 val send : ?proto:Protocol.t -> t -> Protocol.message -> unit
 (** Encode, frame and write one message in [proto] (default: the
@@ -21,7 +22,6 @@ val send : ?proto:Protocol.t -> t -> Protocol.message -> unit
 val recv : t -> Protocol.message
 (** Read and decode the next message.
     @raise Transport.Transport_error on EOF / I/O failure.
-    @raise Transport.Timeout past the channel deadline.
     @raise Protocol.Protocol_error on malformed messages. *)
 
 type recv_error = {
@@ -37,9 +37,9 @@ val recv_opt : t -> (Protocol.message, recv_error) result
     and the byte stream is still synchronized — the server can answer
     with a protocol-level error reply and keep serving the connection
     (oversized frames are discarded in bounded chunks). Exceptions
-    ({!Transport.Transport_error}, {!Transport.Timeout},
-    {!Protocol.Protocol_error} on a damaged frame {e header}) mean the
-    stream state is unknown and the connection should be closed. *)
+    ({!Transport.Transport_error}, {!Protocol.Protocol_error} on a
+    damaged frame {e header}) mean the stream state is unknown and the
+    connection should be closed. *)
 
 val close : t -> unit
 (** Close the underlying channel; marks the communicator closed first,
@@ -67,8 +67,3 @@ val set_protocol : ?dir:[ `Both | `Send | `Recv ] -> t -> Protocol.t -> unit
     of the stream moves. Callers must guarantee no frame of the old
     encoding is still in flight in the re-pointed direction — the
     negotiation layer's hold-until-answer discipline does. *)
-
-val set_deadline : t -> float option -> unit
-(** Install or clear the underlying channel's read deadline (an absolute
-    [Unix.gettimeofday] instant); it spans all reads of a framed
-    message. *)

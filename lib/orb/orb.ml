@@ -48,7 +48,6 @@ type server_policy = {
   max_connections : int;  (* 0 = unlimited; beyond it, idle-LRU evict *)
   max_pipelined : int;  (* per-connection in-flight cap; 0 = unlimited *)
   limits : Wire.Codec.limits;  (* decode budget for inbound frames *)
-  accept_backoff : float;  (* initial transient accept-failure sleep *)
 }
 
 let default_server_policy =
@@ -57,8 +56,11 @@ let default_server_policy =
     max_connections = 0;
     max_pipelined = 64;
     limits = Wire.Codec.default_limits;
-    accept_backoff = 0.01;
   }
+
+(* First sleep after a transient accept failure (e.g. fd exhaustion);
+   it doubles per consecutive failure, up to 1 s. *)
+let accept_backoff = 0.01
 
 (* The client's connection-sharing policy. Each cached outbound
    connection runs a reply demultiplexer: a reader thread correlates
@@ -585,8 +587,7 @@ let serve_connection t sc =
           Locked.broadcast t.lock))
     (fun () ->
       try loop () with
-      | Transport.Transport_error _ | Transport.Timeout _ ->
-          Communicator.close comm
+      | Transport.Transport_error _ -> Communicator.close comm
       | Protocol.Protocol_error m ->
           Log.warn (fun m' ->
               m' "protocol error from %s: %s" (Communicator.peer comm) m);
@@ -684,7 +685,7 @@ let start t =
               in
               admit_connection t sc;
               ignore (Locked.spawn "orb.serve" (fun () -> serve_connection t sc));
-              loop t.policy.accept_backoff
+              loop accept_backoff
           | exception Transport.Transport_error msg ->
               (* Two very different failures share this exception: the
                  listener closing under us (shutdown — exit quietly) and
@@ -701,7 +702,7 @@ let start t =
                 loop (Float.min 1.0 (backoff *. 2.))
               end
         in
-        loop t.policy.accept_backoff
+        loop accept_backoff
       in
       ignore (Locked.spawn "orb.accept" accept_loop)
 
@@ -834,11 +835,11 @@ let export_cached t ~key ~type_id build =
 (* ---------------- client side: reply demultiplexer ---------------- *)
 
 (* The per-connection reader thread: the only receiver this connection
-   ever has. It runs with NO channel deadline — a deadline firing
-   between the frame header and body would desynchronize the stream for
-   every in-flight call; per-call deadlines are enforced at the
-   waiter's condition instead. It enters the transport read only while
-   a reply is owed, so idle connections are read-free, which both the
+   ever has. Its reads have no deadline — one firing between the frame
+   header and body would desynchronize the stream for every in-flight
+   call; per-call deadlines are enforced at the waiter's condition
+   instead. It enters the transport read only while a reply is owed,
+   so idle connections are read-free, which both the
    fault-injection plans (a [Stall_read] drawn at read-call time must
    land on the read for the call under test) and the thread accounting
    at shutdown depend on. A reply [Mux.deliver] cannot hand to its
@@ -1804,10 +1805,6 @@ let breaker_state t target =
    redirect to [target] instead of being dispatched. *)
 let set_forward t ~oid target = Object_adapter.set_forward t.oa ~oid target
 let clear_forward t ~oid = Object_adapter.clear_forward t.oa ~oid
-
-(* Client-side introspection of the redirect cache (tests). *)
-let cached_forward_for t target = cached_forward t target
-let drop_cached_forward t target = invalidate_forward t target
 
 let key_counter = Atomic.make 1
 let servant_key () = Atomic.fetch_and_add key_counter 1

@@ -94,15 +94,14 @@ type server_policy = {
           sequence length, nesting depth (see {!Wire.Codec.limits}).
           Violations are answered with a system-exception reply when the
           stream can be resynchronized, else the connection closes. *)
-  accept_backoff : float;
-      (** Initial sleep (seconds) after a transient accept failure, e.g.
-          fd exhaustion; doubles per consecutive failure, capped at 1s. *)
 }
 
 val default_server_policy : server_policy
 (** [Pool.default_config]'s pool (one worker domain per core, 2 to 8),
     unlimited connections, 64 pipelined requests per connection,
-    {!Wire.Codec.default_limits}, 10 ms initial accept backoff. *)
+    {!Wire.Codec.default_limits}. The accept loop retries a transient
+    accept failure (e.g. fd exhaustion) after 10 ms, doubling per
+    consecutive failure up to 1 s. *)
 
 (** The client's connection-sharing policy (DESIGN.md "Client connection
     model"). Each cached outbound connection runs a reply demultiplexer:
@@ -421,11 +420,6 @@ val set_forward : t -> oid:string -> Objref.t -> unit
     and invalidate the cache when the forwarded placement fails. *)
 
 val clear_forward : t -> oid:string -> unit
-
-val cached_forward_for : t -> Objref.t -> Objref.t option
-(** This {e client's} cached redirect for a logical target, if any. *)
-
-val drop_cached_forward : t -> Objref.t -> unit
 
 val servant_key : unit -> int
 (** A process-unique servant identity, for {!export_cached} and stub

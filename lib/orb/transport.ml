@@ -2,10 +2,10 @@ exception Transport_error of string
 exception Timeout of string
 
 exception Frame_limit of string
-(* An incoming line exceeded the channel's receive limit. The oversized
-   line has been discarded through its terminating newline with bounded
-   memory, so the byte stream is still synchronized: the caller may
-   answer with an error and keep reading. *)
+(* An incoming line exceeded the [max] its [read_line] was given. The
+   oversized line has been discarded through its terminating newline
+   with bounded memory, so the byte stream is still synchronized: the
+   caller may answer with an error and keep reading. *)
 
 let () =
   Printexc.register_printer (function
@@ -15,17 +15,14 @@ let () =
     | _ -> None)
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Transport_error m)) fmt
-let timeout_fail fmt = Printf.ksprintf (fun m -> raise (Timeout m)) fmt
 let frame_fail fmt = Printf.ksprintf (fun m -> raise (Frame_limit m)) fmt
 
 type channel = {
   write : string -> unit;
   writev : string list -> unit;
-  read_line : unit -> string;
+  read_line : max:int -> string;
   read_exact : int -> string;
   close : unit -> unit;
-  set_deadline : float option -> unit;
-  set_recv_limit : int option -> unit;
   peer : string;
 }
 
@@ -36,33 +33,130 @@ type listener = {
   bound_port : int;
 }
 
+(* ---------------- the buffered reader ---------------- *)
+
+(* The one receive buffer and line/frame reader, over a byte source
+   [fill buf off len]: block until at least one byte can be copied into
+   [buf.[off ..]], copy at most [len], return the count; 0 means the
+   stream has ended. Tcp passes a guarded [Unix.read], mem a pipe of the
+   peer's writes.
+
+   [rbuf.[rpos .. rlen-1]] holds bytes filled but not yet consumed. The
+   buffer starts at 4 KiB and doubles only when one frame (or line) does
+   not fit, and only as that frame's bytes arrive (see [read_exact]), so
+   it ends up the size of the largest frame actually received. Consumed
+   bytes are reclaimed by sliding the live bytes to the front when they
+   are no more than the dead prefix (amortized linear) or when the tail
+   is too short for the next fill. Only the one reader thread touches
+   these. *)
+let buffered_reader ~peer fill =
+  let rbuf = ref (Bytes.create 4096) in
+  let rpos = ref 0 and rlen = ref 0 in
+  let available () = !rlen - !rpos in
+  (* Make room for at least [want] more bytes after the live ones. *)
+  let reserve want =
+    let cap = Bytes.length !rbuf and live = available () in
+    if live + want > cap then begin
+      let cap' = ref cap in
+      while !cap' < live + want do cap' := !cap' * 2 done;
+      let b = Bytes.create !cap' in
+      Bytes.blit !rbuf !rpos b 0 live;
+      rbuf := b;
+      rpos := 0;
+      rlen := live
+    end
+    else if !rlen + want > cap || (!rpos > 0 && !rpos >= live) then begin
+      Bytes.blit !rbuf !rpos !rbuf 0 live;
+      rpos := 0;
+      rlen := live
+    end
+  in
+  (* One fill of whatever the source has, into the free tail, after
+     making room for at least [want] bytes. Allocates nothing. *)
+  let refill want =
+    reserve want;
+    let n = fill !rbuf !rlen (Bytes.length !rbuf - !rlen) in
+    if n = 0 then fail "connection to %s closed by peer" peer;
+    rlen := !rlen + n
+  in
+  let take n =
+    let s = Bytes.sub_string !rbuf !rpos n in
+    rpos := !rpos + n;
+    s
+  in
+  (* Index of the first newline at or after [from], if buffered. *)
+  let find_newline from =
+    let b = !rbuf and stop = !rlen in
+    let rec scan i =
+      if i >= stop then None
+      else if Bytes.unsafe_get b i = '\n' then Some i
+      else scan (i + 1)
+    in
+    scan from
+  in
+  let over max = frame_fail "line from %s exceeds %d-byte receive limit" peer max in
+  (* Discard an oversized line through its terminating newline with
+     bounded memory: whole buffered chunks are dropped until the newline
+     arrives, so the stream ends up synchronized at the next line. *)
+  let rec discard_line max =
+    match find_newline !rpos with
+    | Some i ->
+        rpos := i + 1;
+        over max
+    | None ->
+        rpos := !rlen;
+        refill 1;
+        discard_line max
+  in
+  (* [scanned] bytes after [rpos] are known to hold no newline; it is
+     relative to [rpos] because [refill] may slide the buffer. *)
+  let rec read_line_from ~max scanned =
+    match find_newline (!rpos + scanned) with
+    | Some i ->
+        let linelen = i - !rpos in
+        if linelen > max then begin
+          rpos := i + 1;
+          over max
+        end
+        else begin
+          let line = take linelen in
+          rpos := !rpos + 1;
+          line
+        end
+    | None ->
+        let scanned = available () in
+        if scanned > max then discard_line max
+        else begin
+          refill 1;
+          read_line_from ~max scanned
+        end
+  in
+  let read_line ~max = read_line_from ~max 0 in
+  (* Room is reserved one read's worth at a time, never for the whole
+     declared length: a peer that sends only a header announcing a
+     16 MiB frame must not make this connection allocate (and keep)
+     16 MiB before the body's bytes arrive. *)
+  let rec read_exact n =
+    let live = available () in
+    if live >= n then take n
+    else (
+      refill (min (n - live) 65536);
+      read_exact n)
+  in
+  (read_line, read_exact)
+
 (* ---------------- TCP ---------------- *)
 
 let tcp_channel fd ~peer =
-  (* [rbuf.[rpos .. rlen-1]] holds bytes read from the socket but not
-     yet consumed. Each [Unix.read] copies at most 64 KiB through the
-     runtime's stack buffer into the free tail: no heap chunk per read,
-     but still one copy. The buffer starts at 4 KiB and doubles only
-     when one frame (or line) does not fit, and only as that frame's
-     bytes arrive (see [read_exact]), so it ends up the size of the
-     largest frame actually received. Consumed
-     bytes are reclaimed by sliding the live bytes to the front when
-     they are no more than the dead prefix (amortized linear) or when
-     the tail is too short for the next read. Only the one reader
-     thread touches these: the guard below covers the syscalls, not the
-     buffer. *)
-  let rbuf = ref (Bytes.create 4096) in
-  let rpos = ref 0 and rlen = ref 0 in
-  let deadline = ref None in
   (* Never [Unix.close] an fd another thread may still hand to a
      syscall: the kernel recycles fd numbers immediately, so a stale
      read/write would land on whatever connection got the number next —
      a cross-connection hijack (observed as a text server answering a
      GIOP client after a test torn one down). [close] therefore only
      marks the channel closing and shuts the socket down (which wakes a
-     reader blocked in select/read with EOF); the real [Unix.close] is
-     done by the last thread to leave a syscall, or by [close] itself
-     when no syscall is in flight. *)
+     reader blocked in read with EOF); the real [Unix.close] is done by
+     the last thread to leave a syscall, or by [close] itself when no
+     syscall is in flight. *)
   let guard = Locked.create ~name:"tcp.channel" ~rank:Locked.Rank.tcp_channel in
   let users = ref 0 in
   let closing = ref false in
@@ -87,123 +181,15 @@ let tcp_channel fd ~peer =
     enter ();
     Fun.protect ~finally:leave f
   in
-  let available () = !rlen - !rpos in
-  (* Make room for at least [want] more bytes after the live ones. *)
-  let reserve want =
-    let cap = Bytes.length !rbuf and live = available () in
-    if live + want > cap then begin
-      let cap' = ref cap in
-      while !cap' < live + want do cap' := !cap' * 2 done;
-      let b = Bytes.create !cap' in
-      Bytes.blit !rbuf !rpos b 0 live;
-      rbuf := b;
-      rpos := 0;
-      rlen := live
-    end
-    else if !rlen + want > cap || (!rpos > 0 && !rpos >= live) then begin
-      Bytes.blit !rbuf !rpos !rbuf 0 live;
-      rpos := 0;
-      rlen := live
-    end
-  in
-  (* Wait (select) until the socket is readable or the channel deadline
-     passes. A deadline is an absolute [Unix.gettimeofday] instant, so
-     it naturally spans the several reads one framed message needs. *)
-  let await_readable () =
-    match !deadline with
-    | None -> ()
-    | Some d ->
-        let rec wait () =
-          let remaining = d -. Unix.gettimeofday () in
-          if remaining <= 0. then
-            timeout_fail "read from %s timed out" peer
-          else
-            match Unix.select [ fd ] [] [] remaining with
-            | [], _, _ -> timeout_fail "read from %s timed out" peer
-            | _ -> ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-            | exception Unix.Unix_error (e, _, _) ->
-                fail "read from %s failed: %s" peer (Unix.error_message e)
-        in
-        wait ()
-  in
-  (* One read of whatever the socket has, into the free tail, after
-     making room for at least [want] bytes. Allocates nothing. *)
-  let refill want =
-    reserve want;
-    guarded (fun () ->
-        await_readable ();
-        let n =
-          try Unix.read fd !rbuf !rlen (Bytes.length !rbuf - !rlen)
-          with Unix.Unix_error (e, _, _) ->
-            fail "read from %s failed: %s" peer (Unix.error_message e)
-        in
-        if n = 0 then fail "connection to %s closed by peer" peer;
-        rlen := !rlen + n)
-  in
-  let take n =
-    let s = Bytes.sub_string !rbuf !rpos n in
-    rpos := !rpos + n;
-    s
-  in
-  (* Index of the first newline at or after [from], if buffered. *)
-  let find_newline from =
-    let b = !rbuf and stop = !rlen in
-    let rec scan i =
-      if i >= stop then None
-      else if Bytes.unsafe_get b i = '\n' then Some i
-      else scan (i + 1)
-    in
-    scan from
-  in
-  let recv_limit = ref None in
-  let over lim = frame_fail "line from %s exceeds %d-byte receive limit" peer lim in
-  (* Discard an oversized line through its terminating newline with
-     bounded memory: whole buffered chunks are dropped until the newline
-     arrives, so the stream ends up synchronized at the next line. *)
-  let rec discard_line lim =
-    match find_newline !rpos with
-    | Some i ->
-        rpos := i + 1;
-        over lim
-    | None ->
-        rpos := !rlen;
-        refill 1;
-        discard_line lim
-  in
-  (* [scanned] bytes after [rpos] are known to hold no newline; it is
-     relative to [rpos] because [refill] may slide the buffer. *)
-  let rec read_line_from scanned =
-    match find_newline (!rpos + scanned) with
-    | Some i -> (
-        let linelen = i - !rpos in
-        match !recv_limit with
-        | Some lim when linelen > lim ->
-            rpos := i + 1;
-            over lim
-        | _ ->
-            let line = take linelen in
-            rpos := !rpos + 1;
-            line)
-    | None -> (
-        let scanned = available () in
-        match !recv_limit with
-        | Some lim when scanned > lim -> discard_line lim
-        | _ ->
-            refill 1;
-            read_line_from scanned)
-  in
-  let read_line () = read_line_from 0 in
-  (* Room is reserved one read's worth at a time, never for the whole
-     declared length: a peer that sends only a header announcing a
-     16 MiB frame must not make this connection allocate (and keep)
-     16 MiB before the body's bytes arrive. *)
-  let rec read_exact n =
-    let live = available () in
-    if live >= n then take n
-    else (
-      refill (min (n - live) 65536);
-      read_exact n)
+  (* Each [Unix.read] copies at most 64 KiB through the runtime's stack
+     buffer into the reader's free tail: no heap chunk per read, but
+     still one copy. *)
+  let read_line, read_exact =
+    buffered_reader ~peer (fun buf off len ->
+        guarded (fun () ->
+            try Unix.read fd buf off len
+            with Unix.Unix_error (e, _, _) ->
+              fail "read from %s failed: %s" peer (Unix.error_message e)))
   in
   (* [Unix.write_substring] takes the immutable string as it is — no
      [Bytes.of_string] copy of the payload; the runtime still stages
@@ -229,17 +215,15 @@ let tcp_channel fd ~peer =
     Locked.with_lock guard (fun () ->
         if not !closing then begin
           closing := true;
-          (* Wake any thread blocked in select/read on this socket; their
-             next step observes [closing] and fails cleanly. shutdown(2)
+          (* Wake any thread blocked in read on this socket; their next
+             step observes [closing] and fails cleanly. shutdown(2)
              never blocks, so holding the guard across it is safe. *)
           (try Unix.shutdown fd Unix.SHUTDOWN_ALL
            with Unix.Unix_error (_, _, _) -> ());
           if !users = 0 then really_close ()
         end)
   in
-  let set_deadline d = deadline := d in
-  let set_recv_limit l = recv_limit := l in
-  { write; writev; read_line; read_exact; close; set_deadline; set_recv_limit; peer }
+  { write; writev; read_line; read_exact; close; peer }
 
 let resolve_host host =
   if host = "localhost" || host = "" then Unix.inet_addr_loopback
@@ -362,139 +346,74 @@ let tcp_connect ~host ~port =
 
 (* ---------------- in-memory loopback ---------------- *)
 
-(* A unidirectional byte pipe with blocking reads. The consumption
-   offset [pos] advances on reads; compaction is amortized so large
-   messages do not cause quadratic copying. *)
+(* A unidirectional pipe of the strings its writer handed over, with
+   blocking reads. A write queues its string as it is (no copy); [fill]
+   copies queued bytes straight into the reader's buffer. *)
 module Pipe = struct
   type t = {
     lock : Locked.t;  (* rank [pipe]; intrinsic condition = data/close *)
-    buf : Buffer.t;
-    mutable pos : int;  (* consumed prefix *)
+    chunks : string Queue.t;  (* non-empty strings, oldest first *)
+    mutable head_pos : int;  (* consumed prefix of the oldest chunk *)
     mutable closed : bool;
   }
 
   let create () =
     { lock = Locked.create ~name:"mem.pipe" ~rank:Locked.Rank.pipe;
-      buf = Buffer.create 1024; pos = 0; closed = false }
+      chunks = Queue.create (); head_pos = 0; closed = false }
 
   let write t s =
     Locked.with_lock t.lock (fun () ->
         if t.closed then fail "write to closed in-memory channel";
-        Buffer.add_string t.buf s;
-        Locked.broadcast t.lock)
+        if s <> "" then begin
+          Queue.push s t.chunks;
+          Locked.broadcast t.lock
+        end)
 
   let close t =
     Locked.with_lock t.lock (fun () ->
         t.closed <- true;
         Locked.broadcast t.lock)
 
-  let compact t =
-    if t.pos > 65536 && t.pos > Buffer.length t.buf / 2 then begin
-      let rest = Buffer.sub t.buf t.pos (Buffer.length t.buf - t.pos) in
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf rest;
-      t.pos <- 0
-    end
-
-  (* Blocks until [check buf pos len] returns (consume, result), where
-     [consume] counts from [pos]. Without a deadline we park on the
-     lock's condition; with one, [Locked.wait_until] parks until a write
-     or close broadcasts the lock or the deadline service fires at the
-     deadline. [deadline] is re-read on every wakeup, so a deadline
-     installed mid-wait takes effect from the next wakeup on. *)
-  let read_with t ?(deadline = fun () -> None) check ~what =
-    let outcome =
-      Locked.with_lock t.lock (fun () ->
-          let rec wait () =
-            match check t.buf t.pos (Buffer.length t.buf) with
-            | Some (consume, result) ->
-                t.pos <- t.pos + consume;
-                compact t;
-                `Done result
-            | None ->
-                if t.closed then `Closed
-                else
-                  match deadline () with
-                  | None ->
-                      Locked.wait t.lock;
-                      wait ()
-                  | Some d ->
-                      if Unix.gettimeofday () >= d then `Timeout
-                      else begin
-                        ignore (Locked.wait_until t.lock d);
-                        wait ()
-                      end
-          in
-          wait ())
-    in
-    match outcome with
-    | `Done result -> result
-    | `Closed -> fail "in-memory channel closed while reading %s" what
-    | `Timeout -> timeout_fail "in-memory read of %s timed out" what
+  (* The reader's byte source: parks until a chunk is queued or the
+     pipe closes, then copies up to [len] queued bytes. Returns 0 only
+     once the pipe is closed and drained. *)
+  let fill t buf off len =
+    Locked.with_lock t.lock (fun () ->
+        while Queue.is_empty t.chunks && not t.closed do
+          Locked.wait t.lock
+        done;
+        let rec copy n =
+          if n = len || Queue.is_empty t.chunks then n
+          else begin
+            let s = Queue.peek t.chunks in
+            let k = min (len - n) (String.length s - t.head_pos) in
+            Bytes.blit_string s t.head_pos buf (off + n) k;
+            if t.head_pos + k = String.length s then begin
+              ignore (Queue.pop t.chunks);
+              t.head_pos <- 0
+            end
+            else t.head_pos <- t.head_pos + k;
+            copy (n + k)
+          end
+        in
+        copy 0)
 end
 
 let mem_channel_pair ~peer_a ~peer_b =
   let a_to_b = Pipe.create () and b_to_a = Pipe.create () in
   let mk ~incoming ~outgoing ~peer =
-    let deadline = ref None in
-    let get_deadline () = !deadline in
-    let recv_limit = ref None in
+    let read_line, read_exact = buffered_reader ~peer (Pipe.fill incoming) in
     {
-      write = (fun s -> Pipe.write outgoing s);
-      (* The pipe buffer is the "wire": appending slice-by-slice is
-         already copy-free on the sender side, and callers serialize
-         sends per connection so the slices stay adjacent. *)
-      writev = (fun parts -> List.iter (Pipe.write outgoing) parts);
-      read_line =
-        (fun () ->
-          (* Mirror of the TCP discard-resync: once a line is known to
-             exceed the limit, consume-and-drop chunks until its newline
-             arrives, then fail with the stream synchronized. *)
-          let discarding = ref false in
-          let rec go () =
-            match
-              Pipe.read_with incoming ~deadline:get_deadline ~what:"line"
-                (fun buf pos len ->
-                  let rec scan i =
-                    if i >= len then None
-                    else if Buffer.nth buf i = '\n' then Some i
-                    else scan (i + 1)
-                  in
-                  match scan pos with
-                  | Some i -> (
-                      let n = i - pos in
-                      if !discarding then Some (n + 1, `Overflow)
-                      else
-                        match !recv_limit with
-                        | Some lim when n > lim -> Some (n + 1, `Overflow)
-                        | _ -> Some (n + 1, `Line (Buffer.sub buf pos n)))
-                  | None -> (
-                      if !discarding && len > pos then Some (len - pos, `More)
-                      else
-                        match !recv_limit with
-                        | Some lim when len - pos > lim ->
-                            discarding := true;
-                            Some (len - pos, `More)
-                        | _ -> None))
-            with
-            | `Line s -> s
-            | `More -> go ()
-            | `Overflow ->
-                frame_fail "line from %s exceeds %d-byte receive limit" peer
-                  (Option.value ~default:0 !recv_limit)
-          in
-          go ());
-      read_exact =
-        (fun n ->
-          Pipe.read_with incoming ~deadline:get_deadline ~what:"bytes"
-            (fun buf pos len ->
-              if len - pos >= n then Some (n, Buffer.sub buf pos n) else None));
+      write = Pipe.write outgoing;
+      (* Callers serialize sends per connection, so the slices stay
+         adjacent in the pipe. *)
+      writev = List.iter (Pipe.write outgoing);
+      read_line;
+      read_exact;
       close =
         (fun () ->
           Pipe.close outgoing;
           Pipe.close incoming);
-      set_deadline = (fun d -> deadline := d);
-      set_recv_limit = (fun l -> recv_limit := l);
       peer;
     }
   in
@@ -602,7 +521,7 @@ let mem_connect ~port =
 module Fault = struct
   type fault =
     | Refuse_connect  (** The connect attempt fails outright. *)
-    | Stall_read  (** The read hangs like a dead peer (until deadline). *)
+    | Stall_read  (** The read hangs like a dead peer (until closed). *)
     | Drop_read  (** The connection dies instead of delivering data. *)
     | Truncate_write of int  (** Only the first [n] bytes go out, then death. *)
     | Corrupt_write of int  (** Byte at offset [n mod len] is flipped. *)
@@ -695,13 +614,12 @@ module Fault = struct
 end
 
 let faulty_channel inner =
-  (* [broken] marks a connection killed by an injected fault; every
-     later operation fails like a dead socket would. [stall] guards
-     [broken] and [deadline] for a stalled read parked on it: [kill]
-     and [set_deadline] broadcast it. *)
+  (* [broken] marks a connection killed by an injected fault or closed;
+     every later operation fails like a dead socket would. [stall]
+     guards [broken] for a stalled read parked on it: [kill] broadcasts
+     it. *)
   let stall = Locked.create ~name:"fault.stall" ~rank:Locked.Rank.fault in
   let broken = ref false in
-  let deadline = ref None in
   let guard () =
     if !broken then fail "connection to %s broken by injected fault" inner.peer
   in
@@ -714,29 +632,14 @@ let faulty_channel inner =
   let on_read read =
     guard ();
     match Fault.draw `Read ~peer:inner.peer with
-    | Some Fault.Stall_read -> (
+    | Some Fault.Stall_read ->
         (* Hang exactly like a peer that stopped responding: wake only
-           when the channel deadline passes or the channel dies. *)
-        let outcome =
-          Locked.with_lock stall (fun () ->
-              let rec hang () =
-                match !deadline with
-                | Some d when Unix.gettimeofday () >= d -> `Timed_out
-                | _ when !broken -> `Broken
-                | Some d ->
-                    ignore (Locked.wait_until stall d);
-                    hang ()
-                | None ->
-                    Locked.wait stall;
-                    hang ()
-              in
-              hang ())
-        in
-        match outcome with
-        | `Timed_out ->
-            timeout_fail "read from %s timed out (injected stall)" inner.peer
-        | `Broken ->
-            fail "connection to %s broken by injected fault" inner.peer)
+           when the channel dies. *)
+        Locked.with_lock stall (fun () ->
+            while not !broken do
+              Locked.wait stall
+            done);
+        fail "connection to %s broken by injected fault" inner.peer
     | Some Fault.Drop_read ->
         kill ();
         fail "connection to %s dropped by injected fault" inner.peer
@@ -767,20 +670,13 @@ let faulty_channel inner =
     (* One fault draw per logical frame, as for [write]: the fault model
        describes what the network does to a send, not to each slice. *)
     writev = (fun parts -> write (String.concat "" parts));
-    read_line = (fun () -> on_read inner.read_line);
+    read_line = (fun ~max -> on_read (fun () -> inner.read_line ~max));
     read_exact = (fun n -> on_read (fun () -> inner.read_exact n));
     (* Closing marks the channel broken so a concurrently stalled read
        (Stall_read) wakes with a transport error instead of spinning on a
        channel nobody will use again — the client demux relies on this
        when it kills a timed-out connection under a reader thread. *)
     close = (fun () -> kill ());
-    set_deadline =
-      (fun d ->
-        Locked.with_lock stall (fun () ->
-            deadline := d;
-            Locked.broadcast stall);
-        inner.set_deadline d);
-    set_recv_limit = inner.set_recv_limit;
     peer = inner.peer;
   }
 
@@ -812,8 +708,8 @@ let metered ~on_read ~on_write chan =
         chan.writev parts;
         on_write (List.fold_left (fun acc s -> acc + String.length s) 0 parts));
     read_line =
-      (fun () ->
-        let line = chan.read_line () in
+      (fun ~max ->
+        let line = chan.read_line ~max in
         on_read (String.length line + 1);
         line);
     read_exact =

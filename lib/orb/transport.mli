@@ -14,7 +14,8 @@
     Channels carry raw bytes; message demarcation is the communicator's
     job (paper: the [ObjectCommunicator] "provides the abstraction of a
     communication channel on which individual requests can be
-    demarcated"). *)
+    demarcated"). Tcp and mem differ only in their byte source: one
+    buffered reader serves both. *)
 
 exception Transport_error of string
 (** Connection-level failure: refused connect, peer closed, I/O error.
@@ -22,16 +23,16 @@ exception Transport_error of string
     differently (see [Orb.Retry]). *)
 
 exception Timeout of string
-(** A read exceeded the channel deadline set via [set_deadline]. Never
-    raised when no deadline is installed. *)
+(** A call's deadline passed before its reply arrived. Raised by the
+    ORB, which waits for the reply on the caller's side; channel reads
+    have no deadline of their own. *)
 
 exception Frame_limit of string
-(** An incoming line exceeded the receive limit set via
-    [set_recv_limit]. The oversized line has already been discarded
-    through its terminating newline with bounded memory, so the byte
-    stream is still synchronized: the caller may answer with a
-    protocol-level error and keep using the channel. Never raised when
-    no limit is installed. *)
+(** An incoming line exceeded the [max] given to [read_line]. The
+    oversized line has already been discarded through its terminating
+    newline with bounded memory, so the byte stream is still
+    synchronized: the caller may answer with a protocol-level error and
+    keep using the channel. *)
 
 type channel = {
   write : string -> unit;  (** Write all bytes. *)
@@ -43,35 +44,25 @@ type channel = {
           stack buffer, so a slice costs one syscall per chunk. Callers
           serialize sends per connection, so the slices stay adjacent
           on the wire. *)
-  read_line : unit -> string;
+  read_line : max:int -> string;
       (** Read up to (and excluding) the next ['\n'], as a fresh
-          string.
+          string of at most [max] bytes.
           @raise Transport_error on EOF.
-          @raise Timeout past the channel deadline.
-          @raise Frame_limit past the receive limit (stream stays
+          @raise Frame_limit on a longer line, which is discarded
+          through its newline with bounded memory (the stream stays
           synchronized). *)
   read_exact : int -> string;
       (** Read exactly [n] bytes, as a fresh string the caller owns.
 
           Reads have one owner at a time: [read_line] and [read_exact]
-          share the channel's receive buffer (on TCP, one [Bytes] per
+          share the channel's receive buffer (one [Bytes] per
           connection that grows, as bytes arrive, to the largest frame
-          received; [Unix.read] copies into it through the runtime's
-          stack buffer), so two threads must not read one
-          channel concurrently. Writes and [close] may come from other
-          threads.
-          @raise Transport_error on EOF.
-          @raise Timeout past the channel deadline. *)
+          received), so two threads must not read one channel
+          concurrently. A read blocks until its bytes arrive or the
+          channel closes. Writes and [close] may come from other
+          threads; [close] wakes a blocked read.
+          @raise Transport_error on EOF. *)
   close : unit -> unit;
-  set_deadline : float option -> unit;
-      (** Install ([Some abs_time], a [Unix.gettimeofday] instant) or
-          clear ([None]) the read deadline. Absolute so that one
-          deadline spans the multiple reads of a framed message. *)
-  set_recv_limit : int option -> unit;
-      (** Install or clear the maximum accepted [read_line] length in
-          bytes (the decode-hardening frame limit). Oversized lines are
-          discarded with bounded memory and raise {!Frame_limit} with
-          the stream left synchronized at the next line. *)
   peer : string;  (** Peer description for logs. *)
 }
 
@@ -116,8 +107,8 @@ module Fault : sig
     | Refuse_connect  (** The connect attempt fails outright. *)
     | Stall_read
         (** The read hangs like a dead peer; it returns only by raising
-            {!Timeout} when the channel deadline passes, or
-            {!Transport_error} if the connection dies. *)
+            {!Transport_error} once the channel is closed (the ORB
+            closes it when the call's deadline passes). *)
     | Drop_read  (** The connection dies instead of delivering data. *)
     | Truncate_write of int
         (** Only the first [n] bytes are written; then the connection

@@ -21,10 +21,9 @@
                [Codec.limits.max_nesting_depth]
 
    Unlike CDR there is no alignment padding, so positions never depend
-   on what came before — a decoder can start at any offset of a larger
-   string, which is what {!make_decoder_view} offers. The ORB itself
-   decodes whole frame strings: the transport returns each frame as one
-   fresh string, and the envelope's payload field is one [String.sub].
+   on what came before. The decoder reads whole payload strings: the
+   transport returns each frame as one fresh string, and the envelope's
+   payload field is one [String.sub].
 
    The encoder writes into a {!Buf} taken from a one-slot-per-domain
    cache and handed back by [finish], so a steady stream of messages
@@ -147,20 +146,18 @@ let make_encoder () : Codec.encoder =
 
 (* ---------------- decoding ---------------- *)
 
-(* Decode over a sub-view [off, off+len) of [payload] — no copy of the
-   framed bytes is taken; every read is positional. *)
-let make_decoder_view (limits : Codec.limits) payload ~off ~len : Codec.decoder =
-  if off < 0 || len < 0 || off + len > String.length payload then
-    invalid_arg "Hcx_codec.make_decoder_view";
-  let pos = ref off in
-  let stop = off + len in
+(* Every read is positional in [payload]; nothing of it is copied but
+   the strings decoded out of it. *)
+let make_decoder_limited (limits : Codec.limits) payload : Codec.decoder =
+  let pos = ref 0 in
+  let stop = String.length payload in
   let depth = ref 0 in
   let need n what =
     if !pos + n > stop then
       raise
         (Codec.Type_error
            (Printf.sprintf "truncated HCX payload: need %d bytes for %s at offset %d"
-              n what (!pos - off)))
+              n what !pos))
   in
   let byte what =
     need 1 what;
@@ -188,8 +185,7 @@ let make_decoder_view (limits : Codec.limits) payload ~off ~len : Codec.decoder 
         pos := !p;
         raise
           (Codec.Type_error
-             (Printf.sprintf "over-long varint for %s at offset %d" what
-                (!p - off)))
+             (Printf.sprintf "over-long varint for %s at offset %d" what !p))
       end;
       v := !v lor ((b land 0x7f) lsl !shift);
       shift := !shift + 7;
@@ -205,13 +201,11 @@ let make_decoder_view (limits : Codec.limits) payload ~off ~len : Codec.decoder 
       if !shift = 63 && b > 1 then
         raise
           (Codec.Type_error
-             (Printf.sprintf "over-long varint for %s at offset %d" what
-                (!pos - off)))
+             (Printf.sprintf "over-long varint for %s at offset %d" what !pos))
       else if !shift > 63 then
         raise
           (Codec.Type_error
-             (Printf.sprintf "over-long varint for %s at offset %d" what
-                (!pos - off)));
+             (Printf.sprintf "over-long varint for %s at offset %d" what !pos));
       v := Int64.logor !v (Int64.shift_left (Int64.of_int (b land 0x7f)) !shift);
       shift := !shift + 7;
       continue := b land 0x80 <> 0
@@ -310,9 +304,6 @@ let make_decoder_view (limits : Codec.limits) payload ~off ~len : Codec.decoder 
         n);
     at_end = (fun () -> !pos >= stop);
   }
-
-let make_decoder_limited limits payload =
-  make_decoder_view limits payload ~off:0 ~len:(String.length payload)
 
 let make_decoder payload = make_decoder_limited Codec.default_limits payload
 

@@ -5,9 +5,8 @@
 
     Integers use LEB128 varints (signed types zigzag-mapped first), so
     small values — the overwhelming majority of ids, lengths and enum
-    tags — cost one byte. Floats are fixed-width little-endian. Because
-    nothing is aligned, a decoder can start at any offset of a larger
-    string: {!make_decoder_view} decodes a sub-range in place.
+    tags — cost one byte. Floats are fixed-width little-endian, and
+    nothing is aligned. The decoder reads a whole payload string.
 
     Encoders take their buffer from a one-slot-per-domain cache and
     return it on [finish]; the result string is the only allocation a
@@ -21,10 +20,3 @@ val version : int
 val codec : Codec.t
 (** Codec name ["hcx"]. *)
 
-val make_decoder_view :
-  Codec.limits -> string -> off:int -> len:int -> Codec.decoder
-(** [make_decoder_view limits buf ~off ~len] decodes the HCX payload
-    occupying [buf.[off .. off+len-1]] in place; no [String.sub] of
-    the range is taken (strings inside it are still copied out). Raises
-    [Invalid_argument] if the range is out of bounds and
-    {!Codec.Type_error} if the version byte is not {!version}. *)

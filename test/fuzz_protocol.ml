@@ -255,10 +255,8 @@ let connect_proto proto ~port () =
    error replies the server owed us for earlier hostile frames, accept
    only our locate reply. *)
 let probe a target ~req_id ~deadline =
-  Orb.Communicator.set_deadline a.comm (Some (Unix.gettimeofday () +. deadline));
-  Fun.protect
-    ~finally:(fun () ->
-      try Orb.Communicator.set_deadline a.comm None with _ -> ())
+  Tutil.with_watchdog ~seconds:deadline ~what:"probe"
+    ~on_expiry:(fun () -> Orb.Communicator.close a.comm)
     (fun () ->
       Orb.Communicator.send a.comm (Orb.Protocol.Locate_request { req_id; target });
       let rec await budget =

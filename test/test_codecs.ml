@@ -283,22 +283,6 @@ let test_hcx_hostile_lengths () =
   | exception Wire.Codec.Type_error _ -> ()
   | _ -> Alcotest.fail "hostile sequence length accepted"
 
-let test_hcx_decoder_view () =
-  (* The zero-copy receive path: decode from a sub-view of a larger
-     buffer without taking a String.sub of the frame. *)
-  let e = hcx.Wire.Codec.encoder () in
-  e.Wire.Codec.put_long 42;
-  e.Wire.Codec.put_string "view";
-  let frame = e.Wire.Codec.finish () in
-  let padded = "JUNK" ^ frame ^ "TRAILER" in
-  let d =
-    Wire.Hcx_codec.make_decoder_view Wire.Codec.default_limits padded ~off:4
-      ~len:(String.length frame)
-  in
-  Alcotest.(check int) "long through view" 42 (d.Wire.Codec.get_long ());
-  Alcotest.(check string) "string through view" "view" (d.Wire.Codec.get_string ());
-  Alcotest.(check bool) "view ends at frame end" true (d.Wire.Codec.at_end ())
-
 (* ---------------- HCX varints near the end of a payload ---------------- *)
 
 (* The decoder's varint loop tests the payload's end inline, once per
@@ -777,7 +761,6 @@ let () =
           Alcotest.test_case "truncated + over-long varints" `Quick
             test_hcx_truncated_varint;
           Alcotest.test_case "hostile lengths" `Quick test_hcx_hostile_lengths;
-          Alcotest.test_case "decoder view" `Quick test_hcx_decoder_view;
           Alcotest.test_case "nesting depth pinned" `Quick
             test_nesting_depth_pinned;
           Alcotest.test_case "encode buffers are never shared" `Quick

@@ -338,18 +338,20 @@ let test_pipelining_cap () =
          })
   done;
   let ok = ref 0 and capped = ref 0 in
-  Orb.Communicator.set_deadline comm (Some (Unix.gettimeofday () +. 5.0));
-  for _ = 1 to total do
-    match Orb.Communicator.recv comm with
-    | Orb.Protocol.Reply { status = Orb.Protocol.Status_ok; _ } -> incr ok
-    | Orb.Protocol.Reply { status = Orb.Protocol.Status_system_error m; _ }
-      when Tutil.contains m "pipelined" ->
-        incr capped
-    | Orb.Protocol.Reply { status; _ } ->
-        Alcotest.failf "unexpected reply status %s"
-          (Orb.Protocol.status_to_string status)
-    | _ -> Alcotest.fail "unexpected non-reply message"
-  done;
+  Tutil.with_watchdog ~seconds:5.0 ~what:"pipelined replies"
+    ~on_expiry:(fun () -> Orb.Communicator.close comm)
+    (fun () ->
+      for _ = 1 to total do
+        match Orb.Communicator.recv comm with
+        | Orb.Protocol.Reply { status = Orb.Protocol.Status_ok; _ } -> incr ok
+        | Orb.Protocol.Reply { status = Orb.Protocol.Status_system_error m; _ }
+          when Tutil.contains m "pipelined" ->
+            incr capped
+        | Orb.Protocol.Reply { status; _ } ->
+            Alcotest.failf "unexpected reply status %s"
+              (Orb.Protocol.status_to_string status)
+        | _ -> Alcotest.fail "unexpected non-reply message"
+      done);
   Alcotest.(check int) "all requests answered" total (!ok + !capped);
   Alcotest.(check bool) "admitted up to the cap" true (!ok >= 2);
   Alcotest.(check bool) "excess rejected" true (!capped >= 1);
@@ -577,21 +579,23 @@ let test_budget_expires_in_queue () =
      50 ms of budget against 200 ms of queue wait. *)
   Thread.delay 0.05;
   send_raw comm ~req_id:2 ~target ~op:"mark" ~budget_us:50_000 "";
-  Orb.Communicator.set_deadline comm (Some (Unix.gettimeofday () +. 5.0));
   let got_ok = ref 0 and got_expired = ref 0 in
-  for _ = 1 to 2 do
-    match Orb.Communicator.recv comm with
-    | Orb.Protocol.Reply { rep_id = 1; status = Orb.Protocol.Status_ok; _ } ->
-        incr got_ok
-    | Orb.Protocol.Reply
-        { rep_id = 2; status = Orb.Protocol.Status_system_error m; _ }
-      when Tutil.contains m "expired in queue" ->
-        incr got_expired
-    | Orb.Protocol.Reply { rep_id; status; _ } ->
-        Alcotest.failf "unexpected reply %d: %s" rep_id
-          (Orb.Protocol.status_to_string status)
-    | _ -> Alcotest.fail "unexpected non-reply message"
-  done;
+  Tutil.with_watchdog ~seconds:5.0 ~what:"sleeper and expired replies"
+    ~on_expiry:(fun () -> Orb.Communicator.close comm)
+    (fun () ->
+      for _ = 1 to 2 do
+        match Orb.Communicator.recv comm with
+        | Orb.Protocol.Reply { rep_id = 1; status = Orb.Protocol.Status_ok; _ } ->
+            incr got_ok
+        | Orb.Protocol.Reply
+            { rep_id = 2; status = Orb.Protocol.Status_system_error m; _ }
+          when Tutil.contains m "expired in queue" ->
+            incr got_expired
+        | Orb.Protocol.Reply { rep_id; status; _ } ->
+            Alcotest.failf "unexpected reply %d: %s" rep_id
+              (Orb.Protocol.status_to_string status)
+        | _ -> Alcotest.fail "unexpected non-reply message"
+      done);
   Alcotest.(check int) "sleeper answered" 1 !got_ok;
   Alcotest.(check int) "doomed call answered expired" 1 !got_expired;
   Alcotest.(check bool) "servant never ran the expired request" false
@@ -614,13 +618,15 @@ let test_budget_expired_pre_admission () =
   in
   let comm = Orb.Communicator.wrap Orb.Protocol.text chan in
   send_raw comm ~req_id:7 ~target ~op:"mark" ~budget_us:0 "";
-  Orb.Communicator.set_deadline comm (Some (Unix.gettimeofday () +. 5.0));
-  (match Orb.Communicator.recv comm with
-  | Orb.Protocol.Reply
-      { rep_id = 7; status = Orb.Protocol.Status_system_error m; _ } ->
-      Alcotest.(check bool) "reason names admission" true
-        (Tutil.contains m "expired before admission")
-  | _ -> Alcotest.fail "expected an expired system-error reply");
+  Tutil.with_watchdog ~seconds:5.0 ~what:"expired-at-admission reply"
+    ~on_expiry:(fun () -> Orb.Communicator.close comm)
+    (fun () ->
+      match Orb.Communicator.recv comm with
+      | Orb.Protocol.Reply
+          { rep_id = 7; status = Orb.Protocol.Status_system_error m; _ } ->
+          Alcotest.(check bool) "reason names admission" true
+            (Tutil.contains m "expired before admission")
+      | _ -> Alcotest.fail "expected an expired system-error reply");
   Alcotest.(check bool) "servant never ran" false (Atomic.get ran);
   let st = Orb.stats server in
   Alcotest.(check int) "expired_pre_admission counted" 1
@@ -658,21 +664,23 @@ let test_shutdown_expiry_exactly_one_reply () =
      every reply per request id. *)
   let replies = Hashtbl.create 4 in
   let expired_msgs = ref 0 in
-  Orb.Communicator.set_deadline comm (Some (Unix.gettimeofday () +. 5.0));
-  (try
-     while true do
-       match Orb.Communicator.recv comm with
-       | Orb.Protocol.Reply { rep_id; status; _ } ->
-           Hashtbl.replace replies rep_id
-             (1 + Option.value ~default:0 (Hashtbl.find_opt replies rep_id));
-           (match status with
-           | Orb.Protocol.Status_system_error m
-             when Tutil.contains m "expired" ->
-               incr expired_msgs
-           | _ -> ())
-       | _ -> ()
-     done
-   with _ -> ());
+  Tutil.with_watchdog ~seconds:5.0 ~what:"replies until the drain closes"
+    ~on_expiry:(fun () -> Orb.Communicator.close comm)
+    (fun () ->
+      try
+        while true do
+          match Orb.Communicator.recv comm with
+          | Orb.Protocol.Reply { rep_id; status; _ } ->
+              Hashtbl.replace replies rep_id
+                (1 + Option.value ~default:0 (Hashtbl.find_opt replies rep_id));
+              (match status with
+              | Orb.Protocol.Status_system_error m
+                when Tutil.contains m "expired" ->
+                  incr expired_msgs
+              | _ -> ())
+          | _ -> ()
+        done
+      with _ -> ());
   Thread.join shut;
   Alcotest.(check (option int)) "sleeper: exactly one reply" (Some 1)
     (Hashtbl.find_opt replies 1);

@@ -30,9 +30,9 @@ let test_line_reading () =
       with_pair ~proto (fun ~client ~server ->
           client.Orb.Transport.write "first line\nsecond";
           client.Orb.Transport.write " line\nthird\n";
-          Alcotest.(check string) "l1" "first line" (server.Orb.Transport.read_line ());
-          Alcotest.(check string) "l2" "second line" (server.Orb.Transport.read_line ());
-          Alcotest.(check string) "l3" "third" (server.Orb.Transport.read_line ())))
+          Alcotest.(check string) "l1" "first line" (server.Orb.Transport.read_line ~max:4096);
+          Alcotest.(check string) "l2" "second line" (server.Orb.Transport.read_line ~max:4096);
+          Alcotest.(check string) "l3" "third" (server.Orb.Transport.read_line ~max:4096)))
     protos
 
 let test_exact_reading () =
@@ -51,9 +51,9 @@ let test_mixed_line_and_exact () =
       with_pair ~proto (fun ~client ~server ->
           client.Orb.Transport.write "HDR00000003\nxyzrest\n";
           Alcotest.(check string) "header" "HDR00000003"
-            (server.Orb.Transport.read_line ());
+            (server.Orb.Transport.read_line ~max:4096);
           Alcotest.(check string) "body" "xyz" (server.Orb.Transport.read_exact 3);
-          Alcotest.(check string) "next line" "rest" (server.Orb.Transport.read_line ())))
+          Alcotest.(check string) "next line" "rest" (server.Orb.Transport.read_line ~max:4096)))
     protos
 
 let test_bidirectional () =
@@ -61,9 +61,9 @@ let test_bidirectional () =
     (fun proto ->
       with_pair ~proto (fun ~client ~server ->
           client.Orb.Transport.write "ping\n";
-          Alcotest.(check string) "ping" "ping" (server.Orb.Transport.read_line ());
+          Alcotest.(check string) "ping" "ping" (server.Orb.Transport.read_line ~max:4096);
           server.Orb.Transport.write "pong\n";
-          Alcotest.(check string) "pong" "pong" (client.Orb.Transport.read_line ())))
+          Alcotest.(check string) "pong" "pong" (client.Orb.Transport.read_line ~max:4096)))
     protos
 
 let test_binary_safety () =
@@ -81,7 +81,7 @@ let test_eof_on_close () =
       with_pair ~proto (fun ~client ~server ->
           client.Orb.Transport.write "partial";
           client.Orb.Transport.close ();
-          match server.Orb.Transport.read_line () with
+          match server.Orb.Transport.read_line ~max:4096 with
           | exception Orb.Transport.Transport_error _ -> ()
           | line -> Alcotest.failf "expected EOF error, read %S" line))
     protos
@@ -124,63 +124,38 @@ let test_listener_shutdown_wakes_accept () =
   Thread.join t;
   Alcotest.(check bool) "woken with error" true (!result = `Stopped)
 
-let test_deadline_timeout () =
-  (* With a deadline installed and no data coming, reads raise Timeout
-     close to the deadline — on both transports. *)
+let test_close_wakes_blocked_read () =
+  (* Reads have no deadline of their own: a read with nothing coming
+     ends when the channel closes, here by the test watchdog. *)
   List.iter
     (fun proto ->
       with_pair ~proto (fun ~client ~server:_ ->
-          client.Orb.Transport.set_deadline
-            (Some (Unix.gettimeofday () +. 0.15));
           let t0 = Unix.gettimeofday () in
-          (match client.Orb.Transport.read_line () with
-          | exception Orb.Transport.Timeout _ -> ()
+          (match
+             Tutil.with_watchdog ~seconds:0.2 ~what:proto
+               ~on_expiry:client.Orb.Transport.close (fun () ->
+                 client.Orb.Transport.read_line ~max:4096)
+           with
+          | exception Failure m -> Tutil.check_contains ~what:proto m "0.2 s"
           | exception e ->
-              Alcotest.failf "%s: expected Timeout, got %s" proto
+              Alcotest.failf "%s: expected the watchdog's failure, got %s" proto
                 (Printexc.to_string e)
           | line -> Alcotest.failf "%s: unexpected line %S" proto line);
           let elapsed = Unix.gettimeofday () -. t0 in
           Alcotest.(check bool)
-            (Printf.sprintf "%s: timed out near deadline (%.3fs)" proto elapsed)
+            (Printf.sprintf "%s: woken near the bound (%.3fs)" proto elapsed)
             true
-            (elapsed >= 0.1 && elapsed <= 0.5)))
+            (elapsed >= 0.15 && elapsed <= 0.6)))
     protos
-
-let test_deadline_cleared () =
-  (* Clearing the deadline restores plain blocking reads, and a
-     deadline does not disturb data that arrives in time. *)
-  List.iter
-    (fun proto ->
-      with_pair ~proto (fun ~client ~server ->
-          server.Orb.Transport.set_deadline
-            (Some (Unix.gettimeofday () +. 5.0));
-          client.Orb.Transport.write "prompt\n";
-          Alcotest.(check string) "read under deadline" "prompt"
-            (server.Orb.Transport.read_line ());
-          server.Orb.Transport.set_deadline None;
-          client.Orb.Transport.write "after\n";
-          Alcotest.(check string) "read after clearing" "after"
-            (server.Orb.Transport.read_line ())))
-    protos
-
-let test_expired_deadline_fails_fast () =
-  with_pair ~proto:"mem" (fun ~client ~server:_ ->
-      client.Orb.Transport.set_deadline (Some (Unix.gettimeofday () -. 1.0));
-      let t0 = Unix.gettimeofday () in
-      (match client.Orb.Transport.read_exact 1 with
-      | exception Orb.Transport.Timeout _ -> ()
-      | _ -> Alcotest.fail "expected Timeout");
-      Alcotest.(check bool) "no wait on expired deadline" true
-        (Unix.gettimeofday () -. t0 < 0.05))
 
 let test_faulty_passthrough () =
   (* With no plan installed, "faulty:mem" behaves exactly like "mem". *)
   Orb.Transport.Fault.clear ();
   with_pair ~proto:"faulty:mem" (fun ~client ~server ->
       client.Orb.Transport.write "ping\n";
-      Alcotest.(check string) "ping" "ping" (server.Orb.Transport.read_line ());
+      Alcotest.(check string) "ping" "ping" (server.Orb.Transport.read_line ~max:4096);
       server.Orb.Transport.write "pong\n";
-      Alcotest.(check string) "pong" "pong" (client.Orb.Transport.read_line ());
+      Alcotest.(check string) "pong" "pong" (client.Orb.Transport.read_line ~max:4096);
       Alcotest.(check int) "nothing injected" 0
         (Orb.Transport.Fault.injected_total ()))
 
@@ -192,7 +167,7 @@ let test_faulty_scripted_drop () =
       | _ -> None);
   Fun.protect ~finally:Orb.Transport.Fault.clear (fun () ->
       with_pair ~proto:"faulty:mem" (fun ~client ~server:_ ->
-          (match client.Orb.Transport.read_line () with
+          (match client.Orb.Transport.read_line ~max:4096 with
           | exception Orb.Transport.Transport_error _ -> ()
           | _ -> Alcotest.fail "expected dropped connection");
           Alcotest.(check (list (pair string int))) "ledger"
@@ -208,7 +183,7 @@ let test_multiple_connections () =
       (fun () ->
         for _ = 1 to 3 do
           let chan = listener.Orb.Transport.accept () in
-          let line = chan.Orb.Transport.read_line () in
+          let line = chan.Orb.Transport.read_line ~max:4096 in
           chan.Orb.Transport.write (line ^ "!\n");
           incr served;
           chan.Orb.Transport.close ()
@@ -219,18 +194,18 @@ let test_multiple_connections () =
     (fun name ->
       let c = Orb.Transport.connect ~proto:"mem" ~host:"local" ~port in
       c.Orb.Transport.write (name ^ "\n");
-      Alcotest.(check string) name (name ^ "!") (c.Orb.Transport.read_line ());
+      Alcotest.(check string) name (name ^ "!") (c.Orb.Transport.read_line ~max:4096);
       c.Orb.Transport.close ())
     [ "a"; "b"; "c" ];
   Thread.join server;
   Alcotest.(check int) "served" 3 !served;
   listener.Orb.Transport.shutdown ()
 
-(* ---------------- the tcp receive buffer ---------------- *)
+(* ---------------- the receive buffer ---------------- *)
 
-(* The tcp channel reads into one growable buffer per connection that
+(* Both transports read through one growable buffer per connection that
    starts at 4 KiB; these cases cross every edge of it with HCX frames
-   decoded through a communicator. *)
+   decoded through a communicator, on tcp and on mem. *)
 
 module P = Orb.Protocol
 
@@ -266,9 +241,9 @@ let expect_request comm i payload =
 
 let payload_of i = Printf.sprintf "payload-%d" i
 
-let test_tcp_split_frames () =
+let test_split_frames proto () =
   (* Every byte its own segment: each frame needs many reads. *)
-  with_pair ~proto:"tcp" (fun ~client ~server ->
+  with_pair ~proto (fun ~client ~server ->
       let comm = Orb.Communicator.wrap P.hcx server in
       let frames = String.concat "" (List.init 3 (fun i -> hcx_frame (request i (payload_of i)))) in
       String.iter (fun c -> client.Orb.Transport.write (String.make 1 c)) frames;
@@ -276,9 +251,9 @@ let test_tcp_split_frames () =
         expect_request comm i (payload_of i)
       done)
 
-let test_tcp_many_frames_one_write () =
+let test_many_frames_one_write proto () =
   (* 300 frames (well past 4 KiB) in one write: reads end mid-frame. *)
-  with_pair ~proto:"tcp" (fun ~client ~server ->
+  with_pair ~proto (fun ~client ~server ->
       let comm = Orb.Communicator.wrap P.hcx server in
       client.Orb.Transport.write
         (String.concat "" (List.init 300 (fun i -> hcx_frame (request i (payload_of i)))));
@@ -286,10 +261,10 @@ let test_tcp_many_frames_one_write () =
         expect_request comm i (payload_of i)
       done)
 
-let test_tcp_large_frame () =
+let test_large_frame proto () =
   (* A frame 4x the initial buffer, between small ones, then a line of
      the same size and a line past the receive limit. *)
-  with_pair ~proto:"tcp" (fun ~client ~server ->
+  with_pair ~proto (fun ~client ~server ->
       let comm = Orb.Communicator.wrap P.hcx server in
       let big = String.init (4 * 4096 + 100) (fun i -> Char.chr (i mod 251)) in
       client.Orb.Transport.write
@@ -299,23 +274,22 @@ let test_tcp_large_frame () =
       expect_request comm 2 big;
       expect_request comm 3 "after";
       let line = String.make (4 * 4096 + 7) 'L' in
-      server.Orb.Transport.set_recv_limit None;
       client.Orb.Transport.write (line ^ "\nshort\n");
-      Alcotest.(check string) "long line" line (server.Orb.Transport.read_line ());
-      Alcotest.(check string) "next line" "short" (server.Orb.Transport.read_line ());
-      server.Orb.Transport.set_recv_limit (Some 100);
+      Alcotest.(check string) "long line" line
+        (server.Orb.Transport.read_line ~max:(String.length line));
+      Alcotest.(check string) "next line" "short" (server.Orb.Transport.read_line ~max:100);
       client.Orb.Transport.write (line ^ "\nsynced\n");
-      (match server.Orb.Transport.read_line () with
+      (match server.Orb.Transport.read_line ~max:100 with
       | exception Orb.Transport.Frame_limit _ -> ()
       | l -> Alcotest.failf "over-limit line returned (%d bytes)" (String.length l));
       Alcotest.(check string) "synchronized after the discard" "synced"
-        (server.Orb.Transport.read_line ()))
+        (server.Orb.Transport.read_line ~max:100))
 
-let test_tcp_read_allocation () =
+let test_read_allocation proto () =
   (* Request/reply ping-pong over loopback, so every frame arrives in a
      read of its own. A per-read allocation of the receive buffer's size
      would show here as thousands of major-heap words per frame. *)
-  with_pair ~proto:"tcp" (fun ~client ~server ->
+  with_pair ~proto (fun ~client ~server ->
       let ccomm = Orb.Communicator.wrap P.hcx client in
       let scomm = Orb.Communicator.wrap P.hcx server in
       let rounds = 1000 and warmup = 20 in
@@ -349,7 +323,7 @@ let test_tcp_read_allocation () =
         (Printf.sprintf "%.0f major words per frame read (< 1000)" per_frame)
         true (per_frame < 1000.))
 
-let test_tcp_header_only_frame () =
+let test_header_only_frame chan_proto () =
   (* A peer declares the largest frame the default limit admits, sends
      no body and hangs up. The receive buffer may grow only as body
      bytes arrive, so the failed read allocates a few read-sized chunks,
@@ -357,7 +331,7 @@ let test_tcp_header_only_frame () =
   let limit = Wire.Codec.default_limits.Wire.Codec.max_frame_bytes in
   List.iter
     (fun (proto, header) ->
-      with_pair ~proto:"tcp" (fun ~client ~server ->
+      with_pair ~proto:chan_proto (fun ~client ~server ->
           let comm = Orb.Communicator.wrap proto server in
           client.Orb.Transport.write header;
           client.Orb.Transport.close ();
@@ -374,11 +348,23 @@ let test_tcp_header_only_frame () =
           let words = major_words () -. before in
           let bound = float_of_int (limit / 8 / 16) in
           Alcotest.(check bool)
-            (Printf.sprintf "%s: %.0f major words for a %d-byte declared frame (< %.0f)"
-               proto.P.name words limit bound)
+            (Printf.sprintf "%s over %s: %.0f major words for a %d-byte declared frame (< %.0f)"
+               proto.P.name chan_proto words limit bound)
             true (words < bound)))
     [ (P.hcx, String.make 1 P.hcx_magic ^ uvarint limit);
       (Giop.protocol (), Printf.sprintf "%s%08x\n" Giop.magic limit) ]
+
+let receive_buffer proto =
+  ( proto ^ " receive buffer",
+    [
+      Alcotest.test_case "frames in 1-byte writes" `Quick (test_split_frames proto);
+      Alcotest.test_case "many frames in one write" `Quick
+        (test_many_frames_one_write proto);
+      Alcotest.test_case "frame 4x the initial buffer" `Quick (test_large_frame proto);
+      Alcotest.test_case "allocation per frame read" `Quick
+        (test_read_allocation proto);
+      Alcotest.test_case "header-only frame" `Quick (test_header_only_frame proto);
+    ] )
 
 let () =
   Alcotest.run "transport"
@@ -391,23 +377,11 @@ let () =
           Alcotest.test_case "bidirectional" `Quick test_bidirectional;
           Alcotest.test_case "binary safety" `Quick test_binary_safety;
           Alcotest.test_case "EOF on close" `Quick test_eof_on_close;
+          Alcotest.test_case "close wakes a blocked read" `Quick
+            test_close_wakes_blocked_read;
         ] );
-      ( "tcp receive buffer",
-        [
-          Alcotest.test_case "frames in 1-byte writes" `Quick test_tcp_split_frames;
-          Alcotest.test_case "many frames in one write" `Quick
-            test_tcp_many_frames_one_write;
-          Alcotest.test_case "frame 4x the initial buffer" `Quick test_tcp_large_frame;
-          Alcotest.test_case "allocation per frame read" `Quick
-            test_tcp_read_allocation;
-          Alcotest.test_case "header-only frame" `Quick test_tcp_header_only_frame;
-        ] );
-      ( "deadlines",
-        [
-          Alcotest.test_case "reads time out" `Quick test_deadline_timeout;
-          Alcotest.test_case "deadline cleared" `Quick test_deadline_cleared;
-          Alcotest.test_case "expired deadline" `Quick test_expired_deadline_fails_fast;
-        ] );
+      receive_buffer "tcp";
+      receive_buffer "mem";
       ( "fault injection",
         [
           Alcotest.test_case "passthrough" `Quick test_faulty_passthrough;

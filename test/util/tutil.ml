@@ -47,3 +47,43 @@ let find haystack needle =
     else scan (i + 1)
   in
   scan 0
+
+(* Run [f] under a watchdog: if it has not returned within [seconds],
+   the watchdog runs [on_expiry] — closing the channel [f] blocks on, so
+   its read fails — and the check fails with a message naming [what] and
+   the bound. The watchdog is cancelled the moment [f] returns. It parks
+   in [select] on a pipe that the cancel writes to, so a check that
+   finishes in time costs no wait. *)
+let with_watchdog ~seconds ~what ~on_expiry f =
+  let cancel_r, cancel_w = Unix.pipe ~cloexec:true () in
+  let fired = Atomic.make false in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec watch () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then begin
+      Atomic.set fired true;
+      try on_expiry () with _ -> ()
+    end
+    else
+      match Unix.select [ cancel_r ] [] [] left with
+      | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> watch ()
+      | _ -> ()
+  in
+  let dog = Thread.create watch () in
+  let finish () =
+    ignore (Unix.write_substring cancel_w "x" 0 1);
+    Thread.join dog;
+    Unix.close cancel_r;
+    Unix.close cancel_w;
+    if Atomic.get fired then
+      failwith
+        (Printf.sprintf "%s: not done within %.1f s (watchdog closed the channel)"
+           what seconds)
+  in
+  match f () with
+  | v ->
+      finish ();
+      v
+  | exception e ->
+      finish ();
+      raise e
