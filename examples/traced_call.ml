@@ -5,7 +5,7 @@
      dune exec examples/traced_call.exe
 
    The client ORB opens a span around each invocation and propagates its
-   trace context in the request's service-context slot; the server ORB
+   trace context in the request's trailer; the server ORB
    joins it with a child span around dispatch. Spans stream to the sinks
    registered on each side (here: a bounded ring we read at the end, and
    JSONL on stderr so the raw export format is visible too). *)

@@ -97,10 +97,15 @@ let new_trace_and_span_ids () =
 
 let encode_context span = span.trace_id ^ "-" ^ span.span_id
 
+(* We emit 16 and 8 hex digits and accept up to 32 and 16, no more, so
+   a peer cannot put a megabyte id into every span it causes. *)
+let max_context_bytes = 32 + 1 + 16
+
 (* Lowercase only: it is what {!hex_id} emits, and rejecting anything
    else keeps junk that merely resembles a context out. *)
-let is_hex s =
+let is_hex ~max s =
   s <> ""
+  && String.length s <= max
   && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
 
 (* Tolerant by design: a malformed context from a peer must never fail
@@ -111,7 +116,8 @@ let decode_context s =
   | Some i ->
       let trace_id = String.sub s 0 i in
       let span_id = String.sub s (i + 1) (String.length s - i - 1) in
-      if is_hex trace_id && is_hex span_id then Some (trace_id, span_id)
+      if is_hex ~max:32 trace_id && is_hex ~max:16 span_id then
+        Some (trace_id, span_id)
       else None
 
 (* ---------------- span lifecycle ---------------- *)

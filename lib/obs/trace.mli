@@ -51,13 +51,17 @@ val now : unit -> float
 (** {2 Wire context}
 
     The context travels as one opaque string ["<trace-id>-<span-id>"] in
-    the protocol's service-context slot. Decoding is tolerant: peers
-    that predate the slot send nothing, and malformed contexts are
-    treated as absent — propagation must never fail a call. *)
+    the protocol's trailer. Decoding is tolerant: peers that predate the
+    context send nothing, and malformed contexts are treated as absent —
+    propagation must never fail a call. *)
 
 val encode_context : span -> string
 val decode_context : string -> (string * string) option
-(** [Some (trace_id, parent_span_id)] when well-formed. *)
+(** [Some (trace_id, parent_span_id)] when well-formed: lowercase hex,
+    a trace id of at most 32 digits and a span id of at most 16. *)
+
+val max_context_bytes : int
+(** The longest context {!decode_context} accepts (49 bytes). *)
 
 val new_trace_id : unit -> string
 val new_span_id : unit -> string

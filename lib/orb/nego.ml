@@ -1,12 +1,7 @@
 type compat = name:string -> offered:int -> local:int -> bool
-type verdict = Chosen of Protocol.t | Unknown of string | Resend | Fallback
+type verdict = Chosen of Protocol.t | Unknown of string | Fallback
 
-let contains_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-let answer ~codecs ~(compat : compat) msg reply =
+let answer ~codecs ~(compat : compat) reply =
   match reply with
   | Protocol.Reply { Protocol.nego_answer = tok; _ } when tok <> "" -> (
       match Protocol.Nego.parse_token tok with
@@ -18,12 +13,6 @@ let answer ~codecs ~(compat : compat) msg reply =
               Chosen p
           | Some _ | None -> Unknown tok)
       | None -> Unknown tok)
-  | Protocol.Reply { Protocol.status = Protocol.Status_system_error m; _ }
-    when (match msg with
-         | Protocol.Request { Protocol.budget_us = None; _ } -> true
-         | _ -> false)
-         && contains_sub ~sub:"malformed deadline slot" m ->
-      Resend
   | _ -> Fallback
 
 type server = {

@@ -14,16 +14,15 @@ type verdict =
   | Unknown of string
       (** the peer answered this token, which we did not offer or cannot
           follow; its stream has switched, so the connection must die *)
-  | Resend
-      (** a deadline-era peer refused the offer's empty budget slot
-          recoverably, without dispatching: settle, then re-send the
-          request once without the offer *)
-  | Fallback  (** no answer (an older peer, or no common codec): settle *)
+  | Fallback
+      (** no answer (a peer that predates the trailer never sees the
+          offer, or no common codec): settle; the offering call already
+          has its reply, so nothing is re-sent *)
 
 val answer : codecs:Protocol.t list -> compat:compat -> Protocol.message ->
-  Protocol.message -> verdict
-(** [answer ~codecs ~compat request reply]: the verdict on the reply to
-    the offering [request]. *)
+  verdict
+(** [answer ~codecs ~compat reply]: the verdict on the reply to the
+    offering request. *)
 
 (** {2 Server: one answer per connection} *)
 

@@ -315,8 +315,8 @@ let handle_request_inner t (proto : Protocol.t) (req : Protocol.request) :
 (* Dispatch with the server-side interceptor chain around it (Section 5:
    Orbix-style filters "triggered in the dispatch path"), and a server
    span around the whole thing. The span joins the caller's trace via
-   the request's service-context slot; requests from peers that predate
-   the slot (or carry a malformed context) start a fresh root trace. *)
+   the trace context in the request's trailer; requests without one (or
+   with a malformed one) start a fresh root trace. *)
 let handle_request t proto (req : Protocol.request) : Protocol.reply option =
   let span =
     if Obs.enabled t.obs then begin
@@ -528,9 +528,9 @@ let serve_connection t sc =
                LOCATION_FORWARD instead of dispatching. Answered inline
                like locate — it is control-plane traffic, never queued. *)
             sc.s_last_active <- Unix.gettimeofday ();
-            (* A carried offer is deliberately NOT honoured here: the
-               answer slot only exists on [Reply], and the client treats
-               a forward (like any answerless response) as fallback. *)
+            (* A carried offer is deliberately NOT honoured here: only
+               a [Reply] carries an answer, and the client treats a
+               forward (like any answerless response) as fallback. *)
             if not req.Protocol.oneway then
               send_msg
                 (Protocol.Locate_forward
@@ -547,7 +547,7 @@ let serve_connection t sc =
         (* GIOP-style locate: answered by the adapter, never dispatched
            (and never queued — it is the liveness probe). A registered
            forward counts as found — the peer knows where the object
-           lives — and rides in the reply's version-safe forward slot. *)
+           lives — and rides in the reply's trailer. *)
         sc.s_last_active <- Unix.gettimeofday ();
         let forward = Object_adapter.forward t.oa target.Objref.oid in
         let found =
@@ -976,6 +976,44 @@ let hold lock deadline decide =
   hold_from lock deadline decide
     (match deadline with Some d -> Unix.gettimeofday () >= d | None -> false)
 
+(* Act on [Nego.answer]'s verdict on the reply to the connection's one
+   offer. A failed offer needs no settling: every failure after
+   admission kills the connection, and admission checks death before
+   the gate. *)
+let settle_offer t conn reply =
+  let settle () =
+    Locked.with_lock conn.mx_lock (fun () ->
+        Mux.settle conn.mux;
+        Locked.broadcast conn.mx_lock)
+  in
+  match Nego.answer ~codecs:t.codecs ~compat:t.codec_compat reply with
+  | Nego.Chosen p ->
+      Communicator.set_protocol conn.comm p;
+      conn.c_codec := p.Protocol.name;
+      count t Event.c_negotiated;
+      settle ()
+  | Nego.Unknown tok ->
+      (* Kill before the calls held behind the offer send on it; they
+         see a transport error (retry-classifiable). *)
+      mux_kill conn
+        (Transport.Transport_error
+           (Printf.sprintf
+              "connection to %s closed: peer answered an unknown codec"
+              (Communicator.peer conn.comm)));
+      raise
+        (Exchange_failed
+           {
+             phase = `Recv;
+             fatal = true;
+             err =
+               System_exception
+                 (Printf.sprintf
+                    "peer answered unknown codec %S in negotiation" tok);
+           })
+  | Nego.Fallback ->
+      count t Event.c_fallback;
+      settle ()
+
 (* The client exchange: admit, marshal, send, await — each decision is
    [Mux]'s, under the demux lock; this is the shell that waits, sends
    and wakes (DESIGN.md §9). Admission fixes the protocol the message
@@ -983,7 +1021,7 @@ let hold lock deadline decide =
    marshalled in its codec after admission, outside both locks, so a
    frame never mixes two codecs, and the reply comes back with that
    protocol. *)
-let rec exchange t conn msg ~payload ~deadline ~(span : Obs.Trace.span option) =
+let exchange t conn msg ~payload ~deadline ~(span : Obs.Trace.span option) =
   let mx = conn.mux and lock = conn.mx_lock in
   let fail_ phase ~fatal err = raise (Exchange_failed { phase; fatal; err }) in
   let cell = Mux.cell msg in
@@ -1086,8 +1124,10 @@ let rec exchange t conn msg ~payload ~deadline ~(span : Obs.Trace.span option) =
         (match span with
         | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
         | None -> ());
-        if offer then settle_offer t conn msg proto reply ~payload ~deadline ~span
-        else Some (proto, reply)
+        (* The offer and its reply travel in the base protocol [proto],
+           whatever the answer. *)
+        if offer then settle_offer t conn reply;
+        Some (proto, reply)
     | Mux.Dead err ->
         unregister ();
         fail_ `Recv ~fatal:true err
@@ -1107,51 +1147,6 @@ let rec exchange t conn msg ~payload ~deadline ~(span : Obs.Trace.span option) =
           (Transport.Timeout
              (Printf.sprintf "reply %d from %s timed out" cell.Mux.id
                 (Communicator.peer conn.comm)))
-
-(* Act on [Nego.answer]'s verdict on the reply to the connection's one
-   offer. A failed offer needs no settling: every failure after
-   admission kills the connection, and admission checks death before
-   the gate. The offer and its reply travel in the base protocol
-   [proto], whatever the answer. *)
-and settle_offer t conn msg proto reply ~payload ~deadline ~span =
-  let settle () =
-    Locked.with_lock conn.mx_lock (fun () ->
-        Mux.settle conn.mux;
-        Locked.broadcast conn.mx_lock)
-  in
-  match Nego.answer ~codecs:t.codecs ~compat:t.codec_compat msg reply with
-  | Nego.Chosen p ->
-      Communicator.set_protocol conn.comm p;
-      conn.c_codec := p.Protocol.name;
-      count t Event.c_negotiated;
-      settle ();
-      Some (proto, reply)
-  | Nego.Unknown tok ->
-      (* Kill before the calls held behind the offer send on it; they
-         see a transport error (retry-classifiable). *)
-      mux_kill conn
-        (Transport.Transport_error
-           (Printf.sprintf
-              "connection to %s closed: peer answered an unknown codec"
-              (Communicator.peer conn.comm)));
-      raise
-        (Exchange_failed
-           {
-             phase = `Recv;
-             fatal = true;
-             err =
-               System_exception
-                 (Printf.sprintf
-                    "peer answered unknown codec %S in negotiation" tok);
-           })
-  | Nego.Resend ->
-      count t Event.c_fallback;
-      settle ();
-      exchange t conn msg ~payload ~deadline ~span
-  | Nego.Fallback ->
-      count t Event.c_fallback;
-      settle ();
-      Some (proto, reply)
 
 (* Locates and probes carry no payload. *)
 let no_payload (_ : Protocol.t) = ""
@@ -1534,8 +1529,8 @@ let invalidate_forward t target =
 let max_forward_hops = 4
 
 (* The invocation core. The caller's trace context rides in the
-   request's service-context slot; disabled tracing sends the empty
-   context, which encodes to bytes identical to the pre-slot protocol.
+   request's trailer; disabled tracing sends the empty context, which
+   adds no entry.
    [payload] encodes the arguments in each attempt's protocol (see
    [payload_encoder]); the client interceptors see the request before
    any attempt, so with an empty payload. The answer is the reply
@@ -1574,7 +1569,7 @@ let invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload =
      and — when duplicate-safe — fall back to the logical target. *)
   let rec call ~hops ~via_forward actual =
     (* [budget] is stamped by [request_reply] per attempt: each retry or
-       failover re-reads the remaining call deadline, so the wire slot
+       failover re-reads the remaining call deadline, so the wire
        always carries what is actually left, not the original timeout. *)
     let make_msg tgt budget =
       Protocol.Request { req with Protocol.target = tgt; budget_us = budget }
@@ -1637,9 +1632,8 @@ let invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload =
    the object lives. *)
 let locate t ?timeout target =
   let req_id = next_req_id t in
-  (* Locate carries no deadline slot: it is control-plane traffic, like
-     the breaker's half-open probe, and pre-budget peers must keep
-     parsing it unchanged. *)
+  (* Locate carries no budget: it is control-plane traffic, like the
+     breaker's half-open probe, and its envelope has no trailer. *)
   let make_msg tgt _budget = Protocol.Locate_request { req_id; target = tgt } in
   match
     request_reply t target ~make_msg ~payload:no_payload ~timeout

@@ -142,9 +142,8 @@ val create :
     [codecs] — wire-level codec negotiation (empty and off by default).
     A non-empty, preference-ordered list (e.g. [[Protocol.hcx]]) makes
     this ORB negotiate per connection: as a client it attaches its
-    supported set to the first two-way request on each connection (a
-    backward-compatible trailing slot — no-offer messages stay
-    byte-identical); as a server it answers an offer with the first
+    supported set to the first two-way request on each connection (an
+    entry in the envelope's trailer, see {!Protocol}); as a server it answers an offer with the first
     mutually-compatible codec and both sides switch the connection's
     encoding. Peers that predate negotiation, or share no compatible
     codec, converge on the base [protocol] — mixed-version pairs need
@@ -160,10 +159,9 @@ val create :
     [obs] — attach an observability context (see {!Obs}): every
     {!invoke} then opens a client span with per-phase timings, every
     dispatch opens a server span joined to the caller's trace via the
-    wire protocol's service-context slot, and the transport feeds
+    trace context in the envelope's trailer, and the transport feeds
     per-endpoint byte counters. Omitted: a disabled context — no spans,
-    no measurable overhead, and the empty trace context keeps wire
-    messages byte-identical to pre-slot peers. Either way the ORB's
+    no measurable overhead, and no trace context on the wire. Either way the ORB's
     event counters (see {!stats}) count into this context.
 
     Fault-tolerance knobs (see DESIGN.md "Failure model"):
@@ -172,13 +170,12 @@ val create :
       deadline by default.
     - [propagate_deadlines] (default [true]) — stamp each outgoing
       request's remaining call-deadline budget into the envelope's
-      deadline slot (microseconds, relative), re-read at every retry
+      trailer (microseconds, relative), re-read at every retry
       and failover so the wire always carries what is actually left.
       A receiving ORB sheds work whose budget has lapsed — at decode,
       at pool admission, and again just before execution — instead of
       computing replies no caller is waiting for. [false] sends no
-      slot (bytes identical to pre-deadline peers); calls without a
-      deadline never send one either way.
+      budget; calls without a deadline never send one either way.
     - [retry] — the {!Retry.policy} for transient connection failures
       (default {!Retry.default}: 3 attempts with exponential backoff).
       Retries fire only for connection setup, sends that failed

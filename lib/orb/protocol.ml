@@ -66,29 +66,114 @@ let status_to_string = function
   | Status_user_exception id -> "exception " ^ id
   | Status_system_error m -> "error " ^ m
 
-(* Negotiation slots are untrusted wire data with a tiny grammar
-   (comma-separated [name/version] tokens): bound and charset-check them
-   at decode so a hostile slot fails as a recoverable protocol error
-   before any token is interpreted. *)
-let validate_nego_slot what s =
-  let ok_char c =
-    (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')
-    || c = '/' || c = ',' || c = '.' || c = '-' || c = '_'
+let fail fmt = Printf.ksprintf (fun m -> raise (Protocol_error m)) fmt
+
+(* Strict decimal: ASCII digits only, at most [max_digits] of them.
+   [int_of_string_opt] would also take "0x10", "1_000", "+5" and "-0". *)
+let decimal ~max_digits s =
+  if
+    s <> ""
+    && String.length s <= max_digits
+    && String.for_all (fun c -> c >= '0' && c <= '9') s
+  then Some (int_of_string s)
+  else None
+
+(* ---------------- the trailer ---------------- *)
+
+(* Everything the envelope grew after the paper rides in one counted
+   string after the last historical field of [Request], [Reply] and
+   [Locate_reply], written only when it holds an entry, so a message
+   without one is the pre-slot encoding byte for byte. It opens with
+   [trailer_format], a byte no positional-era slot could start with
+   (contexts were lowercase hex or empty, budgets digits, offers and
+   answers token characters, forwards '@'), followed by (tag, bytes)
+   entries: a tag byte, a 16-bit big-endian length, the bytes. The
+   string is built and parsed here, the same bytes in every codec. *)
+let trailer_format = '~'
+let tag_context, tag_budget, tag_offer, tag_answer, tag_forward =
+  ('c', 'b', 'o', 'a', 'f')
+let known_tags = "cboaf"
+let max_trailer_entries = 8
+let max_trailer_bytes = 4096
+
+(* Absent entries are [""]. *)
+let put_trailer (e : Wire.Codec.encoder) entries =
+  match List.filter (fun (_, v) -> v <> "") entries with
+  | [] -> ()
+  | entries ->
+      let b = Buffer.create 64 in
+      Buffer.add_char b trailer_format;
+      List.iter
+        (fun (tag, v) ->
+          Buffer.add_char b tag;
+          Buffer.add_uint16_be b (String.length v);
+          Buffer.add_string b v)
+        entries;
+      e.put_string (Buffer.contents b)
+
+let parse_trailer s =
+  let n = String.length s in
+  if n > max_trailer_bytes then
+    fail "trailer of %d bytes exceeds the %d-byte bound" n max_trailer_bytes;
+  let rec entries i count acc =
+    if i = n then acc
+    else if count = max_trailer_entries then
+      fail "trailer of more than %d entries" max_trailer_entries
+    else if n - i < 3 then fail "trailer entry truncated"
+    else
+      let tag = s.[i] and l = String.get_uint16_be s (i + 1) in
+      if l > n - i - 3 then fail "trailer entry of %d bytes runs past the end" l
+      else if String.contains known_tags tag && List.mem_assoc tag acc then
+        fail "duplicate trailer entry %C" tag
+      else
+        entries (i + 3 + l) (count + 1) ((tag, String.sub s (i + 3) l) :: acc)
   in
+  entries 1 0 []
+
+(* The entries after the last historical field. A first string without
+   the format byte is a positional-era slot, read as the entry [first];
+   later positional slots are never read. *)
+let read_trailer (d : Wire.Codec.decoder) ~first =
+  if d.at_end () then []
+  else
+    let s = d.get_string () in
+    if s <> "" && s.[0] = trailer_format then parse_trailer s
+    else [ (first, s) ]
+
+(* The entry [tag] through its own check [f], or [absent]. Unknown tags
+   and the tags of other message kinds are never looked up: skipped. *)
+let entry entries tag ~absent f =
+  match List.assoc_opt tag entries with Some v -> f v | None -> absent
+
+let trace_context s =
+  if String.length s > Obs.Trace.max_context_bytes then
+    fail "trace context of %d bytes exceeds the %d-byte bound"
+      (String.length s) Obs.Trace.max_context_bytes;
+  s
+
+(* Up to 18 digits: over 31,000 years, still inside [int]. *)
+let budget s =
+  match decimal ~max_digits:18 s with
+  | Some b -> Some b
+  | None -> fail "malformed deadline budget %S" s
+
+(* Offers and answers have a tiny grammar (comma-separated
+   [name/version] tokens): bound and charset-check them before any
+   token is interpreted. *)
+let nego what s =
   if String.length s > 256 then
-    raise
-      (Protocol_error
-         (Printf.sprintf "%s slot of %d bytes exceeds the 256-byte bound" what
-            (String.length s)));
+    fail "%s of %d bytes exceeds the 256-byte bound" what (String.length s);
   String.iter
-    (fun c ->
-      if not (ok_char c) then
-        raise
-          (Protocol_error
-             (Printf.sprintf "%s slot contains invalid byte 0x%02x" what
-                (Char.code c))))
+    (function
+      | 'a' .. 'z' | '0' .. '9' | '/' | ',' | '.' | '-' | '_' -> ()
+      | c -> fail "%s contains invalid byte 0x%02x" what (Char.code c))
     s;
   s
+
+let reference what s =
+  match Objref.of_string_opt s with
+  | Some r -> r
+  | None -> fail "malformed %s %S" what s
 
 let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
   let encode_message msg =
@@ -101,36 +186,15 @@ let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
         e.put_string (Objref.to_string r.target);
         e.put_string r.operation;
         e.put_string r.payload;
-        (* Two trailing slots, appended AFTER the payload so pre-slot
-           peers — which stop decoding at the payload — skip them as
-           trailing bytes: the service context (the trace context), then
-           the deadline budget (remaining call budget in microseconds,
-           as a decimal string; relative, so no clock sync is assumed).
-           Each is omitted when absent, which keeps no-context/no-budget
-           messages byte-identical to the pre-slot encoding in every
-           codec. Because the slots are positional, a present budget
-           forces the context slot to be written even when empty — a
-           budget-only message is still readable by context-era peers,
-           which decode the empty context and skip the budget.
-
-           Slot 3 is the codec-negotiation offer. A present offer forces
-           both earlier slots; an absent budget is then encoded as the
-           empty string, which negotiation-era decoders read as
-           "no budget". Budget-era peers reject an empty budget slot as
-           malformed — recoverably, without dispatching — and the
-           client's negotiation layer treats exactly that error reply as
-           "peer pre-dates negotiation" and re-sends without the offer
-           (see DESIGN.md, "Wire protocols"). *)
-        (match (r.budget_us, r.nego_offer) with
-        | None, "" -> if r.trace_ctx <> "" then e.put_string r.trace_ctx
-        | Some b, "" ->
-            e.put_string r.trace_ctx;
-            e.put_string (string_of_int (max 0 b))
-        | b, offer ->
-            e.put_string r.trace_ctx;
-            e.put_string
-              (match b with Some x -> string_of_int (max 0 x) | None -> "");
-            e.put_string offer)
+        put_trailer e
+          [
+            (tag_context, r.trace_ctx);
+            ( tag_budget,
+              match r.budget_us with
+              | Some b -> string_of_int (max 0 b)
+              | None -> "" );
+            (tag_offer, r.nego_offer);
+          ]
     | Reply r ->
         e.put_octet tag_reply;
         e.put_ulong r.rep_id;
@@ -141,28 +205,17 @@ let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
           | Status_user_exception repo_id -> repo_id
           | Status_system_error message -> message);
         e.put_string r.payload;
-        (* Trailing codec-negotiation answer slot, same interop contract
-           as the request's trailing slots: omitted when absent (the
-           encoding stays byte-identical to the pre-negotiation one),
-           skipped as trailing bytes by peers that predate it — though
-           in practice only clients that offered ever receive one. *)
-        if r.nego_answer <> "" then e.put_string r.nego_answer
+        put_trailer e [ (tag_answer, r.nego_answer) ]
     | Locate_request { req_id; target } ->
         e.put_octet tag_locate_request;
         e.put_ulong req_id;
         e.put_string (Objref.to_string target)
-    | Locate_reply { rep_id; found; forward } -> (
+    | Locate_reply { rep_id; found; forward } ->
         e.put_octet tag_locate_reply;
         e.put_ulong rep_id;
         e.put_bool found;
-        (* The forward slot (a GIOP OBJECT_FORWARD-style redirect) is
-           appended AFTER the historical fields and omitted when absent,
-           exactly like the request's service-context slot: a no-forward
-           locate reply stays byte-identical to the pre-slot encoding,
-           and pre-slot peers skip a present slot as trailing bytes. *)
-        match forward with
-        | None -> ()
-        | Some target -> e.put_string (Objref.to_string target))
+        put_trailer e
+          [ (tag_forward, Option.fold ~none:"" ~some:Objref.to_string forward) ]
     | Locate_forward { rep_id; target } ->
         e.put_octet tag_locate_forward;
         e.put_ulong rep_id;
@@ -174,6 +227,8 @@ let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
       try codec.Wire.Codec.decoder_limited limits bytes
       with Wire.Codec.Type_error m -> raise (Protocol_error m)
     in
+    (* Decode strictly in wire order (record-field evaluation order is
+       unspecified in OCaml). *)
     try
       let tag = d.get_octet () in
       if tag = tag_request then (
@@ -182,40 +237,13 @@ let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
         let target_s = d.get_string () in
         let operation = d.get_string () in
         let payload = d.get_string () in
-        (* Old peers never send the service-context slot; its absence is
-           the empty context. A second trailing string, when present, is
-           the deadline-budget slot — untrusted wire data, validated
-           here so a hostile slot (negative, overflowing, non-numeric)
-           fails as a recoverable protocol error, never an unchecked
-           exception deeper in the server. *)
-        let trace_ctx = if d.at_end () then "" else d.get_string () in
-        let budget_us =
-          if d.at_end () then None
-          else
-            let s = d.get_string () in
-            (* An empty budget slot means "no budget": it is written only
-               when a later slot (the negotiation offer) forces this
-               position. Anything else non-numeric or negative stays a
-               recoverable decode error. *)
-            if s = "" then None
-            else
-              match int_of_string_opt s with
-              | Some b when b >= 0 -> Some b
-              | Some _ | None ->
-                  raise
-                    (Protocol_error
-                       (Printf.sprintf "malformed deadline slot %S" s))
-        in
+        let es = read_trailer d ~first:tag_context in
+        let trace_ctx = entry es tag_context ~absent:"" trace_context in
+        let budget_us = entry es tag_budget ~absent:None budget in
         let nego_offer =
-          if d.at_end () then ""
-          else validate_nego_slot "negotiation offer" (d.get_string ())
+          entry es tag_offer ~absent:"" (nego "negotiation offer")
         in
-        let target =
-          match Objref.of_string_opt target_s with
-          | Some r -> r
-          | None ->
-              raise (Protocol_error (Printf.sprintf "malformed target reference %S" target_s))
-        in
+        let target = reference "target reference" target_s in
         Request
           { req_id; target; operation; oneway; payload; trace_ctx; budget_us;
             nego_offer })
@@ -229,51 +257,30 @@ let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
           | 0 -> Status_ok
           | 1 -> Status_user_exception detail
           | 2 -> Status_system_error detail
-          | n -> raise (Protocol_error (Printf.sprintf "unknown reply status %d" n))
+          | n -> fail "unknown reply status %d" n
         in
         let nego_answer =
-          if d.at_end () then ""
-          else validate_nego_slot "negotiation answer" (d.get_string ())
+          entry (read_trailer d ~first:tag_answer) tag_answer ~absent:""
+            (nego "negotiation answer")
         in
         Reply { rep_id; status; payload; nego_answer })
-      else if tag = tag_locate_request then (
+      else if tag = tag_locate_request then
         let req_id = d.get_ulong () in
-        let target_s = d.get_string () in
-        match Objref.of_string_opt target_s with
-        | Some target -> Locate_request { req_id; target }
-        | None ->
-            raise
-              (Protocol_error
-                 (Printf.sprintf "malformed locate target %S" target_s)))
-      else if tag = tag_locate_reply then (
-        (* Decode strictly in wire order (record-field evaluation order
-           is unspecified in OCaml). *)
+        let target = reference "locate target" (d.get_string ()) in
+        Locate_request { req_id; target }
+      else if tag = tag_locate_reply then
         let rep_id = d.get_ulong () in
         let found = d.get_bool () in
-        (* Old peers never send the forward slot; its absence decodes as
-           no-forward. *)
         let forward =
-          if d.at_end () then None
-          else
-            let s = d.get_string () in
-            match Objref.of_string_opt s with
-            | Some r -> Some r
-            | None ->
-                raise
-                  (Protocol_error
-                     (Printf.sprintf "malformed forward reference %S" s))
+          entry (read_trailer d ~first:tag_forward) tag_forward ~absent:None
+            (fun s -> Some (reference "forward reference" s))
         in
-        Locate_reply { rep_id; found; forward })
-      else if tag = tag_locate_forward then (
+        Locate_reply { rep_id; found; forward }
+      else if tag = tag_locate_forward then
         let rep_id = d.get_ulong () in
-        let target_s = d.get_string () in
-        match Objref.of_string_opt target_s with
-        | Some target -> Locate_forward { rep_id; target }
-        | None ->
-            raise
-              (Protocol_error
-                 (Printf.sprintf "malformed forward target %S" target_s)))
-      else raise (Protocol_error (Printf.sprintf "unknown message tag %d" tag))
+        let target = reference "forward target" (d.get_string ()) in
+        Locate_forward { rep_id; target }
+      else fail "unknown message tag %d" tag
     with Wire.Codec.Type_error m -> raise (Protocol_error m)
   in
   let decode_message bytes = decode_limited Wire.Codec.default_limits bytes in
@@ -310,7 +317,7 @@ let hcx =
 
 (* ---------------- codec negotiation grammar ---------------- *)
 
-(* The offer/answer slot payloads: comma-separated [name/version]
+(* The offer and answer entries: comma-separated [name/version]
    tokens, client's preference order. The base protocol the offer rides
    on is the implicit last resort and is never listed. *)
 module Nego = struct
@@ -322,8 +329,8 @@ module Nego = struct
     | Some i -> (
         let name = String.sub s 0 i in
         let v = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt v with
-        | Some v when v >= 0 && name <> "" -> Some (name, v)
+        match decimal ~max_digits:9 v with
+        | Some v when name <> "" -> Some (name, v)
         | _ -> None)
 
   let offer_of supported = String.concat "," (List.map token supported)

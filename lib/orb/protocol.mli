@@ -21,6 +21,25 @@ type framing =
           slices through the transport's [writev] with no coalescing
           copy. *)
 
+(** {b The trailer.} Everything the envelope grew after the paper — the trace context,
+    the deadline budget and the negotiation offer of a {!request}, the
+    negotiation answer of a {!reply}, the forward of a [Locate_reply] —
+    rides in one trailer: at most one counted string after the message's
+    last historical field, written only when it holds an entry, so a
+    message without one is the pre-slot encoding byte for byte in every
+    codec. The string opens with the format byte ['~'], which no
+    positional-era slot could start with, followed by (tag, bytes)
+    entries: a tag byte (['c'] context, ['b'] budget, ['o'] offer,
+    ['a'] answer, ['f'] forward), a LEB128 length, the bytes. Decoding
+    skips unknown tags and the tags of other message kinds; a truncated
+    entry, a duplicate known tag, more than 8 entries or more than
+    4,096 bytes, and an entry that fails its own check are a
+    recoverable {!Protocol_error}. A first trailing string without the
+    format byte is read as that message's positional-era first slot (a
+    trace context, an answer, a forward); later positional slots are
+    ignored. Peers that predate the trailer read it as an opaque trace
+    context and start a fresh root span (DESIGN.md §13, "Trailer"). *)
+
 type request = {
   req_id : int;
   target : Objref.t;
@@ -28,40 +47,18 @@ type request = {
   oneway : bool;
   payload : string;  (** Codec-encoded arguments. *)
   trace_ctx : string;
-      (** Service-context slot, carrying the trace context of the
-          observability layer (see [Obs.Trace]). Encoded after the
-          payload and omitted when empty, so peers that predate the slot
-          interoperate in both directions: they ignore it as trailing
-          bytes on receive, and its absence decodes as [""]. *)
+      (** The trace context of the observability layer (see
+          [Obs.Trace]); [""] = absent. At most
+          [Obs.Trace.max_context_bytes]. *)
   budget_us : int option;
-      (** Deadline-budget slot: the caller's remaining call budget in
-          microseconds, {e relative} (no clock synchronization assumed
-          between peers — the receiver anchors it to its own receive
-          time). Encoded after the service-context slot and omitted when
-          [None]; a present budget forces the context slot to be written
-          even when empty, keeping the slots positional. Same interop
-          contract as the context slot: pre-slot peers skip a present
-          budget as trailing bytes, and its absence decodes as [None].
-          Decoding rejects negative, overflowing, or non-numeric slots
-          with {!Protocol_error} — a recoverable malformed-frame error,
-          never a crash. An {e empty} budget slot decodes as [None]: it
-          is written only when the negotiation-offer slot forces this
-          position (peers that predate negotiation reject it,
-          recoverably — see [nego_offer]). *)
+      (** The caller's remaining call budget in microseconds,
+          {e relative} (no clock synchronization assumed: the receiver
+          anchors it to its own receive time). Sent as ASCII decimal
+          digits, at most 18 of them. *)
   nego_offer : string;
-      (** Codec-negotiation offer slot (see {!Nego} for the token
-          grammar), carried by the first request on a connection.
-          Encoded after the deadline-budget slot and omitted when empty,
-          so no-offer messages stay byte-identical to the
-          pre-negotiation encoding; a present offer forces both earlier
-          slots (an absent budget is then the empty string). Peers with
-          a budget but no notion of negotiation skip a present offer as
-          trailing bytes; peers receiving the empty forced budget slot
-          answer with a recoverable malformed-frame error reply, which
-          the client's negotiation layer converts into fallback +
-          re-send (DESIGN.md, "Wire protocols"). Decoding bounds the
-          slot to 256 bytes of token charset, rejecting hostile slots
-          with {!Protocol_error}. *)
+      (** Codec-negotiation offer (see {!Nego} for the token grammar),
+          carried by the first request on a connection; [""] = absent.
+          At most 256 bytes of the token charset. *)
 }
 
 type reply_status =
@@ -74,11 +71,9 @@ type reply = {
   status : reply_status;
   payload : string;
   nego_answer : string;
-      (** Codec-negotiation answer slot: the server's chosen codec token
-          (see {!Nego}), carried by the reply to an offering request.
-          Trailing and omitted when empty — same interop contract as
-          the request's slots. Only clients that offered ever receive
-          one. *)
+      (** Codec-negotiation answer: the server's chosen codec token (see
+          {!Nego}), carried by the reply to an offering request; [""] =
+          absent. Same bound as the offer. *)
 }
 
 val status_to_string : reply_status -> string
@@ -92,10 +87,8 @@ type message =
           dispatching anything. *)
   | Locate_reply of { rep_id : int; found : bool; forward : Objref.t option }
       (** [forward] is the GIOP OBJECT_FORWARD answer — "it lives there
-          now". Encoded after the historical fields and omitted when
-          [None], so peers that predate the slot interoperate in both
-          directions: they ignore a present slot as trailing bytes, and
-          its absence decodes as no-forward. *)
+          now", carried in the trailer. A client that predates the
+          trailer fails to decode a forward, recoverably. *)
   | Locate_forward of { rep_id : int; target : Objref.t }
       (** GIOP's LOCATION_FORWARD reply status: sent instead of a
           {!Reply} when the requested object has moved; the client
@@ -123,10 +116,8 @@ val generic : name:string -> ?version:int -> framing:framing -> Wire.Codec.t -> 
     are encoded as [octet tag, ulong request-id, ...header fields...,
     string payload]. The payload is embedded as a counted string — the
     CDR-encapsulation trick — so its internal alignment is relative to its
-    own start regardless of header size. Requests append the
-    service-context slot (the trace context) and the deadline-budget
-    slot after the payload when present; decoding tolerates the absence
-    of either. *)
+    own start regardless of header size. Requests, replies and locate
+    replies end with the trailer when they carry an entry. *)
 
 val text : t
 (** The HeidiRMI protocol: {!Wire.Text_codec} over {!Line} framing.
@@ -145,7 +136,7 @@ val hcx_magic : char
     printable ASCII and ["GIOP"], so a protocol mix-up fails at the
     first frame). *)
 
-(** Codec-negotiation token grammar: an offer or answer slot holds
+(** Codec-negotiation token grammar: an offer or answer holds
     comma-separated [name/version] tokens in the sender's preference
     order, e.g. ["hcx/1,giop-be/1"]. *)
 module Nego : sig
@@ -153,10 +144,11 @@ module Nego : sig
   (** [name/version] of one protocol. *)
 
   val offer_of : t list -> string
-  (** The offer slot for a preference-ordered supported set. *)
+  (** The offer for a preference-ordered supported set. *)
 
   val parse_token : string -> (string * int) option
-  (** [Some (name, version)], or [None] on syntax errors. *)
+  (** [Some (name, version)], or [None] on syntax errors. The version is
+      ASCII decimal digits, at most 9 of them. *)
 
   val choose :
     offer:string ->

@@ -68,8 +68,7 @@ type mutation =
   | Token_swap
   | Oversize
   | Header_damage  (* binary framing only: damage the frame header *)
-  | Budget_hostile  (* well-formed envelope, hostile deadline slot *)
-  | Nego_hostile  (* well-formed envelope, hostile negotiation slot *)
+  | Trailer_hostile  (* well-formed envelope, purpose-built trailer *)
   | Varint_overlong  (* varint framing only: 10-group length prefix *)
   | Varint_negative  (* varint framing only: 9th group sets bit 62 *)
   | Varint_truncate  (* varint framing only: body cut mid-varint *)
@@ -82,8 +81,7 @@ let mutation_name = function
   | Token_swap -> "token-swap"
   | Oversize -> "oversize"
   | Header_damage -> "header-damage"
-  | Budget_hostile -> "budget-hostile"
-  | Nego_hostile -> "nego-hostile"
+  | Trailer_hostile -> "trailer-hostile"
   | Varint_overlong -> "varint-overlong"
   | Varint_negative -> "varint-negative"
   | Varint_truncate -> "varint-truncate"
@@ -162,8 +160,7 @@ let mutate ~binary rng m body =
          must discard it in bounded chunks and answer, not buffer it. *)
       body ^ String.make (2 * fuzz_limits.Wire.Codec.max_frame_bytes) 'A'
   | Header_damage -> body (* handled at the framing layer *)
-  | Budget_hostile | Nego_hostile ->
-      body (* the bodies are purpose-built, not mutated *)
+  | Trailer_hostile -> body (* the bodies are purpose-built, not mutated *)
   | Varint_overlong | Varint_negative ->
       body (* handled at the framing layer *)
   | Varint_truncate ->
@@ -269,6 +266,20 @@ let probe a target ~req_id ~deadline =
       in
       await 64)
 
+(* The status of the reply to request [req_id] on [a], skipping the
+   replies owed for earlier frames, under [deadline] seconds. *)
+let answer a ~req_id ~deadline =
+  Tutil.with_watchdog ~seconds:deadline ~what:"answer"
+    ~on_expiry:(fun () -> Orb.Communicator.close a.comm)
+    (fun () ->
+      let rec await budget =
+        if budget = 0 then failwith "answer: reply flood without our reply";
+        match Orb.Communicator.recv a.comm with
+        | Orb.Protocol.Reply { rep_id; status; _ } when rep_id = req_id -> status
+        | _ -> await (budget - 1)
+      in
+      await 64)
+
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -337,61 +348,51 @@ let run_proto ~ptag (pname, proto) =
         (Orb.Protocol.Locate_request { req_id = 9; target });
     |]
   in
-  (* Hostile deadline slots on an otherwise well-formed envelope: a
-     negative budget, a value past int range, garbage, an empty token,
-     a float, and a slot truncated mid-value. The server must answer
-     each with a malformed-request error (or at worst drop only this
-     connection) — never crash, never accept a bogus deadline. *)
-  let budget_bodies =
-    let mk budget =
-      let e = proto.Orb.Protocol.codec.Wire.Codec.encoder () in
-      e.Wire.Codec.put_octet 0;
-      e.Wire.Codec.put_ulong 11;
-      e.Wire.Codec.put_bool false;
-      e.Wire.Codec.put_string (Orb.Objref.to_string target);
-      e.Wire.Codec.put_string "echo";
-      e.Wire.Codec.put_string payload;
-      e.Wire.Codec.put_string "" (* trace slot: positional, must precede *);
-      e.Wire.Codec.put_string budget;
-      e.Wire.Codec.finish ()
+  (* Purpose-built trailers on an otherwise well-formed echo request,
+     each with the answer it must get: [`Served] (the echo, the
+     trailer's unknown or unusable parts ignored) or [`Refused] (a
+     malformed-request error reply, the connection kept). A first
+     trailing string without the format byte is a positional-era trace
+     context, so it is served. *)
+  let trailer_cases =
+    let entry tag v =
+      let b = Buffer.create 8 in
+      Buffer.add_char b tag;
+      Buffer.add_uint16_be b (String.length v);
+      Buffer.add_string b v;
+      Buffer.contents b
     in
+    let t entries = "~" ^ String.concat "" entries in
     [|
-      mk "-1";
-      mk "-4611686018427387904";
-      mk "99999999999999999999999999999";
-      mk "NaN";
-      mk "";
-      mk "1e9";
-      (let b = mk "123456789" in
-       String.sub b 0 (String.length b - 2));
+      (`Served, entry 'c' "a-b" (* missing format byte *));
+      (`Served, "!" ^ entry 'b' "5" (* wrong format byte *));
+      (`Served, t [ entry 'z' "future"; entry 'Q' ""; entry 'b' "900000000" ]);
+      (`Served, t (List.init 8 (fun i -> entry (Char.chr (65 + i)) "x")));
+      (`Served, t [ entry 'o' "////,,,," ]);
+      (`Served, t [ entry 'o' "hcx/99999999999999999999" ]);
+      (`Refused, "~c" (* truncated entry *));
+      (`Refused, "~c\000\005ab" (* length past the end *));
+      (`Refused, t [ entry 'b' "900000000"; entry 'b' "900000000" ]);
+      (`Refused, t (List.init 9 (fun _ -> entry 'z' "")));
+      (`Refused, t [ entry 'o' (String.make 300 'a') ]);
+      (`Refused, t [ entry 'o' "hcx/\001\002" ]);
+      (`Refused, t [ entry 'o' "hcx/1,\"; exec evil" ]);
+      (`Refused, t [ entry 'b' "-1" ]);
+      (`Refused, t [ entry 'b' "0x10" ]);
+      (`Refused, t [ entry 'b' "99999999999999999999999999999" ]);
+      (`Refused, t [ entry 'c' (String.make 100 'a' ^ "-b") ]);
     |]
   in
-  (* Hostile negotiation-offer slots on an otherwise well-formed
-     envelope: past the 256-byte bound, charset violations, and junk
-     that validates but names nothing. The server must answer each
-     with a malformed-request error or dispatch it with the offer
-     ignored — never crash, never switch codecs on garbage. *)
-  let nego_bodies =
-    let mk offer =
-      let e = proto.Orb.Protocol.codec.Wire.Codec.encoder () in
-      e.Wire.Codec.put_octet 0;
-      e.Wire.Codec.put_ulong 13;
-      e.Wire.Codec.put_bool false;
-      e.Wire.Codec.put_string (Orb.Objref.to_string target);
-      e.Wire.Codec.put_string "echo";
-      e.Wire.Codec.put_string payload;
-      e.Wire.Codec.put_string "" (* trace slot *);
-      e.Wire.Codec.put_string "" (* budget slot, forced empty *);
-      e.Wire.Codec.put_string offer;
-      e.Wire.Codec.finish ()
-    in
-    [|
-      mk (String.make 300 'a');
-      mk "hcx/\001\002";
-      mk "hcx/1,\"; exec evil";
-      mk "////,,,,";
-      mk "hcx/99999999999999999999";
-    |]
+  let trailer_body ~req_id trailing =
+    let e = proto.Orb.Protocol.codec.Wire.Codec.encoder () in
+    e.Wire.Codec.put_octet 0;
+    e.Wire.Codec.put_ulong req_id;
+    e.Wire.Codec.put_bool false;
+    e.Wire.Codec.put_string (Orb.Objref.to_string target);
+    e.Wire.Codec.put_string "echo";
+    e.Wire.Codec.put_string payload;
+    e.Wire.Codec.put_string trailing;
+    e.Wire.Codec.finish ()
   in
   let binary =
     match proto.Orb.Protocol.framing with
@@ -402,16 +403,16 @@ let run_proto ~ptag (pname, proto) =
     match proto.Orb.Protocol.framing with
     | Orb.Protocol.Line ->
         [| Truncate; Bit_flip; Length_inflate; Token_swap; Oversize;
-           Budget_hostile; Nego_hostile |]
+           Trailer_hostile |]
     | Orb.Protocol.Length_prefixed _ ->
         [|
           Truncate; Bit_flip; Length_inflate; Token_swap; Oversize;
-          Header_damage; Budget_hostile; Nego_hostile;
+          Header_damage; Trailer_hostile;
         |]
     | Orb.Protocol.Varint_prefixed _ ->
         [|
           Truncate; Bit_flip; Length_inflate; Token_swap; Oversize;
-          Header_damage; Budget_hostile; Nego_hostile; Varint_overlong;
+          Header_damage; Trailer_hostile; Varint_overlong;
           Varint_negative; Varint_truncate; Version_bogus;
         |]
   in
@@ -426,13 +427,15 @@ let run_proto ~ptag (pname, proto) =
   for i = 0 to !count - 1 do
     let rng = Random.State.make [| !seed; ptag; i |] in
     let m = mutations.(Random.State.int rng (Array.length mutations)) in
-    let body =
+    let body, expect =
       match m with
-      | Budget_hostile ->
-          budget_bodies.(Random.State.int rng (Array.length budget_bodies))
-      | Nego_hostile ->
-          nego_bodies.(Random.State.int rng (Array.length nego_bodies))
-      | _ -> bases.(Random.State.int rng (Array.length bases))
+      | Trailer_hostile ->
+          let want, trailing =
+            trailer_cases.(Random.State.int rng (Array.length trailer_cases))
+          in
+          let req_id = 300_000 + i in
+          (trailer_body ~req_id trailing, Some (req_id, want))
+      | _ -> (bases.(Random.State.int rng (Array.length bases)), None)
     in
     let style =
       match m with
@@ -452,6 +455,34 @@ let run_proto ~ptag (pname, proto) =
            the write noticed; start a fresh one and resend. *)
         reconnect ();
         (try (!a).chan.Orb.Transport.write hostile with _ -> reconnect ()));
+    (* A purpose-built trailer must get its own answer. Earlier damage
+       may have left the server reading our frame as the rest of a
+       body, so one miss earns a resend on a fresh connection. *)
+    (match expect with
+    | None -> ()
+    | Some (req_id, want) ->
+        let status =
+          match answer !a ~req_id ~deadline:0.4 with
+          | st -> st
+          | exception _ ->
+              reconnect ();
+              (!a).chan.Orb.Transport.write hostile;
+              answer !a ~req_id ~deadline:2.0
+        in
+        let got =
+          match status with
+          | Orb.Protocol.Status_ok -> `Served
+          | Orb.Protocol.Status_user_exception _
+          | Orb.Protocol.Status_system_error _ -> `Refused
+        in
+        if got <> want then
+          raise
+            (Probe_failed
+               (Printf.sprintf "%s iteration %d (seed %d): trailer %s, not %s: %s"
+                  pname i !seed
+                  (if got = `Served then "served" else "refused")
+                  (if want = `Served then "served" else "refused")
+                  (Orb.Protocol.status_to_string status))));
     (* Liveness: the same connection must still answer (the server
        either replied with an error or consumed the frame), or — when
        the damage was fatal for the connection — a fresh connection

@@ -192,9 +192,13 @@ let one_call client target t rng =
         e.Wire.Codec.put_string (Printf.sprintf "%.6f" lapse_at);
         e.Wire.Codec.put_long sleep_us)
   with
-  | Some d ->
-      let (_ : string) = d.Wire.Codec.get_string () in
-      Atomic.incr t.ok
+  | Some d -> (
+      (* A fault-corrupted reply payload can still frame and decode as
+         an envelope; its unmarshal then fails, as definite an outcome
+         as a corrupted envelope. *)
+      match d.Wire.Codec.get_string () with
+      | (_ : string) -> Atomic.incr t.ok
+      | exception Wire.Codec.Type_error _ -> Atomic.incr t.protocol_err)
   | None -> Atomic.incr t.ok
   | exception Orb.Transport.Timeout _ -> Atomic.incr t.timeout
   | exception Orb.System_exception _ -> Atomic.incr t.system_err

@@ -423,48 +423,49 @@ let test_version_skew_compat_converges () =
       check_stats "client" client ~nego:1 ~fallback:0;
       check_stats "server" server ~nego:1 ~fallback:0)
 
-let test_deadline_era_server_resend () =
-  (* A hand-rolled pre-negotiation server: it rejects the offer's
-     forced-empty budget slot exactly as deadline-era peers do —
-     recoverably, without dispatching — and the client re-sends the
-     same request once without the offer. *)
+let test_positional_era_server_no_resend () =
+  (* A hand-rolled deadline-era server: it reads a request's first
+     trailing string as the trace context and a second one, if any, as
+     the budget, and knows no offer. The client's offer rides inside the
+     trailer, which that server takes for an opaque context: it serves
+     the call, its reply carries no answer, and the client falls back
+     to the base codec without sending the request again. *)
   let proto = P.text in
   let listener = Orb.Transport.listen ~proto:"mem" ~host:"local" ~port:0 in
   let port = listener.Orb.Transport.bound_port in
-  let saw_offer = ref false and saw_resend_clean = ref false in
+  let requests = ref 0 and contexts = ref [] in
   let server =
     Thread.create
       (fun () ->
         let chan = listener.Orb.Transport.accept () in
         let comm = Orb.Communicator.wrap proto chan in
-        (match Orb.Communicator.recv comm with
-        | P.Request r ->
-            saw_offer := r.P.nego_offer <> "";
-            Orb.Communicator.send comm
-              (P.Reply
-                 {
-                   P.rep_id = r.P.req_id;
-                   status =
-                     P.Status_system_error
-                       "malformed request: malformed deadline slot \"\"";
-                   payload = "";
-                   nego_answer = "";
-                 })
-        | _ -> Alcotest.fail "expected the offering request");
-        (match Orb.Communicator.recv comm with
-        | P.Request r ->
-            saw_resend_clean := r.P.nego_offer = "" && r.P.budget_us = None;
-            let e = proto.P.codec.Wire.Codec.encoder () in
-            e.Wire.Codec.put_string "echo:hi";
-            Orb.Communicator.send comm
-              (P.Reply
-                 {
-                   P.rep_id = r.P.req_id;
-                   status = P.Status_ok;
-                   payload = e.Wire.Codec.finish ();
-                   nego_answer = "";
-                 })
-        | _ -> Alcotest.fail "expected the offer-less re-send");
+        (try
+           while true do
+             let d =
+               proto.P.codec.Wire.Codec.decoder
+                 (chan.Orb.Transport.read_line ~max:65536)
+             in
+             incr requests;
+             ignore (d.Wire.Codec.get_octet ());
+             let rep_id = d.Wire.Codec.get_ulong () in
+             ignore (d.Wire.Codec.get_bool ());
+             ignore (d.Wire.Codec.get_string ());
+             ignore (d.Wire.Codec.get_string ());
+             let args =
+               proto.P.codec.Wire.Codec.decoder (d.Wire.Codec.get_string ())
+             in
+             if not (d.Wire.Codec.at_end ()) then
+               contexts := d.Wire.Codec.get_string () :: !contexts;
+             if not (d.Wire.Codec.at_end ()) then
+               ignore (int_of_string (d.Wire.Codec.get_string ()));
+             let e = proto.P.codec.Wire.Codec.encoder () in
+             e.Wire.Codec.put_string ("echo:" ^ args.Wire.Codec.get_string ());
+             Orb.Communicator.send comm
+               (P.Reply
+                  { P.rep_id; status = P.Status_ok;
+                    payload = e.Wire.Codec.finish (); nego_answer = "" })
+           done
+         with Orb.Transport.Transport_error _ -> ());
         Orb.Communicator.close comm)
       ()
   in
@@ -474,17 +475,20 @@ let test_deadline_era_server_resend () =
       ~type_id:echo_type
   in
   Fun.protect
-    ~finally:(fun () ->
-      Orb.shutdown client;
-      listener.Orb.Transport.shutdown ())
+    ~finally:(fun () -> listener.Orb.Transport.shutdown ())
     (fun () ->
-      Alcotest.(check string) "call survives the old peer" "echo:hi"
+      Alcotest.(check string) "call served by the old peer" "echo:hi"
         (invoke_string client target ~op:"echo" "hi");
+      check_stats "client" client ~nego:0 ~fallback:1;
+      Orb.shutdown client;
       Thread.join server;
-      Alcotest.(check bool) "first request offered" true !saw_offer;
-      Alcotest.(check bool) "re-send was offer-less and budget-less" true
-        !saw_resend_clean;
-      check_stats "client" client ~nego:0 ~fallback:1)
+      Alcotest.(check int) "one request, no re-send" 1 !requests;
+      match !contexts with
+      | [ ctx ] ->
+          Alcotest.(check bool) "the trailer reads as a context that starts \
+                                 a fresh root span" true
+            (Obs.Trace.decode_context ctx = None)
+      | l -> Alcotest.failf "old peer read %d trailing strings" (List.length l))
 
 (* ---------------- the evolution model as the predicate ---------------- *)
 
@@ -586,8 +590,9 @@ let () =
             test_no_common_codec_falls_back;
           Alcotest.test_case "version skew under exact" `Quick
             test_version_skew_exact_vetoes;
-          Alcotest.test_case "deadline-era peer: reject + re-send" `Quick
-            test_deadline_era_server_resend;
+          Alcotest.test_case
+            "positional-era server: offer unseen, fallback, no re-send" `Quick
+            test_positional_era_server_no_resend;
         ] );
       ( "compatibility",
         [

@@ -73,7 +73,23 @@ let test_context_tolerance () =
       "0123456789abcdeg-00112233";  (* non-hex *)
       "0123456789abcdef-00112233-extra";
       "x";
-    ]
+      String.make 33 'a' ^ "-00112233";  (* trace id over 32 digits *)
+      "0123456789abcdef-" ^ String.make 17 'b';  (* span id over 16 *)
+    ];
+  (* The widest ids a peer may send: 32 and 16 hex digits. *)
+  let widest = String.make 32 'a' ^ "-" ^ String.make 16 'b' in
+  Alcotest.(check int) "widest context is the bound" Trace.max_context_bytes
+    (String.length widest);
+  Alcotest.(check bool) "widest context accepted" true
+    (Trace.decode_context widest <> None);
+  (* A 4 KiB hex context starts a fresh root span. *)
+  let s =
+    Trace.start_server
+      ?context:(Trace.decode_context (String.make 4096 'a' ^ "-" ^ String.make 8 'b'))
+      ~operation:"f" ~endpoint:"e" ()
+  in
+  Alcotest.(check (option string)) "fresh root" None s.Trace.parent_id;
+  Alcotest.(check int) "own trace id" 16 (String.length s.Trace.trace_id)
 
 let test_ids_unique () =
   let ids = List.init 64 (fun _ -> Trace.new_span_id ()) in

@@ -73,7 +73,10 @@ let test_pool_runs_jobs () =
     | `Rejected r -> Alcotest.failf "unexpected rejection: %s" r
     | `Expired -> Alcotest.fail "unexpected expiry"
   done;
-  eventually ~msg:"20 jobs completed" (fun () -> Atomic.get done_ = 20);
+  (* A worker counts a job as completed after the job returns: wait for
+     the pool's own count, not just the jobs' side effect. *)
+  eventually ~msg:"20 jobs completed" (fun () ->
+      Atomic.get done_ = 20 && (Orb.Pool.stats pool).Orb.Pool.completed = 20);
   let s = Orb.Pool.stats pool in
   Alcotest.(check int) "submitted" 20 s.Orb.Pool.submitted;
   Alcotest.(check int) "completed" 20 s.Orb.Pool.completed;

@@ -25,19 +25,20 @@ let check_message proto msg =
   let back = proto.P.decode_message bytes in
   let render = function
     | P.Request r ->
-        Printf.sprintf "req %d %s %s %b %S ctx=%S budget=%s" r.P.req_id
+        Printf.sprintf "req %d %s %s %b %S ctx=%S budget=%s offer=%S" r.P.req_id
           (Orb.Objref.to_string r.P.target)
           r.P.operation r.P.oneway r.P.payload r.P.trace_ctx
           (match r.P.budget_us with
           | None -> "-"
           | Some b -> string_of_int b)
+          r.P.nego_offer
     | P.Reply r ->
-        Printf.sprintf "rep %d %s %S" r.P.rep_id
+        Printf.sprintf "rep %d %s %S answer=%S" r.P.rep_id
           (match r.P.status with
           | P.Status_ok -> "ok"
           | P.Status_user_exception id -> "exn " ^ id
           | P.Status_system_error m -> "err " ^ m)
-          r.P.payload
+          r.P.payload r.P.nego_answer
     | P.Locate_request { req_id; target } ->
         Printf.sprintf "locate %d %s" req_id (Orb.Objref.to_string target)
     | P.Locate_reply { rep_id; found; forward } ->
@@ -175,8 +176,8 @@ let ctx_request ?budget_us ~trace_ctx () =
     payload = "pay\008load"; trace_ctx; budget_us; nego_offer = "" }
 
 (* The request envelope exactly as pre-slot peers encoded it: every
-   field up to and including the payload, nothing after. *)
-let legacy_encode proto (r : P.request) =
+   field up to and including the payload, then [trailing] if given. *)
+let legacy_encode ?trailing proto (r : P.request) =
   let e = proto.P.codec.Wire.Codec.encoder () in
   e.Wire.Codec.put_octet 0;
   e.Wire.Codec.put_ulong r.P.req_id;
@@ -184,6 +185,7 @@ let legacy_encode proto (r : P.request) =
   e.Wire.Codec.put_string (Orb.Objref.to_string r.P.target);
   e.Wire.Codec.put_string r.P.operation;
   e.Wire.Codec.put_string r.P.payload;
+  Option.iter e.Wire.Codec.put_string trailing;
   e.Wire.Codec.finish ()
 
 (* ... and the matching pre-slot decoder, which stops at the payload
@@ -252,16 +254,15 @@ let test_empty_ctx_is_byte_identical_to_legacy () =
         (proto.P.encode_message (P.Request r)))
     protocols
 
-(* ---------------- deadline slot interop ---------------- *)
+(* ---------------- positional-era peers ---------------- *)
 
-(* The deadline budget rides in a second trailing slot after the trace
-   context; slots are positional, so a present budget forces the trace
-   slot onto the wire even when empty. Pinned in both directions
-   against "pre-budget" peers — the trace-ctx-era encoder/decoder. *)
-
-(* The envelope exactly as trace-ctx-era (pre-budget) peers encoded it:
-   legacy fields, then the context slot iff non-empty, never a budget. *)
-let prebudget_encode proto (r : P.request) =
+(* Before the trailer, requests carried up to three positional slots
+   after the payload: the trace context, then the deadline budget
+   (deadline era), then the codec-negotiation offer (negotiation era).
+   Writing a later slot forced the earlier ones onto the wire, an unset
+   budget as [""]. [slots] names the era: 1 = trace context only,
+   2 = deadline era, 3 = negotiation era. *)
+let positional_encode proto ~slots (r : P.request) =
   let e = proto.P.codec.Wire.Codec.encoder () in
   e.Wire.Codec.put_octet 0;
   e.Wire.Codec.put_ulong r.P.req_id;
@@ -269,24 +270,94 @@ let prebudget_encode proto (r : P.request) =
   e.Wire.Codec.put_string (Orb.Objref.to_string r.P.target);
   e.Wire.Codec.put_string r.P.operation;
   e.Wire.Codec.put_string r.P.payload;
-  if r.P.trace_ctx <> "" then e.Wire.Codec.put_string r.P.trace_ctx;
+  let budget =
+    match r.P.budget_us with Some b -> string_of_int b | None -> ""
+  in
+  let values =
+    List.filteri (fun i _ -> i < slots) [ r.P.trace_ctx; budget; r.P.nego_offer ]
+  in
+  let written =
+    fst
+      (List.fold_left
+         (fun (n, i) v -> ((if v <> "" then i + 1 else n), i + 1))
+         (0, 0) values)
+  in
+  List.iteri (fun i v -> if i < written then e.Wire.Codec.put_string v) values;
   e.Wire.Codec.finish ()
 
-(* ... and the matching pre-budget decoder: reads the context slot if
-   bytes remain, then stops — a budget is trailing bytes it never
-   touches. *)
-let prebudget_decode proto bytes =
+(* ... and the matching decoders: each reads the slots of its era while
+   bytes remain and never looks further. The deadline era refused a
+   budget that was not a non-negative decimal, the empty one included;
+   the negotiation era read an empty budget as none. *)
+let positional_decode proto ~slots bytes =
   let d = proto.P.codec.Wire.Codec.decoder bytes in
-  let tag = d.Wire.Codec.get_octet () in
+  let _tag = d.Wire.Codec.get_octet () in
   let req_id = d.Wire.Codec.get_ulong () in
-  let _oneway = d.Wire.Codec.get_bool () in
-  let _target = d.Wire.Codec.get_string () in
+  let oneway = d.Wire.Codec.get_bool () in
+  let target = Orb.Objref.of_string (d.Wire.Codec.get_string ()) in
   let operation = d.Wire.Codec.get_string () in
   let payload = d.Wire.Codec.get_string () in
-  let trace_ctx =
-    if d.Wire.Codec.at_end () then "" else d.Wire.Codec.get_string ()
+  let next i =
+    if i > slots || d.Wire.Codec.at_end () then None
+    else Some (d.Wire.Codec.get_string ())
   in
-  (tag, req_id, operation, payload, trace_ctx)
+  let trace_ctx = Option.value (next 1) ~default:"" in
+  let budget_us =
+    match next 2 with
+    | None -> None
+    | Some "" when slots >= 3 -> None
+    | Some s -> (
+        match int_of_string_opt s with
+        | Some b when b >= 0 -> Some b
+        | _ ->
+            raise
+              (P.Protocol_error (Printf.sprintf "malformed deadline slot %S" s)))
+  in
+  let nego_offer = Option.value (next 3) ~default:"" in
+  { P.req_id; target; operation; oneway; payload; trace_ctx; budget_us;
+    nego_offer }
+
+let sample_ctx = "deadbeefdeadbeefdeadbeefdeadbeef-cafebabecafebabe"
+
+(* Every subset of the three request entries. *)
+let request_subsets =
+  List.concat_map
+    (fun trace_ctx ->
+      List.concat_map
+        (fun budget_us ->
+          List.map
+            (fun offer ->
+              { (ctx_request ?budget_us ~trace_ctx ()) with P.nego_offer = offer })
+            [ ""; "hcx/1,heidi-text/1" ])
+        [ None; Some 750_000 ])
+    [ ""; sample_ctx ]
+
+let describe (r : P.request) =
+  Printf.sprintf "ctx=%S budget=%s offer=%S" r.P.trace_ctx
+    (match r.P.budget_us with None -> "-" | Some b -> string_of_int b)
+    r.P.nego_offer
+
+(* Compatibility row "new sender -> positional-era decoder": the
+   receiver reads the trailer as an opaque trace context, starts a
+   fresh root span, applies no budget and never sees the offer. *)
+let new_sender_to_positional_decoder ~slots =
+  List.iter
+    (fun proto ->
+      List.iter
+        (fun (r : P.request) ->
+          let what = proto.P.name ^ " " ^ describe r in
+          let got =
+            try positional_decode proto ~slots (proto.P.encode_message (P.Request r))
+            with e -> Alcotest.failf "%s: refused (%s)" what (Printexc.to_string e)
+          in
+          Alcotest.(check string) (what ^ " payload") r.P.payload got.P.payload;
+          Alcotest.(check string) (what ^ " op") r.P.operation got.P.operation;
+          Alcotest.(check (option int)) (what ^ " no budget") None got.P.budget_us;
+          Alcotest.(check string) (what ^ " offer unseen") "" got.P.nego_offer;
+          Alcotest.(check bool) (what ^ " fresh root span") true
+            (Obs.Trace.decode_context got.P.trace_ctx = None))
+        request_subsets)
+    protocols
 
 let test_budget_roundtrip () =
   List.iter
@@ -303,29 +374,16 @@ let test_budget_roundtrip () =
         (P.Request (ctx_request ~budget_us:0 ~trace_ctx:"" ())))
     protocols
 
-let test_no_budget_is_byte_identical_to_prebudget () =
-  (* A budget-capable encoder sending no budget produces the pre-budget
-     encoding byte for byte — with and without a trace context. *)
-  List.iter
-    (fun proto ->
-      List.iter
-        (fun trace_ctx ->
-          let r = ctx_request ~trace_ctx () in
-          Alcotest.(check string)
-            (proto.P.name ^ " ctx=" ^ trace_ctx)
-            (prebudget_encode proto r)
-            (proto.P.encode_message (P.Request r)))
-        [ ""; "deadbeefdeadbeefdeadbeefdeadbeef-cafebabecafebabe" ])
-    protocols
-
 let test_prebudget_peer_to_new_decoder () =
-  (* Bytes from a pre-budget peer: the new decoder reads them as "no
-     deadline" instead of failing at end-of-message. *)
+  (* Compatibility row "older client -> new server": a first trailing
+     string without the format byte is the trace context. *)
   List.iter
     (fun proto ->
       List.iter
         (fun trace_ctx ->
-          let bytes = prebudget_encode proto (ctx_request ~trace_ctx ()) in
+          let bytes =
+            positional_encode proto ~slots:1 (ctx_request ~trace_ctx ())
+          in
           match proto.P.decode_message bytes with
           | P.Request r ->
               Alcotest.(check (option int))
@@ -333,113 +391,62 @@ let test_prebudget_peer_to_new_decoder () =
               Alcotest.(check string) (proto.P.name ^ " ctx") trace_ctx
                 r.P.trace_ctx
           | _ -> Alcotest.fail "wrong message kind")
-        [ ""; "deadbeefdeadbeefdeadbeefdeadbeef-cafebabecafebabe" ])
+        [ ""; sample_ctx ])
     protocols
 
 let test_new_peer_to_prebudget_decoder () =
-  (* Bytes WITH a budget, read by the pre-budget decoder: every field it
-     knows about — including the trace context, which the budget forces
-     onto the wire even when empty — decodes unchanged. *)
+  new_sender_to_positional_decoder ~slots:1
+
+(* The trailer's wire form, spelled out: the format byte, then per entry
+   a tag byte, a 16-bit big-endian length and the bytes. *)
+let trailer entries =
+  let b = Buffer.create 64 in
+  Buffer.add_char b '~';
   List.iter
-    (fun proto ->
-      List.iter
-        (fun trace_ctx ->
-          let bytes =
-            proto.P.encode_message
-              (P.Request (ctx_request ~budget_us:750_000 ~trace_ctx ()))
-          in
-          let tag, req_id, operation, payload, ctx =
-            prebudget_decode proto bytes
-          in
-          Alcotest.(check int) (proto.P.name ^ " tag") 0 tag;
-          Alcotest.(check int) (proto.P.name ^ " req_id") 42 req_id;
-          Alcotest.(check string) (proto.P.name ^ " op") "f" operation;
-          Alcotest.(check string) (proto.P.name ^ " payload") "pay\008load"
-            payload;
-          Alcotest.(check string) (proto.P.name ^ " ctx") trace_ctx ctx)
-        [ ""; "deadbeefdeadbeefdeadbeefdeadbeef-cafebabecafebabe" ])
-    protocols
+    (fun (tag, v) ->
+      Buffer.add_char b tag;
+      Buffer.add_uint16_be b (String.length v);
+      Buffer.add_string b v)
+    entries;
+  Buffer.contents b
+
+(* A request with a hand-made trailing string. *)
+let request_with proto trailing =
+  let e = proto.P.codec.Wire.Codec.encoder () in
+  e.Wire.Codec.put_octet 0;
+  e.Wire.Codec.put_ulong 7;
+  e.Wire.Codec.put_bool false;
+  e.Wire.Codec.put_string (Orb.Objref.to_string sample_target);
+  e.Wire.Codec.put_string "f";
+  e.Wire.Codec.put_string "payload";
+  e.Wire.Codec.put_string trailing;
+  e.Wire.Codec.finish ()
+
+let expect_refused proto what bytes =
+  match proto.P.decode_message bytes with
+  | exception P.Protocol_error _ -> ()
+  | exception Wire.Codec.Type_error _ ->
+      Alcotest.fail "Type_error leaked through decode_message"
+  | _ -> Alcotest.failf "%s: %s accepted" proto.P.name what
 
 let test_hostile_budget_slots_rejected () =
-  (* A damaged or hostile deadline slot must surface as Protocol_error
+  (* A damaged or hostile budget entry must surface as Protocol_error
      (the recoverable "answer malformed-request and keep the
-     connection" class), never a crash or a bogus deadline. *)
+     connection" class), never a crash or a bogus deadline. Only ASCII
+     digits count: [int_of_string] spellings such as "0x10" (16 µs)
+     are refused, and so is an empty entry. *)
   List.iter
     (fun proto ->
       List.iter
         (fun hostile ->
-          let e = proto.P.codec.Wire.Codec.encoder () in
-          e.Wire.Codec.put_octet 0;
-          e.Wire.Codec.put_ulong 7;
-          e.Wire.Codec.put_bool false;
-          e.Wire.Codec.put_string (Orb.Objref.to_string sample_target);
-          e.Wire.Codec.put_string "f";
-          e.Wire.Codec.put_string "payload";
-          e.Wire.Codec.put_string "";  (* trace slot *)
-          e.Wire.Codec.put_string hostile;
-          match proto.P.decode_message (e.Wire.Codec.finish ()) with
-          | exception P.Protocol_error _ -> ()
-          | exception Wire.Codec.Type_error _ ->
-              Alcotest.fail "Type_error leaked through decode_message"
-          | _ ->
-              Alcotest.failf "%s: hostile budget %S accepted" proto.P.name
-                hostile)
-        [ "-5"; "not-a-number"; "99999999999999999999999999999"; "1.5" ];
-      (* The EMPTY slot is the one deliberate exception: the
-         negotiation offer forces the budget position even when no
-         deadline is set, so current decoders read [""] as [None]
-         (peers that predate negotiation still reject it — see the
-         interop tests). *)
-      let e = proto.P.codec.Wire.Codec.encoder () in
-      e.Wire.Codec.put_octet 0;
-      e.Wire.Codec.put_ulong 7;
-      e.Wire.Codec.put_bool false;
-      e.Wire.Codec.put_string (Orb.Objref.to_string sample_target);
-      e.Wire.Codec.put_string "f";
-      e.Wire.Codec.put_string "payload";
-      e.Wire.Codec.put_string "" (* trace slot *);
-      e.Wire.Codec.put_string "" (* budget slot: forced empty *);
-      match proto.P.decode_message (e.Wire.Codec.finish ()) with
-      | P.Request r ->
-          Alcotest.(check (option int))
-            (proto.P.name ^ " empty budget decodes as None")
-            None r.P.budget_us
-      | _ -> Alcotest.failf "%s: empty budget slot did not decode" proto.P.name)
+          expect_refused proto
+            (Printf.sprintf "hostile budget %S" hostile)
+            (request_with proto (trailer [ ('b', hostile) ])))
+        [ "-5"; "not-a-number"; "99999999999999999999999999999"; "1.5"; "";
+          "0x10"; "1_000"; "+5"; "-0"; "0b11"; "0u5"; " 5" ])
     protocols
 
-(* ---------------- codec-negotiation slot interop ---------------- *)
-
-(* The negotiation offer rides in a third trailing slot after the
-   deadline budget; a present offer forces both earlier slots (the
-   budget as the empty string when unset). Pinned in both directions
-   against deadline-era peers. *)
-
-(* The envelope exactly as deadline-era (pre-negotiation) peers decoded
-   it: context slot if bytes remain, then a budget slot that must be a
-   non-empty decimal — an empty budget is malformed to this decoder,
-   which is precisely the signature the client's negotiation layer keys
-   its re-send on. *)
-let deadline_era_decode proto bytes =
-  let d = proto.P.codec.Wire.Codec.decoder bytes in
-  let tag = d.Wire.Codec.get_octet () in
-  let req_id = d.Wire.Codec.get_ulong () in
-  let _oneway = d.Wire.Codec.get_bool () in
-  let _target = d.Wire.Codec.get_string () in
-  let operation = d.Wire.Codec.get_string () in
-  let payload = d.Wire.Codec.get_string () in
-  let trace_ctx =
-    if d.Wire.Codec.at_end () then "" else d.Wire.Codec.get_string ()
-  in
-  let budget_us =
-    if d.Wire.Codec.at_end () then None
-    else
-      let s = d.Wire.Codec.get_string () in
-      match int_of_string_opt s with
-      | Some b when b >= 0 -> Some b
-      | _ ->
-          raise (P.Protocol_error (Printf.sprintf "malformed deadline slot %S" s))
-  in
-  (tag, req_id, operation, payload, trace_ctx, budget_us)
+(* ---------------- codec-negotiation entries ---------------- *)
 
 let nego_request ?budget_us ?(trace_ctx = "") ~offer () =
   { (ctx_request ?budget_us ~trace_ctx ()) with P.nego_offer = offer }
@@ -499,122 +506,62 @@ let test_nego_answer_roundtrip () =
         (d.Wire.Codec.get_string ()))
     protocols
 
-(* The envelope exactly as deadline-era peers encoded it: legacy
-   fields, the context slot iff needed, the budget slot iff set —
-   never an offer. *)
-let deadline_era_encode proto (r : P.request) =
-  let e = proto.P.codec.Wire.Codec.encoder () in
-  e.Wire.Codec.put_octet 0;
-  e.Wire.Codec.put_ulong r.P.req_id;
-  e.Wire.Codec.put_bool r.P.oneway;
-  e.Wire.Codec.put_string (Orb.Objref.to_string r.P.target);
-  e.Wire.Codec.put_string r.P.operation;
-  e.Wire.Codec.put_string r.P.payload;
-  (match r.P.budget_us with
-  | None -> if r.P.trace_ctx <> "" then e.Wire.Codec.put_string r.P.trace_ctx
-  | Some b ->
-      e.Wire.Codec.put_string r.P.trace_ctx;
-      e.Wire.Codec.put_string (string_of_int b));
-  e.Wire.Codec.finish ()
-
-let test_no_offer_is_byte_identical_to_prenego () =
-  (* The backward-compatibility invariant: with no offer, the
-     negotiation-era encoder produces the deadline-era encoding byte for
-     byte, for every context/budget combination. *)
+let test_deadline_era_peer_to_new_decoder () =
+  (* Compatibility row "older client -> new server", for deadline-era
+     and negotiation-era clients: the first slot is the trace context,
+     and the later positional slots are ignored — no budget is applied
+     and no offer is seen across the era boundary. *)
   List.iter
     (fun proto ->
       List.iter
-        (fun (budget_us, trace_ctx) ->
-          let r = ctx_request ?budget_us ~trace_ctx () in
-          Alcotest.(check string)
-            (Printf.sprintf "%s ctx=%S budget=%s" proto.P.name trace_ctx
-               (match budget_us with None -> "-" | Some b -> string_of_int b))
-            (deadline_era_encode proto r)
-            (proto.P.encode_message (P.Request r)))
-        [ (None, ""); (None, "cafe-babe"); (Some 750, ""); (Some 750, "cafe-babe") ])
-    protocols
-
-let test_offer_forces_slots () =
-  (* A present offer forces the context and budget positions onto the
-     wire — the budget as the empty string when unset — so the offer is
-     always the third slot. *)
-  List.iter
-    (fun proto ->
-      let bytes =
-        proto.P.encode_message
-          (P.Request (nego_request ~offer:"hcx/1" ()))
-      in
-      let d = proto.P.codec.Wire.Codec.decoder bytes in
-      ignore (d.Wire.Codec.get_octet ());
-      ignore (d.Wire.Codec.get_ulong ());
-      ignore (d.Wire.Codec.get_bool ());
-      ignore (d.Wire.Codec.get_string ());
-      ignore (d.Wire.Codec.get_string ());
-      ignore (d.Wire.Codec.get_string ());
-      Alcotest.(check string) (proto.P.name ^ " forced ctx") ""
-        (d.Wire.Codec.get_string ());
-      Alcotest.(check string) (proto.P.name ^ " forced empty budget") ""
-        (d.Wire.Codec.get_string ());
-      Alcotest.(check string) (proto.P.name ^ " offer slot") "hcx/1"
-        (d.Wire.Codec.get_string ());
-      Alcotest.(check bool) (proto.P.name ^ " nothing after offer") true
-        (d.Wire.Codec.at_end ()))
+        (fun slots ->
+          List.iter
+            (fun (r : P.request) ->
+              let what =
+                Printf.sprintf "%s era %d %s" proto.P.name slots (describe r)
+              in
+              match
+                proto.P.decode_message (positional_encode proto ~slots r)
+              with
+              | P.Request got ->
+                  Alcotest.(check string) (what ^ " ctx") r.P.trace_ctx
+                    got.P.trace_ctx;
+                  Alcotest.(check (option int)) (what ^ " budget ignored") None
+                    got.P.budget_us;
+                  Alcotest.(check string) (what ^ " offer ignored") ""
+                    got.P.nego_offer;
+                  Alcotest.(check string) (what ^ " payload") r.P.payload
+                    got.P.payload
+              | _ -> Alcotest.fail "wrong message kind")
+            (if slots = 2 then
+               List.filter (fun r -> r.P.nego_offer = "") request_subsets
+             else request_subsets))
+        [ 2; 3 ])
     protocols
 
 let test_offer_to_deadline_era_decoder () =
-  (* Offer-less messages decode fine on a deadline-era peer; an
-     offer-carrying message with no budget trips its malformed-deadline
-     check — recoverably, with the exact signature the client's
-     negotiation layer re-sends on. A message with BOTH a budget and an
-     offer decodes its known fields and only trips on the trailing
-     offer, which that decoder never reads. *)
-  List.iter
-    (fun proto ->
-      let plain = proto.P.encode_message (P.Request (ctx_request ~budget_us:500 ~trace_ctx:"" ())) in
-      let _, _, _, _, _, budget = deadline_era_decode proto plain in
-      Alcotest.(check (option int)) (proto.P.name ^ " plain budget") (Some 500) budget;
-      let offered =
-        proto.P.encode_message (P.Request (nego_request ~offer:"hcx/1" ()))
-      in
-      match deadline_era_decode proto offered with
-      | exception P.Protocol_error m ->
-          Alcotest.(check bool)
-            (proto.P.name ^ " malformed-deadline signature")
-            true
-            (let needle = "malformed deadline slot" in
-             let rec find i =
-               i + String.length needle <= String.length m
-               && (String.sub m i (String.length needle) = needle || find (i + 1))
-             in
-             find 0)
-      | _ ->
-          Alcotest.failf "%s: deadline-era peer accepted the forced-empty budget"
-            proto.P.name)
-    protocols
+  new_sender_to_positional_decoder ~slots:2
 
 let test_hostile_nego_slots_rejected () =
-  (* Oversized or charset-violating negotiation slots fail as
+  (* Oversized or charset-violating offers and answers fail as
      recoverable protocol errors before any token is interpreted. *)
   List.iter
     (fun proto ->
       List.iter
         (fun hostile ->
+          expect_refused proto
+            (Printf.sprintf "hostile offer %S" hostile)
+            (request_with proto (trailer [ ('o', hostile) ]));
           let e = proto.P.codec.Wire.Codec.encoder () in
-          e.Wire.Codec.put_octet 0;
+          e.Wire.Codec.put_octet 1;
           e.Wire.Codec.put_ulong 7;
-          e.Wire.Codec.put_bool false;
-          e.Wire.Codec.put_string (Orb.Objref.to_string sample_target);
-          e.Wire.Codec.put_string "f";
-          e.Wire.Codec.put_string "payload";
-          e.Wire.Codec.put_string "" (* trace slot *);
-          e.Wire.Codec.put_string "" (* budget slot *);
-          e.Wire.Codec.put_string hostile;
-          match proto.P.decode_message (e.Wire.Codec.finish ()) with
-          | exception P.Protocol_error _ -> ()
-          | exception Wire.Codec.Type_error _ ->
-              Alcotest.fail "Type_error leaked through decode_message"
-          | _ ->
-              Alcotest.failf "%s: hostile offer %S accepted" proto.P.name hostile)
+          e.Wire.Codec.put_octet 0;
+          e.Wire.Codec.put_string "";
+          e.Wire.Codec.put_string "";
+          e.Wire.Codec.put_string (trailer [ ('a', hostile) ]);
+          expect_refused proto
+            (Printf.sprintf "hostile answer %S" hostile)
+            (e.Wire.Codec.finish ()))
         [
           String.make 300 'a';
           "HCX/1";
@@ -634,7 +581,8 @@ let test_nego_module () =
   List.iter
     (fun bad ->
       Alcotest.(check (option (pair string int))) bad None (P.Nego.parse_token bad))
-    [ "bogus"; "hcx/"; "/1"; "hcx/9x"; "hcx/-1"; "hcx/99999999999999999999" ];
+    [ "bogus"; "hcx/"; "/1"; "hcx/9x"; "hcx/-1"; "hcx/99999999999999999999";
+      "hcx/0x1"; "hcx/1_000"; "hcx/+5"; "hcx/-0"; "hcx/0b11"; "hcx/0u5" ];
   (* choose follows the client's preference order over the server's
      supported set, under the compatibility predicate. *)
   (match P.Nego.choose ~offer:"hcx/1" ~supported:[ P.hcx ] ~compatible:P.Nego.exact with
@@ -728,6 +676,239 @@ let test_no_forward_is_byte_identical_to_legacy () =
         (legacy_locate_encode proto ~rep_id:11 ~found:false)
         (proto.P.encode_message
            (P.Locate_reply { rep_id = 11; found = false; forward = None })))
+    protocols
+
+(* ---------------- the trailer ---------------- *)
+
+(* What follows the historical fields of a message: its trailing
+   strings. *)
+let trailing_strings proto kind bytes =
+  let d = proto.P.codec.Wire.Codec.decoder bytes in
+  ignore (d.Wire.Codec.get_octet ());
+  ignore (d.Wire.Codec.get_ulong ());
+  (match kind with
+  | `Request ->
+      ignore (d.Wire.Codec.get_bool ());
+      for _ = 1 to 3 do ignore (d.Wire.Codec.get_string ()) done
+  | `Reply ->
+      ignore (d.Wire.Codec.get_octet ());
+      for _ = 1 to 2 do ignore (d.Wire.Codec.get_string ()) done
+  | `Locate_reply -> ignore (d.Wire.Codec.get_bool ()));
+  let rec rest acc =
+    if d.Wire.Codec.at_end () then List.rev acc
+    else rest (d.Wire.Codec.get_string () :: acc)
+  in
+  rest []
+
+(* A reply exactly as pre-slot peers encoded it. *)
+let legacy_reply_encode proto ~rep_id ~payload =
+  let e = proto.P.codec.Wire.Codec.encoder () in
+  e.Wire.Codec.put_octet 1;
+  e.Wire.Codec.put_ulong rep_id;
+  e.Wire.Codec.put_octet 0;
+  e.Wire.Codec.put_string "";
+  e.Wire.Codec.put_string payload;
+  e.Wire.Codec.finish ()
+
+let test_entry_matrix () =
+  (* Every subset of entries, in each message kind that carries a
+     trailer, in every codec: the message round-trips; with no entry it
+     is the pre-slot encoding byte for byte, otherwise it is that
+     encoding plus exactly one string opening with the format byte. *)
+  List.iter
+    (fun proto ->
+      let check what kind msg legacy =
+        let what = proto.P.name ^ " " ^ what in
+        check_message proto msg;
+        let bytes = proto.P.encode_message msg in
+        match (legacy, trailing_strings proto kind bytes) with
+        | Some legacy, tail ->
+            Alcotest.(check string) (what ^ " is the pre-slot encoding") legacy
+              bytes;
+            Alcotest.(check int) (what ^ " no trailer") 0 (List.length tail)
+        | None, [ t ] ->
+            Alcotest.(check char) (what ^ " format byte") '~' t.[0]
+        | None, tail ->
+            Alcotest.failf "%s: %d trailing strings" what (List.length tail)
+      in
+      List.iter
+        (fun (r : P.request) ->
+          let empty = r.P.trace_ctx = "" && r.P.budget_us = None && r.P.nego_offer = "" in
+          check (describe r) `Request (P.Request r)
+            (if empty then Some (legacy_encode proto r) else None))
+        request_subsets;
+      List.iter
+        (fun nego_answer ->
+          check ("answer=" ^ nego_answer) `Reply
+            (P.Reply { P.rep_id = 3; status = P.Status_ok; payload = "r"; nego_answer })
+            (if nego_answer = "" then
+               Some (legacy_reply_encode proto ~rep_id:3 ~payload:"r")
+             else None))
+        [ ""; "hcx/1" ];
+      List.iter
+        (fun forward ->
+          check
+            (if forward = None then "no forward" else "forward")
+            `Locate_reply
+            (P.Locate_reply { rep_id = 5; found = true; forward })
+            (if forward = None then
+               Some (legacy_locate_encode proto ~rep_id:5 ~found:true)
+             else None))
+        [ None; Some multi_target ])
+    protocols
+
+let test_hostile_trailers_rejected () =
+  (* Structural damage, duplicates and oversize are recoverable protocol
+     errors, in every message kind that carries a trailer. *)
+  List.iter
+    (fun proto ->
+      List.iter
+        (fun (what, t) -> expect_refused proto what (request_with proto t))
+        [
+          ("truncated entry", "~c");
+          ("truncated length", "~c\000");
+          ("length past the end", "~c\000\005ab");
+          ("duplicate budget", trailer [ ('b', "5"); ('b', "6") ]);
+          ("duplicate context", trailer [ ('c', "a-b"); ('c', "a-b") ]);
+          ("nine entries", trailer (List.init 9 (fun _ -> ('z', ""))));
+          ("5000-byte trailer", trailer [ ('z', String.make 5000 'x') ]);
+          ( "4 KiB context",
+            trailer [ ('c', String.make 4000 'a' ^ "-" ^ String.make 8 'b') ] );
+          ( "4 KiB positional-era context",
+            String.make 4096 'a' ^ "-" ^ String.make 8 'b' );
+        ];
+      let reply t =
+        let e = proto.P.codec.Wire.Codec.encoder () in
+        e.Wire.Codec.put_octet 1;
+        e.Wire.Codec.put_ulong 7;
+        e.Wire.Codec.put_octet 0;
+        e.Wire.Codec.put_string "";
+        e.Wire.Codec.put_string "";
+        e.Wire.Codec.put_string t;
+        e.Wire.Codec.finish ()
+      in
+      expect_refused proto "duplicate answer"
+        (reply (trailer [ ('a', "hcx/1"); ('a', "hcx/1") ]));
+      let locate_reply t =
+        let e = proto.P.codec.Wire.Codec.encoder () in
+        e.Wire.Codec.put_octet 3;
+        e.Wire.Codec.put_ulong 7;
+        e.Wire.Codec.put_bool true;
+        e.Wire.Codec.put_string t;
+        e.Wire.Codec.finish ()
+      in
+      let fwd = Orb.Objref.to_string sample_target in
+      expect_refused proto "duplicate forward"
+        (locate_reply (trailer [ ('f', fwd); ('f', fwd) ]));
+      expect_refused proto "malformed forward"
+        (locate_reply (trailer [ ('f', "@tcp:h") ])))
+    protocols
+
+let test_unknown_tags_skipped () =
+  (* Entries a later version may add are skipped, up to the entry bound;
+     so are known entries that belong to another message kind. Their
+     lengths put '\n', '\r', '"' and '\\' bytes into the trailer, which
+     the text codec must escape. A first string without the format byte
+     is a positional-era slot. *)
+  List.iter
+    (fun proto ->
+      let t =
+        trailer
+          (('z', "future") :: ('c', sample_ctx) :: ('a', "hcx/1")
+          :: List.mapi
+               (fun i n -> (Char.chr (Char.code 'A' + i), String.make n 'x'))
+               [ 10; 13; 34; 92; 0 ])
+      in
+      (match proto.P.decode_message (request_with proto t) with
+      | P.Request r ->
+          Alcotest.(check string) (proto.P.name ^ " ctx") sample_ctx r.P.trace_ctx;
+          Alcotest.(check (option int)) (proto.P.name ^ " budget") None r.P.budget_us
+      | _ -> Alcotest.fail "wrong message kind");
+      match proto.P.decode_message (request_with proto "!c\000\001x") with
+      | P.Request r ->
+          Alcotest.(check string) (proto.P.name ^ " wrong format byte")
+            "!c\000\001x" r.P.trace_ctx
+      | _ -> Alcotest.fail "wrong message kind")
+    protocols
+
+let test_new_sender_to_nego_era_decoder () =
+  new_sender_to_positional_decoder ~slots:3
+
+let test_offer_is_one_trailer_entry () =
+  (* An offer forces no empty context or budget onto the wire: the
+     request is the pre-slot encoding plus a trailer holding the offer
+     entry alone. *)
+  List.iter
+    (fun proto ->
+      let r = nego_request ~offer:"hcx/1" () in
+      Alcotest.(check string) proto.P.name
+        (legacy_encode proto r ~trailing:(trailer [ ('o', "hcx/1") ]))
+        (proto.P.encode_message (P.Request r));
+      check_message proto (P.Request r))
+    protocols
+
+let test_ctx_without_budget_is_one_entry () =
+  (* A trace context with no budget is the pre-slot encoding plus a
+     trailer holding the context entry alone: no empty budget entry. *)
+  List.iter
+    (fun proto ->
+      let r = ctx_request ~trace_ctx:sample_ctx () in
+      Alcotest.(check string) proto.P.name
+        (legacy_encode proto r ~trailing:(trailer [ ('c', sample_ctx) ]))
+        (proto.P.encode_message (P.Request r));
+      check_message proto (P.Request r))
+    protocols
+
+(* A locate reply as forward-era peers decoded it: the forward slot, if
+   bytes remain, must parse as a reference. *)
+let forward_era_locate_decode proto bytes =
+  let d = proto.P.codec.Wire.Codec.decoder bytes in
+  ignore (d.Wire.Codec.get_octet ());
+  ignore (d.Wire.Codec.get_ulong ());
+  ignore (d.Wire.Codec.get_bool ());
+  if d.Wire.Codec.at_end () then None
+  else
+    match Orb.Objref.of_string_opt (d.Wire.Codec.get_string ()) with
+    | Some r -> Some r
+    | None -> raise (P.Protocol_error "malformed forward reference")
+
+let test_forward_to_pre_trailer_client () =
+  (* Compatibility row "new server -> pre-trailer client": a locate
+     reply with a forward fails that client's decode recoverably;
+     [Locate_forward] is unchanged, so its invocations still follow
+     forwards. The reverse direction reads a positional-era forward. *)
+  List.iter
+    (fun proto ->
+      let with_forward =
+        proto.P.encode_message
+          (P.Locate_reply { rep_id = 5; found = true; forward = Some sample_target })
+      in
+      (match forward_era_locate_decode proto with_forward with
+      | exception P.Protocol_error _ -> ()
+      | _ -> Alcotest.failf "%s: pre-trailer client read the forward" proto.P.name);
+      Alcotest.(check bool) (proto.P.name ^ " no forward still decodes") true
+        (forward_era_locate_decode proto
+           (proto.P.encode_message
+              (P.Locate_reply { rep_id = 5; found = true; forward = None }))
+        = None);
+      let e = proto.P.codec.Wire.Codec.encoder () in
+      e.Wire.Codec.put_octet 4;
+      e.Wire.Codec.put_ulong 9;
+      e.Wire.Codec.put_string (Orb.Objref.to_string sample_target);
+      Alcotest.(check string) (proto.P.name ^ " Locate_forward unchanged")
+        (e.Wire.Codec.finish ())
+        (proto.P.encode_message
+           (P.Locate_forward { rep_id = 9; target = sample_target }));
+      let e = proto.P.codec.Wire.Codec.encoder () in
+      e.Wire.Codec.put_octet 3;
+      e.Wire.Codec.put_ulong 5;
+      e.Wire.Codec.put_bool true;
+      e.Wire.Codec.put_string (Orb.Objref.to_string multi_target);
+      match proto.P.decode_message (e.Wire.Codec.finish ()) with
+      | P.Locate_reply { forward = Some r; _ } ->
+          Alcotest.(check string) (proto.P.name ^ " positional-era forward")
+            (Orb.Objref.to_string multi_target) (Orb.Objref.to_string r)
+      | _ -> Alcotest.failf "%s: positional-era forward lost" proto.P.name)
     protocols
 
 let test_text_message_is_a_line () =
@@ -896,8 +1077,6 @@ let () =
           Alcotest.test_case "old peer -> new decoder" `Quick test_old_peer_to_new_decoder;
           Alcotest.test_case "new peer -> old decoder" `Quick test_new_peer_to_old_decoder;
           Alcotest.test_case "deadline budget round-trip" `Quick test_budget_roundtrip;
-          Alcotest.test_case "no budget is the pre-budget encoding" `Quick
-            test_no_budget_is_byte_identical_to_prebudget;
           Alcotest.test_case "pre-budget peer -> new decoder" `Quick
             test_prebudget_peer_to_new_decoder;
           Alcotest.test_case "new peer -> pre-budget decoder" `Quick
@@ -906,6 +1085,8 @@ let () =
             test_hostile_budget_slots_rejected;
           Alcotest.test_case "empty context is the legacy encoding" `Quick
             test_empty_ctx_is_byte_identical_to_legacy;
+          Alcotest.test_case "ctx without budget is one entry" `Quick
+            test_ctx_without_budget_is_one_entry;
           Alcotest.test_case "old locate peer -> new decoder" `Quick
             test_old_locate_peer_to_new_decoder;
           Alcotest.test_case "new locate peer -> old decoder" `Quick
@@ -918,15 +1099,28 @@ let () =
           Alcotest.test_case "offer round-trip" `Quick test_nego_offer_roundtrip;
           Alcotest.test_case "answer round-trip + old decoder" `Quick
             test_nego_answer_roundtrip;
-          Alcotest.test_case "no offer is the deadline-era encoding" `Quick
-            test_no_offer_is_byte_identical_to_prenego;
-          Alcotest.test_case "offer forces earlier slots" `Quick
-            test_offer_forces_slots;
+          Alcotest.test_case "deadline-era peer -> new decoder" `Quick
+            test_deadline_era_peer_to_new_decoder;
           Alcotest.test_case "offer -> deadline-era decoder" `Quick
             test_offer_to_deadline_era_decoder;
+          Alcotest.test_case "offer is one trailer entry" `Quick
+            test_offer_is_one_trailer_entry;
           Alcotest.test_case "hostile nego slots rejected" `Quick
             test_hostile_nego_slots_rejected;
           Alcotest.test_case "Nego module" `Quick test_nego_module;
+        ] );
+      ( "trailer",
+        [
+          Alcotest.test_case "entry subsets x kinds x codecs" `Quick
+            test_entry_matrix;
+          Alcotest.test_case "hostile trailers rejected" `Quick
+            test_hostile_trailers_rejected;
+          Alcotest.test_case "unknown tags skipped" `Quick
+            test_unknown_tags_skipped;
+          Alcotest.test_case "new sender -> nego-era decoder" `Quick
+            test_new_sender_to_nego_era_decoder;
+          Alcotest.test_case "forward -> pre-trailer client" `Quick
+            test_forward_to_pre_trailer_client;
         ] );
       ( "framing",
         [

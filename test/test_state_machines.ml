@@ -51,7 +51,7 @@ let target = Orb.Objref.make ~proto:"mem" ~host:"local" ~port:1 ~oid:"o" ~type_i
 (* ---------------- Mux: one client connection ---------------- *)
 
 (* What the peer answers to the connection's offer. *)
-type answer = Chosen | Fallback | Unknown | Resend
+type answer = Chosen | Fallback | Unknown
 
 type spec = {
   kind : Mux.kind;
@@ -75,8 +75,7 @@ type pc = Admitting | Sending | Awaiting | Settling | Done
 
 type caller = {
   spec : spec;
-  msg : P.message;
-  mutable cell : Mux.cell;
+  cell : Mux.cell;
   mutable pc : pc;
   mutable runnable : bool;  (* not parked, or woken by a broadcast *)
   mutable parked_on : bool * Mux.gate * int * int * bool * bool;
@@ -127,8 +126,7 @@ let fresh sc () =
     Array.of_list
       (List.mapi
          (fun i spec ->
-           let msg = request i spec in
-           { spec; msg; cell = Mux.cell msg; pc = Admitting; runnable = true;
+           { spec; cell = Mux.cell (request i spec); pc = Admitting; runnable = true;
              parked_on = (false, Mux.Settled, 0, 0, false, false);
              expired = false; offer = false; offered = false; pre_offer = false;
              outcome = None; sent = 0; answered = 0 })
@@ -180,10 +178,6 @@ let reply_for w c =
         | Chosen -> P.Reply { ok with P.nego_answer = P.Nego.token P.hcx }
         | Fallback -> P.Reply ok
         | Unknown -> P.Reply { ok with P.nego_answer = "zz/9" }
-        | Resend ->
-            P.Reply
-              { ok with
-                P.status = P.Status_system_error "malformed request: malformed deadline slot \"\"" }
 
 let wrong_for c =
   let id = c.cell.Mux.id in
@@ -264,18 +258,13 @@ let step w i =
         w.offer_out <- false;
         wake w
       in
-      match Orb.Nego.answer ~codecs ~compat:P.Nego.exact c.msg (Option.get c.cell.Mux.reply) with
+      match Orb.Nego.answer ~codecs ~compat:P.Nego.exact (Option.get c.cell.Mux.reply) with
       | Orb.Nego.Chosen _ | Orb.Nego.Fallback ->
           settle ();
           finish i c "replied"
       | Orb.Nego.Unknown _ ->
           kill w (Failure "unknown codec");
-          finish i c "unknown codec"
-      | Orb.Nego.Resend ->
-          settle ();
-          c.cell <- Mux.cell c.msg;
-          c.offer <- false;
-          c.pc <- Admitting)
+          finish i c "unknown codec")
   | Done -> assert false
 
 let check w =
@@ -370,8 +359,6 @@ let mux_scenarios =
       answer = Fallback; callers = [ untimed Mux.Oneway; call Mux.Call; untimed Mux.Call ] };
     { base with name = "offer answered an unknown codec"; negotiate = true; answer = Unknown;
       callers = [ call Mux.Call; untimed Mux.Call; untimed Mux.Oneway ] };
-    { base with name = "offer re-sent to a deadline-era peer"; limit = 2; negotiate = true;
-      answer = Resend; callers = [ untimed Mux.Call; call Mux.Call ] };
     { base with name = "offer taker fails to marshal"; limit = 2; negotiate = true;
       callers = [ untimed ~marshal_fails:true Mux.Call; call Mux.Call; untimed Mux.Oneway ];
       kill = true };
