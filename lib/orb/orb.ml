@@ -947,14 +947,18 @@ let drop_this_connection t endpoint c =
 
 let next_req_id t = Atomic.fetch_and_add t.next_req_id 1
 
-(* Tags a transport failure with the exchange phase it struck in.
-   [`Send] means no reply bytes were read — retry-safe territory;
-   [`Recv] means the request went out and anything may have happened.
-   [fatal] tells the caller whether the connection itself is tainted and
-   must leave the cache (a call that timed out before sending, waiting
-   for a slot or behind the codec offer, leaves it healthy). *)
-exception
-  Exchange_failed of { phase : [ `Send | `Recv ]; fatal : bool; err : exn }
+(* One failed attempt: its error, and whether the request provably did
+   not execute — never sent, refused unexecuted by the server, or lost
+   with a reused connection that had gone stale (the server cannot have
+   dispatched what it read from a connection it was closing). Only an
+   [unsent] failure may ever be sent again ([Retry.resend_safe]). *)
+type failure = { err : exn; unsent : bool }
+
+(* A failed exchange. [fatal] tells the caller whether the connection
+   itself is tainted and must leave the cache (a call that timed out
+   before sending, waiting for a slot or behind the codec offer, leaves
+   it healthy). *)
+exception Exchange_failed of { fatal : bool; failure : failure }
 
 (* Decides again after every wakeup on [lock] until [decide] stops
    holding, or answers the hold once [deadline] has passed. The one wait
@@ -1003,12 +1007,15 @@ let settle_offer t conn reply =
       raise
         (Exchange_failed
            {
-             phase = `Recv;
              fatal = true;
-             err =
-               System_exception
-                 (Printf.sprintf
-                    "peer answered unknown codec %S in negotiation" tok);
+             failure =
+               {
+                 err =
+                   System_exception
+                     (Printf.sprintf
+                        "peer answered unknown codec %S in negotiation" tok);
+                 unsent = false;
+               };
            })
   | Nego.Fallback ->
       count t Event.c_fallback;
@@ -1020,10 +1027,15 @@ let settle_offer t conn reply =
    goes out in (the base protocol for the offer itself); the payload is
    marshalled in its codec after admission, outside both locks, so a
    frame never mixes two codecs, and the reply comes back with that
-   protocol. *)
-let exchange t conn msg ~payload ~deadline ~(span : Obs.Trace.span option) =
+   protocol. [fresh] says this call opened [conn]: a receive failure on
+   it may follow a dispatch, one on a reused connection is taken for a
+   stale connection's. *)
+let exchange t conn ~fresh msg ~payload ~deadline
+    ~(span : Obs.Trace.span option) =
   let mx = conn.mux and lock = conn.mx_lock in
-  let fail_ phase ~fatal err = raise (Exchange_failed { phase; fatal; err }) in
+  let fail_ ~unsent ~fatal err =
+    raise (Exchange_failed { fatal; failure = { err; unsent } })
+  in
   let cell = Mux.cell msg in
   let oneway = cell.Mux.kind = Mux.Oneway in
   let verdict, inflight_now, proto =
@@ -1035,11 +1047,11 @@ let exchange t conn msg ~payload ~deadline ~(span : Obs.Trace.span option) =
     match verdict with
     | Mux.Admitted -> false
     | Mux.Admitted_offer -> true
-    | Mux.Dead err -> fail_ `Send ~fatal:true err
+    | Mux.Dead err -> fail_ ~unsent:true ~fatal:true err
     | why ->
         (* Never sent: the connection is healthy, just mid-offer or
            saturated. Not fatal — the cache entry stays. *)
-        fail_ `Send ~fatal:false
+        fail_ ~unsent:true ~fatal:false
           (Transport.Timeout
              (Printf.sprintf "timed out %s to %s"
                 (if why == Mux.Behind_offer then "behind a codec negotiation"
@@ -1096,7 +1108,7 @@ let exchange t conn msg ~payload ~deadline ~(span : Obs.Trace.span option) =
         stream is desynchronized for every in-flight call. Kill. *)
      unregister ();
      mux_kill conn e;
-     fail_ `Send ~fatal:true e);
+     fail_ ~unsent:true ~fatal:true e);
   let t1 =
     match span with
     | Some s ->
@@ -1130,7 +1142,7 @@ let exchange t conn msg ~payload ~deadline ~(span : Obs.Trace.span option) =
         Some (proto, reply)
     | Mux.Dead err ->
         unregister ();
-        fail_ `Recv ~fatal:true err
+        fail_ ~unsent:(not fresh) ~fatal:true err
     | _ ->
         unregister ();
         (* The stream still owes us a reply we will never consume;
@@ -1143,7 +1155,7 @@ let exchange t conn msg ~payload ~deadline ~(span : Obs.Trace.span option) =
              (Printf.sprintf
                 "connection to %s closed: a call deadline expired mid-stream"
                 (Communicator.peer conn.comm)));
-        fail_ `Recv ~fatal:true
+        fail_ ~unsent:false ~fatal:true
           (Transport.Timeout
              (Printf.sprintf "reply %d from %s timed out" cell.Mux.id
                 (Communicator.peer conn.comm)))
@@ -1154,16 +1166,17 @@ let no_payload (_ : Protocol.t) = ""
 let count_failure t e =
   match e with Transport.Timeout _ -> count t Event.timeouts | _ -> ()
 
-(* The retry taxonomy as the ORB applies it: [Retry.classify], plus the
-   two refusals a server sends only for requests it never executed
-   ([Pool.never_executed]) — CORBA's TRANSIENT with COMPLETED_NO, so a
-   re-send cannot duplicate work. Overload refusals stay Permanent. *)
+(* The retry taxonomy as the ORB applies it: [Retry.classify], plus
+   - the two refusals a server sends only for requests it never executed
+     ([Pool.never_executed]): CORBA's TRANSIENT with COMPLETED_NO, so a
+     re-send cannot duplicate work. Overload refusals stay Permanent.
+   - a breaker fast-fail: nothing was sent, and another placement may
+     serve. Within one placement the breaker gate handles it, never
+     [Retry.decide]. *)
 let classify = function
   | System_exception m when Pool.never_executed m -> Retry.Transient
+  | Breaker.Circuit_open _ -> Retry.Transient
   | e -> Retry.classify e
-
-let retryable t ~attempt e =
-  attempt < t.retry.Retry.max_attempts && classify e = Retry.Transient
 
 (* The never-executed refusal answering a call, as the exception the
    caller would otherwise see. *)
@@ -1182,7 +1195,8 @@ let breaker_success t key =
   match t.breaker with Some br -> Breaker.success br key | None -> ()
 
 (* Absolute deadline for one call: the per-call timeout, else the ORB
-   default, else none. *)
+   default, else none. Computed once per call; every attempt, probe and
+   placement of the call shares it. *)
 let call_deadline t timeout =
   match (timeout, t.call_timeout) with
   | Some s, _ | None, Some s -> Some (Unix.gettimeofday () +. s)
@@ -1217,27 +1231,43 @@ let pick_endpoint t = function
              let b = arr.(Random.State.int t.rng n) in
              if inflight_hint t b < inflight_hint t a then b else a))
 
-(* The fault-tolerant request/reply engine shared by the invocation
-   path and [locate]: replica selection (power-of-two-choices,
-   breaker-open endpoints skipped), per-endpoint circuit-breaker gate,
-   then attempts under the retry policy — a failure on one replica fails
-   over to the next under the SAME retry budget, and the
-   duplicate-safety taxonomy still decides what may be re-sent at all.
+(* The half-open probe: a single-attempt Locate_request to one specific
+   replica, under the call's deadline. Any decoded locate answer (found
+   or not, forwarded or not) proves the endpoint is serving again. *)
+let probe t target ~endpoint ~deadline =
+  let req_id = next_req_id t in
+  let msg =
+    Protocol.Locate_request
+      { req_id; target = Objref.at_endpoint target endpoint }
+  in
+  let conn, fresh = get_connection t endpoint in
+  match exchange t conn ~fresh msg ~payload:no_payload ~deadline ~span:None with
+  | _ -> ()
+  | exception Exchange_failed { fatal; failure } ->
+      if fatal then drop_this_connection t endpoint conn;
+      raise failure.err
+
+(* One placement's attempts, shared by the invocation path and
+   [locate], all under the call's [deadline]. Each attempt picks a
+   replica (power-of-two-choices, breaker-open endpoints skipped),
+   passes that endpoint's circuit-breaker gate and sends. Every failed
+   attempt becomes one [failure], and [Retry.decide] alone says whether
+   another attempt follows: on this replica or the next (failover),
+   under the one [max_attempts] and the client's retry budget. A gate
+   that finds the endpoint unusable (fast-fail, failed probe) re-picks
+   another available replica without spending an attempt, and ends the
+   placement when there is none: a backoff would only meet the open
+   circuit again.
    [make_msg] builds the wire message for the chosen endpoint's
    single-endpoint view, so every envelope target stays parseable by
    pre-replication peers; [payload] fills a request's payload in each
    attempt's protocol (see [exchange]), and the answer comes back paired
-   with that protocol. [notify] feeds each failure to the client
-   interceptor chain.
-   [maybe_dispatched] is called on any failure after which the request
-   may be executing on a server (fresh-connection receive failures) —
-   callers with a duplicate-safe fallback of their own (forward-cache
-   invalidation, naming re-resolve) must not re-send after it fires. *)
-let rec request_reply t target ~make_msg ~payload ~timeout ~notify
-    ~span ?(maybe_dispatched = fun () -> ()) () =
+   with that protocol. [notify] feeds each failed attempt to the client
+   interceptor chain. The placement's last failure is returned, not
+   raised: the caller may move the call to another placement. *)
+let request_reply t target ~make_msg ~payload ~deadline ~notify ~span =
   let eps = Objref.endpoints target in
   let multi = match eps with _ :: _ :: _ -> true | _ -> false in
-  let deadline = call_deadline t timeout in
   (* The wire budget for ONE attempt: the remaining slice of the call
      deadline, re-read at each (re)send so a retry or failover carries
      what is actually left, not the original allowance. Relative µs —
@@ -1258,6 +1288,7 @@ let rec request_reply t target ~make_msg ~payload ~timeout ~notify
      budget may revisit (the per-endpoint breakers decide whether it
      should). *)
   let tried = ref [] in
+  let note_tried ep = if not (List.mem ep !tried) then tried := ep :: !tried in
   let candidates () =
     let avail = List.filter available eps in
     match List.filter (fun ep -> not (List.mem ep !tried)) avail with
@@ -1266,59 +1297,60 @@ let rec request_reply t target ~make_msg ~payload ~timeout ~notify
         avail
     | untried -> untried
   in
-  let count_failover () =
-    if multi then count t Event.failovers
+  let count_failover () = if multi then count t Event.failovers in
+  let give_up f =
+    notify f.err;
+    Error f
+  in
+  (* The breaker gate: [None] lets the attempt through; [Some err] says
+     the endpoint is unusable now — tripped (possibly between selection
+     and gate), or its half-open probe, one lightweight Locate_request
+     ping, found it still down. *)
+  let gate ep key =
+    match t.breaker with
+    | None -> None
+    | Some br -> (
+        match Breaker.before_call br key with
+        | Breaker.Proceed -> None
+        | Breaker.Fast_fail ->
+            Some
+              (Breaker.Circuit_open
+                 (Printf.sprintf "circuit open for endpoint %s" key))
+        | Breaker.Probe -> (
+            match probe t target ~endpoint:ep ~deadline with
+            | () ->
+                Breaker.success br key;
+                None
+            | exception e ->
+                Breaker.failure br key;
+                count_failure t e;
+                Some e))
+  in
+  let send ep key =
+    match get_connection t ep with
+    | exception e -> Error { err = e; unsent = true }
+    | conn, fresh -> (
+        let msg = make_msg (Objref.at_endpoint target ep) (budget_now ()) in
+        match exchange t conn ~fresh msg ~payload ~deadline ~span with
+        | resp -> (
+            match refusal_of resp with
+            | Some e -> Error { err = e; unsent = true }
+            | None ->
+                breaker_success t key;
+                (* Successes replenish the retry budget — the ~10%
+                   ratio that keeps the aggregate retry rate bounded. *)
+                Retry.Budget.deposit t.retry_budget;
+                Ok resp)
+        | exception Exchange_failed { fatal; failure } ->
+            (* Never leave a failed connection poisoning the cache —
+               unless the failure says the connection itself is fine
+               (e.g. an admission timeout on a saturated demux). *)
+            if fatal then drop_this_connection t ep conn;
+            Error failure)
   in
   (* [gate_spins] bounds the selection/gate race: an endpoint can trip
      between the read-only availability check and [before_call]. *)
   let rec attempt n gate_spins =
-    let fail e =
-      notify e;
-      raise e
-    in
-    let retry_after ~failed_ep e =
-      (* The aggregate retry budget gates every re-attempt — plain
-         retries, failovers, and probe-failure failovers alike. An empty
-         bucket means the client fleet is already retrying at its bound:
-         fail fast (Permanent class) instead of joining the storm. *)
-      if not (Retry.Budget.try_withdraw t.retry_budget) then begin
-        count t Event.budget_exhausted;
-        fail
-          (Retry.Budget_exhausted
-             (Printf.sprintf "retry budget exhausted (last error: %s)"
-                (Printexc.to_string e)))
-      end;
-      count t Event.retries;
-      (match span with
-      | Some s -> s.Obs.Trace.retries <- s.Obs.Trace.retries + 1
-      | None -> ());
-      if not (List.mem failed_ep !tried) then tried := failed_ep :: !tried;
-      count_failover ();
-      notify e;
-      (* Backoff clamped to the remaining call budget: never sleep past
-         the deadline only to fail on wakeup. *)
-      let nap = Retry.delay_for t.retry ~attempt:n in
-      let nap =
-        match deadline with
-        | Some d -> Float.max 0. (Float.min nap (d -. Unix.gettimeofday ()))
-        | None -> nap
-      in
-      Thread.delay nap;
-      attempt (n + 1) 0
-    in
-    (* Fail fast when the deadline has already passed: an attempt that
-       cannot possibly answer in time must not be sent (the server
-       would shed it as expired anyway — with propagation off it would
-       even execute, pure zombie work). *)
-    (match deadline with
-    | Some d when Unix.gettimeofday () >= d ->
-        let e =
-          Transport.Timeout
-            (Printf.sprintf "call deadline expired before attempt %d" n)
-        in
-        count_failure t e;
-        fail e
-    | _ -> ());
     (* When every replica's breaker is open, gate on the primary anyway:
        [before_call] then either fast-fails (advancing the breaker's
        accounting exactly as in the single-endpoint case) or grants a
@@ -1329,114 +1361,65 @@ let rec request_reply t target ~make_msg ~payload ~timeout ~notify
       | None -> Objref.endpoint target
     in
     let key = endpoint_key ep in
-    let go () =
-      match get_connection t ep with
-      | exception e ->
-          (* Connect failure: nothing was sent, always safe to retry —
-             on this replica or the next. *)
-          breaker_failure t key e;
-          count_failure t e;
-          if retryable t ~attempt:n e then retry_after ~failed_ep:ep e
-          else fail e
-      | conn, fresh -> (
-          let msg = make_msg (Objref.at_endpoint target ep) (budget_now ()) in
-          match exchange t conn msg ~payload ~deadline ~span with
-          | resp -> (
-              match refusal_of resp with
-              | Some e ->
-                  (* Refused unexecuted (draining, or cancelled in a
-                     stopping pool's queue): re-sending — here or on
-                     another replica — is duplicate-safe, under the
-                     retry policy and budget. Out of attempts, the
-                     refusal is the answer. *)
-                  breaker_failure t key e;
-                  if retryable t ~attempt:n e then retry_after ~failed_ep:ep e
-                  else resp
-              | None ->
-                  breaker_success t key;
-                  (* Successes replenish the retry budget — the ~10%
-                     ratio that keeps the aggregate retry rate bounded. *)
-                  Retry.Budget.deposit t.retry_budget;
-                  resp)
-          | exception Exchange_failed { phase; fatal; err = e } ->
-              (* Never leave a failed connection poisoning the cache —
-                 unless the failure says the connection itself is fine
-                 (e.g. an admission timeout on a saturated demux). *)
-              if fatal then drop_this_connection t ep conn;
-              breaker_failure t key e;
-              count_failure t e;
-              let retry_safe =
-                match phase with
-                | `Send -> true
-                | `Recv ->
-                    (* Only the stale-cached-connection case: the peer
-                       closed a connection we reused, before our request
-                       can have been dispatched against a live server. A
-                       fresh connection failing mid-receive, or a
-                       deadline timeout, may mean the call is executing —
-                       never re-sent, not even to another replica. *)
-                    not fresh
-              in
-              if not retry_safe then maybe_dispatched ();
-              if retry_safe && retryable t ~attempt:n e then
-                retry_after ~failed_ep:ep e
-              else fail e)
-    in
-    match t.breaker with
-    | None -> go ()
-    | Some br -> (
-        match Breaker.before_call br key with
-        | Breaker.Proceed -> go ()
-        | Breaker.Fast_fail ->
-            (* Tripped (or tripped between selection and gate). Another
-               available replica: fail over without burning a retry
-               attempt. None left: fast-fail the call. *)
-            if not (List.mem ep !tried) then tried := ep :: !tried;
-            let alternatives =
-              List.filter (fun e' -> e' <> ep && available e') eps
-            in
-            if alternatives <> [] && gate_spins < 2 * List.length eps then begin
+    match deadline with
+    | Some d when Unix.gettimeofday () >= d ->
+        (* An attempt that cannot answer in time is not sent: the server
+           would shed it as expired anyway — with propagation off it
+           would even execute, pure zombie work. *)
+        let err =
+          Transport.Timeout
+            (Printf.sprintf "call deadline expired before attempt %d" n)
+        in
+        count_failure t err;
+        failed n ep { err; unsent = true }
+    | _ -> (
+        match gate ep key with
+        | Some err ->
+            note_tried ep;
+            let others = List.exists (fun e -> e <> ep && available e) eps in
+            if others && gate_spins < 2 * List.length eps then begin
               count_failover ();
               attempt n (gate_spins + 1)
             end
-            else
-              fail
-                (Breaker.Circuit_open
-                   (Printf.sprintf "circuit open for endpoint %s" key))
-        | Breaker.Probe -> (
-            (* Half-open: one lightweight Locate_request ping decides
-               whether this replica is back before real traffic flows. *)
-            match probe t target ~endpoint:ep ~timeout with
-            | () ->
-                Breaker.success br key;
-                go ()
-            | exception e ->
-                Breaker.failure br key;
-                count_failure t e;
-                (* The probe never dispatches anything, so failing over
-                   is duplicate-safe — under the same retry budget. *)
-                if multi && retryable t ~attempt:n e then
-                  retry_after ~failed_ep:ep e
-                else fail e))
+            else give_up { err; unsent = true }
+        | None -> (
+            match send ep key with
+            | Ok resp -> Ok resp
+            | Error f ->
+                breaker_failure t key f.err;
+                count_failure t f.err;
+                failed n ep f))
+  (* The one retry decision, for failed attempt [n] on [ep]. *)
+  and failed n ep f =
+    match
+      Retry.decide t.retry ~budget:t.retry_budget ~attempt:n (classify f.err)
+        ~unsent:f.unsent ~deadline ~now:(Unix.gettimeofday ())
+    with
+    | Retry.Give_up -> give_up f
+    | Retry.Exhausted ->
+        (* The client fleet is already retrying at its bound: fail fast
+           (Permanent class) instead of joining the storm. *)
+        count t Event.budget_exhausted;
+        give_up
+          {
+            f with
+            err =
+              Retry.Budget_exhausted
+                (Printf.sprintf "retry budget exhausted (last error: %s)"
+                   (Printexc.to_string f.err));
+          }
+    | Retry.Retry_after nap ->
+        notify f.err;
+        count t Event.retries;
+        (match span with
+        | Some s -> s.Obs.Trace.retries <- s.Obs.Trace.retries + 1
+        | None -> ());
+        note_tried ep;
+        count_failover ();
+        Thread.delay nap;
+        attempt (n + 1) 0
   in
   attempt 1 0
-
-(* The half-open probe: a single-attempt Locate_request on a fresh
-   connection to one specific replica. Any decoded locate answer (found
-   or not, forwarded or not) proves the endpoint is serving again. *)
-and probe t target ~endpoint ~timeout =
-  let req_id = next_req_id t in
-  let msg =
-    Protocol.Locate_request
-      { req_id; target = Objref.at_endpoint target endpoint }
-  in
-  let deadline = call_deadline t timeout in
-  let conn, _ = get_connection t endpoint in
-  match exchange t conn msg ~payload:no_payload ~deadline ~span:None with
-  | _ -> ()
-  | exception Exchange_failed { fatal; err = e; _ } ->
-      if fatal then drop_this_connection t endpoint conn;
-      raise e
 
 (* ---------------- client spans ---------------- *)
 
@@ -1528,18 +1511,22 @@ let invalidate_forward t target =
    servers are pointing at each other and the call fails loudly. *)
 let max_forward_hops = 4
 
-(* The invocation core. The caller's trace context rides in the
-   request's trailer; disabled tracing sends the empty context, which
-   adds no entry.
+(* The invocation core: one call, every placement under one [deadline].
+   The caller's trace context rides in the request's trailer; disabled
+   tracing sends the empty context, which adds no entry.
    [payload] encodes the arguments in each attempt's protocol (see
    [payload_encoder]); the client interceptors see the request before
    any attempt, so with an empty payload. The answer is the reply
    payload with the codec it travelled in.
 
-   [dispatched] is set as soon as any attempt may have reached a
-   servant; callers that re-resolve and re-send on failure (the naming
-   client) must check it to stay duplicate-safe. *)
-let invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload =
+   A placement is where [request_reply] spends its attempts: a cached or
+   just-received forward, the logical target, or — once, when the caller
+   passes [refresh] — the logical target resolved again. A placement
+   that fails [Retry.resend_safe]ly moves the call on: from a forward to
+   the logical target, from the logical target to [refresh ()]. Any
+   other failure ends the call: at-most-once outranks the redirect and
+   the naming cache alike. *)
+let invoke_spanned t target ~op ~oneway ~deadline ?refresh ~span payload =
   let req_id = next_req_id t in
   (match span with Some s -> s.Obs.Trace.req_id <- req_id | None -> ());
   let trace_ctx =
@@ -1560,42 +1547,32 @@ let invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload =
   in
   (* An interceptor's rewrite of the oneway flag is honoured: the
      exchange waits for a reply by the flag the wire message carries. *)
-  let logical = req.Protocol.target in
   let notify e = Interceptor.apply_error t.client_chain req e in
-  let maybe_dispatched () = dispatched := true in
-  (* [actual] is where the call goes this hop: the logical target, a
-     cached redirect, or a Locate_forward received mid-call.
-     [via_forward] marks hops whose failure should invalidate the cache
-     and — when duplicate-safe — fall back to the logical target. *)
-  let rec call ~hops ~via_forward actual =
-    (* [budget] is stamped by [request_reply] per attempt: each retry or
-       failover re-reads the remaining call deadline, so the wire
-       always carries what is actually left, not the original timeout. *)
-    let make_msg tgt budget =
-      Protocol.Request { req with Protocol.target = tgt; budget_us = budget }
-    in
-    match
-      request_reply t actual ~make_msg ~payload ~timeout ~notify ~span
-        ~maybe_dispatched ()
-    with
-    | exception e when via_forward ->
-        (* The forwarded placement failed. Whatever the failure, stop
-           trusting the cached redirect; re-send against the logical
-           target only when nothing can have dispatched (fast-fail or a
-           send-phase-class transient) — the duplicate-safety taxonomy
-           outranks the redirect. *)
-        invalidate_forward t logical;
-        let duplicate_safe =
-          (not !dispatched)
-          &&
-          match e with
-          | Breaker.Circuit_open _ -> true
-          | e -> classify e = Retry.Transient
-        in
-        if duplicate_safe then call ~hops ~via_forward:false logical
-        else raise e
-    | None -> None
-    | Some (proto, Protocol.Reply reply) -> (
+  (* [budget] is stamped by [request_reply] per attempt from the call
+     deadline, so the wire always carries what is actually left. *)
+  let make_msg tgt budget =
+    Protocol.Request { req with Protocol.target = tgt; budget_us = budget }
+  in
+  let rec start ~refresh logical =
+    match cached_forward t logical with
+    | Some fwd -> call ~refresh ~logical ~hops:1 ~via_forward:true fwd
+    | None -> call ~refresh ~logical ~hops:0 ~via_forward:false logical
+  (* [actual] is where the call goes this placement: the logical target,
+     a cached redirect, or a Locate_forward received mid-call. *)
+  and call ~refresh ~logical ~hops ~via_forward actual =
+    match request_reply t actual ~make_msg ~payload ~deadline ~notify ~span with
+    | Error f -> (
+        (* Whatever the failure, stop trusting a redirect that failed. *)
+        if via_forward then invalidate_forward t logical;
+        match refresh with
+        | _ when not (Retry.resend_safe (classify f.err) ~unsent:f.unsent) ->
+            raise f.err
+        | _ when via_forward ->
+            call ~refresh ~logical ~hops ~via_forward:false logical
+        | Some refresh -> start ~refresh:None (refresh ())
+        | None -> raise f.err)
+    | Ok None -> None
+    | Ok (Some (proto, Protocol.Reply reply)) -> (
         let { Protocol.status; payload; _ } =
           Interceptor.apply_reply t.client_chain req reply
         in
@@ -1605,7 +1582,7 @@ let invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload =
         | Protocol.Status_user_exception repo_id ->
             raise (Remote_exception { repo_id; payload; codec })
         | Protocol.Status_system_error m -> raise (System_exception m))
-    | Some (_, Protocol.Locate_forward { target = fwd; _ }) ->
+    | Ok (Some (_, Protocol.Locate_forward { target = fwd; _ })) ->
         if hops >= max_forward_hops then
           raise
             (System_exception
@@ -1616,14 +1593,12 @@ let invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload =
            this logical target, then re-issue this one transparently.
            Nothing dispatched — re-sending is duplicate-safe. *)
         note_forward t logical fwd;
-        call ~hops:(hops + 1) ~via_forward:true fwd
-    | Some _ ->
+        call ~refresh ~logical ~hops:(hops + 1) ~via_forward:true fwd
+    | Ok (Some _) ->
         (* [Mux.deliver] hands a request only a reply or a forward. *)
         assert false
   in
-  match cached_forward t logical with
-  | Some fwd -> call ~hops:1 ~via_forward:true fwd
-  | None -> call ~hops:0 ~via_forward:false logical
+  start ~refresh req.Protocol.target
 
 (* GIOP-style LocateRequest: does the peer's adapter know this oid?
    Locate (like the breaker's half-open probe) is control-plane traffic:
@@ -1636,20 +1611,20 @@ let locate t ?timeout target =
      breaker's half-open probe, and its envelope has no trailer. *)
   let make_msg tgt _budget = Protocol.Locate_request { req_id; target = tgt } in
   match
-    request_reply t target ~make_msg ~payload:no_payload ~timeout
-      ~notify:(fun _ -> ())
-      ~span:None ()
+    request_reply t target ~make_msg ~payload:no_payload
+      ~deadline:(call_deadline t timeout) ~notify:ignore ~span:None
   with
-  | Some (_, Protocol.Locate_reply { found; _ }) -> found
-  | _ ->
+  | Error f -> raise f.err
+  | Ok (Some (_, Protocol.Locate_reply { found; _ })) -> found
+  | Ok _ ->
       (* [Mux.deliver] hands a locate only a locate reply or a forward,
          and a forward counts as found. *)
       true
 
-let invoke_with t target ~op ~oneway ~timeout ~dispatched marshal =
+let invoke_with t target ~op ~oneway ~deadline ?refresh marshal =
   with_client_span t target ~op (fun span ->
       match
-        invoke_spanned t target ~op ~oneway ~timeout ~span ~dispatched
+        invoke_spanned t target ~op ~oneway ~deadline ?refresh ~span
           (payload_encoder ~span marshal)
       with
       | Some (codec, payload) ->
@@ -1662,7 +1637,7 @@ let invoke_with t target ~op ~oneway ~timeout ~dispatched marshal =
       | None -> None)
 
 let invoke t target ~op ?(oneway = false) ?timeout marshal =
-  invoke_with t target ~op ~oneway ~timeout ~dispatched:(ref false) marshal
+  invoke_with t target ~op ~oneway ~deadline:(call_deadline t timeout) marshal
 
 (* A smart proxy (Section 5: Orbix smart proxies / Visibroker smart
    stubs). It keys its memo on the arguments encoded in this ORB's base
@@ -1670,10 +1645,10 @@ let invoke t target ~op ?(oneway = false) ?timeout marshal =
    base codec, and caches the reply with the codec it came in. *)
 let smart_proxy t ?capacity ?invalidate_on target =
   let invoker target ~op args marshal =
+    let deadline = call_deadline t None in
     with_client_span t target ~op (fun span ->
         match
-          invoke_spanned t target ~op ~oneway:false ~timeout:None ~span
-            ~dispatched:(ref false)
+          invoke_spanned t target ~op ~oneway:false ~deadline ~span
             (payload_encoder ~seed:args ~span marshal)
         with
         | Some reply -> reply
@@ -1917,36 +1892,17 @@ module Naming = struct
   let resolver ?timeout t nref ~name =
     Naming.resolver_via (invoker ?timeout t) nref ~name
 
-  (* One call through a resolver. On a failure that proves the cached
-     placement dead WITHOUT the request possibly executing (circuit
-     open, or a transient failure with no dispatch risk), the lease
-     cache is dropped and the call re-resolved and re-sent exactly once
-     — the duplicate-safety taxonomy outranks freshness, so an
-     ambiguous failure (deadline, fresh-connection receive error)
-     propagates instead of re-sending. *)
+  (* One call through a resolver, under one deadline. When the cached
+     placement fails [Retry.resend_safe]ly, the lease cache is dropped
+     and the call moves, once, to the re-resolved placement: the
+     invocation's last placement (see [invoke_spanned]). *)
   let call t rs ~op ?(oneway = false) ?timeout marshal =
-    let attempt () =
-      let dispatched = ref false in
-      let target = Naming.current rs in
-      match invoke_with t target ~op ~oneway ~timeout ~dispatched marshal with
-      | result -> Ok result
-      | exception e -> Error (e, !dispatched)
-    in
-    match attempt () with
-    | Ok r -> r
-    | Error (e, dispatched) ->
-        let refresh_safe =
-          (not dispatched)
-          &&
-          match e with
-          | Breaker.Circuit_open _ -> true
-          | e -> classify e = Retry.Transient
-        in
-        if not refresh_safe then raise e
-        else begin
-          Naming.invalidate rs;
-          match attempt () with Ok r -> r | Error (e, _) -> raise e
-        end
+    let deadline = call_deadline t timeout in
+    invoke_with t (Naming.current rs) ~op ~oneway ~deadline
+      ~refresh:(fun () ->
+        Naming.invalidate rs;
+        Naming.current rs)
+      marshal
 end
 
 (* ------------------------------------------------------------------ *)

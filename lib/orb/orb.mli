@@ -178,11 +178,14 @@ val create :
       budget; calls without a deadline never send one either way.
     - [retry] — the {!Retry.policy} for transient connection failures
       (default {!Retry.default}: 3 attempts with exponential backoff).
-      Retries fire only for connection setup, sends that failed
-      before any reply bytes were read, and the refusals a server sends
-      for requests it never executed ({!Pool.never_executed}: draining,
-      or cancelled in a stopping pool's queue) — a dispatched request is
-      never duplicated.
+      After every failed attempt {!Retry.decide} alone says whether
+      another follows. Only a failure whose request provably did not
+      execute is re-sent: a failed connect or send, a receive failure on
+      a reused connection, or a refusal a server sends for requests it
+      never executed ({!Pool.never_executed}: draining, or cancelled in
+      a stopping pool's queue). A dispatched request is never
+      duplicated, and a retry whose backoff would reach the call's
+      deadline is not taken: the call fails at once with its error.
     - [retry_budget] — config for the client-wide {!Retry.Budget}
       (default {!Retry.Budget.default_config}). Every retry and
       failover first withdraws a credit; successes deposit [ratio] of
@@ -273,7 +276,8 @@ val invoke :
 (** [invoke orb target ~op marshal] performs a remote call. Returns
     [Some decoder] positioned at the reply payload, or [None] for oneway
     calls. [timeout] (seconds) overrides the ORB's [call_timeout] for
-    this call.
+    this call. The deadline is fixed once, when the call starts: every
+    attempt, failover, probe and forward fallback of the call shares it.
 
     A payload rides in the codec of the frame that carries it. [marshal]
     runs once the call holds an in-flight slot on its connection, outside
@@ -289,11 +293,15 @@ val invoke :
     object behind several replicas: each call picks a replica by
     power-of-two-choices over the per-endpoint in-flight counts,
     skipping breaker-open endpoints, and fails over to another replica
-    on duplicate-safe failures under the same retry budget. The wire
+    on the failures {!Retry.decide} lets it re-send, under the same
+    [max_attempts]. The wire
     envelope always carries the chosen endpoint's single-endpoint view,
     so pre-replication peers interoperate unchanged. A server may answer
     with a GIOP-style location forward; the client follows it
-    transparently and caches the redirect per logical target.
+    transparently and caches the redirect per logical target. When the
+    forwarded placement fails with a request that provably did not
+    execute ({!Retry.resend_safe}), the call falls back to the logical
+    target within the same deadline.
     @raise Remote_exception for declared IDL exceptions.
     @raise System_exception for infrastructure failures.
     @raise Transport.Transport_error when the peer is unreachable (after
@@ -326,7 +334,11 @@ val requests_served : t -> int
 type stats = {
   opened : int;  (** Outbound connections ever opened. *)
   served : int;  (** Requests dispatched by this address space. *)
-  retries : int;  (** Invocation attempts beyond the first. *)
+  retries : int;
+      (** Re-sends {!Retry.decide} granted: attempts beyond the first
+          within one placement, failovers included. A breaker gate's
+          re-pick, a forward fallback and a naming re-send are not
+          counted. *)
   timeouts : int;  (** Calls that hit their deadline. *)
   failovers : int;
       (** Attempts rerouted away from a failed or breaker-open replica
@@ -503,10 +515,14 @@ module Naming : sig
     (Wire.Codec.encoder -> unit) ->
     Wire.Codec.decoder option
   (** {!invoke} through a resolver: resolves (from cache while the lease
-      lasts), invokes, and on a failure that proves the cached placement
-      dead without any dispatch risk (circuit open, transient connection
-      failure) re-resolves and re-sends exactly once. Ambiguous failures
-      (deadline, fresh-connection receive errors) propagate without a
-      re-send — at-most-once is preserved.
+      lasts) and invokes. When the cached placement fails with a request
+      that provably did not execute ({!Retry.resend_safe}: circuit open,
+      transient connection failure, never-executed refusal), it drops
+      the cached resolve, re-resolves and re-sends exactly once, under
+      the deadline the call started with: [timeout] bounds the whole
+      call, re-send included. Ambiguous failures (deadline,
+      fresh-connection receive errors) propagate without a re-send —
+      at-most-once is preserved. The re-resolve itself uses the
+      resolver's own invoker and timeout.
       @raise Unresolved when no provider is live. *)
 end

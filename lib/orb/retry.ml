@@ -103,33 +103,20 @@ let delay_for p ~attempt =
     let factor = 1. -. p.jitter +. (2. *. p.jitter *. Random.State.float st 1.0) in
     Float.max 0. (capped *. factor)
 
-let retryable p ~attempt exn =
-  attempt < p.max_attempts && classify exn = Transient
+(* The at-most-once rule (DESIGN.md §5): only a Transient failure whose
+   request provably did not execute may go out again — to this
+   placement or to another one. *)
+let resend_safe cls ~unsent = unsent && cls = Transient
 
-let run ?(sleep = Thread.delay) ?(on_retry = fun ~attempt:_ _ -> ()) ?budget
-    ?deadline p f =
-  let remaining () =
+type verdict = Retry_after of float | Give_up | Exhausted
+
+let decide p ~budget ~attempt cls ~unsent ~deadline ~now =
+  if attempt >= p.max_attempts || not (resend_safe cls ~unsent) then Give_up
+  else
+    let nap = delay_for p ~attempt in
     match deadline with
-    | None -> infinity
-    | Some d -> d -. Unix.gettimeofday ()
-  in
-  let rec go attempt =
-    try f ~attempt
-    with e when retryable p ~attempt e ->
-      (* Out of deadline: another attempt cannot finish in time, so the
-         backoff would only delay the failure. Propagate now. *)
-      if remaining () <= 0. then raise e;
-      (match budget with
-      | Some b when not (Budget.try_withdraw b) ->
-          raise
-            (Budget_exhausted
-               (Printf.sprintf
-                  "retry budget exhausted after attempt %d (last error: %s)"
-                  attempt (Printexc.to_string e)))
-      | _ -> ());
-      on_retry ~attempt e;
-      (* Never sleep past the deadline only to fail on wakeup. *)
-      sleep (Float.max 0. (Float.min (delay_for p ~attempt) (remaining ())));
-      go (attempt + 1)
-  in
-  go 1
+    | Some d when now +. nap >= d ->
+        (* The next attempt could not start before the deadline: fail
+           now with this attempt's own error instead of sleeping first. *)
+        Give_up
+    | _ -> if Budget.try_withdraw budget then Retry_after nap else Exhausted

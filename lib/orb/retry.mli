@@ -6,10 +6,10 @@
     how much deterministic jitter to apply; {!classify} is the error
     taxonomy that decides {e whether} trying again can help at all.
 
-    Which failures are safe to retry is the caller's judgment: the ORB
-    only retries connection setup and sends that failed before any
-    reply bytes were read, so a dispatched request is never duplicated
-    (see the "Failure model" section of DESIGN.md). *)
+    {!decide} is the one rule the ORB applies after every failed
+    attempt: only a failure whose request provably did not execute is
+    ever sent again, so a dispatched request is never duplicated (see
+    the "Failure model" section of DESIGN.md). *)
 
 (** Where an exception falls in the taxonomy:
     - [Transient] — connection-level failures ({!Transport.Transport_error}:
@@ -20,7 +20,8 @@
     - [Permanent] — everything else (decoded system errors, protocol
       errors, user exceptions). Retrying cannot help. The ORB treats
       the two system errors a server sends only for requests it never
-      executed ({!Pool.never_executed}) as [Transient]. *)
+      executed ({!Pool.never_executed}) as [Transient], and a breaker
+      fast-fail too: nothing was sent, so another placement may serve. *)
 type error_class = Transient | Deadline | Permanent
 
 val classify : exn -> error_class
@@ -89,23 +90,35 @@ val delay_for : policy -> attempt:int -> float
 (** Backoff to sleep after failed attempt [attempt] (1-based). Pure:
     the same policy and attempt always give the same delay. *)
 
-val retryable : policy -> attempt:int -> exn -> bool
-(** [true] iff the exception is {!Transient} and attempts remain. *)
+val resend_safe : error_class -> unsent:bool -> bool
+(** The at-most-once rule: [true] iff the failure is [Transient] and
+    [unsent] — the request provably did not execute (it was never
+    sent, or the server refused it unexecuted). Anything else may be
+    executing on the peer and is never sent again, to any placement. *)
 
-val run :
-  ?sleep:(float -> unit) ->
-  ?on_retry:(attempt:int -> exn -> unit) ->
-  ?budget:Budget.t ->
-  ?deadline:float ->
+(** What to do after a failed attempt. *)
+type verdict =
+  | Retry_after of float  (** Sleep this long, then try again. *)
+  | Give_up  (** Fail the call with the attempt's own error. *)
+  | Exhausted
+      (** The rules allow a retry but the budget holds no credit: fail
+          the call with {!Budget_exhausted}. *)
+
+val decide :
   policy ->
-  (attempt:int -> 'a) ->
-  'a
-(** Generic retry driver: calls [f ~attempt:1], retrying with backoff
-    while {!retryable}. [on_retry] observes each failed attempt. With
-    [budget], each retry first withdraws a credit — an empty bucket
-    raises {!Budget_exhausted} instead of retrying. With [deadline]
-    (absolute, [Unix.gettimeofday] domain), backoff sleeps are clamped
-    to the remaining budget and a retry is never started past it — the
-    original error propagates instead. The ORB's invocation path uses
-    its own loop (it must also reason about whether any reply bytes
-    were read); [run] is for simpler cases. *)
+  budget:Budget.t ->
+  attempt:int ->
+  error_class ->
+  unsent:bool ->
+  deadline:float option ->
+  now:float ->
+  verdict
+(** The one retry decision after failed attempt [attempt] (1-based).
+    [Give_up] unless the failure is {!resend_safe}, attempts remain,
+    and the backoff {!delay_for} ends before [deadline] (absolute, in
+    the [now] clock; [None] is no deadline) — a retry that could only
+    start at or past the deadline is not taken, and nothing sleeps.
+    Only then is a credit taken from [budget]: [Retry_after] the
+    backoff when one is there, [Exhausted] when not. The withdrawal is
+    the decision's only effect, so a refused retry never spends a
+    credit. *)

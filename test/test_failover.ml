@@ -13,8 +13,8 @@ type replica = { orb : Orb.t; r : Orb.Objref.t; count : int ref }
 
 (* One replica: counts every dispatched call, so the tests can assert
    both load spread and (for at-most-once) exactly-how-many-times. *)
-let start_replica ?server_policy () =
-  let orb = Orb.create ?server_policy ~transport:"mem" ~host:"local" () in
+let start_replica ?server_policy ?(transport = "mem") () =
+  let orb = Orb.create ?server_policy ~transport ~host:"local" () in
   Orb.start orb;
   let count = ref 0 in
   let m = Mutex.create () in
@@ -30,6 +30,11 @@ let start_replica ?server_policy () =
           fun _ results ->
             bump ();
             Thread.delay 0.08;
+            results.Wire.Codec.put_long 7 );
+        ( "lag",
+          fun _ results ->
+            bump ();
+            Thread.delay 0.15;
             results.Wire.Codec.put_long 7 );
         ( "bump_slow",
           fun _ results ->
@@ -326,6 +331,130 @@ let test_all_replicas_down_triggers_reresolve () =
   Orb.shutdown new_rep.orb;
   Orb.shutdown ns
 
+(* ---------------- location forwarding ---------------- *)
+
+module F = Orb.Transport.Fault
+
+let test_forward_followed_and_cached () =
+  let home = start_replica () and away = start_replica () in
+  Orb.set_forward home.orb ~oid away.r;
+  let client = Orb.create ~transport:"mem" ~host:"local" () in
+  Alcotest.(check int) "first call follows the forward" 7 (get client home.r);
+  (* The cached forward sends the next call straight to [away]: with
+     the old server gone, it still lands. *)
+  Orb.shutdown home.orb;
+  Alcotest.(check int) "second call skips the old server" 7 (get client home.r);
+  Alcotest.(check int) "away served both" 2 !(away.count);
+  Alcotest.(check int) "the old server served none" 0 !(home.count);
+  Alcotest.(check int) "one forward honoured" 1 (Orb.stats client).Orb.forwards;
+  Orb.shutdown client;
+  Orb.shutdown away.orb
+
+let test_forward_loop_fails () =
+  let a = start_replica () and b = start_replica () in
+  Orb.set_forward a.orb ~oid b.r;
+  Orb.set_forward b.orb ~oid a.r;
+  let client = Orb.create ~transport:"mem" ~host:"local" () in
+  (match get client a.r with
+  | exception Orb.System_exception m ->
+      if not (Tutil.contains m "exceeded 4 hops") then
+        Alcotest.failf "unexpected message: %s" m
+  | n -> Alcotest.failf "expected the hop cap to fail the call, got %d" n);
+  Alcotest.(check int) "no servant ran" 0 (!(a.count) + !(b.count));
+  Orb.shutdown client;
+  shutdown_all [ a; b ]
+
+let test_forward_ambiguous_failure_not_resent () =
+  let home = start_replica () in
+  let away = start_replica ~transport:"faulty:mem" () in
+  Orb.set_forward home.orb ~oid away.r;
+  let client =
+    Orb.create ~transport:"mem" ~host:"local"
+      ~retry:{ Orb.Retry.default with max_attempts = 5; base_delay = 0.005 }
+      ()
+  in
+  (* [away] cuts every reply short. The request went out on a connection
+     the call had just opened, so it may have executed: the failure is
+     ambiguous, and the logical target must not see it again. *)
+  F.set_plan (fun { F.op; peer; _ } ->
+      match op with
+      | `Write when Tutil.contains peer "(client)" -> Some (F.Truncate_write 3)
+      | _ -> None);
+  Fun.protect ~finally:F.clear (fun () ->
+      match get client home.r with
+      | exception Orb.Transport.Transport_error _ -> ()
+      | exception e ->
+          Alcotest.failf "expected Transport_error, got %s" (Printexc.to_string e)
+      | n -> Alcotest.failf "expected a failure, got %d" n);
+  Alcotest.(check int) "the servant ran once, on the forward target" 1
+    !(away.count);
+  Alcotest.(check int) "never re-sent to the logical target" 0 !(home.count);
+  Alcotest.(check int) "no retry" 0 (Orb.stats client).Orb.retries;
+  Orb.shutdown client;
+  shutdown_all [ home; away ]
+
+(* ---------------- one deadline per call ---------------- *)
+
+(* Three attempts 60 ms apart: 120 ms of backoff before a placement gives
+   up, against a 200 ms deadline and a 150 ms servant ("lag"). *)
+let lag_retry =
+  { Orb.Retry.default with
+    max_attempts = 3; base_delay = 0.06; multiplier = 1.; max_delay = 0.06;
+    jitter = 0. }
+
+let expect_timeout_within what f =
+  let t0 = Unix.gettimeofday () in
+  (match f () with
+  | _ ->
+      Alcotest.failf "%s: expected Timeout, got a reply after %.3fs" what
+        (Unix.gettimeofday () -. t0)
+  | exception Orb.Transport.Timeout _ -> ()
+  | exception e ->
+      Alcotest.failf "%s: expected Timeout, got %s" what (Printexc.to_string e));
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s within the 200 ms deadline (elapsed %.3fs)" what elapsed)
+    true (elapsed <= 0.3)
+
+let test_forward_fallback_keeps_deadline () =
+  (* The client follows and caches [home]'s forward to [away]; then
+     [home] serves the object itself and [away] dies. The fallback to
+     [home] runs on what is left of the call's 200 ms, not on a fresh
+     200 ms, so the 150 ms servant cannot answer in time. *)
+  let home = start_replica () and away = start_replica () in
+  Orb.set_forward home.orb ~oid away.r;
+  let client = Orb.create ~transport:"mem" ~host:"local" ~retry:lag_retry () in
+  Alcotest.(check int) "forward followed" 7 (get client home.r);
+  Orb.clear_forward home.orb ~oid;
+  Orb.shutdown away.orb;
+  expect_timeout_within "forward fallback" (fun () ->
+      Orb.invoke client home.r ~op:"lag" ~timeout:0.2 (fun _ -> ()));
+  Orb.shutdown client;
+  Orb.shutdown home.orb
+
+let test_naming_refresh_keeps_deadline () =
+  let ns = Orb.create ~transport:"mem" ~host:"local" () in
+  Orb.start ns;
+  let _registry, nref = Orb.Naming.serve ns in
+  let old_rep = start_replica () in
+  let client = Orb.create ~transport:"mem" ~host:"local" ~retry:lag_retry () in
+  ignore (Orb.Naming.register client nref ~name:"s" old_rep.r ~ttl:30.);
+  let rs = Orb.Naming.resolver client nref ~name:"s" in
+  ignore (Orb.Naming.call client rs ~op:"get" (fun _ -> ()));
+  (* Started before the old replica dies, so it cannot take over the
+     old replica's mem port. *)
+  let new_rep = start_replica () in
+  Orb.shutdown old_rep.orb;
+  Orb.Naming.unregister client nref ~name:"s" old_rep.r;
+  ignore (Orb.Naming.register client nref ~name:"s" new_rep.r ~ttl:30.);
+  (* The re-send to the re-resolved replica shares the call's deadline. *)
+  expect_timeout_within "naming re-send" (fun () ->
+      Orb.Naming.call client rs ~op:"lag" ~timeout:0.2 (fun _ -> ()));
+  Alcotest.(check int) "re-resolved" 2 (Orb.Naming.resolves rs);
+  Orb.shutdown client;
+  Orb.shutdown new_rep.orb;
+  Orb.shutdown ns
+
 (* ---------------- old-format interop ---------------- *)
 
 let test_old_format_reference_invokes_unchanged () =
@@ -372,6 +501,22 @@ let () =
             test_lease_expiry_triggers_reresolve;
           Alcotest.test_case "all replicas down triggers re-resolve" `Quick
             test_all_replicas_down_triggers_reresolve;
+        ] );
+      ( "forwarding",
+        [
+          Alcotest.test_case "forward followed and cached" `Quick
+            test_forward_followed_and_cached;
+          Alcotest.test_case "forward loop fails after 4 hops" `Quick
+            test_forward_loop_fails;
+          Alcotest.test_case "ambiguous failure not re-sent to the logical target"
+            `Quick test_forward_ambiguous_failure_not_resent;
+        ] );
+      ( "deadline",
+        [
+          Alcotest.test_case "forward fallback keeps the call deadline" `Quick
+            test_forward_fallback_keeps_deadline;
+          Alcotest.test_case "naming re-send keeps the call deadline" `Quick
+            test_naming_refresh_keeps_deadline;
         ] );
       ( "interop",
         [

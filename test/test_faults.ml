@@ -72,6 +72,36 @@ let test_timeout_on_stalled_read () =
       Alcotest.(check int) "timeout counted" 1 st.Orb.timeouts;
       Alcotest.(check int) "deadline miss not retried" 0 st.Orb.retries)
 
+let test_backoff_past_deadline_fails_at_once () =
+  (* Refused connects, a 50 ms deadline and a 1 s backoff: the retry
+     could only start past the deadline, so the call fails at once with
+     the attempt's own error. Nothing sleeps, no retry is counted, no
+     budget credit is spent, and the interceptors see one failure. *)
+  with_faulty_server ~call_timeout:0.05
+    ~retry:{ no_jitter with max_attempts = 3; base_delay = 1.0; max_delay = 1.0 }
+    (fun ~server:_ ~client ~target ->
+      let fc, failures = Orb.Interceptor.failure_counter () in
+      Orb.Interceptor.add (Orb.client_interceptors client) fc;
+      F.set_plan (fun { F.op; _ } ->
+          match op with `Connect -> Some F.Refuse_connect | _ -> None);
+      let balance = (Orb.stats client).Orb.retry_budget_balance in
+      let t0 = Unix.gettimeofday () in
+      (match invoke_echo client target "x" with
+      | exception Orb.Transport.Transport_error _ -> ()
+      | exception e ->
+          Alcotest.failf "expected the connect error, got %s"
+            (Printexc.to_string e)
+      | r -> Alcotest.failf "expected Transport_error, got reply %S" r);
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "failed without sleeping (elapsed %.3fs)" elapsed)
+        true (elapsed < 0.03);
+      let st = Orb.stats client in
+      Alcotest.(check int) "no retry counted" 0 st.Orb.retries;
+      Alcotest.(check int) "no timeout counted" 0 st.Orb.timeouts;
+      Alcotest.(check int) "no credit spent" balance st.Orb.retry_budget_balance;
+      Alcotest.(check int) "one failure seen" 1 (failures ()))
+
 let test_per_call_timeout_overrides () =
   (* No ORB default, per-call timeout only; and a successful call is
      unaffected by the deadline machinery. *)
@@ -312,13 +342,38 @@ let test_error_taxonomy () =
     (Orb.Retry.classify (Orb.Transport.Timeout "x") = Orb.Retry.Deadline);
   Alcotest.(check bool) "system error is permanent" true
     (Orb.Retry.classify (Failure "x") = Orb.Retry.Permanent);
-  Alcotest.(check bool) "timeout not retryable" false
-    (Orb.Retry.retryable Orb.Retry.default ~attempt:1 (Orb.Transport.Timeout "x"))
+  Alcotest.(check bool) "timeout not retried" true
+    (Orb.Retry.decide Orb.Retry.default ~budget:(Orb.Retry.Budget.create ())
+       ~attempt:1
+       (Orb.Retry.classify (Orb.Transport.Timeout "x"))
+       ~unsent:true ~deadline:None ~now:0.
+    = Orb.Retry.Give_up)
+
+(* Drive [f] the way the ORB's call loop does: after each failed attempt
+   ask [Retry.decide] (the failure counts as unsent), sleep its backoff
+   and try again, or stop at its first refusal. *)
+let drive ?(budget = Orb.Retry.Budget.create ()) ?deadline ~sleep p f =
+  let rec go attempt =
+    match f ~attempt with
+    | v -> v
+    | exception e -> (
+        match
+          Orb.Retry.decide p ~budget ~attempt (Orb.Retry.classify e)
+            ~unsent:true ~deadline ~now:(Unix.gettimeofday ())
+        with
+        | Orb.Retry.Retry_after d ->
+            sleep d;
+            go (attempt + 1)
+        | Orb.Retry.Give_up -> raise e
+        | Orb.Retry.Exhausted ->
+            raise (Orb.Retry.Budget_exhausted (Printexc.to_string e)))
+  in
+  go 1
 
 let test_retry_run_driver () =
   let attempts = ref 0 in
   let v =
-    Orb.Retry.run ~sleep:(fun _ -> ())
+    drive ~sleep:(fun _ -> ())
       { Orb.Retry.default with max_attempts = 4 }
       (fun ~attempt ->
         incr attempts;
@@ -330,7 +385,7 @@ let test_retry_run_driver () =
   (* Permanent errors pass straight through. *)
   attempts := 0;
   (match
-     Orb.Retry.run ~sleep:(fun _ -> ())
+     drive ~sleep:(fun _ -> ())
        { Orb.Retry.default with max_attempts = 4 }
        (fun ~attempt:_ ->
          incr attempts;
@@ -369,8 +424,8 @@ let test_retry_budget_bucket () =
     (Orb.Retry.classify (Orb.Retry.Budget_exhausted "x") = Orb.Retry.Permanent)
 
 let test_retry_run_budget_and_deadline () =
-  (* [Retry.run] with a one-credit budget: the first retry withdraws
-     it, the second raises Budget_exhausted instead of retrying. *)
+  (* A one-credit budget: the first retry withdraws it, the second
+     raises Budget_exhausted instead of retrying. *)
   let attempts = ref 0 in
   let b =
     Orb.Retry.Budget.create
@@ -378,7 +433,7 @@ let test_retry_run_budget_and_deadline () =
       ()
   in
   (match
-     Orb.Retry.run ~sleep:(fun _ -> ()) ~budget:b
+     drive ~sleep:(fun _ -> ()) ~budget:b
        { Orb.Retry.default with max_attempts = 5 }
        (fun ~attempt:_ ->
          incr attempts;
@@ -391,7 +446,7 @@ let test_retry_run_budget_and_deadline () =
      without a retry and without sleeping. *)
   attempts := 0;
   (match
-     Orb.Retry.run
+     drive
        ~sleep:(fun _ -> Alcotest.fail "slept past the deadline")
        ~deadline:(Unix.gettimeofday () -. 1.)
        { Orb.Retry.default with max_attempts = 5 }
@@ -475,6 +530,8 @@ let () =
           Alcotest.test_case "timeout on stalled read" `Quick
             test_timeout_on_stalled_read;
           Alcotest.test_case "per-call timeout" `Quick test_per_call_timeout_overrides;
+          Alcotest.test_case "backoff past the deadline fails at once" `Quick
+            test_backoff_past_deadline_fails_at_once;
         ] );
       ( "retries",
         [

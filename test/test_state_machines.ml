@@ -1,6 +1,8 @@
 (* The connection state machines — [Orb.Mux] (the client demux, codec
    gate and connection cache) and [Orb.Admit] (server admission) — run
-   through every interleaving of small event sets. No threads and no
+   through every interleaving of small event sets, and the client's one
+   retry decision ([Orb.Retry.decide]) over every combination of its
+   inputs. No threads and no
    clock: each event is one lock section of the ORB's shell around the
    module, and a depth-first search tries every enabled event at every
    state. A state is rebuilt by replaying its schedule into a fresh
@@ -637,6 +639,108 @@ let admit_scenarios =
                { oneway = true; budget = true } ] };
   ]
 
+(* ---------------- Retry.decide: the one re-send rule ---------------- *)
+
+module R = Orb.Retry
+
+type margin = No_deadline | Past | Below_nap | At_nap | Above_nap
+
+let show_margin = function
+  | No_deadline -> "no deadline"
+  | Past -> "deadline past"
+  | Below_nap -> "deadline below the backoff"
+  | At_nap -> "deadline at the backoff"
+  | Above_nap -> "deadline above the backoff"
+
+let show_class = function
+  | R.Transient -> "Transient"
+  | R.Deadline -> "Deadline"
+  | R.Permanent -> "Permanent"
+
+let show_verdict = function
+  | R.Retry_after nap -> Printf.sprintf "Retry_after %.4f" nap
+  | R.Give_up -> "Give_up"
+  | R.Exhausted -> "Exhausted"
+
+(* Every input of the decision after a failed attempt: error class ×
+   [unsent] × attempt (two with attempts left, the last without) ×
+   budget empty or holding one credit × where the deadline falls against
+   the backoff. Each row checks the verdict against DESIGN.md §5 written
+   out on its own — a Deadline or Permanent error, or one not [unsent],
+   is never retried, and no nap reaches the deadline — and that a credit
+   is spent exactly when the verdict retries. No clock: [now] is given. *)
+let test_decide () =
+  let p =
+    { R.max_attempts = 3; base_delay = 0.01; multiplier = 2.; max_delay = 0.05;
+      jitter = 0.2; seed = 3 }
+  in
+  let now = 100. in
+  let rows = ref 0 in
+  let row cls unsent attempt credit margin =
+    incr rows;
+    let nap = R.delay_for p ~attempt in
+    let deadline =
+      match margin with
+      | No_deadline -> None
+      | Past -> Some (now -. 0.001)
+      | Below_nap -> Some (now +. (nap /. 2.))
+      | At_nap -> Some (now +. nap)
+      | Above_nap -> Some (now +. (nap *. 2.))
+    in
+    let budget =
+      R.Budget.create
+        ~config:{ R.Budget.ratio = 0.; reserve = (if credit then 1 else 0); cap = 1 }
+        ()
+    in
+    let v = R.decide p ~budget ~attempt cls ~unsent ~deadline ~now in
+    let fail what =
+      Alcotest.failf "%s, unsent=%b, attempt %d of %d, %s budget, %s: %s (%s)"
+        (show_class cls) unsent attempt p.R.max_attempts
+        (if credit then "one-credit" else "empty")
+        (show_margin margin) what (show_verdict v)
+    in
+    let allowed =
+      cls = R.Transient && unsent && attempt < p.R.max_attempts
+      && (margin = No_deadline || margin = Above_nap)
+    in
+    let expected =
+      if not allowed then R.Give_up
+      else if credit then R.Retry_after nap
+      else R.Exhausted
+    in
+    if v <> expected then fail ("expected " ^ show_verdict expected);
+    (match v with
+    | R.Retry_after n ->
+        if cls <> R.Transient then fail "retried a non-Transient error";
+        if not unsent then fail "retried an error that may have executed";
+        if Option.fold ~none:false ~some:(fun d -> now +. n >= d) deadline then
+          fail "nap reaches the deadline"
+    | R.Give_up | R.Exhausted -> ());
+    if R.resend_safe cls ~unsent <> (cls = R.Transient && unsent) then
+      fail "resend_safe disagrees with the rule";
+    let spent = if credit then 1 - R.Budget.balance budget else 0 in
+    if spent <> (if v = R.Retry_after nap then 1 else 0) then
+      fail (Printf.sprintf "spent %d credits" spent);
+    if R.Budget.exhaustions budget <> (if v = R.Exhausted then 1 else 0) then
+      fail "exhaustion count"
+  in
+  List.iter
+    (fun cls ->
+      List.iter
+        (fun unsent ->
+          List.iter
+            (fun attempt ->
+              List.iter
+                (fun credit ->
+                  List.iter (row cls unsent attempt credit)
+                    [ No_deadline; Past; Below_nap; At_nap; Above_nap ])
+                [ false; true ])
+            [ 1; 2; 3 ])
+        [ false; true ])
+    [ R.Transient; R.Deadline; R.Permanent ];
+  Printf.printf "Retry.decide: %d rows\n%!" !rows;
+  Alcotest.(check int) "every combination" 180 !rows
+
 (* ---------------- the runs ---------------- *)
 
 let run_all ~what scenarios run =
@@ -690,4 +794,6 @@ let () =
           Alcotest.test_case "Mux: every interleaving" `Quick test_mux;
           Alcotest.test_case "Admit: every interleaving" `Quick test_admit;
         ] );
+      ( "retry",
+        [ Alcotest.test_case "Retry.decide: every combination" `Quick test_decide ] );
     ]
