@@ -39,14 +39,6 @@ let read_file path =
 
 let print_warning d = Printf.eprintf "%s\n" (Idl.Diag.to_string d)
 
-(* The union of every built-in mapping's map functions, for custom
-   templates that may reference any of them. *)
-let all_maps () =
-  List.fold_left
-    (fun acc (m : Mappings.Mapping.t) ->
-      Template.Maps.union acc m.Mappings.Mapping.maps)
-    (Template.Maps.create ()) Mappings.Registry.all
-
 (* ---------------- compile (the default command) ---------------- *)
 
 let list_mappings () =
@@ -143,7 +135,7 @@ let run input mapping_name template_file out_dir dump list_flag ir_dir ir_list_f
                 match template_file with
                 | Some tf ->
                     let root = est_source () in
-                    Core.Compiler.generate ~maps:(all_maps ())
+                    Core.Compiler.generate ~maps:(Mappings.Registry.all_maps ())
                       ~templates:[ (tf, read_file tf) ]
                       root
                 | None -> (

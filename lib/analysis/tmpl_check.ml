@@ -9,6 +9,11 @@
     every such defect up front, which is what makes user-supplied
     templates (the paper's whole point) safe to install.
 
+    The checker has no scope rules of its own: {!Template.Bind}, the
+    pass the evaluator also runs, lists every property use, [@foreach]
+    and unknown map function with its enclosing group path, and the
+    checker replays that list against the schema.
+
     Checks: T201 parse errors, T202 unbound variables, T203 unknown map
     functions, T204 unknown [@foreach] groups, T205 unbound variables in
     [@openfile] names. *)
@@ -18,9 +23,9 @@ module Diag = Idl.Diag
 (* ---------------- The EST schema ----------------
 
    One row per node kind: the properties the kind defines and its child
-   groups (group name -> child kind). Derived from Est.Build — if Build
-   grows a property, add it here (test_lint locks the two in step for the
-   shipped templates). *)
+   groups (group name -> child kind). Derived from Est.Build; test_lint
+   builds the EST of every shipped IDL file and checks each node against
+   its row. *)
 
 type kind_info = {
   props : string list;
@@ -127,121 +132,57 @@ let schema : (string * kind_info) list =
       } );
   ]
 
-(* The loop bindings Eval pushes with every @foreach frame. *)
-let loop_bindings = [ "ifMore"; "index"; "count"; "isFirst"; "isLast" ]
-
-(* The wildcard kind: pushed below an unknown group so one bad @foreach
-   yields a single T204 rather than a cascade of T202/T204 in its body. *)
-let wildcard = "?"
-
 let kind_info kind = List.assoc_opt kind schema
 
-let kind_defines kind var =
-  kind = wildcard
-  ||
-  match kind_info kind with
-  | None -> false
-  | Some i -> List.mem var i.props
-
-(* A frame: the node kind plus whether Eval's loop bindings exist there
-   (true for every frame a @foreach pushed, false for the root frame). *)
-type frame = { kind : string; in_loop : bool }
-
-let var_bound stack var =
-  List.exists
-    (fun f -> (f.in_loop && List.mem var loop_bindings) || kind_defines f.kind var)
-    stack
-
-let stack_str stack =
-  String.concat " > " (List.rev_map (fun f -> f.kind) stack)
+(* The kinds a group path reaches from the root, innermost first. An
+   unknown group reaches the wildcard kind "?", which has every property
+   and every group, so one bad @foreach yields a single T204 rather than
+   a cascade of T202/T204 in its body. *)
+let rec kinds = function
+  | [] -> [ "Root" ]
+  | group :: outer ->
+      let ks = kinds outer in
+      let parent = kind_info (List.hd ks) in
+      let child = Option.bind parent (fun i -> List.assoc_opt group i.groups) in
+      Option.value ~default:"?" child :: ks
 
 (* ---------------- The checker ---------------- *)
 
-let default_maps =
-  lazy
-    (List.fold_left
-       (fun acc (m : Mappings.Mapping.t) ->
-         Template.Maps.union acc m.Mappings.Mapping.maps)
-       (Template.Maps.create ())
-       Mappings.Registry.all)
-
+(* Replay the binder's uses against the schema. *)
 let check_ast ?maps reporter ~filename (tmpl : Template.Ast.t) =
-  let maps = match maps with Some m -> m | None -> Lazy.force default_maps in
-  let loc line = Idl.Loc.make ~file:filename ~line ~col:0 in
+  let maps = match maps with Some m -> m | None -> Mappings.Registry.all_maps () in
   let err ~code ~line fmt =
     Printf.ksprintf
       (fun message ->
         Diag.report reporter
-          (Diag.make ~code ~severity:Diag.Error ~loc:(loc line) message))
+          (Diag.make ~code ~severity:Diag.Error
+             ~loc:(Idl.Loc.make ~file:filename ~line ~col:0) message))
       fmt
   in
-  let check_map_fn ~line ~var fn =
-    if Template.Maps.find maps fn = None then
-      err ~code:"T203" ~line "unknown map function %S for ${%s}" fn var
-  in
-  let check_var ?(code = "T202") stack ~line v =
-    if not (var_bound stack v) then
-      err ~code ~line "unbound variable ${%s} (node stack: %s)" v
-        (stack_str stack)
-  in
-  let check_segments ?code stack ~line segments =
-    List.iter
-      (function
-        | Template.Ast.Lit _ -> ()
-        | Template.Ast.Var v -> check_var ?code stack ~line v
-        | Template.Ast.Mapped (v, fn) ->
-            check_var ?code stack ~line v;
-            check_map_fn ~line ~var:v fn)
-      segments
-  in
-  let check_cond stack ~line = function
-    | Template.Ast.Nonempty v -> check_var stack ~line v
-    | Template.Ast.Eq (v, rhs) | Template.Ast.Neq (v, rhs) -> (
-        check_var stack ~line v;
-        match rhs with
-        | Template.Ast.O_var v2 -> check_var stack ~line v2
-        | Template.Ast.O_lit _ -> ())
-  in
-  let rec walk stack items =
-    List.iter
-      (fun item ->
-        match item with
-        | Template.Ast.Text { segments; line; _ } ->
-            check_segments stack ~line segments
-        | Template.Ast.Openfile { segments; line } ->
-            check_segments ~code:"T205" stack ~line segments
-        | Template.Ast.If { cond; then_; else_; line } ->
-            check_cond stack ~line cond;
-            walk stack then_;
-            walk stack else_
-        | Template.Ast.Foreach { group; maps = decls; body; line; _ } ->
-            List.iter (fun (var, fn) -> check_map_fn ~line ~var fn) decls;
-            let top = List.hd stack in
-            (* @foreach searches the current node only (no outward walk). *)
-            let child_kind =
-              if top.kind = wildcard then Some wildcard
-              else
-                match kind_info top.kind with
-                | None -> Some wildcard
-                | Some i -> List.assoc_opt group i.groups
-            in
-            let child_kind =
-              match child_kind with
-              | Some k -> k
-              | None ->
-                  err ~code:"T204" ~line
-                    "unknown group %S in @foreach (node kind %S defines: %s)"
-                    group top.kind
-                    (match kind_info top.kind with
-                    | Some { groups = _ :: _ as gs; _ } ->
-                        String.concat ", " (List.map fst gs)
-                    | _ -> "no groups");
-                  wildcard
-            in
-            walk ({ kind = child_kind; in_loop = true } :: stack) body)
-      items
-  in
-  walk [ { kind = "Root"; in_loop = false } ] tmpl.Template.Ast.items
+  List.iter
+    (function
+      | Template.Bind.Prop_use { name; line; openfile; scope } ->
+          let ks = kinds scope in
+          let defines k =
+            match kind_info k with Some i -> List.mem name i.props | None -> true
+          in
+          if not (List.exists defines ks) then
+            err ~code:(if openfile then "T205" else "T202") ~line
+              "unbound variable ${%s} (node stack: %s)" name
+              (String.concat " > " (List.rev ks))
+      | Template.Bind.Group_use { group; line; scope } -> (
+          (* @foreach searches the current node only (no outward walk). *)
+          let kind = List.hd (kinds scope) in
+          match kind_info kind with
+          | Some { groups; _ } when not (List.mem_assoc group groups) ->
+              err ~code:"T204" ~line
+                "unknown group %S in @foreach (node kind %S defines: %s)" group kind
+                (if groups = [] then "no groups"
+                 else String.concat ", " (List.map fst groups))
+          | _ -> ())
+      | Template.Bind.Map_miss { fn; var; line } ->
+          err ~code:"T203" ~line "unknown map function %S for ${%s}" fn var)
+    (Template.Bind.bind ~maps tmpl).uses
 
 (* Parse (T201 on failure) then check. Returns [true] when the template
    at least parsed. *)
@@ -258,10 +199,5 @@ let check_source ?maps reporter ~filename src =
       false
 
 let check_file ?maps reporter path =
-  let src =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let src = In_channel.with_open_bin path In_channel.input_all in
   check_source ?maps reporter ~filename:path src

@@ -13,8 +13,22 @@
       loop does not cascade;
     - [T205] [@openfile] whose name substitutes an unbound variable.
 
+    The checker reports what {!Template.Bind.bind} found: the same pass
+    the evaluator runs binds the template, and its list of property
+    uses, [@foreach]es and unknown map functions is checked against the
+    schema, so both resolve every name by one set of rules.
+
     [maps] is the registry map-function names are checked against; it
     defaults to the union of every built-in mapping's maps. *)
+
+type kind_info = {
+  props : string list;  (** Every property a node of the kind carries. *)
+  groups : (string * string) list;  (** Child group name → child kind. *)
+}
+
+val schema : (string * kind_info) list
+(** The EST schema the checker checks against: one row per node kind
+    {!Est.Build} produces (the root's [fileBase]/[fileName] included). *)
 
 val check_ast :
   ?maps:Template.Maps.t ->

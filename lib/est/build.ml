@@ -47,11 +47,12 @@ let add_type_props cx node ~prefix ty =
   Node.add_prop node (key "typeKind") (kind_tag ty);
   Node.add_prop node (key "isVariable") (bool_prop (cx.is_variable ty));
   (* For sequence-rooted types, expose the element type so templates can
-     derive iterator/element spellings (Fig. 3's HdSSequenceIter). *)
-  match Ctype.resolve_alias ty with
-  | Ctype.Sequence (elem, _) ->
-      Node.add_prop node (key "seqElemType") (Ctype.to_string elem)
-  | _ -> ()
+     derive iterator/element spellings (Fig. 3's HdSSequenceIter); [""]
+     for any other type, so every typed node has the property. *)
+  Node.add_prop node (key "seqElemType")
+    (match Ctype.resolve_alias ty with
+    | Ctype.Sequence (elem, _) -> Ctype.to_string elem
+    | _ -> "")
 
 let param_node cx (p : Sem.param) =
   let n = Node.create ~name:p.p_name ~kind:"Param" in

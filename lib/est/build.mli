@@ -27,12 +27,13 @@
 
     Every named node carries [scopedName], [flatName] and [repoId].
     Type-bearing nodes carry [type] (the {!Ctype} encoding), [typeName]
-    (flat name of a named type, or [""]) and [isVariable] ([^"true"] or
-    [""]).  Parameters carry [paramName], [paramMode] and [defaultParam]
-    (a {!Value} encoding, or [""] — compare [@if ${defaultParam} == ""]
-    in Fig. 9). Attributes carry [attributeQualifier] ([^"readonly"] or
-    [""]). Interfaces carry [Parent] (flat name of the first base, or
-    [""]) exactly as in Fig. 8.
+    (flat name of a named type, or [""]), [typeKind], [isVariable]
+    ([^"true"] or [""]) and [seqElemType] (the element type's encoding
+    when the type is a sequence, else [""]). Parameters carry
+    [paramName], [paramMode] and [defaultParam] (a {!Value} encoding, or
+    [""] — compare [@if ${defaultParam} == ""] in Fig. 9). Attributes
+    carry [attributeQualifier] ([^"readonly"] or [""]). Interfaces carry
+    [Parent] (flat name of the first base, or [""]) exactly as in Fig. 8.
 
     {2 Sharing}
 

@@ -9,3 +9,8 @@ let all : Mapping.t list =
 
 let find name = List.find_opt (fun (m : Mapping.t) -> m.Mapping.name = name) all
 let names = List.map (fun (m : Mapping.t) -> m.Mapping.name) all
+
+let all_maps () =
+  List.fold_left
+    (fun acc (m : Mapping.t) -> Template.Maps.union acc m.Mapping.maps)
+    (Template.Maps.create ()) all

@@ -7,3 +7,7 @@ val find : string -> Mapping.t option
 (** Look up a mapping by CLI name. *)
 
 val names : string list
+
+val all_maps : unit -> Template.Maps.t
+(** A fresh union of every built-in mapping's map functions, for custom
+    templates that may reference any of them. *)

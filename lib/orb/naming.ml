@@ -237,7 +237,7 @@ let resolver_via (call : invoker) nref ~name =
 let invalidate rs = Locked.with_lock rs.rs_lock (fun () -> rs.rs_cached <- None)
 let resolves rs = Locked.with_lock rs.rs_lock (fun () -> rs.rs_resolves)
 
-let current rs =
+let current_via (call : invoker) rs =
   let now = Unix.gettimeofday () in
   let cached =
     Locked.with_lock rs.rs_lock (fun () ->
@@ -250,7 +250,7 @@ let current rs =
   | None -> (
       (* The resolve RPC runs outside the resolver lock; concurrent
          expirers may resolve twice, which is merely redundant. *)
-      match resolve_via rs.rs_call rs.rs_nref ~name:rs.rs_name with
+      match resolve_via call rs.rs_nref ~name:rs.rs_name with
       | Some (target, ttl) ->
           Locked.with_lock rs.rs_lock (fun () ->
               rs.rs_cached <- Some (target, now +. ttl);
@@ -262,3 +262,5 @@ let current rs =
               rs.rs_resolves <- rs.rs_resolves + 1);
           raise
             (Unresolved (Printf.sprintf "name %S is not bound" rs.rs_name)))
+
+let current rs = current_via rs.rs_call rs

@@ -84,6 +84,10 @@ val current : resolver -> Objref.t
 (** The cached reference, re-resolving if the lease has lapsed or the
     cache was invalidated. @raise Unresolved when no provider is live. *)
 
+val current_via : invoker -> resolver -> Objref.t
+(** {!current}, making any resolve through the given invoker instead of
+    the resolver's own. *)
+
 val invalidate : resolver -> unit
 (** Drop the cache — the next {!current} re-resolves. Called when every
     replica of the cached set is unreachable. *)

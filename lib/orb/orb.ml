@@ -1895,13 +1895,20 @@ module Naming = struct
   (* One call through a resolver, under one deadline. When the cached
      placement fails [Retry.resend_safe]ly, the lease cache is dropped
      and the call moves, once, to the re-resolved placement: the
-     invocation's last placement (see [invoke_spanned]). *)
+     invocation's last placement (see [invoke_spanned]). Both resolves
+     run under the call's deadline too. *)
   let call t rs ~op ?(oneway = false) ?timeout marshal =
     let deadline = call_deadline t timeout in
-    invoke_with t (Naming.current rs) ~op ~oneway ~deadline
+    let current () =
+      Naming.current_via
+        (fun target ~op marshal ->
+          invoke_with t target ~op ~oneway:false ~deadline marshal)
+        rs
+    in
+    invoke_with t (current ()) ~op ~oneway ~deadline
       ~refresh:(fun () ->
         Naming.invalidate rs;
-        Naming.current rs)
+        current ())
       marshal
 end
 

@@ -522,7 +522,8 @@ module Naming : sig
       the deadline the call started with: [timeout] bounds the whole
       call, re-send included. Ambiguous failures (deadline,
       fresh-connection receive errors) propagate without a re-send —
-      at-most-once is preserved. The re-resolve itself uses the
-      resolver's own invoker and timeout.
+      at-most-once is preserved. The resolves — on a cold or lapsed
+      lease, and the re-resolve — run under the same deadline, not the
+      resolver's own timeout.
       @raise Unresolved when no provider is live. *)
 end

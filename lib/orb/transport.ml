@@ -449,13 +449,17 @@ let mem_reset () =
 let mem_listen ~port =
   let port, st =
     Locked.with_lock mem_registry_lock (fun () ->
+        (* A port-0 listen never hands out a number twice: once its
+           listener shuts down, a stale reference to it must fail, not
+           reach whichever server would reuse the number. *)
         let port =
           if port <> 0 then port
           else (
             while Hashtbl.mem mem_registry !mem_next_port do
               incr mem_next_port
             done;
-            !mem_next_port)
+            incr mem_next_port;
+            !mem_next_port - 1)
         in
         if Hashtbl.mem mem_registry port then
           fail "in-memory port %d is already bound" port;

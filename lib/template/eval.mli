@@ -6,11 +6,16 @@
 
     {2 Evaluation semantics}
 
-    - [${v}] resolves [v] against the current frame stack, innermost
-      first: loop bindings ([ifMore], [index], [count], [isFirst],
-      [isLast]) take precedence over the current node's properties. The
-      resolved value is passed through the innermost [-map v Fn]
-      declaration in scope, if any.
+    [run] first binds the template ({!Bind.bind}), resolving every
+    scope rule that does not depend on the EST, then runs the bound
+    form:
+
+    - [${v}] inside a [@foreach] is the innermost loop's binding when
+      [v] is [ifMore], [index], [count], [isFirst] or [isLast]; any
+      other [${v}], and every [${v}] at top level, is a property looked
+      up over the node stack, innermost first. The value is passed
+      through the innermost [-map v Fn] declaration in scope, if any;
+      an unknown [Fn] raises only when evaluation reaches the use.
     - [@foreach g] iterates over group [g] of the {e current} node only
       (no outward search), pushing each child as a new frame. An absent
       group iterates zero times.

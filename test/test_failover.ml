@@ -455,6 +455,38 @@ let test_naming_refresh_keeps_deadline () =
   Orb.shutdown new_rep.orb;
   Orb.shutdown ns
 
+let test_naming_resolve_keeps_deadline () =
+  (* After the first resolve, the naming servant answers [resolve] 0.5 s
+     late, and the resolver has no timeout of its own. The cached
+     replica dies, so the call re-resolves: under its own 0.3 s
+     deadline, not for as long as the slow servant takes. *)
+  let ns = Orb.create ~transport:"mem" ~host:"local" () in
+  let resolves = Atomic.make 0 in
+  Orb.Interceptor.add (Orb.server_interceptors ns)
+    (Orb.Interceptor.make "slow-resolve" ~on_request:(fun req ->
+         if req.Orb.Protocol.operation = "resolve" && Atomic.fetch_and_add resolves 1 > 0
+         then Thread.delay 0.5;
+         req));
+  Orb.start ns;
+  let _registry, nref = Orb.Naming.serve ns in
+  let rep = start_replica () in
+  let client = Orb.create ~transport:"mem" ~host:"local" ~retry:Orb.Retry.none () in
+  ignore (Orb.Naming.register client nref ~name:"s" rep.r ~ttl:30.);
+  let rs = Orb.Naming.resolver client nref ~name:"s" in
+  ignore (Orb.Naming.call client rs ~op:"get" (fun _ -> ()));
+  Orb.shutdown rep.orb;
+  let t0 = Unix.gettimeofday () in
+  (match Orb.Naming.call client rs ~op:"get" ~timeout:0.3 (fun _ -> ()) with
+  | exception Orb.Transport.Timeout _ -> ()
+  | exception e -> Alcotest.failf "expected Timeout, got %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "expected Timeout, got a reply");
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "re-resolve within the call's deadline (elapsed %.3fs)" elapsed)
+    true (elapsed < 0.45);
+  Orb.shutdown client;
+  Orb.shutdown ns
+
 (* ---------------- old-format interop ---------------- *)
 
 let test_old_format_reference_invokes_unchanged () =
@@ -517,6 +549,8 @@ let () =
             test_forward_fallback_keeps_deadline;
           Alcotest.test_case "naming re-send keeps the call deadline" `Quick
             test_naming_refresh_keeps_deadline;
+          Alcotest.test_case "naming resolve keeps the deadline" `Quick
+            test_naming_resolve_keeps_deadline;
         ] );
       ( "interop",
         [

@@ -206,6 +206,56 @@ let test_template_codes () =
     (tmpl_codes
        "@foreach interfaceList\n${index}/${count} ${fileBase} ${ifMore}\n@end interfaceList\n")
 
+(* A template the checker passes must not fail to evaluate for a lack
+   of scope: [seqElemType] is on every typed node, [""] off sequences. *)
+let test_lint_clean_compiles () =
+  let src =
+    "@foreach structList\n@foreach memberList\n${memberName} ${seqElemType}\n\
+     @end memberList\n@end structList\n"
+  in
+  Alcotest.(check (list string)) "lints clean" [] (tmpl_codes src);
+  let root = Core.Compiler.est_of_string "struct S { long x; };" in
+  let out = Core.Compiler.generate ~templates:[ ("probe", src) ] root in
+  Alcotest.(check string) "compiles" "x \n" out.Core.Compiler.stdout
+
+(* The checker's schema is exact: every node Est.Build makes for the
+   shipped IDL has a kind the schema lists, exactly that kind's
+   properties, and only that kind's groups, holding that group's kind. *)
+let test_schema_matches_build () =
+  let idl_files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".idl")
+    |> List.map (Filename.concat dir)
+  in
+  let files = idl_files "../examples/idl" @ idl_files "idl/shapes" in
+  Alcotest.(check bool) "found the IDL files" true (List.length files >= 5);
+  let sorted l = List.sort_uniq compare l in
+  List.iter
+    (fun path ->
+      let root = Core.Compiler.est_of_string ~filename:path (read_file path) in
+      Est.Node.iter
+        (fun n ->
+          let kind = Est.Node.kind n in
+          let where = Printf.sprintf "%s: %s %S" path kind (Est.Node.name n) in
+          match List.assoc_opt kind Analysis.Tmpl_check.schema with
+          | None -> Alcotest.failf "%s: kind not in the schema" where
+          | Some { Analysis.Tmpl_check.props; groups } ->
+              Alcotest.(check (list string)) (where ^ " props") (sorted props)
+                (sorted (List.map fst (Est.Node.props n)));
+              List.iter
+                (fun (g, children) ->
+                  match List.assoc_opt g groups with
+                  | None -> Alcotest.failf "%s: group %S not in the schema" where g
+                  | Some child_kind ->
+                      List.iter
+                        (fun c ->
+                          Alcotest.(check string) (where ^ " " ^ g) child_kind
+                            (Est.Node.kind c))
+                        children)
+                (Est.Node.groups n))
+        root)
+    files
+
 (* ---------------- interface evolution ---------------- *)
 
 let est src = Core.Compiler.est_of_string ~filename:"t.idl" src
@@ -338,6 +388,10 @@ let () =
           Alcotest.test_case "built-in mapping templates clean" `Quick
             test_builtin_mapping_templates_clean;
           Alcotest.test_case "T201-T205" `Quick test_template_codes;
+          Alcotest.test_case "lint-clean template compiles" `Quick
+            test_lint_clean_compiles;
+          Alcotest.test_case "schema matches Build" `Quick
+            test_schema_matches_build;
         ] );
       ( "evolution",
         [

@@ -139,6 +139,73 @@ let test_unknown_map () =
   | exception Template.Eval.Eval_error _ -> ()
   | _ -> Alcotest.fail "expected unknown-map error")
 
+(* ---------------- scope rules the binder makes static ---------------- *)
+
+let test_nested_index () =
+  let root = N.create ~name:"root" ~kind:"Root" in
+  List.iteri
+    (fun k o ->
+      let outer = N.create ~name:o ~kind:"O" in
+      N.add_prop outer "o" o;
+      N.add_prop outer "k" (string_of_int k);
+      List.iter
+        (fun i ->
+          let inner = N.create ~name:i ~kind:"I" in
+          N.add_prop inner "i" i;
+          N.add_child outer ~group:"is" inner)
+        [ "x"; "y"; "z" ];
+      N.add_child root ~group:"os" outer)
+    [ "a"; "b" ];
+  check "inner loop's index" "a0 x0/3\na0 y1/3\na0 z2/3\nb1 x0/3\nb1 y1/3\nb1 z2/3\n"
+    (render "@foreach os\n@foreach is\n${o}${k} ${i}${index}/${count}\n@end is\n@end os"
+       root)
+
+let test_top_level_index () =
+  (* Outside any @foreach a loop name is an ordinary root property. *)
+  check "root property" "7 of 9\n"
+    (render "${index} of ${count}" (node_with [ ("index", "7"); ("count", "9") ] []));
+  match render "${index}" (node_with [] []) with
+  | exception Template.Eval.Eval_error { line = 1; _ } -> ()
+  | out -> Alcotest.failf "expected an unresolved root property, got %S" out
+
+let test_inner_map_shadows () =
+  let maps =
+    Template.Maps.of_list
+      [ ("Shout", String.uppercase_ascii); ("Quote", fun s -> "'" ^ s ^ "'") ]
+  in
+  let root = N.create ~name:"root" ~kind:"Root" in
+  let outer = N.create ~name:"o" ~kind:"O" in
+  N.add_prop outer "v" "out";
+  let inner = N.create ~name:"i" ~kind:"I" in
+  N.add_prop inner "v" "in";
+  N.add_child outer ~group:"is" inner;
+  N.add_child root ~group:"os" outer;
+  check "inner -map wins" "OUT\n'in'\nOUT\n"
+    (render ~maps
+       "@foreach os -map v Shout\n${v}\n@foreach is -map v Quote\n${v}\n@end is\n${v}\n@end os"
+       root)
+
+let test_unknown_map_lazy () =
+  let n = node_with [ ("v", "a"); ("flag", "") ] [ ("xs", [ [ ("w", "b") ] ]) ] in
+  let src =
+    "start\n@if ${flag}\n${v:No::Such}\n@fi\n\
+     @foreach xs -map w No::Other\n@if ${flag}\n${w}\n@fi\n@end xs\nend"
+  in
+  check "never reached, never raised" "start\nend\n" (render src n);
+  N.add_prop n "flag" "yes";
+  (match render src n with
+  | exception Template.Eval.Eval_error { line; message; _ } ->
+      Alcotest.(check int) "inline miss line" 3 line;
+      Alcotest.(check string) "inline miss message" "unknown map function \"No::Such\""
+        message
+  | out -> Alcotest.failf "expected Eval_error, got %S" out);
+  match render "@foreach xs -map w No::Other\n\n${w}\n@end xs" n with
+  | exception Template.Eval.Eval_error { line; message; _ } ->
+      Alcotest.(check int) "-map miss line" 3 line;
+      Alcotest.(check string) "-map miss message"
+        "unknown map function \"No::Other\" for ${w}" message
+  | out -> Alcotest.failf "expected Eval_error, got %S" out
+
 (* ---------------- openfile ---------------- *)
 
 let test_openfile () =
@@ -238,6 +305,15 @@ let () =
           Alcotest.test_case "@@ escape" `Quick test_at_escape;
           Alcotest.test_case "line joining" `Quick test_line_joining;
           Alcotest.test_case "unresolved variable" `Quick test_unresolved_variable;
+        ] );
+      ( "scope",
+        [
+          Alcotest.test_case "nested index reads the inner loop" `Quick test_nested_index;
+          Alcotest.test_case "top-level index is a root property" `Quick
+            test_top_level_index;
+          Alcotest.test_case "inner -map shadows outer" `Quick test_inner_map_shadows;
+          Alcotest.test_case "unknown map raises when reached" `Quick
+            test_unknown_map_lazy;
         ] );
       ( "foreach",
         [

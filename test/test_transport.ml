@@ -106,7 +106,19 @@ let test_mem_port_allocation () =
   l2.Orb.Transport.shutdown ();
   (* After shutdown the port is free again. *)
   let l3 = Orb.Transport.listen ~proto:"mem" ~host:"local" ~port:l1.Orb.Transport.bound_port in
-  l3.Orb.Transport.shutdown ()
+  l3.Orb.Transport.shutdown ();
+  (* ...but a port-0 listen never hands it out again, so a stale
+     reference to the old listener fails instead of reaching a new one. *)
+  let l4 = Orb.Transport.listen ~proto:"mem" ~host:"local" ~port:0 in
+  let old = l4.Orb.Transport.bound_port in
+  l4.Orb.Transport.shutdown ();
+  let l5 = Orb.Transport.listen ~proto:"mem" ~host:"local" ~port:0 in
+  Alcotest.(check bool) "port-0 numbers are not reused" true
+    (l5.Orb.Transport.bound_port <> old);
+  (match Orb.Transport.connect ~proto:"mem" ~host:"local" ~port:old with
+  | exception Orb.Transport.Transport_error _ -> ()
+  | _ -> Alcotest.fail "connect to a shut-down port-0 listener succeeded");
+  l5.Orb.Transport.shutdown ()
 
 let test_listener_shutdown_wakes_accept () =
   let listener = Orb.Transport.listen ~proto:"mem" ~host:"local" ~port:0 in
