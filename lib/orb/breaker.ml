@@ -1,5 +1,8 @@
 (* Per-endpoint circuit breakers: trip after consecutive connection
-   failures, fast-fail while open, probe once after a cool-down. *)
+   failures, fast-fail while open, probe once after a cool-down. The
+   decisions are [Circuit]'s plain functions of one endpoint's state and
+   [~now]; the table of circuits is the only shared state, kept under
+   the breaker lock. *)
 
 exception Circuit_open of string
 
@@ -19,119 +22,97 @@ type config = { failure_threshold : int; reset_timeout : float }
 
 let default_config = { failure_threshold = 5; reset_timeout = 1.0 }
 
-type entry = {
-  mutable st : state;
-  mutable failures : int;  (* consecutive, since the last success *)
-  mutable opened_at : float;
-  mutable probing : bool;  (* a half-open probe is in flight *)
-}
+type ticket = int
+type decision = Proceed of ticket | Probe of ticket | Fast_fail
+
+module Circuit = struct
+  type t = {
+    mutable st : state;
+    mutable failures : int;  (* consecutive, in this generation *)
+    mutable opened_at : float;
+    mutable gen : int;  (* bumped at every change of [st] *)
+  }
+
+  let create () = { st = Closed; failures = 0; opened_at = 0.; gen = 0 }
+
+  (* A ticket is the generation it was issued in. None is issued while
+     [Open], and [Half_open] issues exactly one, its probe's: so a
+     current ticket always belongs to a [Closed] call or to the probe. *)
+  let move c st =
+    c.st <- st;
+    c.gen <- c.gen + 1;
+    c.failures <- 0
+
+  let cooled cfg c ~now = now -. c.opened_at >= cfg.reset_timeout
+
+  let gate cfg c ~now =
+    match c.st with
+    | Closed -> Proceed c.gen
+    | Open when cooled cfg c ~now ->
+        move c Half_open;
+        Probe c.gen
+    | Open | Half_open -> Fast_fail
+
+  let available cfg c ~now =
+    match c.st with
+    | Closed -> true
+    | Open -> cooled cfg c ~now
+    | Half_open -> false
+
+  let success c ticket =
+    if ticket = c.gen then
+      if c.st = Half_open then move c Closed else c.failures <- 0
+
+  let failure cfg c ticket ~now =
+    ticket = c.gen
+    && begin
+         c.failures <- c.failures + 1;
+         let trip = c.st = Half_open || c.failures >= cfg.failure_threshold in
+         if trip then begin
+           move c Open;
+           c.opened_at <- now
+         end;
+         trip
+       end
+end
 
 type t = {
   cfg : config;
   lock : Locked.t;
-  entries : (string, entry) Hashtbl.t;
-  mutable trips : int;
-  mutable fast_fails : int;
+  circuits : (string, Circuit.t) Hashtbl.t;
 }
 
 let create ?(config = default_config) () =
   {
     cfg = config;
     lock = Locked.create ~name:"breaker" ~rank:Locked.Rank.breaker;
-    entries = Hashtbl.create 8;
-    trips = 0;
-    fast_fails = 0;
+    circuits = Hashtbl.create 8;
   }
 
-let with_mutex t f = Locked.with_lock t.lock f
+let with_circuit t key f =
+  Locked.with_lock t.lock (fun () ->
+      match Hashtbl.find_opt t.circuits key with
+      | Some c -> f c
+      | None ->
+          let c = Circuit.create () in
+          Hashtbl.replace t.circuits key c;
+          f c)
 
-let entry t key =
-  match Hashtbl.find_opt t.entries key with
-  | Some e -> e
-  | None ->
-      let e = { st = Closed; failures = 0; opened_at = 0.; probing = false } in
-      Hashtbl.replace t.entries key e;
-      e
+let before_call t key ~now = with_circuit t key (Circuit.gate t.cfg ~now)
+let success t key ticket = with_circuit t key (fun c -> Circuit.success c ticket)
 
-type decision = Proceed | Probe | Fast_fail
+let failure t key ticket ~now =
+  with_circuit t key (fun c -> Circuit.failure t.cfg c ticket ~now)
 
-let before_call t key =
-  with_mutex t (fun () ->
-      let e = entry t key in
-      match e.st with
-      | Closed -> Proceed
-      | Open ->
-          if
-            Unix.gettimeofday () -. e.opened_at >= t.cfg.reset_timeout
-            && not e.probing
-          then begin
-            e.st <- Half_open;
-            e.probing <- true;
-            Probe
-          end
-          else begin
-            t.fast_fails <- t.fast_fails + 1;
-            Fast_fail
-          end
-      | Half_open ->
-          if e.probing then begin
-            t.fast_fails <- t.fast_fails + 1;
-            Fast_fail
-          end
-          else begin
-            e.probing <- true;
-            Probe
-          end)
+let state t key = with_circuit t key (fun c -> c.Circuit.st)
 
-let success t key =
-  with_mutex t (fun () ->
-      let e = entry t key in
-      e.st <- Closed;
-      e.failures <- 0;
-      e.probing <- false)
-
-let failure t key =
-  with_mutex t (fun () ->
-      let e = entry t key in
-      e.failures <- e.failures + 1;
-      let should_trip =
-        e.st = Half_open || e.failures >= t.cfg.failure_threshold
-      in
-      e.probing <- false;
-      if should_trip then begin
-        if e.st <> Open then t.trips <- t.trips + 1;
-        e.st <- Open;
-        e.opened_at <- Unix.gettimeofday ()
-      end)
-
-let state t key = with_mutex t (fun () -> (entry t key).st)
-
-(* Read-only view of [before_call]: would a call to [key] be allowed to
-   touch the network right now (Proceed or Probe), or fast-failed? Used
-   by replica selection to skip tripped endpoints without consuming the
-   half-open probe slot. *)
-let available t key =
-  with_mutex t (fun () ->
-      match Hashtbl.find_opt t.entries key with
+let available t key ~now =
+  Locked.with_lock t.lock (fun () ->
+      match Hashtbl.find_opt t.circuits key with
       | None -> true
-      | Some e -> (
-          match e.st with
-          | Closed -> true
-          | Half_open -> not e.probing
-          | Open ->
-              (not e.probing)
-              && Unix.gettimeofday () -. e.opened_at >= t.cfg.reset_timeout))
+      | Some c -> Circuit.available t.cfg c ~now)
 
 let states t =
-  with_mutex t (fun () ->
+  Locked.with_lock t.lock (fun () ->
       List.sort compare
-        (Hashtbl.fold (fun key e acc -> (key, e.st) :: acc) t.entries []))
-
-let trips t = with_mutex t (fun () -> t.trips)
-let fast_fails t = with_mutex t (fun () -> t.fast_fails)
-
-let reset t =
-  with_mutex t (fun () ->
-      Hashtbl.reset t.entries;
-      t.trips <- 0;
-      t.fast_fails <- 0)
+        (Hashtbl.fold (fun key c acc -> (key, c.Circuit.st) :: acc) t.circuits []))

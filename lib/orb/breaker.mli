@@ -11,7 +11,19 @@
 
     State machine: [Closed] --(threshold failures)--> [Open]
     --(reset_timeout elapses; one probe)--> [Half_open]
-    --(probe ok)--> [Closed] / --(probe fails)--> [Open]. *)
+    --(probe ok)--> [Closed] / --(probe fails)--> [Open].
+
+    Every call the gate lets through carries a {!ticket}, and its report
+    moves the circuit only while that ticket is current. So a call
+    admitted before a trip neither closes the circuit by succeeding nor
+    pushes the cool-down back by failing, and only the probe's own
+    report ends [Half_open]: at most one probe is ever in flight.
+
+    The decisions are {!Circuit}'s functions: no lock, no clock (time is
+    the caller's [~now]). [test/test_state_machines.ml] runs them
+    through every interleaving of small event sets. The breaker counts
+    nothing: the ORB counts trips and fast fails in its [Obs]
+    registry. *)
 
 exception Circuit_open of string
 (** Raised (by the ORB) instead of attempting a call on a tripped
@@ -31,46 +43,71 @@ type config = {
 val default_config : config
 (** 5 consecutive failures; 1s cool-down. *)
 
-type t
-
-val create : ?config:config -> unit -> t
+type ticket
+(** The circuit generation a call was let through in. *)
 
 (** What a caller should do right now. *)
 type decision =
-  | Proceed  (** Circuit closed: call normally. *)
-  | Probe
-      (** Half-open and this caller won the probe slot: make one
-          lightweight attempt and report {!success} or {!failure}. *)
-  | Fast_fail  (** Tripped: do not touch the network. *)
+  | Proceed of ticket  (** Circuit closed: call normally. *)
+  | Probe of ticket
+      (** The cool-down has passed and this caller won the probe slot:
+          make one lightweight attempt and report its outcome. *)
+  | Fast_fail  (** Tripped, or a probe is in flight: do not touch the
+                   network. *)
 
-val before_call : t -> string -> decision
-(** Gate one call to endpoint [key]. [Probe] is granted to exactly one
-    caller at a time; concurrent callers get [Fast_fail] until the
-    probe's outcome is reported. *)
+(** One endpoint's circuit and its decisions. *)
+module Circuit : sig
+  type t = private {
+    mutable st : state;
+    mutable failures : int;
+        (** Consecutive failures reported in this generation. *)
+    mutable opened_at : float;  (** When it last tripped. *)
+    mutable gen : int;  (** Bumped at every change of [st]. *)
+  }
 
-val success : t -> string -> unit
-(** Any decoded reply — including system errors — closes the circuit:
-    the peer is responsive. *)
+  val create : unit -> t
+  (** Closed, no failures. *)
 
-val failure : t -> string -> unit
-(** A connection-level failure (transport error / timeout). *)
+  val gate : config -> t -> now:float -> decision
+  (** [Closed] proceeds; [Open] past its cool-down turns [Half_open]
+      and grants the one probe; otherwise fast-fail. *)
+
+  val available : config -> t -> now:float -> bool
+  (** [gate] at the same [now] would not fast-fail. Moves nothing. *)
+
+  val success : t -> ticket -> unit
+  (** A current ticket's success: the probe's closes the circuit, a
+      closed call's clears the failure count. A stale one is ignored. *)
+
+  val failure : config -> t -> ticket -> now:float -> bool
+  (** A current ticket's failure: counts it, and trips the circuit at
+      the threshold or when it is the probe's. [true] iff this report
+      tripped it. A stale one is ignored. *)
+end
+
+type t
+(** Circuits by endpoint key, under one lock (rank [breaker]). *)
+
+val create : ?config:config -> unit -> t
+
+val before_call : t -> string -> now:float -> decision
+(** {!Circuit.gate} on endpoint [key]'s circuit. *)
+
+val success : t -> string -> ticket -> unit
+(** Any decoded reply — including system errors — is a success: the
+    peer is responsive. *)
+
+val failure : t -> string -> ticket -> now:float -> bool
+(** A connection-level failure (transport error / timeout); [true] iff
+    it tripped the circuit. *)
 
 val state : t -> string -> state
 
-val available : t -> string -> bool
-(** Read-only: would a call to this endpoint be allowed to touch the
-    network right now (i.e. {!before_call} would not return [Fast_fail])?
-    Never consumes the half-open probe slot — replica selection uses this
-    to skip tripped endpoints. *)
+val available : t -> string -> now:float -> bool
+(** {!Circuit.available}: replica selection uses it to skip tripped
+    endpoints without taking the probe slot. Pass the [now] the gate
+    will see, so the two agree. *)
 
 val states : t -> (string * state) list
 (** Every endpoint the breaker has seen, with its current state, sorted
     by endpoint key. *)
-
-val trips : t -> int  (** Times any circuit transitioned to [Open]. *)
-
-val fast_fails : t -> int
-(** Calls rejected without touching the network. *)
-
-val reset : t -> unit
-(** Forget all endpoints and statistics. *)

@@ -235,6 +235,8 @@ module Event = struct
   let failovers = "client:failover"
   let forwards = "client:forwards"
   let budget_exhausted = "client:retry_budget_exhausted"
+  let breaker_trips = "client:breaker_trips"
+  let breaker_fast_fails = "client:breaker_fast_fails"
   let orphan_replies = "client:orphan_replies"
   let c_negotiated = "client:codec_negotiated"
   let c_fallback = "client:codec_fallback"
@@ -470,7 +472,7 @@ let serve_connection t sc =
     in
     match
       with_lock t (fun () ->
-          match Admit.arrive t.adm sc.s_adm ~expiry ~now:(Unix.gettimeofday ()) with
+          match Admit.arrive t.adm sc.s_adm ~expiry ~now:received_at with
           | Admit.Run -> Ok t.pool
           | Admit.Refuse r -> Error r)
     with
@@ -483,13 +485,13 @@ let serve_connection t sc =
     | Ok (Some pool) -> (
         let job () =
           Fun.protect ~finally:finish (fun () ->
+              let run_started = Unix.gettimeofday () in
               match
-                Admit.pickup ~expiry ~now:(Unix.gettimeofday ())
+                Admit.pickup ~expiry ~now:run_started
                   ~service_us:(Atomic.get t.service_ewma_us)
               with
               | Admit.Refuse r -> or_close (fun () -> refuse req r)
               | Admit.Run ->
-                  let run_started = Unix.gettimeofday () in
                   or_close (fun () -> finish_dispatch proto req);
                   let sample_us =
                     int_of_float ((Unix.gettimeofday () -. run_started) *. 1e6)
@@ -1186,13 +1188,18 @@ let refusal_of = function
       Some (System_exception m)
   | _ -> None
 
-let breaker_failure t key e =
-  match (t.breaker, classify e) with
-  | Some br, (Retry.Transient | Retry.Deadline) -> Breaker.failure br key
+(* A report under [ticket] (none with the breaker off); a failure that
+   trips the circuit is counted. *)
+let breaker_failure t key ticket ~now e =
+  match (t.breaker, ticket, classify e) with
+  | Some br, Some tk, (Retry.Transient | Retry.Deadline) ->
+      if Breaker.failure br key tk ~now then count t Event.breaker_trips
   | _ -> ()
 
-let breaker_success t key =
-  match t.breaker with Some br -> Breaker.success br key | None -> ()
+let breaker_success t key ticket =
+  match (t.breaker, ticket) with
+  | Some br, Some tk -> Breaker.success br key tk
+  | _ -> ()
 
 (* Absolute deadline for one call: the per-call timeout, else the ORB
    default, else none. Computed once per call; every attempt, probe and
@@ -1278,10 +1285,10 @@ let request_reply t target ~make_msg ~payload ~deadline ~notify ~span =
         Some (max 0 (int_of_float ((d -. Unix.gettimeofday ()) *. 1e6)))
     | Some _ | None -> None
   in
-  let available ep =
+  let available ~now ep =
     match t.breaker with
     | None -> true
-    | Some br -> Breaker.available br (endpoint_key ep)
+    | Some br -> Breaker.available br (endpoint_key ep) ~now
   in
   (* Endpoints that already failed during THIS call. Once every
      available endpoint has been tried the set clears: a long retry
@@ -1289,8 +1296,8 @@ let request_reply t target ~make_msg ~payload ~deadline ~notify ~span =
      should). *)
   let tried = ref [] in
   let note_tried ep = if not (List.mem ep !tried) then tried := ep :: !tried in
-  let candidates () =
-    let avail = List.filter available eps in
+  let candidates ~now =
+    let avail = List.filter (available ~now) eps in
     match List.filter (fun ep -> not (List.mem ep !tried)) avail with
     | [] ->
         tried := [];
@@ -1302,31 +1309,37 @@ let request_reply t target ~make_msg ~payload ~deadline ~notify ~span =
     notify f.err;
     Error f
   in
-  (* The breaker gate: [None] lets the attempt through; [Some err] says
-     the endpoint is unusable now — tripped (possibly between selection
-     and gate), or its half-open probe, one lightweight Locate_request
-     ping, found it still down. *)
-  let gate ep key =
+  (* The breaker gate at the attempt's [now]: [Ok ticket] lets the
+     attempt through ([None] with the breaker off); [Error err] says the
+     endpoint is unusable now — tripped (possibly between selection and
+     gate), or its half-open probe, one lightweight Locate_request ping,
+     found it still down. A probe that succeeds closed the circuit, so
+     the gate is asked again for the call's own ticket. *)
+  let rec gate ep key ~now =
     match t.breaker with
-    | None -> None
+    | None -> Ok None
     | Some br -> (
-        match Breaker.before_call br key with
-        | Breaker.Proceed -> None
+        match Breaker.before_call br key ~now with
+        | Breaker.Proceed tk -> Ok (Some tk)
         | Breaker.Fast_fail ->
-            Some
+            count t Event.breaker_fast_fails;
+            Error
               (Breaker.Circuit_open
                  (Printf.sprintf "circuit open for endpoint %s" key))
-        | Breaker.Probe -> (
+        | Breaker.Probe tk -> (
             match probe t target ~endpoint:ep ~deadline with
             | () ->
-                Breaker.success br key;
-                None
+                Breaker.success br key tk;
+                gate ep key ~now
             | exception e ->
-                Breaker.failure br key;
+                (* Whatever its class: only the probe's report ends
+                   [Half_open]. *)
+                if Breaker.failure br key tk ~now:(Unix.gettimeofday ()) then
+                  count t Event.breaker_trips;
                 count_failure t e;
-                Some e))
+                Error e))
   in
-  let send ep key =
+  let send ep key ticket =
     match get_connection t ep with
     | exception e -> Error { err = e; unsent = true }
     | conn, fresh -> (
@@ -1336,7 +1349,7 @@ let request_reply t target ~make_msg ~payload ~deadline ~notify ~span =
             match refusal_of resp with
             | Some e -> Error { err = e; unsent = true }
             | None ->
-                breaker_success t key;
+                breaker_success t key ticket;
                 (* Successes replenish the retry budget — the ~10%
                    ratio that keeps the aggregate retry rate bounded. *)
                 Retry.Budget.deposit t.retry_budget;
@@ -1351,18 +1364,20 @@ let request_reply t target ~make_msg ~payload ~deadline ~notify ~span =
   (* [gate_spins] bounds the selection/gate race: an endpoint can trip
      between the read-only availability check and [before_call]. *)
   let rec attempt n gate_spins =
-    (* When every replica's breaker is open, gate on the primary anyway:
-       [before_call] then either fast-fails (advancing the breaker's
-       accounting exactly as in the single-endpoint case) or grants a
-       probe slot that opened this instant. *)
+    (* One clock read per attempt: selection, the breaker gate and the
+       deadline check all see the same [now]. When every replica's
+       breaker is open, gate on the primary anyway: [before_call] then
+       either fast-fails (counted exactly as in the single-endpoint
+       case) or grants a probe slot that opened this instant. *)
+    let now = Unix.gettimeofday () in
     let ep =
-      match pick_endpoint t (candidates ()) with
+      match pick_endpoint t (candidates ~now) with
       | Some ep -> ep
       | None -> Objref.endpoint target
     in
     let key = endpoint_key ep in
     match deadline with
-    | Some d when Unix.gettimeofday () >= d ->
+    | Some d when now >= d ->
         (* An attempt that cannot answer in time is not sent: the server
            would shed it as expired anyway — with propagation off it
            would even execute, pure zombie work. *)
@@ -1371,29 +1386,32 @@ let request_reply t target ~make_msg ~payload ~deadline ~notify ~span =
             (Printf.sprintf "call deadline expired before attempt %d" n)
         in
         count_failure t err;
-        failed n ep { err; unsent = true }
+        failed n ep { err; unsent = true } ~now
     | _ -> (
-        match gate ep key with
-        | Some err ->
+        match gate ep key ~now with
+        | Error err ->
             note_tried ep;
-            let others = List.exists (fun e -> e <> ep && available e) eps in
+            let others =
+              List.exists (fun e -> e <> ep && available ~now e) eps
+            in
             if others && gate_spins < 2 * List.length eps then begin
               count_failover ();
               attempt n (gate_spins + 1)
             end
             else give_up { err; unsent = true }
-        | None -> (
-            match send ep key with
+        | Ok ticket -> (
+            match send ep key ticket with
             | Ok resp -> Ok resp
             | Error f ->
-                breaker_failure t key f.err;
+                let now = Unix.gettimeofday () in
+                breaker_failure t key ticket ~now f.err;
                 count_failure t f.err;
-                failed n ep f))
-  (* The one retry decision, for failed attempt [n] on [ep]. *)
-  and failed n ep f =
+                failed n ep f ~now))
+  (* The one retry decision, for failed attempt [n] on [ep] at [now]. *)
+  and failed n ep f ~now =
     match
       Retry.decide t.retry ~budget:t.retry_budget ~attempt:n (classify f.err)
-        ~unsent:f.unsent ~deadline ~now:(Unix.gettimeofday ())
+        ~unsent:f.unsent ~deadline ~now
     with
     | Retry.Give_up -> give_up f
     | Retry.Exhausted ->
@@ -1702,8 +1720,9 @@ type stats = {
   codec_fallbacks : int;
 }
 
-(* A typed view over one snapshot of the ORB's [Obs] registry, plus the
-   gauges and the breaker/budget/pool numbers their modules keep. *)
+(* A typed view over one snapshot of the ORB's [Obs] registry, plus
+   gauges read now: live connections, mux in flight, breaker states,
+   the retry budget's balance and the pool's depth and active workers. *)
 let stats t =
   let server_connections, mux_in_flight, pool =
     with_lock t (fun () ->
@@ -1722,15 +1741,13 @@ let stats t =
             t.cache.Mux.conns 0,
           t.pool ))
   in
-  let breaker_trips, breaker_fast_fails, breaker_states =
+  let breaker_states =
     match t.breaker with
     | Some br ->
-        ( Breaker.trips br,
-          Breaker.fast_fails br,
-          List.map
-            (fun (key, st) -> (key, Breaker.state_to_string st))
-            (Breaker.states br) )
-    | None -> (0, 0, [])
+        List.map
+          (fun (key, st) -> (key, Breaker.state_to_string st))
+          (Breaker.states br)
+    | None -> []
   in
   (* Pool introspection outside the ORB lock: the pool has its own. *)
   let pool_depth, pool_active =
@@ -1744,15 +1761,15 @@ let stats t =
     timeouts = c Event.timeouts;
     failovers = c Event.failovers;
     forwards = c Event.forwards;
-    breaker_trips;
-    breaker_fast_fails;
+    breaker_trips = c Event.breaker_trips;
+    breaker_fast_fails = c Event.breaker_fast_fails;
     breaker_states;
     server_connections;
     rejected = c Event.rejected;
     expired_pre_admission = c Event.expired_pre_admission;
     expired_in_queue = c Event.expired_in_queue + c Event.doomed_in_queue;
     retry_budget_balance = Retry.Budget.balance t.retry_budget;
-    retry_budget_exhaustions = Retry.Budget.exhaustions t.retry_budget;
+    retry_budget_exhaustions = c Event.budget_exhausted;
     evicted = c Event.evicted;
     drains_clean = c Event.drained;
     drain_aborted_jobs = c Event.drain_aborted_jobs;

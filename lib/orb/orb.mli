@@ -344,9 +344,12 @@ type stats = {
       (** Attempts rerouted away from a failed or breaker-open replica
           of a multi-endpoint target. *)
   forwards : int;  (** [Locate_forward] redirects honoured. *)
-  breaker_trips : int;  (** Circuit transitions to [Open] (0 if disabled). *)
+  breaker_trips : int;
+      (** Circuit transitions to [Open]: the event
+          ["client:breaker_trips"] (0 if disabled). *)
   breaker_fast_fails : int;
-      (** Calls rejected without touching the network (0 if disabled). *)
+      (** Calls rejected without touching the network: the event
+          ["client:breaker_fast_fails"] (0 if disabled). *)
   breaker_states : (string * string) list;
       (** Per-endpoint circuit state, [(endpoint-key, "closed" | "open"
           | "half-open")], sorted by endpoint — the post-hoc view of why
@@ -376,7 +379,8 @@ type stats = {
           {!Retry.Budget}. *)
   retry_budget_exhaustions : int;
       (** Retries/failovers refused by the budget — each one failed the
-          call with {!Retry.Budget_exhausted}. *)
+          call with {!Retry.Budget_exhausted}: the event
+          ["client:retry_budget_exhausted"]. *)
   evicted : int;  (** Connections evicted by the idle-LRU limit. *)
   drains_clean : int;  (** Graceful drains that finished in time. *)
   drain_aborted_jobs : int;
@@ -409,9 +413,11 @@ val stats : t -> stats
     is enabled; a field that counts one event in two roles is the sum
     of both ([codec_negotiations] = ["client:codec_negotiated"] +
     ["server:codec_negotiated"]; [expired_in_queue] =
-    ["server:expired_in_queue"] + ["server:doomed_in_queue"]). The
-    breaker, retry-budget and pool fields come from those modules, and
-    the connection and in-flight fields are gauges read now. Two ORBs
+    ["server:expired_in_queue"] + ["server:doomed_in_queue"]). Every
+    count is such an event; [Breaker], [Pool] and [Retry.Budget] count
+    nothing. The other fields are gauges read now: live connections,
+    mux calls in flight and their high-water mark, breaker states, the
+    retry budget's balance, and the pool's depth and active workers. Two ORBs
     sharing one [Obs.t] read summed counters: give each its own. For
     JSON, render {!Obs.snapshot} with [Obs.snapshot_to_json]. *)
 

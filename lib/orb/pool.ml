@@ -18,12 +18,13 @@
    synchronize threads and domains alike, so admission semantics are
    identical across backends.
 
-   Deadline-bounded waits (Block admission, [drain]) park on the pool's
-   [change] condition with [Locked.wait_until_c]: a freed slot or a
-   finished job wakes them at once, and the deadline service wakes them
-   when the deadline passes. Each wakeup re-runs the whole admission
-   decision under the lock, so a deadline and a freed slot racing each
-   other resolve exactly as if they had arrived in either order. *)
+   Every decision is [Core]'s: a plain function of the pool's state and
+   [~now] that returns a verdict. The rest is mechanism: the queue, its
+   two conditions and the workers, each acting on a verdict under the
+   pool lock. A wait that cannot pass a deadline parks on the [change]
+   condition with [Locked.wait_until_c] and re-decides on every wakeup,
+   so a deadline and a freed slot racing each other resolve exactly as
+   if they had arrived in either order. *)
 
 type admission = Reject | Block of float option
 type backend = Systhreads | Domains
@@ -52,6 +53,54 @@ let refused_cancelled = "shutting down: request dropped before execution"
 let never_executed reason =
   reason = refused_draining || reason = refused_cancelled
 
+module Core = struct
+  type phase = Accepting | Draining | Stopped
+  type t = { mutable phase : phase; mutable queued : int; mutable active : int }
+  type admit = Accept | Refuse of string | Expire | Wait
+  type pickup = Take | Idle | Exit
+  type settle = Drained | Aborted of int | Pending
+
+  let create () = { phase = Accepting; queued = 0; active = 0 }
+  let lapsed at ~now = match at with Some x -> now >= x | None -> false
+
+  let submit cfg c ~expire ~deadline ~now =
+    if lapsed expire ~now then Expire
+    else if c.phase <> Accepting then Refuse refused_draining
+    else if c.queued < cfg.queue_capacity then begin
+      c.queued <- c.queued + 1;
+      Accept
+    end
+    else
+      match cfg.admission with
+      | Reject -> Refuse "overloaded: request queue is full"
+      | Block _ when lapsed deadline ~now ->
+          Refuse "overloaded: queue full past admission deadline"
+      | Block _ -> Wait
+
+  let pickup c =
+    if c.queued > 0 then begin
+      c.queued <- c.queued - 1;
+      c.active <- c.active + 1;
+      Take
+    end
+    else if c.phase = Stopped then Exit
+    else Idle
+
+  let finish c = c.active <- c.active - 1
+  let drain c = if c.phase = Accepting then c.phase <- Draining
+
+  let settled c ~deadline ~now =
+    if c.queued = 0 && c.active = 0 then Drained
+    else if lapsed deadline ~now then Aborted (c.queued + c.active)
+    else Pending
+
+  let stop c =
+    let dropped = c.queued in
+    c.phase <- Stopped;
+    c.queued <- 0;
+    dropped
+end
+
 (* A queued job and what to do with it if the pool is stopped before a
    worker picks it up. The cancel callback must answer the peer (a
    system-error reply) so a pipelined client is not left waiting out
@@ -62,33 +111,44 @@ type t = {
   config : config;
   lock : Locked.t;  (* rank [pool] *)
   nonempty : Locked.cond;  (* workers park here waiting for jobs *)
-  change : Locked.cond;  (* space freed / job finished / state flipped *)
-  queue : job Queue.t;
-  mutable accepting : bool;
-  mutable stopping : bool;
-  mutable active : int;  (* jobs currently executing *)
-  mutable submitted : int;
-  mutable completed : int;
-  mutable rejected : int;
+  change : Locked.cond;  (* space freed / job finished / phase flipped *)
+  queue : job Queue.t;  (* [core.queued] jobs *)
+  core : Core.t;
   mutable domains : unit Domain.t list;  (* worker handles; Domains only *)
 }
+
+(* Parks on [change] until [at] (forever if [None]) and returns the
+   latest instant known to have passed: [at] once the wait timed out,
+   else [now]. A wait needs no clock read of its own. *)
+let park t at ~now =
+  match at with
+  | None ->
+      Locked.wait_c t.change;
+      now
+  | Some at -> (
+      match Locked.wait_until_c t.change at with
+      | `Woken -> now
+      | `Timed_out -> Float.max now at)
+
+let earliest a b =
+  match (a, b) with
+  | Some x, Some y -> Some (Float.min x y)
+  | Some _, None -> a
+  | None, _ -> b
 
 let rec worker_loop t =
   let job =
     Locked.with_lock t.lock (fun () ->
         let rec next () =
-          if not (Queue.is_empty t.queue) then begin
-            let job = Queue.pop t.queue in
-            t.active <- t.active + 1;
-            (* Queue space freed: wake blocked submitters. *)
-            Locked.broadcast_c t.change;
-            Some job
-          end
-          else if t.stopping then None
-          else begin
-            Locked.wait_c t.nonempty;
-            next ()
-          end
+          match Core.pickup t.core with
+          | Core.Take ->
+              (* Queue space freed: wake blocked submitters. *)
+              Locked.broadcast_c t.change;
+              Some (Queue.pop t.queue)
+          | Core.Exit -> None
+          | Core.Idle ->
+              Locked.wait_c t.nonempty;
+              next ()
         in
         next ())
   in
@@ -100,8 +160,7 @@ let rec worker_loop t =
          the connection died under it. *)
       (try job.run () with _ -> ());
       Locked.with_lock t.lock (fun () ->
-          t.active <- t.active - 1;
-          t.completed <- t.completed + 1;
+          Core.finish t.core;
           Locked.broadcast_c t.change);
       worker_loop t
 
@@ -121,12 +180,7 @@ let create config =
       nonempty = Locked.new_cond lock;
       change = Locked.new_cond lock;
       queue = Queue.create ();
-      accepting = true;
-      stopping = false;
-      active = 0;
-      submitted = 0;
-      completed = 0;
-      rejected = 0;
+      core = Core.create ();
       domains = [];
     }
   in
@@ -142,113 +196,59 @@ let create config =
   t
 
 let submit t ?(cancel = fun () -> ()) ?expire run =
-  let job = { run; cancel } in
   (* [expire] — the request's own remaining-budget instant — bounds
-     EVERY blocking wait: an admission policy must never park a reader
-     past the moment the caller gives up, so the effective wait deadline
-     is the min of the admission deadline and the expiry, and a lapsed
-     expiry is reported as [`Expired], distinct from an overload
-     rejection. *)
+     every Block wait: an admission policy must never park a reader
+     past the moment the caller gives up, and a budget that lapses
+     while the reader waits is reported as [`Expired], distinct from an
+     overload rejection. No instant is known to have passed on entry
+     ([neg_infinity]): the caller checked the expiry on arrival. *)
   let deadline =
     match t.config.admission with
-    | Block (Some s) ->
-        let d = Unix.gettimeofday () +. s in
-        Some (match expire with Some x -> Float.min d x | None -> d)
-    | _ -> None
+    | Block (Some s) -> Some (Unix.gettimeofday () +. s)
+    | Block None | Reject -> None
   in
   Locked.with_lock t.lock (fun () ->
-      let accept () =
-        Queue.push job t.queue;
-        t.submitted <- t.submitted + 1;
-        Locked.signal_c t.nonempty;
-        `Accepted
+      let rec go now =
+        match Core.submit t.config t.core ~expire ~deadline ~now with
+        | Core.Accept ->
+            Queue.push { run; cancel } t.queue;
+            Locked.signal_c t.nonempty;
+            `Accepted
+        | Core.Refuse reason -> `Rejected reason
+        | Core.Expire -> `Expired
+        | Core.Wait -> go (park t (earliest deadline expire) ~now)
       in
-      let reject reason =
-        t.rejected <- t.rejected + 1;
-        `Rejected reason
-      in
-      let expired () =
-        t.rejected <- t.rejected + 1;
-        `Expired
-      in
-      let has_space () = Queue.length t.queue < t.config.queue_capacity in
-      let rec attempt () =
-        if (match expire with Some x -> Unix.gettimeofday () >= x | None -> false)
-        then expired ()
-        else if not t.accepting then
-          reject refused_draining
-        else if has_space () then accept ()
-        else
-          match t.config.admission with
-          | Reject -> reject "overloaded: request queue is full"
-          | Block None -> (
-              match expire with
-              | None ->
-                  Locked.wait_c t.change;
-                  attempt ()
-              | Some x ->
-                  (* No admission deadline, but the request itself has
-                     one: the next attempt reports the lapse. *)
-                  ignore (Locked.wait_until_c t.change x);
-                  attempt ())
-          | Block (Some _) -> (
-              match deadline with
-              | None -> assert false  (* deadline set above for Block Some *)
-              | Some d ->
-                  if Unix.gettimeofday () >= d then
-                    reject "overloaded: queue full past admission deadline"
-                  else begin
-                    ignore (Locked.wait_until_c t.change d);
-                    attempt ()
-                  end)
-      in
-      attempt ())
+      go neg_infinity)
 
-let depth t = Locked.with_lock t.lock (fun () -> Queue.length t.queue)
-let active t = Locked.with_lock t.lock (fun () -> t.active)
-
-type stats = { submitted : int; completed : int; rejected : int }
-
-let stats t =
-  Locked.with_lock t.lock (fun () ->
-      { submitted = t.submitted; completed = t.completed; rejected = t.rejected })
+let depth t = Locked.with_lock t.lock (fun () -> t.core.Core.queued)
+let active t = Locked.with_lock t.lock (fun () -> t.core.Core.active)
 
 let drain t ~deadline =
   Locked.with_lock t.lock (fun () ->
-      t.accepting <- false;
+      Core.drain t.core;
       (* Wake submitters blocked on admission so they observe the drain
          and reject instead of waiting on space that may never free. *)
-      Locked.broadcast_c t.change);
-  Locked.with_lock t.lock (fun () ->
-      let rec wait () =
-        if Queue.is_empty t.queue && t.active = 0 then `Drained
-        else
-          match deadline with
-          | None ->
-              Locked.wait_c t.change;
-              wait ()
-          | Some d ->
-              if Unix.gettimeofday () >= d then
-                `Aborted (Queue.length t.queue + t.active)
-              else begin
-                ignore (Locked.wait_until_c t.change d);
-                wait ()
-              end
+      Locked.broadcast_c t.change;
+      let rec go now =
+        match Core.settled t.core ~deadline ~now with
+        | Core.Drained -> `Drained
+        | Core.Aborted n -> `Aborted n
+        | Core.Pending -> go (park t deadline ~now)
       in
-      wait ())
+      (* A deadline already past times the first park out at once. *)
+      go neg_infinity)
 
 let stop t =
-  let dropped, handles =
+  let n, dropped, handles =
     Locked.with_lock t.lock (fun () ->
-        t.accepting <- false;
-        t.stopping <- true;
-        let dropped = List.rev (Queue.fold (fun acc j -> j :: acc) [] t.queue) in
+        let n = Core.stop t.core in
+        let dropped = List.of_seq (Queue.to_seq t.queue) in
         Queue.clear t.queue;
         Locked.broadcast_c t.nonempty;
         Locked.broadcast_c t.change;
         let hs = t.domains in
         t.domains <- [];
-        (dropped, hs))
+        (n, dropped, hs))
   in
   (* Cancel dropped jobs OUTSIDE the pool lock, in submission order: a
      cancel sends an error reply, which takes the connection's write
@@ -266,4 +266,4 @@ let stop t =
   | handles ->
       ignore
         (Locked.spawn "pool.reaper" (fun () -> List.iter Domain.join handles)));
-  List.length dropped
+  n

@@ -59,6 +59,59 @@ val never_executed : string -> bool
     request without risking a duplicate. Overload refusals are not
     among them. *)
 
+(** The pool's decisions, with no lock, no clock and no I/O (time is
+    the caller's [~now]). The pool acts on each verdict under its lock;
+    [test/test_state_machines.ml] runs them through every interleaving
+    of small event sets. Nothing here is a count of past events: those
+    are the ORB's, in its [Obs] registry. *)
+module Core : sig
+  type phase =
+    | Accepting
+    | Draining  (** {!drain} began: every submit is refused *)
+    | Stopped  (** {!stop}: workers exit once the queue is empty *)
+
+  type t = private {
+    mutable phase : phase;
+    mutable queued : int;
+    mutable active : int;
+  }
+  (** [queued] jobs wait in the queue, [active] run on workers. *)
+
+  type admit =
+    | Accept  (** queue it: counted in [queued] *)
+    | Refuse of string
+    | Expire  (** the request's own budget lapsed first *)
+    | Wait  (** [Block] admission: park until space, the deadline or
+                the expiry, then decide again *)
+
+  type pickup = Take | Idle | Exit
+  type settle = Drained | Aborted of int | Pending
+
+  val create : unit -> t
+
+  val submit :
+    config -> t -> expire:float option -> deadline:float option -> now:float -> admit
+  (** The expiry, then the phase, then space, then the admission policy
+      ([deadline] is the [Block] admission deadline). *)
+
+  val pickup : t -> pickup
+  (** A worker looking for work: take the head job (counted [active]),
+      park, or exit once stopped with nothing queued. *)
+
+  val finish : t -> unit
+  (** A taken job returned. *)
+
+  val drain : t -> unit
+  (** Stop accepting (a stopped pool stays stopped). *)
+
+  val settled : t -> deadline:float option -> now:float -> settle
+  (** A drain's answer: nothing queued or running, or past [deadline]
+      with this many abandoned, or not yet. *)
+
+  val stop : t -> int
+  (** Stop, and drop the queue: returns how many jobs it held. *)
+end
+
 type t
 
 val create : config -> t
@@ -76,12 +129,12 @@ val submit :
     residual exceptions are swallowed to protect the worker.
 
     [expire] is the request's own remaining-budget instant (absolute,
-    [Unix.gettimeofday] domain): no [Block] admission wait ever parks
-    past it — the effective wait bound is the min of the admission
-    deadline and [expire] — and a lapsed budget returns [`Expired]
-    (counted as a rejection in {!stats}), distinct from an overload
-    [`Rejected], so the server can answer "expired" rather than
-    "overloaded".
+    [Unix.gettimeofday] domain; the caller checks it at arrival): no
+    [Block] admission wait ever parks past it — the effective wait
+    bound is the min of the admission deadline and [expire] — and a
+    budget that lapses while the submit waits returns [`Expired],
+    distinct from an overload [`Rejected], so the server can answer
+    "expired" rather than "overloaded".
 
     [cancel] runs (at most once, never together with the job) if the
     pool is stopped while the job is still queued: the submitter's
@@ -94,10 +147,6 @@ val depth : t -> int
 
 val active : t -> int
 (** Jobs currently executing. *)
-
-type stats = { submitted : int; completed : int; rejected : int }
-
-val stats : t -> stats
 
 val drain : t -> deadline:float option -> [ `Drained | `Aborted of int ]
 (** Stop admitting (subsequent submits are rejected) and wait until the

@@ -33,7 +33,6 @@ module Budget = struct
     tokens : int Atomic.t;  (* milli-tokens: 1000 = one retry credit *)
     deposit_mt : int;  (* milli-tokens credited per recorded success *)
     cap_mt : int;  (* bucket bound: old successes must not bank forever *)
-    exhaustions : int Atomic.t;  (* withdrawals refused *)
   }
 
   type config = { ratio : float; reserve : int; cap : int }
@@ -48,7 +47,6 @@ module Budget = struct
       deposit_mt =
         max 0 (int_of_float (Float.min 1.0 (Float.max 0. config.ratio) *. 1000.));
       cap_mt = max 1000 (config.cap * 1000);
-      exhaustions = Atomic.make 0;
     }
 
   let rec deposit t =
@@ -59,15 +57,11 @@ module Budget = struct
 
   let rec try_withdraw t =
     let cur = Atomic.get t.tokens in
-    if cur < 1000 then begin
-      ignore (Atomic.fetch_and_add t.exhaustions 1);
-      false
-    end
+    if cur < 1000 then false
     else if Atomic.compare_and_set t.tokens cur (cur - 1000) then true
     else try_withdraw t
 
   let balance t = Atomic.get t.tokens / 1000
-  let exhaustions t = Atomic.get t.exhaustions
 end
 
 type policy = {

@@ -59,14 +59,12 @@ module Budget : sig
   (** Record a success: credits [ratio] of a retry, up to [cap]. *)
 
   val try_withdraw : t -> bool
-  (** Take one retry credit. [false] (and counts an exhaustion) when
-      the balance is under one whole credit. *)
+  (** Take one retry credit. [false] when the balance is under one
+      whole credit. The bucket counts nothing: the ORB counts each
+      refusal as its [client:retry_budget_exhausted] event. *)
 
   val balance : t -> int
   (** Whole retry credits currently banked. *)
-
-  val exhaustions : t -> int
-  (** Withdrawals refused so far — the retry-storm-suppressed count. *)
 end
 
 type policy = {

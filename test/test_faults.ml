@@ -407,7 +407,6 @@ let test_retry_budget_bucket () =
   Alcotest.(check bool) "withdraw 1" true (Orb.Retry.Budget.try_withdraw b);
   Alcotest.(check bool) "withdraw 2" true (Orb.Retry.Budget.try_withdraw b);
   Alcotest.(check bool) "empty refuses" false (Orb.Retry.Budget.try_withdraw b);
-  Alcotest.(check int) "exhaustion counted" 1 (Orb.Retry.Budget.exhaustions b);
   (* Two successes at ratio 0.5 bank one whole retry credit. *)
   Orb.Retry.Budget.deposit b;
   Alcotest.(check bool) "half a credit refuses" false
@@ -488,39 +487,117 @@ let test_orb_retry_budget_exhaustion () =
       F.clear ();
       Alcotest.(check string) "recovers" "echo:y" (invoke_echo client target "y"))
 
+(* Every count field of [Orb.stats] and the registry counters it reads:
+   a field that keeps a count of its own would drift from these. *)
+let stats_counters (s : Orb.stats) =
+  [
+    ("opened", s.Orb.opened, [ "client:connections_opened" ]);
+    ("served", s.Orb.served, [ "server:served" ]);
+    ("retries", s.Orb.retries, [ "client:retries" ]);
+    ("timeouts", s.Orb.timeouts, [ "client:timeouts" ]);
+    ("failovers", s.Orb.failovers, [ "client:failover" ]);
+    ("forwards", s.Orb.forwards, [ "client:forwards" ]);
+    ("breaker_trips", s.Orb.breaker_trips, [ "client:breaker_trips" ]);
+    ("breaker_fast_fails", s.Orb.breaker_fast_fails, [ "client:breaker_fast_fails" ]);
+    ("rejected", s.Orb.rejected, [ "server:rejected" ]);
+    ("expired_pre_admission", s.Orb.expired_pre_admission,
+      [ "server:expired_pre_admission" ]);
+    ("expired_in_queue", s.Orb.expired_in_queue,
+      [ "server:expired_in_queue"; "server:doomed_in_queue" ]);
+    ("retry_budget_exhaustions", s.Orb.retry_budget_exhaustions,
+      [ "client:retry_budget_exhausted" ]);
+    ("evicted", s.Orb.evicted, [ "server:evicted" ]);
+    ("drains_clean", s.Orb.drains_clean, [ "server:drained" ]);
+    ("drain_aborted_jobs", s.Orb.drain_aborted_jobs, [ "server:drain_aborted_jobs" ]);
+    ("codec_negotiations", s.Orb.codec_negotiations,
+      [ "client:codec_negotiated"; "server:codec_negotiated" ]);
+    ("codec_fallbacks", s.Orb.codec_fallbacks,
+      [ "client:codec_fallback"; "server:codec_fallback" ]);
+  ]
+
+let test_stats_view_of_registry () =
+  (* A one-credit budget and a three-failure breaker against refused
+     connects: the first call spends the credit on a retry and then
+     exhausts the budget, the second trips the circuit and exhausts it
+     again, and two more calls fast-fail. *)
+  with_faulty_server
+    ~retry:{ no_jitter with max_attempts = 5 }
+    ~retry_budget:{ Orb.Retry.Budget.ratio = 0.; reserve = 1; cap = 1 }
+    ~breaker:{ Orb.Breaker.failure_threshold = 3; reset_timeout = 60. }
+    (fun ~server ~client ~target ->
+      (* One call served, from another client, so the server's counts
+         are not all zero. *)
+      let other = Orb.create ~transport:"mem" ~host:"local" () in
+      Fun.protect ~finally:(fun () -> Orb.shutdown other) (fun () ->
+          Alcotest.(check string) "served" "echo:a" (invoke_echo other target "a"));
+      F.set_plan (fun { F.op; _ } ->
+          match op with `Connect -> Some F.Refuse_connect | _ -> None);
+      let outcome () =
+        match invoke_echo client target "x" with
+        | exception Orb.Retry.Budget_exhausted _ -> "exhausted"
+        | exception Orb.Breaker.Circuit_open _ -> "fast-fail"
+        | exception e -> Printexc.to_string e
+        | r -> r
+      in
+      let outcomes = List.init 4 (fun _ -> outcome ()) in
+      Alcotest.(check (list string)) "scripted outcomes"
+        [ "exhausted"; "exhausted"; "fast-fail"; "fast-fail" ] outcomes;
+      List.iter
+        (fun (who, orb) ->
+          let st = Orb.stats orb in
+          let snap = Obs.Metrics.snapshot (Obs.metrics (Orb.obs orb)) in
+          let counter name = Option.value ~default:0 (List.assoc_opt name snap.counters) in
+          List.iter
+            (fun (field, v, names) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s = %s" who field (String.concat " + " names))
+                (List.fold_left (fun n c -> n + counter c) 0 names)
+                v)
+            (stats_counters st))
+        [ ("client", client); ("server", server) ];
+      let st = Orb.stats client in
+      Alcotest.(check (list int)) "trips, fast fails, exhaustions, retries" [ 1; 2; 2; 1 ]
+        [ st.Orb.breaker_trips; st.Orb.breaker_fast_fails; st.Orb.retry_budget_exhaustions;
+          st.Orb.retries ];
+      Alcotest.(check int) "the server served the first call" 1 (Orb.stats server).Orb.served)
+
 (* ---------------- breaker unit tests ---------------- *)
 
 let test_breaker_state_machine () =
-  let b =
-    Orb.Breaker.create
-      ~config:{ Orb.Breaker.failure_threshold = 2; reset_timeout = 0.05 } ()
-  in
+  let module B = Orb.Breaker in
+  let b = B.create ~config:{ B.failure_threshold = 2; reset_timeout = 0.05 } () in
   let k = "ep" in
-  Alcotest.(check bool) "closed proceeds" true
-    (Orb.Breaker.before_call b k = Orb.Breaker.Proceed);
-  Orb.Breaker.failure b k;
-  Alcotest.(check bool) "one failure stays closed" true
-    (Orb.Breaker.state b k = Orb.Breaker.Closed);
-  Orb.Breaker.failure b k;
-  Alcotest.(check bool) "threshold trips" true
-    (Orb.Breaker.state b k = Orb.Breaker.Open);
-  Alcotest.(check bool) "open fast-fails" true
-    (Orb.Breaker.before_call b k = Orb.Breaker.Fast_fail);
-  Thread.delay 0.06;
-  Alcotest.(check bool) "cool-down grants one probe" true
-    (Orb.Breaker.before_call b k = Orb.Breaker.Probe);
+  let state = Alcotest.testable (Fmt.of_to_string B.state_to_string) ( = ) in
+  let ticket what = function
+    | B.Proceed tk | B.Probe tk -> tk
+    | B.Fast_fail -> Alcotest.failf "%s: fast-failed" what
+  in
+  let tk = ticket "closed proceeds" (B.before_call b k ~now:0.) in
+  Alcotest.(check bool) "one failure does not trip" false (B.failure b k tk ~now:0.);
+  Alcotest.check state "one failure stays closed" B.Closed (B.state b k);
+  Alcotest.(check bool) "threshold trips" true (B.failure b k tk ~now:1.);
+  Alcotest.check state "open" B.Open (B.state b k);
+  Alcotest.(check bool) "open fast-fails" true (B.before_call b k ~now:1.04 = B.Fast_fail);
+  Alcotest.(check bool) "not available inside the cool-down" false
+    (B.available b k ~now:1.04);
+  Alcotest.(check bool) "available once cooled" true (B.available b k ~now:1.05);
+  let probe =
+    match B.before_call b k ~now:1.05 with
+    | B.Probe tk -> tk
+    | _ -> Alcotest.fail "cool-down grants one probe"
+  in
   Alcotest.(check bool) "second caller fast-fails during probe" true
-    (Orb.Breaker.before_call b k = Orb.Breaker.Fast_fail);
-  Orb.Breaker.success b k;
-  Alcotest.(check bool) "probe success closes" true
-    (Orb.Breaker.state b k = Orb.Breaker.Closed);
-  Alcotest.(check int) "one trip counted" 1 (Orb.Breaker.trips b);
+    (B.before_call b k ~now:1.06 = B.Fast_fail);
+  Alcotest.(check bool) "nor is it available" false (B.available b k ~now:1.06);
+  B.success b k probe;
+  Alcotest.check state "probe success closes" B.Closed (B.state b k);
   (* A success resets the consecutive-failure count. *)
-  Orb.Breaker.failure b k;
-  Orb.Breaker.success b k;
-  Orb.Breaker.failure b k;
-  Alcotest.(check bool) "non-consecutive failures do not trip" true
-    (Orb.Breaker.state b k = Orb.Breaker.Closed)
+  let tk = ticket "closed again" (B.before_call b k ~now:2.) in
+  ignore (B.failure b k tk ~now:2.);
+  B.success b k tk;
+  Alcotest.(check bool) "non-consecutive failures do not trip" false
+    (B.failure b k tk ~now:2.);
+  Alcotest.check state "still closed" B.Closed (B.state b k)
 
 let () =
   Alcotest.run "faults"
@@ -562,6 +639,8 @@ let () =
           Alcotest.test_case "application errors don't trip" `Quick
             test_breaker_ignores_application_errors;
           Alcotest.test_case "state machine" `Quick test_breaker_state_machine;
+          Alcotest.test_case "stats is a view of the registry" `Quick
+            test_stats_view_of_registry;
         ] );
       ( "observability",
         [

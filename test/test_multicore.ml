@@ -108,6 +108,7 @@ let test_pool_jobs_overlap () =
   in
   let arrived = Atomic.make 0 in
   let saw_both = Atomic.make 0 in
+  let finished = Atomic.make 0 in
   let job () =
     Atomic.incr arrived;
     (* Rendezvous: wait (bounded) until the other job has also started.
@@ -119,7 +120,8 @@ let test_pool_jobs_overlap () =
     while Atomic.get arrived < 2 && Unix.gettimeofday () < deadline do
       Domain.cpu_relax ()
     done;
-    if Atomic.get arrived >= 2 then Atomic.incr saw_both
+    if Atomic.get arrived >= 2 then Atomic.incr saw_both;
+    Atomic.incr finished
   in
   (match Orb.Pool.submit pool job with
   | `Accepted -> ()
@@ -129,15 +131,15 @@ let test_pool_jobs_overlap () =
   | `Accepted -> ()
   | `Rejected r -> Alcotest.failf "job 2 rejected: %s" r
   | `Expired -> Alcotest.fail "job 2 unexpectedly expired");
+  (* Each job's own side effect, then the pool idle. *)
   let deadline = Unix.gettimeofday () +. 10.0 in
   while
-    (Orb.Pool.stats pool).Orb.Pool.completed < 2
+    (Atomic.get finished < 2 || Orb.Pool.active pool > 0 || Orb.Pool.depth pool > 0)
     && Unix.gettimeofday () < deadline
   do
     Thread.delay 0.005
   done;
-  Alcotest.(check int) "both jobs completed" 2
-    (Orb.Pool.stats pool).Orb.Pool.completed;
+  Alcotest.(check int) "both jobs completed" 2 (Atomic.get finished);
   Alcotest.(check int) "both jobs observed each other executing" 2
     (Atomic.get saw_both);
   ignore (Orb.Pool.stop pool)

@@ -73,14 +73,10 @@ let test_pool_runs_jobs () =
     | `Rejected r -> Alcotest.failf "unexpected rejection: %s" r
     | `Expired -> Alcotest.fail "unexpected expiry"
   done;
-  (* A worker counts a job as completed after the job returns: wait for
-     the pool's own count, not just the jobs' side effect. *)
-  eventually ~msg:"20 jobs completed" (fun () ->
-      Atomic.get done_ = 20 && (Orb.Pool.stats pool).Orb.Pool.completed = 20);
-  let s = Orb.Pool.stats pool in
-  Alcotest.(check int) "submitted" 20 s.Orb.Pool.submitted;
-  Alcotest.(check int) "completed" 20 s.Orb.Pool.completed;
-  Alcotest.(check int) "rejected" 0 s.Orb.Pool.rejected;
+  (* Every job's own side effect, then the pool idle: a worker is
+     active until the job it ran has returned. *)
+  eventually ~msg:"20 jobs ran, pool idle" (fun () ->
+      Atomic.get done_ = 20 && Orb.Pool.active pool = 0);
   Alcotest.(check int) "queue empty" 0 (Orb.Pool.depth pool);
   ignore (Orb.Pool.stop pool)
 
@@ -90,6 +86,11 @@ let test_pool_rejects_when_full () =
       { Orb.Pool.default_config with workers = 1; queue_capacity = 1 }
   in
   let wait, release = make_gate () in
+  let ran = Atomic.make 0 in
+  let wait () =
+    wait ();
+    Atomic.incr ran
+  in
   (* Occupy the single worker, then the single queue slot. *)
   (match Orb.Pool.submit pool wait with
   | `Accepted -> ()
@@ -108,8 +109,8 @@ let test_pool_rejects_when_full () =
       Alcotest.(check bool) "reason names overload" true
         (Tutil.contains reason "overloaded"));
   release ();
-  eventually ~msg:"jobs drained" (fun () ->
-      (Orb.Pool.stats pool).Orb.Pool.completed = 2);
+  eventually ~msg:"both accepted jobs ran, pool idle" (fun () ->
+      Atomic.get ran = 2 && Orb.Pool.depth pool = 0 && Orb.Pool.active pool = 0);
   ignore (Orb.Pool.stop pool)
 
 let test_pool_block_admission_deadline () =

@@ -1,12 +1,13 @@
-(* The connection state machines — [Orb.Mux] (the client demux, codec
-   gate and connection cache) and [Orb.Admit] (server admission) — run
-   through every interleaving of small event sets, and the client's one
-   retry decision ([Orb.Retry.decide]) over every combination of its
-   inputs. No threads and no
-   clock: each event is one lock section of the ORB's shell around the
-   module, and a depth-first search tries every enabled event at every
-   state. A state is rebuilt by replaying its schedule into a fresh
-   world, so the modules need no copy function. Each scenario prints
+(* The state machines — [Orb.Mux] (the client demux, codec gate and
+   connection cache), [Orb.Admit] (server admission),
+   [Orb.Breaker.Circuit] (one endpoint's circuit breaker) and
+   [Orb.Pool.Core] (the worker pool) — run through every interleaving
+   of small event sets, and the client's one retry decision
+   ([Orb.Retry.decide]) over every combination of its inputs. No
+   threads and no clock: each event is one lock section of the shell
+   around the module, and a depth-first search tries every enabled
+   event at every state. A state is rebuilt by replaying its schedule
+   into a fresh world, so the modules need no copy function. Each scenario prints
    how many complete interleavings it explored; a broken rule fails
    with the first schedule found that breaks it. *)
 
@@ -639,6 +640,412 @@ let admit_scenarios =
                { oneway = true; budget = true } ] };
   ]
 
+(* ---------------- Breaker: one endpoint's circuit ---------------- *)
+
+module B = Orb.Breaker
+module C = Orb.Breaker.Circuit
+
+(* A call the gate let through: its ticket, whether it is the probe,
+   and whether the circuit has changed state since it was let through
+   (a late call). *)
+type bcall = Ready | Flight of B.ticket * bool * bool
+
+type bscenario = {
+  bname : string;
+  threshold : int;
+  callers : int;
+  calls : int;  (* gates per caller *)
+  ticks : int;  (* half cool-downs the clock may advance *)
+}
+
+type bcaller = { mutable left : int; mutable at : bcall }
+
+type bworld = {
+  bsc : bscenario;
+  bcfg : B.config;
+  c : C.t;
+  bc : bcaller array;
+  mutable clock : float;
+  mutable ticks_left : int;
+  mutable tripped : int;  (* [failure] verdicts that tripped *)
+  mutable opened : int;  (* transitions into Open *)
+  mutable last_gate : B.decision option;
+}
+
+type bevent = Gate of int | Succeed of int | Fail of int | Tick
+
+let show_b = function
+  | Gate i -> Printf.sprintf "caller %d gates" i
+  | Succeed i -> Printf.sprintf "caller %d succeeds" i
+  | Fail i -> Printf.sprintf "caller %d fails" i
+  | Tick -> "half a cool-down passes"
+
+let cool = 1.0
+let show_st = B.state_to_string
+
+let show_decision = function
+  | B.Proceed _ -> "Proceed"
+  | B.Probe _ -> "Probe"
+  | B.Fast_fail -> "Fast_fail"
+
+let b_fresh bsc () =
+  { bsc; bcfg = { B.failure_threshold = bsc.threshold; reset_timeout = cool };
+    c = C.create ();
+    bc = Array.init bsc.callers (fun _ -> { left = bsc.calls; at = Ready });
+    clock = 0.; ticks_left = bsc.ticks; tripped = 0; opened = 0; last_gate = None }
+
+let circuit c = (c.C.st, c.C.failures, c.C.opened_at, c.C.gen)
+
+(* Each event checks its verdict against the rules written out on their
+   own: the gate proceeds exactly when closed and probes exactly when
+   open past the cool-down, [available] agrees with it at the same
+   [now] (d); a late report moves nothing (a, c); a current one closes,
+   counts or trips as the rules say. *)
+let b_apply w e =
+  let st0, failures0, opened_at0, _ = circuit w.c in
+  let before = circuit w.c in
+  let admitted = ref (-1) in
+  (match e with
+  | Gate i ->
+      let caller = w.bc.(i) in
+      let avail = C.available w.bcfg w.c ~now:w.clock in
+      let v = C.gate w.bcfg w.c ~now:w.clock in
+      w.last_gate <- Some v;
+      caller.left <- caller.left - 1;
+      if avail <> (v <> B.Fast_fail) then
+        violation "available said %b, the gate at the same now %s" avail (show_decision v);
+      let cooled = w.clock -. opened_at0 >= cool in
+      (match (v, st0) with
+      | B.Proceed tk, B.Closed ->
+          admitted := i;
+          caller.at <- Flight (tk, false, false)
+      | B.Probe tk, B.Open when cooled ->
+          admitted := i;
+          caller.at <- Flight (tk, true, false)
+      | B.Fast_fail, B.Open when not cooled -> ()
+      | B.Fast_fail, B.Half_open -> ()
+      | _ -> violation "the gate said %s in %s" (show_decision v) (show_st st0))
+  | Succeed i | Fail i -> (
+      let caller = w.bc.(i) in
+      let tk, probe, late =
+        match caller.at with
+        | Flight (tk, probe, late) -> (tk, probe, late)
+        | Ready -> violation "caller %d reports no call" i
+      in
+      caller.at <- Ready;
+      let tripped =
+        match e with
+        | Succeed _ ->
+            C.success w.c tk;
+            false
+        | _ -> C.failure w.bcfg w.c tk ~now:w.clock
+      in
+      if tripped then w.tripped <- w.tripped + 1;
+      let st, failures, opened_at, _ = circuit w.c in
+      if late then begin
+        if circuit w.c <> before then
+          violation "a late %s moved the circuit (%s -> %s)"
+            (match e with Succeed _ -> "success" | _ -> "failure")
+            (show_st st0) (show_st st)
+      end
+      else
+        match e with
+        | Succeed _ ->
+            if st <> B.Closed || failures <> 0 then
+              violation "a current success left it %s with %d failures" (show_st st) failures;
+            if (not probe) && st0 <> B.Closed then violation "a closed call reported in %s" (show_st st0)
+        | _ ->
+            let trip = probe || failures0 + 1 >= w.bsc.threshold in
+            if tripped <> trip then violation "failure verdict tripped=%b, rule says %b" tripped trip;
+            if trip && (st <> B.Open || opened_at <> w.clock) then
+              violation "a trip left it %s opened at %g" (show_st st) opened_at;
+            if (not trip) && (st <> st0 || failures <> failures0 + 1) then
+              violation "a counted failure left it %s with %d failures" (show_st st) failures)
+  | Tick ->
+      w.clock <- w.clock +. (cool /. 2.);
+      w.ticks_left <- w.ticks_left - 1);
+  let st, _, opened_at, _ = circuit w.c in
+  if st <> st0 then begin
+    if st = B.Open then w.opened <- w.opened + 1;
+    (* Every call let through before the change is late from now on. *)
+    Array.iteri
+      (fun j cl ->
+        match cl.at with
+        | Flight (tk, p, _) when j <> !admitted -> cl.at <- Flight (tk, p, true)
+        | _ -> ())
+      w.bc
+  end;
+  if opened_at <> opened_at0 && st <> B.Open then
+    violation "opened_at moved without a trip (c)";
+  let probes =
+    Array.fold_left
+      (fun n cl -> match cl.at with Flight (_, true, _) -> n + 1 | _ -> n)
+      0 w.bc
+  in
+  if probes > 1 then violation "%d probes in flight (b)" probes;
+  if (st = B.Half_open) <> (probes = 1) then
+    violation "%s with %d probes in flight" (show_st st) probes;
+  if w.tripped <> w.opened then
+    violation "%d trips reported for %d transitions into open" w.tripped w.opened
+
+let b_enabled w =
+  let acc = ref [] in
+  if w.ticks_left > 0 then acc := [ Tick ];
+  Array.iteri
+    (fun i cl ->
+      match cl.at with
+      | Flight _ -> acc := Succeed i :: Fail i :: !acc
+      | Ready -> if cl.left > 0 then acc := Gate i :: !acc)
+    w.bc;
+  !acc
+
+let b_final w =
+  if w.c.C.st = B.Half_open then violation "ended half-open"
+
+let b_scenarios =
+  [
+    { bname = "threshold 2, two callers, two calls each"; threshold = 2; callers = 2;
+      calls = 2; ticks = 2 };
+    { bname = "threshold 2, three callers, one call each"; threshold = 2; callers = 3;
+      calls = 1; ticks = 2 };
+    { bname = "threshold 1, two callers, two calls each"; threshold = 1; callers = 2;
+      calls = 2; ticks = 3 };
+  ]
+
+(* The rules of DESIGN.md §5: (a)-(c) as the schedules that broke them
+   before tickets, (d) at the instant the cool-down ends. [expect] gives
+   the last state or gate verdict, and what it must be. *)
+let b_rows =
+  let sc callers ticks = { bname = ""; threshold = 2; callers; calls = 1; ticks } in
+  let trip = [ Gate 0; Gate 1; Gate 2; Fail 0; Fail 1 ] in
+  [
+    ( "(a) a late success leaves the circuit open", sc 3 0, trip @ [ Succeed 2 ],
+      fun w -> (show_st w.c.C.st, "open") );
+    ( "(b) a late failure during the probe grants no second probe", sc 5 4,
+      trip @ [ Tick; Tick; Gate 3; Fail 2; Tick; Tick; Gate 4 ],
+      fun w -> (Option.fold ~none:"" ~some:show_decision w.last_gate, "Fast_fail") );
+    ( "(c) a late failure does not push the probe back", sc 4 2,
+      trip @ [ Tick; Fail 2; Tick; Gate 3 ],
+      fun w -> (Option.fold ~none:"" ~some:show_decision w.last_gate, "Probe") );
+    ( "(d) available and the gate agree at the cool-down's end", sc 4 2,
+      trip @ [ Tick; Gate 2; Tick; Gate 3 ],
+      fun w -> (Option.fold ~none:"" ~some:show_decision w.last_gate, "Probe") );
+  ]
+
+(* ---------------- Pool.Core: the worker pool ---------------- *)
+
+module PC = Orb.Pool.Core
+
+type pscenario = {
+  pname : string;
+  capacity : int;
+  block : bool;  (* Block admission with a 1 s deadline, else Reject *)
+  pworkers : int;
+  budgets : bool list;  (* one submit each; a budget lapses at t = 2 *)
+  drain_deadline : float option option;  (* [None]: no drain *)
+  stop : bool;
+  pticks : int;  (* seconds the clock may advance *)
+}
+
+type jstate =
+  | Unsubmitted
+  | Waiting of int  (* parked in a Block wait at this [change] epoch *)
+  | Queued
+  | Running
+  | Ran
+  | Refused of string
+  | Expired
+  | Cancelled
+
+type wstate = Fresh | Parked | Busy of int | Gone
+type drainer = Not_draining | Settling of int | Settled
+
+type pworld = {
+  psc : pscenario;
+  pcfg : Orb.Pool.config;
+  core : PC.t;
+  js : jstate array;
+  admission_deadline : float option array;  (* fixed at a job's first submit *)
+  ws : wstate array;
+  mutable q : int list;  (* the mechanism's FIFO, head first *)
+  mutable pclock : float;
+  mutable pticks_left : int;
+  mutable epoch : int;  (* broadcasts on the pool's [change] condition *)
+  mutable drainer : drainer;
+  mutable stopped : bool;
+}
+
+type pevent = Submit of int | Pickup of int | Finish of int | Drain | Stop | Ptick
+
+let show_p = function
+  | Submit i -> Printf.sprintf "submit %d" i
+  | Pickup k -> Printf.sprintf "worker %d picks up" k
+  | Finish k -> Printf.sprintf "worker %d finishes" k
+  | Drain -> "drain"
+  | Stop -> "stop"
+  | Ptick -> "a second passes"
+
+let p_fresh psc () =
+  let n = List.length psc.budgets in
+  { psc;
+    pcfg =
+      { Orb.Pool.default_config with workers = psc.pworkers; queue_capacity = psc.capacity;
+        admission = (if psc.block then Orb.Pool.Block (Some 1.) else Orb.Pool.Reject) };
+    core = PC.create (); js = Array.make n Unsubmitted; admission_deadline = Array.make n None;
+    ws = Array.make psc.pworkers Fresh; q = []; pclock = 0.; pticks_left = psc.pticks;
+    epoch = 0; drainer = Not_draining; stopped = false }
+
+let expire_of w i = if List.nth w.psc.budgets i then Some 2. else None
+let lapsed at now = match at with Some x -> now >= x | None -> false
+let drain_deadline w = Option.join w.psc.drain_deadline
+let busy w = Array.fold_left (fun n s -> match s with Busy _ -> n + 1 | _ -> n) 0 w.ws
+
+(* A parked Block submitter re-decides after a broadcast on [change] or
+   once its wait bound passes; so does a parked drainer. *)
+let bound w i =
+  match (w.admission_deadline.(i), expire_of w i) with
+  | Some d, Some x -> Some (Float.min d x)
+  | (Some _ as d), None -> d
+  | None, x -> x
+
+let settle w =
+  match PC.settled w.core ~deadline:(drain_deadline w) ~now:w.pclock with
+  | PC.Drained ->
+      if w.q <> [] || busy w > 0 then violation "drained with work left";
+      w.drainer <- Settled
+  | PC.Aborted n ->
+      if not (lapsed (drain_deadline w) w.pclock) then violation "aborted before the drain deadline";
+      if n <> List.length w.q + busy w then violation "aborted %d of %d" n (List.length w.q + busy w);
+      w.drainer <- Settled
+  | PC.Pending -> w.drainer <- Settling w.epoch
+
+let p_apply w e =
+  let phase0 = w.core.PC.phase in
+  let full = List.length w.q >= w.psc.capacity in
+  (match e with
+  | Submit i -> (
+      if w.js.(i) = Unsubmitted && w.psc.block then
+        w.admission_deadline.(i) <- Some (w.pclock +. 1.);
+      let expire = expire_of w i and deadline = w.admission_deadline.(i) in
+      match PC.submit w.pcfg w.core ~expire ~deadline ~now:w.pclock with
+      | PC.Accept ->
+          if phase0 <> PC.Accepting then violation "job %d accepted while not accepting" i;
+          if full then violation "job %d accepted into a full queue" i;
+          if lapsed expire w.pclock then violation "job %d accepted after its expiry" i;
+          w.js.(i) <- Queued;
+          w.q <- w.q @ [ i ]
+      | PC.Refuse r ->
+          let ok =
+            if r = Orb.Pool.refused_draining then phase0 <> PC.Accepting
+            else full && phase0 = PC.Accepting
+                 && ((not w.psc.block) || lapsed deadline w.pclock)
+          in
+          if not ok then violation "job %d refused (%s)" i r;
+          w.js.(i) <- Refused r
+      | PC.Expire ->
+          if not (lapsed expire w.pclock) then violation "job %d expired early" i;
+          w.js.(i) <- Expired
+      | PC.Wait ->
+          if not (w.psc.block && full && phase0 = PC.Accepting) then
+            violation "job %d told to wait" i;
+          w.js.(i) <- Waiting w.epoch)
+  | Pickup k -> (
+      match PC.pickup w.core with
+      | PC.Take -> (
+          match w.q with
+          | [] -> violation "worker %d took from an empty queue" k
+          | j :: rest ->
+              if w.js.(j) <> Queued then violation "job %d taken twice" j;
+              w.q <- rest;
+              w.js.(j) <- Running;
+              w.ws.(k) <- Busy j;
+              w.epoch <- w.epoch + 1)
+      | PC.Idle ->
+          if w.q <> [] || phase0 = PC.Stopped then violation "worker %d idles with work or stopped" k;
+          w.ws.(k) <- Parked
+      | PC.Exit ->
+          if w.q <> [] || phase0 <> PC.Stopped then violation "worker %d exits early" k;
+          w.ws.(k) <- Gone)
+  | Finish k ->
+      (match w.ws.(k) with Busy j -> w.js.(j) <- Ran | _ -> violation "worker %d idle" k);
+      PC.finish w.core;
+      w.ws.(k) <- Fresh;
+      w.epoch <- w.epoch + 1
+  | Drain ->
+      if w.drainer = Not_draining then begin
+        PC.drain w.core;
+        if phase0 = PC.Accepting && w.core.PC.phase <> PC.Draining then violation "drain kept accepting";
+        w.epoch <- w.epoch + 1
+      end;
+      settle w
+  | Stop ->
+      let n = PC.stop w.core in
+      if n <> List.length w.q then violation "stop dropped %d of %d queued" n (List.length w.q);
+      List.iter (fun j -> w.js.(j) <- Cancelled) w.q;
+      w.q <- [];
+      w.stopped <- true;
+      w.epoch <- w.epoch + 1
+  | Ptick ->
+      w.pclock <- w.pclock +. 1.;
+      w.pticks_left <- w.pticks_left - 1);
+  if w.core.PC.queued <> List.length w.q then
+    violation "queued %d but %d in the queue" w.core.PC.queued (List.length w.q);
+  if w.core.PC.active <> busy w then violation "active %d but %d workers busy" w.core.PC.active (busy w);
+  if List.length w.q > w.psc.capacity then violation "queue over capacity";
+  if w.drainer <> Not_draining && w.core.PC.phase = PC.Accepting then violation "accepting after drain"
+
+let p_enabled w =
+  let acc = ref [] in
+  let add e = acc := e :: !acc in
+  Array.iteri
+    (fun i s ->
+      match s with
+      | Unsubmitted -> add (Submit i)
+      | Waiting e when e < w.epoch || lapsed (bound w i) w.pclock -> add (Submit i)
+      | _ -> ())
+    w.js;
+  Array.iteri
+    (fun k s ->
+      match s with
+      | Fresh -> add (Pickup k)
+      | Parked when w.q <> [] || w.stopped -> add (Pickup k)
+      | Busy _ -> add (Finish k)
+      | Parked | Gone -> ())
+    w.ws;
+  (match (w.psc.drain_deadline, w.drainer) with
+  | Some _, Not_draining -> add Drain
+  | Some d, Settling e when e < w.epoch || lapsed d w.pclock -> add Drain
+  | _ -> ());
+  if w.psc.stop && not w.stopped then add Stop;
+  if w.pticks_left > 0 then add Ptick;
+  !acc
+
+let p_final w =
+  Array.iteri
+    (fun i s ->
+      match s with
+      | Ran | Refused _ | Expired | Cancelled -> ()
+      | Unsubmitted | Waiting _ | Queued | Running -> violation "job %d ended with no outcome" i)
+    w.js;
+  (match w.drainer with Settling _ -> violation "the drain never returned" | _ -> ());
+  if w.stopped && Array.exists (fun s -> s <> Gone) w.ws then violation "a worker outlived stop";
+  if w.core.PC.queued <> 0 || w.core.PC.active <> 0 then violation "ended with work counted"
+
+let p_scenarios =
+  let p = { pname = ""; capacity = 1; block = false; pworkers = 1; budgets = [];
+            drain_deadline = None; stop = false; pticks = 0 } in
+  [
+    { p with pname = "Reject, capacity 1, one worker, drain by 1 s, stop";
+      budgets = [ false; false; false ]; drain_deadline = Some (Some 1.); stop = true;
+      pticks = 1 };
+    { p with pname = "Block, capacity 1, one worker, a budget, drain";
+      block = true; budgets = [ true; false; false ]; drain_deadline = Some None; pticks = 1 };
+    { p with pname = "Reject, capacity 2, two workers, stop";
+      capacity = 2; pworkers = 2; budgets = [ false; false; false ]; stop = true };
+    { p with pname = "Block, capacity 1, two workers, a budget, stop";
+      block = true; pworkers = 2; budgets = [ true; false ]; stop = true; pticks = 2 };
+  ]
+
 (* ---------------- Retry.decide: the one re-send rule ---------------- *)
 
 module R = Orb.Retry
@@ -720,9 +1127,7 @@ let test_decide () =
       fail "resend_safe disagrees with the rule";
     let spent = if credit then 1 - R.Budget.balance budget else 0 in
     if spent <> (if v = R.Retry_after nap then 1 else 0) then
-      fail (Printf.sprintf "spent %d credits" spent);
-    if R.Budget.exhaustions budget <> (if v = R.Exhausted then 1 else 0) then
-      fail "exhaustion count"
+      fail (Printf.sprintf "spent %d credits" spent)
   in
   List.iter
     (fun cls ->
@@ -786,6 +1191,38 @@ let test_admit () =
   in
   Alcotest.(check bool) ">= 10^4 interleavings" true (total >= 10_000)
 
+let test_breaker () =
+  let total =
+    run_all ~what:"Breaker"
+      (List.map (fun bsc -> (bsc.bname, bsc)) b_scenarios)
+      (fun bsc ->
+        explore ~fresh:(b_fresh bsc) ~enabled:b_enabled ~apply:b_apply ~final:b_final
+          ~show:show_b)
+  in
+  Alcotest.(check bool) ">= 10^4 interleavings" true (total >= 10_000)
+
+let test_breaker_rules () =
+  List.iter
+    (fun (name, bsc, schedule, expect) ->
+      let w = b_fresh bsc () in
+      (try List.iter (b_apply w) schedule
+       with Violation m -> Alcotest.failf "%s: %s" name m);
+      let got, want = expect w in
+      if got <> want then
+        Alcotest.failf "%s: got %s, want %s after %s" name got want
+          (String.concat "; " (List.map show_b schedule)))
+    b_rows
+
+let test_pool () =
+  let total =
+    run_all ~what:"Pool"
+      (List.map (fun psc -> (psc.pname, psc)) p_scenarios)
+      (fun psc ->
+        explore ~fresh:(p_fresh psc) ~enabled:p_enabled ~apply:p_apply ~final:p_final
+          ~show:show_p)
+  in
+  Alcotest.(check bool) ">= 10^4 interleavings" true (total >= 10_000)
+
 let () =
   Alcotest.run "state_machines"
     [
@@ -793,7 +1230,11 @@ let () =
         [
           Alcotest.test_case "Mux: every interleaving" `Quick test_mux;
           Alcotest.test_case "Admit: every interleaving" `Quick test_admit;
+          Alcotest.test_case "Breaker: every interleaving" `Quick test_breaker;
+          Alcotest.test_case "Pool: every interleaving" `Quick test_pool;
         ] );
+      ( "breaker",
+        [ Alcotest.test_case "Breaker: rules (a)-(d)" `Quick test_breaker_rules ] );
       ( "retry",
         [ Alcotest.test_case "Retry.decide: every combination" `Quick test_decide ] );
     ]
