@@ -31,6 +31,56 @@ let test_keywords_case_sensitive () =
   check_tokens "case" "Module TRUE true"
     [ Idl.Token.IDENT "Module"; Idl.Token.KW_true; Idl.Token.IDENT "true" ]
 
+(* Every entry of the keyword table lexes to its own token, and
+   [to_string] names it as that keyword. *)
+let test_keyword_table () =
+  List.iter
+    (fun (name, kw) ->
+      check_tokens name name [ kw ];
+      Alcotest.(check string)
+        (name ^ " to_string") (Printf.sprintf "keyword %S" name)
+        (Idl.Token.to_string kw))
+    Idl.Token.keyword_table
+
+let test_keyword_near_misses () =
+  List.iter
+    (fun s -> check_tokens s s [ Idl.Token.IDENT s ])
+    [ "Module"; "modules"; "in_"; "inx"; "TRUE_"; "True"; "sequence2" ]
+
+(* The reference [of_ident] is the plain association-list lookup. *)
+let reference_of_ident s =
+  match List.assoc_opt s Idl.Token.keyword_table with
+  | Some kw -> kw
+  | None -> Idl.Token.IDENT s
+
+(* A keyword, left as it is or changed in one place: a letter's case
+   flipped, a character dropped, replaced or inserted, or a suffix. *)
+let gen_keyword_like =
+  QCheck.Gen.(
+    let ident_char = oneofl (String.to_seq "aAeEinoOrtTuU_09" |> List.of_seq) in
+    let* kw = oneofl (List.map fst Idl.Token.keyword_table) in
+    let n = String.length kw in
+    let* i = int_bound (n - 1) in
+    let* c = ident_char in
+    let flip ch =
+      if Char.lowercase_ascii ch = ch then Char.uppercase_ascii ch
+      else Char.lowercase_ascii ch
+    in
+    oneofl
+      [
+        kw;
+        String.mapi (fun j ch -> if j = i then flip ch else ch) kw;
+        String.sub kw 0 i ^ String.sub kw (i + 1) (n - i - 1);
+        String.mapi (fun j ch -> if j = i then c else ch) kw;
+        String.sub kw 0 i ^ String.make 1 c ^ String.sub kw i (n - i);
+        kw ^ String.make 1 c;
+      ])
+
+let of_ident_prop =
+  QCheck.Test.make ~count:2000 ~name:"of_ident agrees with the keyword list"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_keyword_like)
+    (fun s -> Idl.Token.of_ident s = reference_of_ident s)
+
 let test_integers () =
   check_tokens "ints" "0 42 0x2A 052"
     [
@@ -120,5 +170,12 @@ let () =
           Alcotest.test_case "preprocessor lines skipped" `Quick test_preprocessor_skipped;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "line tracking" `Quick test_line_tracking;
+        ] );
+      ( "keywords",
+        [
+          Alcotest.test_case "every table entry" `Quick test_keyword_table;
+          Alcotest.test_case "near-misses are identifiers" `Quick
+            test_keyword_near_misses;
+          QCheck_alcotest.to_alcotest of_ident_prop;
         ] );
     ]
