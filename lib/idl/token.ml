@@ -106,8 +106,14 @@ let keyword_table : (string * t) list =
     ("FALSE", KW_false);
   ]
 
+(* Every identifier the lexer reads goes through [of_ident], so the list
+   is hashed once here. The table is only read after module
+   initialisation, which makes concurrent lookups from several domains
+   safe. *)
+let keywords = Hashtbl.of_seq (List.to_seq keyword_table)
+
 let of_ident s =
-  match List.assoc_opt s keyword_table with Some kw -> kw | None -> IDENT s
+  match Hashtbl.find_opt keywords s with Some kw -> kw | None -> IDENT s
 
 let to_string = function
   | IDENT s -> Printf.sprintf "identifier %S" s

@@ -516,8 +516,11 @@ let serve_connection t sc =
         (* [?expire] caps any Block parking at the request's own budget. *)
         match Pool.submit pool ~cancel ?expire:expiry job with
         | `Accepted ->
-            Obs.set_gauge t.obs ~name:"server:pool_depth"
-              (float_of_int (Pool.depth pool))
+            (* [Pool.depth] takes the pool lock: read it only when the
+               gauge keeps it. *)
+            if Obs.enabled t.obs then
+              Obs.set_gauge t.obs ~name:"server:pool_depth"
+                (float_of_int (Pool.depth pool))
         | (`Rejected _ | `Expired) as o ->
             refuse req (uncount (fun c -> Admit.submitted c o)))
   in

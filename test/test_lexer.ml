@@ -154,6 +154,30 @@ let test_line_tracking () =
   let p = Lexing.lexeme_start_p lexbuf in
   Alcotest.(check int) "line" 3 p.Lexing.pos_lnum
 
+(* Two domains lex string literals at once; each literal must come back
+   as written, whatever the other domain is scanning. *)
+let test_string_literals_across_domains () =
+  let literal d i k = Printf.sprintf "d%d-spec%d-const%d-%s" d i k (String.make 40 'x') in
+  let consts = 8 in
+  let worker d () =
+    for i = 1 to 300 do
+      let src =
+        String.concat "\n"
+          (List.init consts (fun k ->
+               Printf.sprintf "const string S%d = \"%s\";" k (literal d i k)))
+      in
+      List.iteri
+        (fun k def ->
+          match def with
+          | Idl.Ast.D_const { cn_value = Idl.Ast.String_lit got; _ } ->
+              if got <> literal d i k then
+                Alcotest.failf "domain %d spec %d const %d: got %S" d i k got
+          | _ -> Alcotest.fail "expected a string constant")
+        (Idl.Parser.parse_string src)
+    done
+  in
+  List.map (fun d -> Domain.spawn (worker d)) [ 1; 2 ] |> List.iter Domain.join
+
 let () =
   Alcotest.run "lexer"
     [
@@ -170,6 +194,8 @@ let () =
           Alcotest.test_case "preprocessor lines skipped" `Quick test_preprocessor_skipped;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "line tracking" `Quick test_line_tracking;
+          Alcotest.test_case "string literals across domains" `Quick
+            test_string_literals_across_domains;
         ] );
       ( "keywords",
         [
