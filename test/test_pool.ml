@@ -8,12 +8,15 @@ module F = Orb.Transport.Fault
 
 let echo_type = "IDL:Test/Echo:1.0"
 
-let echo_skeleton () =
+(* [entered] counts the "sleepy" calls that reached the servant: a
+   test awaits it instead of sleeping for the call to get there. *)
+let echo_skeleton ?(entered = Atomic.make 0) () =
   Orb.Skeleton.create ~type_id:echo_type
     [
       ("echo", fun args results ->
           results.Wire.Codec.put_string ("echo:" ^ args.Wire.Codec.get_string ()));
       ("sleepy", fun args results ->
+          Atomic.incr entered;
           Thread.delay (float_of_int (args.Wire.Codec.get_long ()) /. 1000.);
           results.Wire.Codec.put_bool true);
     ]
@@ -56,6 +59,31 @@ let make_gate () =
     Mutex.unlock m
   in
   (wait, release)
+
+(* ---------------- drain helpers ---------------- *)
+
+(* Each drain test runs in both server modes: the default worker pool,
+   and thread per connection (the paper's Fig. 5 loop). *)
+let per_connection = { Orb.default_server_policy with pool = None }
+
+let drain_server policy entered =
+  let server = Orb.create ~transport:"mem" ~host:"local" ~server_policy:policy () in
+  Orb.start server;
+  (server, Orb.export server (echo_skeleton ~entered ()))
+
+let await_entered entered n =
+  eventually ~msg:(Printf.sprintf "%d call(s) in the servant" n) (fun () ->
+      Atomic.get entered >= n)
+
+(* Shutdown sets the draining flag before it closes the listener, so
+   once a connect is refused the server is draining. *)
+let await_draining server =
+  eventually ~msg:"the listener closed" (fun () ->
+      match Orb.Transport.connect ~proto:"mem" ~host:"local" ~port:(Orb.port server) with
+      | chan ->
+          chan.Orb.Transport.close ();
+          false
+      | exception Orb.Transport.Transport_error _ -> true)
 
 (* ---------------- pool unit tests ---------------- *)
 
@@ -159,44 +187,117 @@ let test_pool_block_admission_deadline () =
       Orb.Pool.depth pool = 0 && Orb.Pool.active pool = 0);
   ignore (Orb.Pool.stop pool)
 
+(* A servant whose "gated" op counts its entry, waits for the gate and
+   counts its return. *)
+let gated_skeleton gate_wait ~entered ~returned =
+  Orb.Skeleton.create ~type_id:echo_type
+    [
+      ("gated", fun _ results ->
+          Atomic.incr entered;
+          gate_wait ();
+          Atomic.incr returned;
+          results.Wire.Codec.put_bool true);
+      ("echo", fun args results ->
+          results.Wire.Codec.put_string ("echo:" ^ args.Wire.Codec.get_string ()));
+    ]
+
+(* A raw connection to [server]: [send_req id op] pipelines a request,
+   and [sync ()] returns once the server's reader has handled every
+   request sent before it (it answers a locate inline, in order). *)
+let raw_connection server target =
+  let chan =
+    Orb.Transport.connect ~proto:"mem" ~host:"local" ~port:(Orb.port server)
+  in
+  let comm = Orb.Communicator.wrap Orb.Protocol.text chan in
+  let send_req req_id operation payload =
+    Orb.Communicator.send comm
+      (Orb.Protocol.Request
+         { req_id; target; operation; oneway = false; payload; trace_ctx = "";
+           budget_us = None; nego_offer = "" })
+  in
+  let sync () =
+    Orb.Communicator.send comm (Orb.Protocol.Locate_request { req_id = 0; target });
+    Tutil.with_watchdog ~seconds:5.0 ~what:"locate reply"
+      ~on_expiry:(fun () -> Orb.Communicator.close comm)
+      (fun () ->
+        match Orb.Communicator.recv comm with
+        | Orb.Protocol.Locate_reply { rep_id = 0; _ } -> ()
+        | _ -> Alcotest.fail "expected the locate reply first")
+  in
+  (comm, send_req, sync)
+
 let test_pool_drain () =
-  (* Clean drain: everything in flight finishes, then submits fail. *)
-  let pool =
-    Orb.Pool.create
-      { Orb.Pool.default_config with workers = 2; queue_capacity = 8 }
-  in
-  let done_ = Atomic.make 0 in
-  for _ = 1 to 6 do
-    ignore
-      (Orb.Pool.submit pool (fun () ->
-           Thread.delay 0.01;
-           Atomic.incr done_))
-  done;
-  (match Orb.Pool.drain pool ~deadline:(Some (Unix.gettimeofday () +. 5.0)) with
-  | `Drained -> ()
-  | `Aborted n -> Alcotest.failf "drain aborted with %d jobs left" n);
-  Alcotest.(check int) "all jobs ran before drain returned" 6 (Atomic.get done_);
-  (match Orb.Pool.submit pool (fun () -> ()) with
-  | `Accepted -> Alcotest.fail "draining pool accepted a job"
-  | `Expired -> Alcotest.fail "draining pool reported expiry"
-  | `Rejected reason ->
-      Alcotest.(check bool) "reason names draining" true
-        (Tutil.contains reason "draining"));
-  ignore (Orb.Pool.stop pool);
-  (* Aborted drain: a stuck job forces the deadline path. *)
-  let pool =
-    Orb.Pool.create
-      { Orb.Pool.default_config with workers = 1; queue_capacity = 4 }
-  in
+  (* Clean drain: six queued calls all finish before shutdown returns,
+     and a call during the drain is refused. *)
   let wait, release = make_gate () in
-  ignore (Orb.Pool.submit pool wait);
-  eventually ~msg:"worker busy" (fun () -> Orb.Pool.active pool = 1);
-  ignore (Orb.Pool.submit pool (fun () -> ()));
-  (match Orb.Pool.drain pool ~deadline:(Some (Unix.gettimeofday () +. 0.05)) with
-  | `Drained -> Alcotest.fail "drain with a stuck job reported clean"
-  | `Aborted n -> Alcotest.(check int) "stuck + queued abandoned" 2 n);
+  let entered = Atomic.make 0 and returned = Atomic.make 0 in
+  let server =
+    Orb.create ~transport:"mem" ~host:"local"
+      ~server_policy:
+        { Orb.default_server_policy with
+          pool = Some { Orb.Pool.default_config with workers = 2; queue_capacity = 8 } }
+      ()
+  in
+  Orb.start server;
+  let target = Orb.export server (gated_skeleton wait ~entered ~returned) in
+  let comm, send_req, sync = raw_connection server target in
+  for id = 1 to 6 do
+    send_req id "gated" ""
+  done;
+  sync ();
+  let shut =
+    Thread.create (fun () -> Orb.shutdown ~drain_deadline:5.0 server) ()
+  in
+  await_draining server;
+  let late =
+    let e = Orb.Protocol.text.Orb.Protocol.codec.Wire.Codec.encoder () in
+    e.Wire.Codec.put_string "late";
+    e.Wire.Codec.finish ()
+  in
+  send_req 7 "echo" late;
+  Tutil.with_watchdog ~seconds:5.0 ~what:"the late call's refusal"
+    ~on_expiry:(fun () -> Orb.Communicator.close comm)
+    (fun () ->
+      match Orb.Communicator.recv comm with
+      | Orb.Protocol.Reply
+          { rep_id = 7; status = Orb.Protocol.Status_system_error m; _ } ->
+          Alcotest.(check bool) "reason names draining" true
+            (Tutil.contains m "draining")
+      | _ -> Alcotest.fail "expected the late call's draining refusal");
   release ();
-  ignore (Orb.Pool.stop pool)
+  Thread.join shut;
+  Alcotest.(check int) "all calls ran before shutdown returned" 6
+    (Atomic.get returned);
+  let st = Orb.stats server in
+  Alcotest.(check int) "drain counted clean" 1 st.Orb.drains_clean;
+  Alcotest.(check int) "nothing abandoned" 0 st.Orb.drain_aborted_jobs;
+  Orb.Communicator.close comm;
+  (* Aborted drain: a stuck call forces the deadline path, with a
+     second call queued behind it. *)
+  let wait, release = make_gate () in
+  let entered = Atomic.make 0 in
+  let server =
+    Orb.create ~transport:"mem" ~host:"local"
+      ~server_policy:
+        { Orb.default_server_policy with
+          pool = Some { Orb.Pool.default_config with workers = 1; queue_capacity = 4 } }
+      ()
+  in
+  Orb.start server;
+  let target =
+    Orb.export server (gated_skeleton wait ~entered ~returned:(Atomic.make 0))
+  in
+  let comm, send_req, sync = raw_connection server target in
+  send_req 1 "gated" "";
+  send_req 2 "gated" "";
+  sync ();
+  await_entered entered 1;
+  Orb.shutdown ~drain_deadline:0.05 server;
+  let st = Orb.stats server in
+  Alcotest.(check int) "no clean drain" 0 st.Orb.drains_clean;
+  Alcotest.(check int) "stuck + queued abandoned" 2 st.Orb.drain_aborted_jobs;
+  release ();
+  Orb.Communicator.close comm
 
 (* ---------------- default sizing ---------------- *)
 
@@ -402,10 +503,9 @@ let test_idle_lru_eviction () =
 
 (* ---------------- graceful drain ---------------- *)
 
-let test_graceful_drain_completes_inflight () =
-  let server = Orb.create ~transport:"mem" ~host:"local" () in
-  Orb.start server;
-  let target = Orb.export server (echo_skeleton ()) in
+let test_graceful_drain_completes_inflight policy () =
+  let entered = Atomic.make 0 in
+  let server, target = drain_server policy entered in
   let client =
     Orb.create ~transport:"mem" ~host:"local" ~retry:Orb.Retry.none ()
   in
@@ -423,9 +523,9 @@ let test_graceful_drain_completes_inflight () =
           | exception e -> `Exn (Printexc.to_string e))
       ()
   in
-  (* Let the call reach the worker, then shut down with a grace window
+  (* Once the call is in the servant, shut down with a grace window
      longer than the remaining work: the reply must still be delivered. *)
-  Thread.delay 0.08;
+  await_entered entered 1;
   Orb.shutdown ~drain_deadline:3.0 server;
   Thread.join t;
   (match !result with
@@ -438,10 +538,9 @@ let test_graceful_drain_completes_inflight () =
   Alcotest.(check int) "nothing abandoned" 0 st.Orb.drain_aborted_jobs;
   Orb.shutdown client
 
-let test_drain_deadline_aborts () =
-  let server = Orb.create ~transport:"mem" ~host:"local" () in
-  Orb.start server;
-  let target = Orb.export server (echo_skeleton ()) in
+let test_drain_deadline_aborts policy () =
+  let entered = Atomic.make 0 in
+  let server, target = drain_server policy entered in
   let client =
     Orb.create ~transport:"mem" ~host:"local" ~retry:Orb.Retry.none ()
   in
@@ -459,7 +558,7 @@ let test_drain_deadline_aborts () =
           | exception _ -> `Failed)
       ()
   in
-  Thread.delay 0.08;
+  await_entered entered 1;
   (* Grace window far shorter than the in-flight work: the drain must
      give up at its deadline (not wait the full 1.5 s) and account for
      the abandoned dispatch. *)
@@ -480,12 +579,11 @@ let test_drain_deadline_aborts () =
   | `Pending -> Alcotest.fail "call never finished");
   Orb.shutdown client
 
-let test_draining_rejects_new_requests () =
+let test_draining_rejects_new_requests policy () =
   (* While a drain is in progress, a new request on an existing
      connection is answered with a "draining" system exception. *)
-  let server = Orb.create ~transport:"mem" ~host:"local" () in
-  Orb.start server;
-  let target = Orb.export server (echo_skeleton ()) in
+  let entered = Atomic.make 0 in
+  let server, target = drain_server policy entered in
   let client =
     Orb.create ~transport:"mem" ~host:"local" ~retry:Orb.Retry.none ()
   in
@@ -508,11 +606,11 @@ let test_draining_rejects_new_requests () =
         with _ -> ())
       ()
   in
-  Thread.delay 0.08;
+  await_entered entered 1;
   let shut =
     Thread.create (fun () -> Orb.shutdown ~drain_deadline:3.0 server) ()
   in
-  Thread.delay 0.08;
+  await_draining server;
   (match
      Orb.invoke client target ~op:"echo" (fun e -> e.Wire.Codec.put_string "late")
    with
@@ -793,13 +891,18 @@ let () =
           Alcotest.test_case "idle-LRU eviction" `Quick test_idle_lru_eviction;
         ] );
       ( "drain",
-        [
-          Alcotest.test_case "completes in-flight" `Quick
-            test_graceful_drain_completes_inflight;
-          Alcotest.test_case "deadline aborts" `Quick test_drain_deadline_aborts;
-          Alcotest.test_case "rejects during window" `Quick
-            test_draining_rejects_new_requests;
-        ] );
+        List.concat_map
+          (fun (mode, policy) ->
+            [
+              Alcotest.test_case ("completes in-flight" ^ mode) `Quick
+                (test_graceful_drain_completes_inflight policy);
+              Alcotest.test_case ("deadline aborts" ^ mode) `Quick
+                (test_drain_deadline_aborts policy);
+              Alcotest.test_case ("rejects during window" ^ mode) `Quick
+                (test_draining_rejects_new_requests policy);
+            ])
+          [ ("", Orb.default_server_policy); (", per connection", per_connection) ]
+      );
       ( "deadline",
         [
           Alcotest.test_case "expires in queue, servant never runs" `Quick
