@@ -1,4 +1,4 @@
-type t = { cap : int; mutable draining : bool }
+type t = { cap : int; mutable draining : bool; mutable unanswered : int }
 type conn = { mutable inflight : int }
 
 type refusal =
@@ -12,8 +12,9 @@ type refusal =
   | Cancelled
 
 type verdict = Run | Refuse of refusal
+type settle = Drained | Aborted of int | Pending
 
-let create ~cap = { cap; draining = false }
+let create ~cap = { cap; draining = false; unanswered = 0 }
 let conn () = { inflight = 0 }
 
 let arrive t c ~expiry ~now =
@@ -24,12 +25,15 @@ let arrive t c ~expiry ~now =
     | Some x when now >= x -> Refuse Expired_at_decode
     | _ ->
         c.inflight <- c.inflight + 1;
+        t.unanswered <- t.unanswered + 1;
         Run
 
-let finish c = c.inflight <- c.inflight - 1
+let finish t c =
+  c.inflight <- c.inflight - 1;
+  t.unanswered <- t.unanswered - 1
 
-let submitted c outcome =
-  finish c;
+let submitted t c outcome =
+  finish t c;
   match outcome with
   | `Rejected reason -> Rejected reason
   | `Expired -> Expired_awaiting_space
@@ -41,6 +45,11 @@ let pickup ~expiry ~now ~service_us =
       Refuse Doomed_in_queue
   | Some _ | None -> Run
 
-let cancel c =
-  finish c;
+let cancel t c =
+  finish t c;
   Cancelled
+
+let settled t ~deadline ~now =
+  if t.unanswered = 0 then Drained
+  else if now >= deadline then Aborted t.unanswered
+  else Pending

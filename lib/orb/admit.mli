@@ -3,15 +3,17 @@
     {!arrive}, and {!submitted} for a submit the pool refused, under
     the ORB lock; a worker calls {!pickup} before running a queued
     request; every admitted request ends in exactly one {!finish},
-    {!submitted} or {!cancel}. [test/test_state_machines.ml] runs them
-    through every interleaving of small event sets.
+    {!submitted} or {!cancel}. Shutdown's drain asks {!settled}, in
+    either server mode. [test/test_state_machines.ml] runs them through
+    every interleaving of small event sets.
 
     A request's budget is anchored to the server's receive time, so
     [expiry] is an absolute instant on the server clock. *)
 
-type t = { cap : int; mutable draining : bool }
-(** Server-wide: the per-connection pipelining cap ([0] = none), and
-    whether shutdown is draining (every new request is refused). *)
+type t = { cap : int; mutable draining : bool; mutable unanswered : int }
+(** Server-wide: the per-connection pipelining cap ([0] = none), whether
+    shutdown is draining (every new request is refused), and how many
+    admitted requests are not yet answered, on every connection. *)
 
 type conn = { mutable inflight : int }
 (** Per connection: requests admitted and not yet answered. *)
@@ -32,22 +34,32 @@ type refusal =
 
 type verdict = Run | Refuse of refusal
 
+type settle =
+  | Drained  (** nothing admitted is left unanswered *)
+  | Aborted of int  (** past the deadline, with this many unanswered *)
+  | Pending
+
 val create : cap:int -> t
 val conn : unit -> conn
 
 val arrive : t -> conn -> expiry:float option -> now:float -> verdict
 (** Draining, then the cap, then expiry at decode; [Run] counts the
-    request in flight. *)
+    request in flight, on its connection and server-wide. *)
 
-val submitted : conn -> [ `Rejected of string | `Expired ] -> refusal
+val submitted : t -> conn -> [ `Rejected of string | `Expired ] -> refusal
 (** The pool refused the submit: stop counting the request. *)
 
 val pickup : expiry:float option -> now:float -> service_us:int -> verdict
 (** Run it, or shed it ([service_us] is the learned service time, 0
     while unknown). The request stays counted until {!finish}. *)
 
-val finish : conn -> unit
+val finish : t -> conn -> unit
 (** The request was answered, or refused at pickup. *)
 
-val cancel : conn -> refusal
+val cancel : t -> conn -> refusal
 (** The pool stopped before running it: stop counting it. *)
+
+val settled : t -> deadline:float -> now:float -> settle
+(** The drain's answer, whether requests run inline or in the pool:
+    nothing unanswered, or past [deadline] with [unanswered] abandoned,
+    or not yet. *)

@@ -101,8 +101,8 @@ type t = {
          [connection_cache] *)
   mutable listener : Transport.listener option;
   mutable bound_port : int;
-  mutable running : bool;
-  adm : Admit.t;  (* server admission: pipelining cap, draining *)
+  adm : Admit.t;
+      (* server admission: pipelining cap, draining, unanswered count *)
   mutable pool : Pool.t option;  (* workers; created at [start] *)
   cache : (string * string * int, conn) Mux.cache;  (* endpoint -> conn *)
   client_chain : Interceptor.chain;
@@ -174,7 +174,6 @@ let create ?(protocol = Protocol.text) ?(codecs = [])
     lock = Locked.create ~name:"orb" ~rank:Locked.Rank.connection_cache;
     listener = None;
     bound_port = 0;
-    running = false;
     adm = Admit.create ~cap:server_policy.max_pipelined;
     pool = None;
     cache = Mux.cache ();
@@ -447,12 +446,11 @@ let serve_connection t sc =
     | Some rep -> send_msg ~proto (Protocol.Reply rep)
     | None -> ()
   in
-  (* Every uncount broadcasts: it may wake a thread-per-connection
-     drain in [shutdown]. *)
+  (* Every uncount broadcasts: it may wake the drain in [shutdown]. *)
   let uncount f =
     with_lock t (fun () ->
         Locked.broadcast t.lock;
-        f sc.s_adm)
+        f t.adm sc.s_adm)
   in
   let finish () = uncount Admit.finish in
   (* A failed reply means the connection died under it: close it so the
@@ -522,7 +520,7 @@ let serve_connection t sc =
               Obs.set_gauge t.obs ~name:"server:pool_depth"
                 (float_of_int (Pool.depth pool))
         | (`Rejected _ | `Expired) as o ->
-            refuse req (uncount (fun c -> Admit.submitted c o)))
+            refuse req (uncount (fun a c -> Admit.submitted a c o)))
   in
   let rec loop () =
     match Communicator.recv_opt comm with
@@ -588,8 +586,7 @@ let serve_connection t sc =
     ~finally:(fun () ->
       (try Communicator.close comm with _ -> ());
       with_lock t (fun () ->
-          t.accepted <- List.filter (fun c -> c != sc) t.accepted;
-          Locked.broadcast t.lock))
+          t.accepted <- List.filter (fun c -> c != sc) t.accepted))
     (fun () ->
       try loop () with
       | Transport.Transport_error _ -> Communicator.close comm
@@ -625,7 +622,6 @@ let admit_connection t sc =
           | None -> None
           | Some v ->
               t.accepted <- List.filter (fun c -> c != v) t.accepted;
-              Locked.broadcast t.lock;
               Some v
         end
         else None)
@@ -639,12 +635,11 @@ let admit_connection t sc =
 let start t =
   let listener =
     with_lock t (fun () ->
-        if t.running then None
+        if Option.is_some t.listener then None
         else begin
           let l = Transport.listen ~proto:t.transport ~host:t.host ~port:t.cfg_port in
           t.listener <- Some l;
           t.bound_port <- l.Transport.bound_port;
-          t.running <- true;
           t.adm.Admit.draining <- false;
           Mux.reopen t.cache;
           Some l
@@ -655,7 +650,7 @@ let start t =
   | Some l ->
       (* Worker creation happens outside the ORB lock: spawning a
          domain per worker is not instant, and nothing about it needs
-         ORB state. [running] is already true, so a concurrent start
+         ORB state. [listener] is already set, so a concurrent start
          cannot race another pool into existence. *)
       (match with_lock t (fun () -> (t.policy.pool, t.pool)) with
       | Some cfg, None ->
@@ -693,13 +688,16 @@ let start t =
               loop accept_backoff
           | exception Transport.Transport_error msg ->
               (* Two very different failures share this exception: the
-                 listener closing under us (shutdown — exit quietly) and
+                 listener closing under us (shutdown — exit quietly, even
+                 if a restart has already opened the next listener) and
                  a transient resource failure such as fd exhaustion
                  under a connection flood (EMFILE). The latter must not
                  kill the accept loop: sleep — which also gives the
                  connection reaper time to return fds — and retry with
                  the backoff doubling up to a bound. *)
-              if with_lock t (fun () -> t.running) then begin
+              if with_lock t (fun () ->
+                     match t.listener with Some cur -> cur == l | None -> false)
+              then begin
                 Log.warn (fun m ->
                     m "transient accept failure: %s (retrying in %.0f ms)" msg
                       (backoff *. 1000.));
@@ -732,25 +730,24 @@ let mux_kill conn err =
 (* Shutdown in three phases. Phase 1 stops intake: the listener closes
    and [draining] makes every connection reject new requests with a
    diagnosable error. Phase 2 — only with [?drain_deadline] — is the
-   grace window: wait up to that many seconds for requests already
-   admitted to finish dispatching. Phase 3 force-closes whatever
-   remains. Without [drain_deadline] phase 2 is skipped entirely
-   (immediate shutdown, the historical behavior). *)
+   grace window: wait up to that many seconds for [Admit]'s count of
+   admitted, unanswered requests to reach zero, whether they run inline
+   or in the pool (every uncount broadcasts the ORB lock). Phase 3
+   force-closes whatever remains. Without [drain_deadline] phase 2 is
+   skipped entirely (immediate shutdown, the historical behavior). *)
 let shutdown ?drain_deadline t =
-  let listener, pool, was_running =
+  let listener =
     with_lock t (fun () ->
         let l = t.listener in
         t.listener <- None;
-        let was = t.running in
-        t.running <- false;
         t.adm.Admit.draining <- true;
-        (l, t.pool, was))
+        l)
   in
   (match listener with Some l -> l.Transport.shutdown () | None -> ());
-  (match (drain_deadline, was_running) with
-  | None, _ | _, false -> ()
-  | Some grace, true ->
-      let deadline = Some (Unix.gettimeofday () +. grace) in
+  (match (drain_deadline, listener) with
+  | None, _ | _, None -> ()
+  | Some grace, Some _ ->
+      let deadline = Unix.gettimeofday () +. grace in
       let span =
         if Obs.enabled t.obs then
           Some
@@ -759,40 +756,31 @@ let shutdown ?drain_deadline t =
                ())
         else None
       in
-      let result =
-        match pool with
-        | Some pool -> Pool.drain pool ~deadline
-        | None ->
-            (* Thread-per-connection mode: no queue to drain, only the
-               per-connection in-flight counts, whose every decrement
-               (and every connection removal) broadcasts the ORB lock. *)
-            let d = Unix.gettimeofday () +. grace in
-            with_lock t (fun () ->
-                let rec wait () =
-                  let n =
-                    List.fold_left
-                      (fun acc c -> acc + c.s_adm.Admit.inflight)
-                      0 t.accepted
-                  in
-                  if n = 0 then `Drained
-                  else if Unix.gettimeofday () >= d then `Aborted n
-                  else begin
-                    ignore (Locked.wait_until t.lock d);
-                    wait ()
-                  end
-                in
-                wait ())
+      (* A wait reads no clock of its own: past a timeout, [deadline]
+         is known to have passed. *)
+      let aborted =
+        with_lock t (fun () ->
+            let rec go now =
+              match Admit.settled t.adm ~deadline ~now with
+              | Admit.Drained -> None
+              | Admit.Aborted n -> Some n
+              | Admit.Pending -> (
+                  match Locked.wait_until t.lock deadline with
+                  | `Woken -> go now
+                  | `Timed_out -> go (Float.max now deadline))
+            in
+            go (Unix.gettimeofday ()))
       in
-      (match result with
-      | `Drained -> count t Event.drained
-      | `Aborted n -> count ~by:n t Event.drain_aborted_jobs);
+      (match aborted with
+      | None -> count t Event.drained
+      | Some n -> count ~by:n t Event.drain_aborted_jobs);
       (match span with
       | None -> ()
       | Some s ->
           let outcome =
-            match result with
-            | `Drained -> Obs.Trace.Ok
-            | `Aborted n ->
+            match aborted with
+            | None -> Obs.Trace.Ok
+            | Some n ->
                 Obs.Trace.System_error
                   (Printf.sprintf "drain aborted: %d dispatches abandoned" n)
           in

@@ -24,7 +24,11 @@
    pool lock. A wait that cannot pass a deadline parks on the [change]
    condition with [Locked.wait_until_c] and re-decides on every wakeup,
    so a deadline and a freed slot racing each other resolve exactly as
-   if they had arrived in either order. *)
+   if they had arrived in either order.
+
+   The pool has no drain of its own: shutdown waits on [Admit]'s count
+   of unanswered requests, the same in either server mode, then stops
+   the pool. *)
 
 type admission = Reject | Block of float option
 type backend = Systhreads | Domains
@@ -54,18 +58,16 @@ let never_executed reason =
   reason = refused_draining || reason = refused_cancelled
 
 module Core = struct
-  type phase = Accepting | Draining | Stopped
-  type t = { mutable phase : phase; mutable queued : int; mutable active : int }
+  type t = { mutable stopped : bool; mutable queued : int; mutable active : int }
   type admit = Accept | Refuse of string | Expire | Wait
   type pickup = Take | Idle | Exit
-  type settle = Drained | Aborted of int | Pending
 
-  let create () = { phase = Accepting; queued = 0; active = 0 }
+  let create () = { stopped = false; queued = 0; active = 0 }
   let lapsed at ~now = match at with Some x -> now >= x | None -> false
 
   let submit cfg c ~expire ~deadline ~now =
     if lapsed expire ~now then Expire
-    else if c.phase <> Accepting then Refuse refused_draining
+    else if c.stopped then Refuse refused_draining
     else if c.queued < cfg.queue_capacity then begin
       c.queued <- c.queued + 1;
       Accept
@@ -83,20 +85,14 @@ module Core = struct
       c.active <- c.active + 1;
       Take
     end
-    else if c.phase = Stopped then Exit
+    else if c.stopped then Exit
     else Idle
 
   let finish c = c.active <- c.active - 1
-  let drain c = if c.phase = Accepting then c.phase <- Draining
-
-  let settled c ~deadline ~now =
-    if c.queued = 0 && c.active = 0 then Drained
-    else if lapsed deadline ~now then Aborted (c.queued + c.active)
-    else Pending
 
   let stop c =
     let dropped = c.queued in
-    c.phase <- Stopped;
+    c.stopped <- true;
     c.queued <- 0;
     dropped
 end
@@ -111,7 +107,7 @@ type t = {
   config : config;
   lock : Locked.t;  (* rank [pool] *)
   nonempty : Locked.cond;  (* workers park here waiting for jobs *)
-  change : Locked.cond;  (* space freed / job finished / phase flipped *)
+  change : Locked.cond;  (* space freed / stopped *)
   queue : job Queue.t;  (* [core.queued] jobs *)
   core : Core.t;
   mutable domains : unit Domain.t list;  (* worker handles; Domains only *)
@@ -153,15 +149,13 @@ let rec worker_loop t =
         next ())
   in
   match job with
-  | None -> ()  (* stopped and drained: the worker exits *)
+  | None -> ()  (* stopped with nothing queued: the worker exits *)
   | Some job ->
       (* A job failing must never kill its worker: the job itself is
          responsible for error replies; residual exceptions here mean
          the connection died under it. *)
       (try job.run () with _ -> ());
-      Locked.with_lock t.lock (fun () ->
-          Core.finish t.core;
-          Locked.broadcast_c t.change);
+      Locked.with_lock t.lock (fun () -> Core.finish t.core);
       worker_loop t
 
 let create config =
@@ -222,21 +216,6 @@ let submit t ?(cancel = fun () -> ()) ?expire run =
 
 let depth t = Locked.with_lock t.lock (fun () -> t.core.Core.queued)
 let active t = Locked.with_lock t.lock (fun () -> t.core.Core.active)
-
-let drain t ~deadline =
-  Locked.with_lock t.lock (fun () ->
-      Core.drain t.core;
-      (* Wake submitters blocked on admission so they observe the drain
-         and reject instead of waiting on space that may never free. *)
-      Locked.broadcast_c t.change;
-      let rec go now =
-        match Core.settled t.core ~deadline ~now with
-        | Core.Drained -> `Drained
-        | Core.Aborted n -> `Aborted n
-        | Core.Pending -> go (park t deadline ~now)
-      in
-      (* A deadline already past times the first park out at once. *)
-      go neg_infinity)
 
 let stop t =
   let n, dropped, handles =

@@ -7,7 +7,9 @@
     {!backend} decides what a worker is: an OCaml domain (parallel
     dispatch, the default) or a systhread (one shared runtime lock,
     kept as the E13 control and for I/O-bound workloads that want more
-    workers than cores). *)
+    workers than cores). The pool has no drain: shutdown's grace window
+    waits on [Admit]'s count of unanswered requests, in either server
+    mode, and then calls {!stop}. *)
 
 type admission =
   | Reject
@@ -47,7 +49,7 @@ val default_config : config
 
 val refused_draining : string
 (** The reason a draining server gives for a request it refused at
-    intake. *)
+    intake, and a stopped pool for a submit. *)
 
 val refused_cancelled : string
 (** The reason a stopping server gives for a queued request that {!stop}
@@ -65,17 +67,14 @@ val never_executed : string -> bool
     of small event sets. Nothing here is a count of past events: those
     are the ORB's, in its [Obs] registry. *)
 module Core : sig
-  type phase =
-    | Accepting
-    | Draining  (** {!drain} began: every submit is refused *)
-    | Stopped  (** {!stop}: workers exit once the queue is empty *)
-
   type t = private {
-    mutable phase : phase;
+    mutable stopped : bool;
     mutable queued : int;
     mutable active : int;
   }
-  (** [queued] jobs wait in the queue, [active] run on workers. *)
+  (** [queued] jobs wait in the queue, [active] run on workers; once
+      [stopped] ({!stop}), every submit is refused and workers exit when
+      the queue is empty. *)
 
   type admit =
     | Accept  (** queue it: counted in [queued] *)
@@ -85,13 +84,12 @@ module Core : sig
                 the expiry, then decide again *)
 
   type pickup = Take | Idle | Exit
-  type settle = Drained | Aborted of int | Pending
 
   val create : unit -> t
 
   val submit :
     config -> t -> expire:float option -> deadline:float option -> now:float -> admit
-  (** The expiry, then the phase, then space, then the admission policy
+  (** The expiry, then [stopped], then space, then the admission policy
       ([deadline] is the [Block] admission deadline). *)
 
   val pickup : t -> pickup
@@ -100,13 +98,6 @@ module Core : sig
 
   val finish : t -> unit
   (** A taken job returned. *)
-
-  val drain : t -> unit
-  (** Stop accepting (a stopped pool stays stopped). *)
-
-  val settled : t -> deadline:float option -> now:float -> settle
-  (** A drain's answer: nothing queued or running, or past [deadline]
-      with this many abandoned, or not yet. *)
 
   val stop : t -> int
   (** Stop, and drop the queue: returns how many jobs it held. *)
@@ -125,7 +116,7 @@ val submit :
   [ `Accepted | `Rejected of string | `Expired ]
 (** Enqueue a job, subject to admission control. [`Rejected reason]
     when the queue is full (under [Reject], or past the [Block]
-    deadline) or the pool is draining/stopped. The job must not raise;
+    deadline) or the pool is stopped. The job must not raise;
     residual exceptions are swallowed to protect the worker.
 
     [expire] is the request's own remaining-budget instant (absolute,
@@ -147,13 +138,6 @@ val depth : t -> int
 
 val active : t -> int
 (** Jobs currently executing. *)
-
-val drain : t -> deadline:float option -> [ `Drained | `Aborted of int ]
-(** Stop admitting (subsequent submits are rejected) and wait until the
-    queue and all in-flight jobs are finished. [deadline] is an
-    absolute [Unix.gettimeofday] instant; past it, [`Aborted n] reports
-    the queued + running jobs abandoned. [~deadline:None] waits
-    indefinitely. *)
 
 val stop : t -> int
 (** Stop immediately: discard queued jobs — running each one's [cancel]

@@ -26,23 +26,7 @@ let eventually ?(timeout = 5.0) ~msg cond =
   in
   go ()
 
-let count_threads () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec scan () =
-            match input_line ic with
-            | line when String.length line > 8 && String.sub line 0 8 = "Threads:"
-              ->
-                int_of_string_opt
-                  (String.trim (String.sub line 8 (String.length line - 8)))
-            | _ -> scan ()
-            | exception End_of_file -> None
-          in
-          scan ())
+let count_threads = Tutil.count_threads
 
 let no_violations () =
   Alcotest.(check (list string)) "lock checker violations" []

@@ -482,6 +482,35 @@ let test_no_dial_after_shutdown () =
                       e.Wire.Codec.put_string "late"))
              with Orb.System_exception _ -> ())))
 
+(* A restarted ORB keeps one accept loop: the loop of a closed listener
+   exits even when [start] has already opened the next one. *)
+let test_restart_keeps_one_accept_loop () =
+  let orb =
+    Orb.create ~transport:"mem" ~host:"local"
+      ~server_policy:{ Orb.default_server_policy with pool = None }
+      ()
+  in
+  Orb.start orb;
+  (match Tutil.count_threads () with
+  | None -> ()
+  | Some one_loop ->
+      for _ = 1 to 20 do
+        Orb.shutdown orb;
+        Orb.start orb
+      done;
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      let rec settle () =
+        match Tutil.count_threads () with
+        | Some n when n > one_loop && Unix.gettimeofday () < deadline ->
+            Thread.delay 0.01;
+            settle ()
+        | n -> n
+      in
+      Alcotest.(check (option int)) "threads back to one accept loop"
+        (Some one_loop)
+        (Option.map (max one_loop) (settle ())));
+  Orb.shutdown orb
+
 let () =
   Alcotest.run "orb"
     [
@@ -514,6 +543,8 @@ let () =
             test_server_connections_gauge;
           Alcotest.test_case "no dial after shutdown" `Quick
             test_no_dial_after_shutdown;
+          Alcotest.test_case "restart keeps one accept loop" `Quick
+            test_restart_keeps_one_accept_loop;
         ] );
       ( "concurrency",
         [

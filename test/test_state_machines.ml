@@ -451,9 +451,9 @@ let cache_final w =
         violation "connection %d is neither cached nor closed" c.cid)
     w.made
 
-(* ---------------- Admit: one server connection ---------------- *)
+(* ---------------- Admit: one server's connections ---------------- *)
 
-type rspec = { oneway : bool; budget : bool }
+type rspec = { oneway : bool; budget : bool; on : int (* its connection *) }
 
 type ascenario = {
   aname : string;
@@ -475,49 +475,61 @@ type req = {
   mutable outcomes : int;
 }
 
+(* Shutdown's drain: not begun, parked since this many broadcasts of
+   the ORB lock, or returned. *)
+type drainer = Not_draining | Settling of int | Settled
+
 type aworld = {
   asc : ascenario;
   adm : Admit.t;
-  conn : Admit.conn;
+  conns : Admit.conn array;
   rq : req array;
-  mutable next : int;
   mutable queue : int list;  (* FIFO, head first *)
-  mutable running : int;
+  mutable running : int;  (* requests on pool workers *)
   mutable drained : bool;
+  mutable epoch : int;  (* uncounts: each broadcasts the ORB lock *)
+  mutable dnow : float;  (* the drain's clock; its deadline is 1 s *)
+  mutable drainer : drainer;
 }
 
 type aevent =
-  | Decode
-  | Submit of [ `Accepted | `Rejected | `Expired ]
+  | Decode of int
+  | Submit of int * [ `Accepted | `Rejected | `Expired ]
   | Pickup
   | Finish of int
   | Tick of int
   | Cancel
   | Drain
+  | Lapse
+  | Settle
 
 let show_a = function
-  | Decode -> "decode"
-  | Submit `Accepted -> "submit accepted"
-  | Submit `Rejected -> "submit rejected"
-  | Submit `Expired -> "submit expired"
+  | Decode c -> Printf.sprintf "decode on %d" c
+  | Submit (c, `Accepted) -> Printf.sprintf "submit on %d accepted" c
+  | Submit (c, `Rejected) -> Printf.sprintf "submit on %d rejected" c
+  | Submit (c, `Expired) -> Printf.sprintf "submit on %d expired" c
   | Pickup -> "pickup"
   | Finish i -> Printf.sprintf "finish %d" i
   | Tick i -> Printf.sprintf "tick %d" i
   | Cancel -> "cancel"
   | Drain -> "drain"
+  | Lapse -> "the drain deadline passes"
+  | Settle -> "the drain re-decides"
 
 (* Budgets expire at t = 10 s; a request's clock reads one of three
    instants, and the learned service time is 100 µs. *)
 let expiry r = if r.rs.budget then Some 10. else None
 let now r = [| 0.; 10. -. 1e-5; 10. |].(r.phase)
 let service_us = 100
+let drain_deadline = 1.
 
 let admit_fresh asc () =
-  { asc; adm = Admit.create ~cap:asc.cap; conn = Admit.conn ();
+  let n = 1 + List.fold_left (fun m r -> max m r.on) 0 asc.reqs in
+  { asc; adm = Admit.create ~cap:asc.cap; conns = Array.init n (fun _ -> Admit.conn ());
     rq =
       Array.of_list
         (List.map (fun rs -> { rs; st = Unread; phase = 0; replies = 0; outcomes = 0 }) asc.reqs);
-    next = 0; queue = []; running = 0; drained = false }
+    queue = []; running = 0; drained = false; epoch = 0; dnow = 0.; drainer = Not_draining }
 
 (* An answer: a reply for a two-way request, nothing on the wire for a
    oneway; either way the request's one outcome. *)
@@ -526,35 +538,68 @@ let answer r =
   r.outcomes <- r.outcomes + 1;
   r.st <- Answered
 
-let decoded w = List.find_opt (fun i -> w.rq.(i).st = Decoded) (List.init (Array.length w.rq) Fun.id)
+let find_req w p =
+  let rec go i = if i = Array.length w.rq then None else if p w.rq.(i) then Some i else go (i + 1) in
+  go 0
+
+let on c st r = r.rs.on = c && r.st = st
+let conn_of w i = w.conns.(w.rq.(i).rs.on)
+
+(* Each connection's reader decodes its requests in order, and is busy
+   while it submits one, or runs one inline without a pool. *)
+let reader_busy w c =
+  find_req w (on c Decoded) <> None || ((not w.asc.pooled) && find_req w (on c Running) <> None)
+
+(* Admitted and not yet answered, on connection [c] or anywhere. *)
+let unanswered ?c w =
+  Array.fold_left
+    (fun n r ->
+      match r.st with
+      | (Decoded | Queued | Running) when c = None || c = Some r.rs.on -> n + 1
+      | _ -> n)
+    0 w.rq
+
+(* The shell's uncount: every decrement broadcasts the ORB lock. *)
+let uncount w f =
+  f w.adm;
+  w.epoch <- w.epoch + 1
+
+let settle w =
+  let n = unanswered w in
+  match Admit.settled w.adm ~deadline:drain_deadline ~now:w.dnow with
+  | Admit.Drained ->
+      if n <> 0 then violation "drained with %d unanswered" n;
+      w.drainer <- Settled
+  | Admit.Aborted k ->
+      if w.dnow < drain_deadline then violation "aborted before the drain deadline";
+      if k <> n then violation "aborted %d of %d unanswered" k n;
+      w.drainer <- Settled
+  | Admit.Pending ->
+      if n = 0 || w.dnow >= drain_deadline then
+        violation "pending with %d unanswered at %g s" n w.dnow;
+      w.drainer <- Settling w.epoch
 
 let admit_apply w e =
   (match e with
-  | Decode -> (
-      let i = w.next in
+  | Decode c -> (
+      let i = Option.get (find_req w (on c Unread)) in
       let r = w.rq.(i) in
-      w.next <- i + 1;
-      match Admit.arrive w.adm w.conn ~expiry:(expiry r) ~now:(now r) with
+      match Admit.arrive w.adm w.conns.(c) ~expiry:(expiry r) ~now:(now r) with
       | Admit.Run ->
           if w.drained then violation "request %d admitted while draining" i;
           if r.phase = 2 then violation "request %d admitted after its expiry" i;
-          if w.asc.pooled then r.st <- Decoded
-          else begin
-            answer r;
-            Admit.finish w.conn
-          end
+          r.st <- (if w.asc.pooled then Decoded else Running)
       | Admit.Refuse _ -> answer r)
-  | Submit o -> (
-      let i = Option.get (decoded w) in
+  | Submit (c, o) -> (
+      let i = Option.get (find_req w (on c Decoded)) in
       let r = w.rq.(i) in
       match o with
       | `Accepted ->
           r.st <- Queued;
           w.queue <- w.queue @ [ i ]
       | (`Rejected | `Expired) as o ->
-          ignore
-            (Admit.submitted w.conn
-               (match o with `Rejected -> `Rejected "overloaded" | `Expired -> `Expired));
+          let o = match o with `Rejected -> `Rejected "overloaded" | `Expired -> `Expired in
+          uncount w (fun a -> ignore (Admit.submitted a w.conns.(c) o));
           answer r)
   | Pickup -> (
       let i = List.hd w.queue in
@@ -567,29 +612,36 @@ let admit_apply w e =
           w.running <- w.running + 1
       | Admit.Refuse _ ->
           answer r;
-          Admit.finish w.conn)
+          uncount w (fun a -> Admit.finish a (conn_of w i)))
   | Finish i ->
       answer w.rq.(i);
-      w.running <- w.running - 1;
-      Admit.finish w.conn
+      if w.asc.pooled then w.running <- w.running - 1;
+      uncount w (fun a -> Admit.finish a (conn_of w i))
   | Tick i -> w.rq.(i).phase <- w.rq.(i).phase + 1
   | Cancel ->
       let i = List.hd w.queue in
       w.queue <- List.tl w.queue;
-      ignore (Admit.cancel w.conn);
+      uncount w (fun a -> ignore (Admit.cancel a (conn_of w i)));
       answer w.rq.(i)
   | Drain ->
       w.drained <- true;
-      w.adm.Admit.draining <- true);
-  let counted =
-    Array.fold_left
-      (fun n r -> match r.st with Decoded | Queued | Running -> n + 1 | _ -> n)
-      0 w.rq
-  in
-  if w.conn.Admit.inflight <> counted then
-    violation "inflight %d but %d requests admitted and unanswered" w.conn.Admit.inflight
+      w.adm.Admit.draining <- true;
+      settle w
+  | Lapse -> w.dnow <- drain_deadline
+  | Settle -> settle w);
+  let counted = unanswered w in
+  if w.adm.Admit.unanswered <> counted then
+    violation "unanswered %d but %d requests admitted and unanswered" w.adm.Admit.unanswered
       counted;
-  if w.asc.cap > 0 && counted > w.asc.cap then violation "%d in flight over the cap" counted;
+  Array.iteri
+    (fun c conn ->
+      let counted = unanswered ~c w in
+      if conn.Admit.inflight <> counted then
+        violation "connection %d: inflight %d but %d admitted and unanswered" c
+          conn.Admit.inflight counted;
+      if w.asc.cap > 0 && counted > w.asc.cap then
+        violation "connection %d: %d in flight over the cap" c counted)
+    w.conns;
   Array.iteri
     (fun i r ->
       if r.replies > 1 || r.outcomes > 1 then violation "request %d answered twice" i)
@@ -598,17 +650,25 @@ let admit_apply w e =
 let admit_enabled w =
   let acc = ref [] in
   let add e = acc := e :: !acc in
-  (match decoded w with
-  | Some i ->
-      add (Submit `Accepted);
-      add (Submit `Rejected);
-      if w.rq.(i).phase = 2 then add (Submit `Expired)
-  | None -> if w.next < Array.length w.rq then add Decode);
+  Array.iteri
+    (fun c _ ->
+      match find_req w (on c Decoded) with
+      | Some i ->
+          add (Submit (c, `Accepted));
+          add (Submit (c, `Rejected));
+          if w.rq.(i).phase = 2 then add (Submit (c, `Expired))
+      | None -> if (not (reader_busy w c)) && find_req w (on c Unread) <> None then add (Decode c))
+    w.conns;
   if w.queue <> [] then begin
     if w.running < w.asc.workers then add Pickup;
     if w.asc.cancel then add Cancel
   end;
-  if w.asc.drain && not w.drained then add Drain;
+  (match w.drainer with
+  | Not_draining -> if w.asc.drain then add Drain
+  | Settling e ->
+      if w.dnow < drain_deadline then add Lapse;
+      if e < w.epoch || w.dnow >= drain_deadline then add Settle
+  | Settled -> ());
   Array.iteri
     (fun i r ->
       if r.st = Running then add (Finish i);
@@ -623,21 +683,27 @@ let admit_final w =
       if r.replies <> (if r.rs.oneway then 0 else 1) then
         violation "request %d sent %d replies" i r.replies)
     w.rq;
-  if w.conn.Admit.inflight <> 0 then violation "ended with %d in flight" w.conn.Admit.inflight
+  (match w.drainer with Settling _ -> violation "the drain never returned" | _ -> ());
+  if w.adm.Admit.unanswered <> 0 then violation "ended with %d unanswered" w.adm.Admit.unanswered
 
-let two_way ?(budget = false) () = { oneway = false; budget }
+let two_way ?(budget = false) ?(on = 0) () = { oneway = false; budget; on }
 
 let admit_scenarios =
   let a = { aname = ""; cap = 0; pooled = true; workers = 2; reqs = []; drain = true;
             cancel = true } in
   [
-    { a with aname = "pool, a budget, a oneway, drain and cancel";
-      reqs = [ two_way ~budget:true (); { oneway = true; budget = false }; two_way () ] };
+    { a with aname = "pool, a budget, a oneway, drain and cancel"; workers = 1;
+      reqs = [ two_way ~budget:true (); { oneway = true; budget = false; on = 0 }; two_way () ] };
+    { a with aname = "pool, two connections, drain"; workers = 1; cancel = false;
+      reqs = [ two_way (); two_way ~on:1 (); two_way ~on:1 () ] };
     { a with aname = "pool, cap 2, one worker, budgets"; cap = 2; workers = 1; drain = false;
       cancel = false; reqs = [ two_way ~budget:true (); two_way (); two_way ~budget:true () ] };
-    { a with aname = "thread per connection, cap 1"; cap = 1; pooled = false; cancel = false;
+    { a with aname = "thread per connection, cap 1"; cap = 1; pooled = false; drain = false;
+      cancel = false;
       reqs = [ two_way ~budget:true (); two_way ~budget:true ();
-               { oneway = true; budget = true } ] };
+               { oneway = true; budget = true; on = 0 } ] };
+    { a with aname = "thread per connection, two connections, drain"; pooled = false;
+      cancel = false; reqs = [ two_way ~budget:true (); two_way (); two_way ~on:1 () ] };
   ]
 
 (* ---------------- Breaker: one endpoint's circuit ---------------- *)
@@ -842,7 +908,6 @@ type pscenario = {
   block : bool;  (* Block admission with a 1 s deadline, else Reject *)
   pworkers : int;
   budgets : bool list;  (* one submit each; a budget lapses at t = 2 *)
-  drain_deadline : float option option;  (* [None]: no drain *)
   stop : bool;
   pticks : int;  (* seconds the clock may advance *)
 }
@@ -858,7 +923,6 @@ type jstate =
   | Cancelled
 
 type wstate = Fresh | Parked | Busy of int | Gone
-type drainer = Not_draining | Settling of int | Settled
 
 type pworld = {
   psc : pscenario;
@@ -871,17 +935,15 @@ type pworld = {
   mutable pclock : float;
   mutable pticks_left : int;
   mutable epoch : int;  (* broadcasts on the pool's [change] condition *)
-  mutable drainer : drainer;
   mutable stopped : bool;
 }
 
-type pevent = Submit of int | Pickup of int | Finish of int | Drain | Stop | Ptick
+type pevent = Submit of int | Pickup of int | Finish of int | Stop | Ptick
 
 let show_p = function
   | Submit i -> Printf.sprintf "submit %d" i
   | Pickup k -> Printf.sprintf "worker %d picks up" k
   | Finish k -> Printf.sprintf "worker %d finishes" k
-  | Drain -> "drain"
   | Stop -> "stop"
   | Ptick -> "a second passes"
 
@@ -893,34 +955,22 @@ let p_fresh psc () =
         admission = (if psc.block then Orb.Pool.Block (Some 1.) else Orb.Pool.Reject) };
     core = PC.create (); js = Array.make n Unsubmitted; admission_deadline = Array.make n None;
     ws = Array.make psc.pworkers Fresh; q = []; pclock = 0.; pticks_left = psc.pticks;
-    epoch = 0; drainer = Not_draining; stopped = false }
+    epoch = 0; stopped = false }
 
 let expire_of w i = if List.nth w.psc.budgets i then Some 2. else None
 let lapsed at now = match at with Some x -> now >= x | None -> false
-let drain_deadline w = Option.join w.psc.drain_deadline
 let busy w = Array.fold_left (fun n s -> match s with Busy _ -> n + 1 | _ -> n) 0 w.ws
 
 (* A parked Block submitter re-decides after a broadcast on [change] or
-   once its wait bound passes; so does a parked drainer. *)
+   once its wait bound passes. *)
 let bound w i =
   match (w.admission_deadline.(i), expire_of w i) with
   | Some d, Some x -> Some (Float.min d x)
   | (Some _ as d), None -> d
   | None, x -> x
 
-let settle w =
-  match PC.settled w.core ~deadline:(drain_deadline w) ~now:w.pclock with
-  | PC.Drained ->
-      if w.q <> [] || busy w > 0 then violation "drained with work left";
-      w.drainer <- Settled
-  | PC.Aborted n ->
-      if not (lapsed (drain_deadline w) w.pclock) then violation "aborted before the drain deadline";
-      if n <> List.length w.q + busy w then violation "aborted %d of %d" n (List.length w.q + busy w);
-      w.drainer <- Settled
-  | PC.Pending -> w.drainer <- Settling w.epoch
-
 let p_apply w e =
-  let phase0 = w.core.PC.phase in
+  let stopped0 = w.core.PC.stopped in
   let full = List.length w.q >= w.psc.capacity in
   (match e with
   | Submit i -> (
@@ -929,15 +979,15 @@ let p_apply w e =
       let expire = expire_of w i and deadline = w.admission_deadline.(i) in
       match PC.submit w.pcfg w.core ~expire ~deadline ~now:w.pclock with
       | PC.Accept ->
-          if phase0 <> PC.Accepting then violation "job %d accepted while not accepting" i;
+          if stopped0 then violation "job %d accepted while stopped" i;
           if full then violation "job %d accepted into a full queue" i;
           if lapsed expire w.pclock then violation "job %d accepted after its expiry" i;
           w.js.(i) <- Queued;
           w.q <- w.q @ [ i ]
       | PC.Refuse r ->
           let ok =
-            if r = Orb.Pool.refused_draining then phase0 <> PC.Accepting
-            else full && phase0 = PC.Accepting
+            if r = Orb.Pool.refused_draining then stopped0
+            else full && (not stopped0)
                  && ((not w.psc.block) || lapsed deadline w.pclock)
           in
           if not ok then violation "job %d refused (%s)" i r;
@@ -946,7 +996,7 @@ let p_apply w e =
           if not (lapsed expire w.pclock) then violation "job %d expired early" i;
           w.js.(i) <- Expired
       | PC.Wait ->
-          if not (w.psc.block && full && phase0 = PC.Accepting) then
+          if not (w.psc.block && full && not stopped0) then
             violation "job %d told to wait" i;
           w.js.(i) <- Waiting w.epoch)
   | Pickup k -> (
@@ -961,23 +1011,15 @@ let p_apply w e =
               w.ws.(k) <- Busy j;
               w.epoch <- w.epoch + 1)
       | PC.Idle ->
-          if w.q <> [] || phase0 = PC.Stopped then violation "worker %d idles with work or stopped" k;
+          if w.q <> [] || stopped0 then violation "worker %d idles with work or stopped" k;
           w.ws.(k) <- Parked
       | PC.Exit ->
-          if w.q <> [] || phase0 <> PC.Stopped then violation "worker %d exits early" k;
+          if w.q <> [] || not stopped0 then violation "worker %d exits early" k;
           w.ws.(k) <- Gone)
   | Finish k ->
       (match w.ws.(k) with Busy j -> w.js.(j) <- Ran | _ -> violation "worker %d idle" k);
       PC.finish w.core;
-      w.ws.(k) <- Fresh;
-      w.epoch <- w.epoch + 1
-  | Drain ->
-      if w.drainer = Not_draining then begin
-        PC.drain w.core;
-        if phase0 = PC.Accepting && w.core.PC.phase <> PC.Draining then violation "drain kept accepting";
-        w.epoch <- w.epoch + 1
-      end;
-      settle w
+      w.ws.(k) <- Fresh
   | Stop ->
       let n = PC.stop w.core in
       if n <> List.length w.q then violation "stop dropped %d of %d queued" n (List.length w.q);
@@ -991,8 +1033,7 @@ let p_apply w e =
   if w.core.PC.queued <> List.length w.q then
     violation "queued %d but %d in the queue" w.core.PC.queued (List.length w.q);
   if w.core.PC.active <> busy w then violation "active %d but %d workers busy" w.core.PC.active (busy w);
-  if List.length w.q > w.psc.capacity then violation "queue over capacity";
-  if w.drainer <> Not_draining && w.core.PC.phase = PC.Accepting then violation "accepting after drain"
+  if List.length w.q > w.psc.capacity then violation "queue over capacity"
 
 let p_enabled w =
   let acc = ref [] in
@@ -1012,10 +1053,6 @@ let p_enabled w =
       | Busy _ -> add (Finish k)
       | Parked | Gone -> ())
     w.ws;
-  (match (w.psc.drain_deadline, w.drainer) with
-  | Some _, Not_draining -> add Drain
-  | Some d, Settling e when e < w.epoch || lapsed d w.pclock -> add Drain
-  | _ -> ());
   if w.psc.stop && not w.stopped then add Stop;
   if w.pticks_left > 0 then add Ptick;
   !acc
@@ -1027,19 +1064,17 @@ let p_final w =
       | Ran | Refused _ | Expired | Cancelled -> ()
       | Unsubmitted | Waiting _ | Queued | Running -> violation "job %d ended with no outcome" i)
     w.js;
-  (match w.drainer with Settling _ -> violation "the drain never returned" | _ -> ());
   if w.stopped && Array.exists (fun s -> s <> Gone) w.ws then violation "a worker outlived stop";
   if w.core.PC.queued <> 0 || w.core.PC.active <> 0 then violation "ended with work counted"
 
 let p_scenarios =
   let p = { pname = ""; capacity = 1; block = false; pworkers = 1; budgets = [];
-            drain_deadline = None; stop = false; pticks = 0 } in
+            stop = false; pticks = 0 } in
   [
-    { p with pname = "Reject, capacity 1, one worker, drain by 1 s, stop";
-      budgets = [ false; false; false ]; drain_deadline = Some (Some 1.); stop = true;
-      pticks = 1 };
-    { p with pname = "Block, capacity 1, one worker, a budget, drain";
-      block = true; budgets = [ true; false; false ]; drain_deadline = Some None; pticks = 1 };
+    { p with pname = "Reject, capacity 1, one worker, a budget, stop";
+      budgets = [ true; false; false ]; stop = true; pticks = 2 };
+    { p with pname = "Block, capacity 1, one worker, a budget";
+      block = true; budgets = [ true; false; false ]; pticks = 1 };
     { p with pname = "Reject, capacity 2, two workers, stop";
       capacity = 2; pworkers = 2; budgets = [ false; false; false ]; stop = true };
     { p with pname = "Block, capacity 1, two workers, a budget, stop";

@@ -87,3 +87,23 @@ let with_watchdog ~seconds ~what ~on_expiry f =
   | exception e ->
       finish ();
       raise e
+
+(* The process's OS thread count (threads and domains alike), from
+   [/proc/self/status]; [None] where that file does not exist. *)
+let count_threads () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let rec scan () =
+            match input_line ic with
+            | line when String.length line > 8 && String.sub line 0 8 = "Threads:"
+              ->
+                int_of_string_opt
+                  (String.trim (String.sub line 8 (String.length line - 8)))
+            | _ -> scan ()
+            | exception End_of_file -> None
+          in
+          scan ())
