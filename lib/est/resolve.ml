@@ -61,6 +61,10 @@ type env = {
   in_progress : (Sem.qname, unit) Hashtbl.t;
   prefixes : (Sem.qname, string) Hashtbl.t;
       (** #pragma prefix in force at each declaration. *)
+  module_scopes : (Sem.qname, scope) Hashtbl.t;
+  interface_scopes : (Sem.qname, scope) Hashtbl.t;
+      (** Module and interface scopes, for re-opening and base-scope
+          linking. *)
   mutable warnings : Diag.t list;
 }
 
@@ -69,15 +73,11 @@ let repo_id env qn =
     ~prefix:(Option.value ~default:"" (Hashtbl.find_opt env.prefixes qn))
     qn
 
-(* Module and interface scopes are kept in side tables for re-opening and
-   base-scope linking. Reset at each [spec] invocation. *)
-let module_scopes : (Sem.qname, scope) Hashtbl.t = Hashtbl.create 16
-let interface_scopes : (Sem.qname, scope) Hashtbl.t = Hashtbl.create 16
-let register_module_scope s = Hashtbl.replace module_scopes s.s_qname s
-let register_interface_scope s = Hashtbl.replace interface_scopes s.s_qname s
+let register_module_scope env s = Hashtbl.replace env.module_scopes s.s_qname s
+let register_interface_scope env s = Hashtbl.replace env.interface_scopes s.s_qname s
 
-let find_module_scope qn =
-  match Hashtbl.find_opt module_scopes qn with
+let find_module_scope env qn =
+  match Hashtbl.find_opt env.module_scopes qn with
   | Some s -> s
   | None -> invalid_arg "find_module_scope"
 
@@ -118,7 +118,7 @@ let rec collect_definition env scope prefix (def : A.definition) : string =
         match Hashtbl.find_opt scope.s_table name with
         | Some { e_kind = K_module; e_qname; _ } ->
             (* Module re-opening: reuse the existing scope. *)
-            find_module_scope e_qname
+            find_module_scope env e_qname
         | Some prev ->
             Diag.error ~code:"E002" ~loc
               "redefinition of %S as a module (previously %s)" name
@@ -126,7 +126,7 @@ let rec collect_definition env scope prefix (def : A.definition) : string =
         | None ->
             let _ = scope_add scope ~name ~kind:K_module ~loc in
             let sub = new_scope ~parent:scope (scope.s_qname @ [ name ]) in
-            register_module_scope sub;
+            register_module_scope env sub;
             sub
       in
       (match Hashtbl.find_opt scope.s_table name with
@@ -168,7 +168,7 @@ let rec collect_definition env scope prefix (def : A.definition) : string =
       in
       record entry;
       let sub = new_scope ~parent:scope entry.e_qname in
-      register_interface_scope sub;
+      register_interface_scope env sub;
       Hashtbl.replace env.sources entry.e_qname (S_interface (i, sub));
       List.iter (collect_export env sub prefix) i.A.if_exports;
       prefix
@@ -242,15 +242,14 @@ let rec lookup_upward scope name =
       | Some parent -> lookup_upward parent name
       | None -> None)
 
-let scope_of_entry entry =
+let scope_of_entry env entry =
   match entry.e_kind with
-  | K_module -> Hashtbl.find_opt module_scopes entry.e_qname
-  | K_interface -> Hashtbl.find_opt interface_scopes entry.e_qname
+  | K_module -> Hashtbl.find_opt env.module_scopes entry.e_qname
+  | K_interface -> Hashtbl.find_opt env.interface_scopes entry.e_qname
   | _ -> None
 
 (* Resolve a scoped name starting from [scope]; returns its entry. *)
 let resolve_name env scope (sn : A.scoped_name) =
-  ignore env;
   let fail () =
     Diag.error ~code:"E003" ~loc:sn.A.sn_loc "unresolved name %S"
       (A.scoped_name_to_string sn)
@@ -267,7 +266,7 @@ let resolve_name env scope (sn : A.scoped_name) =
   let rec navigate entry = function
     | [] -> entry
     | part :: parts -> (
-        match scope_of_entry entry with
+        match scope_of_entry env entry with
         | None ->
             Diag.error ~code:"E011" ~loc:sn.A.sn_loc "%S is not a scope"
               (Sem.scoped_of_qname entry.e_qname)
@@ -311,7 +310,7 @@ let rec resolve_entity env qn : Sem.entity =
             | Some src -> resolve_source env qn src
             | None -> (
                 (* A module, or a forward interface that was never defined. *)
-                match Hashtbl.find_opt module_scopes qn with
+                match Hashtbl.find_opt env.module_scopes qn with
                 | Some s -> Sem.E_module (qn, List.rev s.s_members)
                 | None ->
                     Diag.error ~code:"E003" ~loc:Loc.dummy
@@ -410,7 +409,7 @@ and resolve_interface env qn (i : A.interface_decl) own_scope =
       bases
   in
   own_scope.s_bases <-
-    List.filter_map (fun b -> Hashtbl.find_opt interface_scopes b) bases;
+    List.filter_map (fun b -> Hashtbl.find_opt env.interface_scopes b) bases;
   (* Per-operation/per-attribute recovery: in lint mode a broken signature
      is reported and skipped, so the remaining exports are still checked. *)
   let ops =
@@ -737,8 +736,6 @@ and coerce_value env ~loc ty v =
 (* ---------------- entry point ---------------- *)
 
 let spec (ast : A.spec) : Sem.spec =
-  Hashtbl.reset module_scopes;
-  Hashtbl.reset interface_scopes;
   let root = new_scope [] in
   let env =
     {
@@ -747,6 +744,8 @@ let spec (ast : A.spec) : Sem.spec =
       entities = Hashtbl.create 64;
       in_progress = Hashtbl.create 8;
       prefixes = Hashtbl.create 8;
+      module_scopes = Hashtbl.create 16;
+      interface_scopes = Hashtbl.create 16;
       warnings = [];
     }
   in
@@ -767,7 +766,7 @@ let spec (ast : A.spec) : Sem.spec =
   let resolve qn = Diag.recover ~default:() (fun () -> ignore (resolve_entity env qn)) in
   let rec force qn =
     if Hashtbl.mem env.sources qn then resolve qn;
-    match Hashtbl.find_opt module_scopes qn with
+    match Hashtbl.find_opt env.module_scopes qn with
     | Some s ->
         resolve qn;
         List.iter force (List.rev s.s_members)
@@ -787,7 +786,7 @@ let spec (ast : A.spec) : Sem.spec =
       scope.s_table
   in
   warn_undefined root;
-  Hashtbl.iter (fun _ s -> warn_undefined s) module_scopes;
+  Hashtbl.iter (fun _ s -> warn_undefined s) env.module_scopes;
   (* Drop never-defined forwards from member lists so downstream passes see
      only resolvable entities. *)
   let resolvable qn = Hashtbl.mem env.entities qn in

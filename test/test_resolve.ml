@@ -312,6 +312,31 @@ let test_warnings_for_dangling_forward () =
   let spec = analyze "interface Never;" in
   Alcotest.(check bool) "warned" true (spec.S.warnings <> [])
 
+(* Each domain resolves its own specs at the same time as the other:
+   every spec reopens a module and inherits across it, so a scope table
+   shared between the two would lose entries under the other's reset. *)
+let test_resolve_across_domains () =
+  let worker d () =
+    for i = 1 to 300 do
+      let m = Printf.sprintf "M%d_%d" d i in
+      let spec =
+        analyze
+          (Printf.sprintf
+             {|module %s { typedef long T%d; interface Base { void f(); }; };
+               module %s { interface Derived : %s::Base { void g(in T%d t); }; };|}
+             m i m m i)
+      in
+      let derived = find_iface spec [ m; "Derived" ] in
+      if derived.S.i_inherits <> [ [ m; "Base" ] ] then
+        Alcotest.failf "domain %d spec %d: wrong bases" d i;
+      match (List.hd derived.S.i_ops).S.op_params with
+      | [ { S.p_type = C.Alias (name, C.Long); _ } ]
+        when name = Printf.sprintf "%s_T%d" m i -> ()
+      | _ -> Alcotest.failf "domain %d spec %d: wrong parameter type" d i
+    done
+  in
+  List.map (fun d -> Domain.spawn (worker d)) [ 1; 2 ] |> List.iter Domain.join
+
 let () =
   Alcotest.run "resolve"
     [
@@ -328,6 +353,7 @@ let () =
           Alcotest.test_case "forward interface as type" `Quick test_forward_interface_as_type;
           Alcotest.test_case "inheritance closure" `Quick test_inheritance_closure;
           Alcotest.test_case "typedef chains" `Quick test_typedef_chains;
+          Alcotest.test_case "across domains" `Quick test_resolve_across_domains;
         ] );
       ( "constants",
         [
