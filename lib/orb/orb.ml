@@ -75,6 +75,11 @@ let default_mux = { max_in_flight = 32 }
 (* Below the default server policy's [max_pipelined] (64), so a default
    client never trips a default server's pipelining cap. *)
 
+(* The bootstrap name registry ([Bootstrap] below). Its servant's
+   handlers run on pool workers and [Bootstrap.bind] on application
+   threads, so every access holds [b_lock]. *)
+type bootstrap = { b_lock : Locked.t; b_names : (string, Objref.t) Hashtbl.t }
+
 type t = {
   proto : Protocol.t;
   codecs : Protocol.t list;
@@ -113,7 +118,7 @@ type t = {
       (* EWMA of pool-dispatch service time in µs (0 until the first
          completion) — the doomed-request shed threshold *)
   mux_peak : int Atomic.t;  (* highest in-flight count any connection saw *)
-  mutable bootstrap_registry : (string, Objref.t) Hashtbl.t option;
+  mutable bootstrap_registry : bootstrap option;  (* under [lock] *)
   fwd_cache : (string, Objref.t) Hashtbl.t;
       (* logical target (stringified) -> last Locate_forward redirect;
          invalidated when the forwarded target fails *)
@@ -1798,72 +1803,88 @@ module Bootstrap = struct
   let type_id = "IDL:Heidi/Bootstrap:1.0"
   let oid = "bootstrap"
 
+  let with_names r f = Locked.with_lock r.b_lock (fun () -> f r.b_names)
 
-  let skeleton registry =
+  let skeleton r =
     Skeleton.create ~type_id
       [
         ( "bind",
           fun args _res ->
             let name = args.Wire.Codec.get_string () in
-            match Serial.get_byref args with
-            | Some r -> Hashtbl.replace registry name r
-            | None -> Hashtbl.remove registry name );
+            let target = Serial.get_byref args in
+            with_names r (fun names ->
+                match target with
+                | Some o -> Hashtbl.replace names name o
+                | None -> Hashtbl.remove names name) );
         ( "resolve",
           fun args res ->
             let name = args.Wire.Codec.get_string () in
-            match Hashtbl.find_opt registry name with
-            | Some r -> Serial.put_byref res (Some r)
+            match with_names r (fun names -> Hashtbl.find_opt names name) with
+            | Some o -> Serial.put_byref res (Some o)
             | None -> failwith (Printf.sprintf "bootstrap: name %S is not bound" name)
         );
         ( "unbind",
           fun args _res ->
-            Hashtbl.remove registry (args.Wire.Codec.get_string ()) );
+            let name = args.Wire.Codec.get_string () in
+            with_names r (fun names -> Hashtbl.remove names name) );
         ( "list",
           fun _args res ->
             let names =
-              List.sort compare
-                (Hashtbl.fold (fun k _ acc -> k :: acc) registry [])
+              with_names r (fun names ->
+                  Hashtbl.fold (fun k _ acc -> k :: acc) names [])
             in
+            let names = List.sort compare names in
             res.Wire.Codec.put_len (List.length names);
             List.iter res.Wire.Codec.put_string names );
       ]
 
   let serve t =
-    let registry = Hashtbl.create 16 in
-    let r = export_named t ~oid (skeleton registry) in
-    t.bootstrap_registry <- Some registry;
-    r
+    let r =
+      {
+        b_lock =
+          Locked.create ~name:"bootstrap.registry"
+            ~rank:Locked.Rank.naming_registry;
+        b_names = Hashtbl.create 16;
+      }
+    in
+    let boot = export_named t ~oid (skeleton r) in
+    with_lock t (fun () -> t.bootstrap_registry <- Some r);
+    boot
 
   let reference ~proto ~host ~port =
     Objref.make ~proto ~host ~port ~oid ~type_id
 
   let bind t ~name objref =
-    match t.bootstrap_registry with
-    | Some registry -> Hashtbl.replace registry name objref
+    match with_lock t (fun () -> t.bootstrap_registry) with
+    | Some r -> with_names r (fun names -> Hashtbl.replace names name objref)
     | None -> invalid_arg "Bootstrap.bind: serve this ORB first"
 
+  (* A two-way call here returns [None] only when a client interceptor
+     rewrote it to oneway: there is no reply to decode. *)
+  let reply op = function
+    | Some d -> d
+    | None ->
+        raise
+          (System_exception
+             (Printf.sprintf
+                "bootstrap: operation %S completed as oneway, no reply" op))
+
   let resolve t boot ~name =
-    match
-      invoke t boot ~op:"resolve" (fun e -> e.Wire.Codec.put_string name)
-    with
-    | Some d -> (
-        match Serial.get_byref d with
-        | Some r -> r
-        | None -> raise (System_exception "bootstrap returned a nil reference"))
-    | None -> assert false
+    let d =
+      reply "resolve"
+        (invoke t boot ~op:"resolve" (fun e -> e.Wire.Codec.put_string name))
+    in
+    match Serial.get_byref d with
+    | Some r -> r
+    | None -> raise (System_exception "bootstrap returned a nil reference")
 
   let unbind t boot ~name =
-    ignore
-      (invoke t boot ~op:"bind" (fun e ->
-           e.Wire.Codec.put_string name;
-           Serial.put_byref e None))
+    ignore (invoke t boot ~op:"unbind" (fun e -> e.Wire.Codec.put_string name))
 
   let list_names t boot =
-    match invoke t boot ~op:"list" (fun _ -> ()) with
-    | Some d ->
-        let n = d.Wire.Codec.get_len () in
-        List.init n (fun _ -> d.Wire.Codec.get_string ())
-    | None -> assert false
+    let d = reply "list" (invoke t boot ~op:"list" (fun _ -> ())) in
+    let n = d.Wire.Codec.get_len () in
+    List.init n (fun _ -> d.Wire.Codec.get_string ())
 end
 
 (* ------------------------------------------------------------------ *)

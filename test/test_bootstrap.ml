@@ -88,6 +88,67 @@ let test_well_known_reference_shape () =
     "@tcp:galaxy.nec.com:1234#bootstrap#IDL:Heidi/Bootstrap:1.0"
     (Orb.Objref.to_string r)
 
+(* Remote binds from four client ORBs at once, while the application
+   binds locally: the servant's handlers run on several pool workers,
+   and every name must survive. *)
+let test_concurrent_binds () =
+  with_server (fun ~server ~client:_ ->
+      let boot = B.serve server in
+      let echo = Orb.export server (echo_skeleton ()) in
+      let clients = List.init 4 (fun _ -> Orb.create ()) in
+      let remote c k =
+        Thread.create
+          (fun () ->
+            for i = 1 to 100 do
+              ignore
+                (Orb.invoke c boot ~op:"bind" (fun e ->
+                     e.Wire.Codec.put_string (Printf.sprintf "c%d-%d" k i);
+                     Orb.Serial.put_byref e (Some echo)))
+            done)
+          ()
+      in
+      let threads = List.mapi (fun k c -> remote c k) clients in
+      for i = 1 to 100 do
+        B.bind server ~name:(Printf.sprintf "local-%d" i) echo
+      done;
+      List.iter Thread.join threads;
+      let names = B.list_names (List.hd clients) boot in
+      List.iter Orb.shutdown clients;
+      Alcotest.(check int) "every binding kept" 500 (List.length names))
+
+let test_unbind_calls_unbind () =
+  with_server (fun ~server ~client ->
+      let boot = B.serve server in
+      let ops = ref [] in
+      Orb.Interceptor.add
+        (Orb.server_interceptors server)
+        (Orb.Interceptor.make "record" ~on_request:(fun req ->
+             ops := req.Orb.Protocol.operation :: !ops;
+             req));
+      B.bind server ~name:"x" (Orb.export server (echo_skeleton ()));
+      B.unbind client boot ~name:"x";
+      Alcotest.(check (list string)) "operations called" [ "unbind" ] !ops;
+      Alcotest.(check (list string)) "unbound" [] (B.list_names client boot))
+
+(* A client interceptor that rewrites a call to oneway leaves nothing to
+   decode: the caller gets a System_exception naming the operation. *)
+let test_oneway_rewrite () =
+  with_server (fun ~server ~client ->
+      let boot = B.serve server in
+      Orb.Interceptor.add
+        (Orb.client_interceptors client)
+        (Orb.Interceptor.make "force-oneway" ~on_request:(fun req ->
+             { req with Orb.Protocol.oneway = true }));
+      let check what f =
+        match f () with
+        | exception Orb.System_exception m ->
+            Tutil.check_contains ~what m "oneway";
+            Tutil.check_contains ~what m what
+        | _ -> Alcotest.failf "%s: expected a System_exception" what
+      in
+      check "resolve" (fun () -> ignore (B.resolve client boot ~name:"x"));
+      check "list" (fun () -> ignore (B.list_names client boot)))
+
 let () =
   Alcotest.run "bootstrap"
     [
@@ -101,5 +162,8 @@ let () =
           Alcotest.test_case "bind before serve" `Quick test_bind_before_serve_fails;
           Alcotest.test_case "well-known reference shape" `Quick
             test_well_known_reference_shape;
+          Alcotest.test_case "concurrent binds" `Quick test_concurrent_binds;
+          Alcotest.test_case "unbind calls unbind" `Quick test_unbind_calls_unbind;
+          Alcotest.test_case "oneway rewrite is diagnosable" `Quick test_oneway_rewrite;
         ] );
     ]
