@@ -776,21 +776,21 @@ let shutdown ?drain_deadline t =
             in
             go (Unix.gettimeofday ()))
       in
-      (match aborted with
-      | None -> count t Event.drained
-      | Some n -> count ~by:n t Event.drain_aborted_jobs);
-      (match span with
-      | None -> ()
-      | Some s ->
-          let outcome =
-            match aborted with
-            | None -> Obs.Trace.Ok
-            | Some n ->
-                Obs.Trace.System_error
-                  (Printf.sprintf "drain aborted: %d dispatches abandoned" n)
-          in
+      let outcome =
+        match aborted with
+        | None ->
+            count t Event.drained;
+            Obs.Trace.Ok
+        | Some n ->
+            count ~by:n t Event.drain_aborted_jobs;
+            Obs.Trace.System_error
+              (Printf.sprintf "drain aborted: %d dispatches abandoned" n)
+      in
+      Option.iter
+        (fun s ->
           Obs.Trace.finish s outcome;
-          Obs.emit t.obs s));
+          Obs.emit t.obs s)
+        span);
   let conns, accepted, pool =
     with_lock t (fun () ->
         let cs = Mux.close t.cache in

@@ -214,12 +214,14 @@ val shutdown : ?drain_deadline:float -> t -> unit
     ORB into draining, so connections still open answer new requests
     with {!Pool.refused_draining} system exceptions, which clients
     retry or fail over under their retry policy. With [drain_deadline]
-    (seconds), phase 2 waits up to that long for requests already
-    admitted — queued or executing — to finish dispatching before
-    phase 3 force-closes every connection and stops the pool; the
-    outcome lands in {!stats} ([drains_clean] / [drain_aborted_jobs])
-    and, when tracing, in an ["orb.drain"] server span. Without it,
-    shutdown is immediate. Idempotent. *)
+    (seconds), phase 2 waits up to that long for every request already
+    admitted to be answered — {!Admit}'s server-wide count, the same
+    with or without a pool: queued, executing, or parked in a [Block]
+    admission wait — before phase 3 stops the pool and force-closes
+    every connection; the outcome lands in {!stats} ([drains_clean] /
+    [drain_aborted_jobs]) and, when tracing, in an ["orb.drain"] server
+    span. Without it, shutdown is immediate. Idempotent; a stopped ORB
+    may be started again. *)
 
 val protocol : t -> Protocol.t
 val strategy : t -> Dispatch.strategy
@@ -384,8 +386,8 @@ type stats = {
   evicted : int;  (** Connections evicted by the idle-LRU limit. *)
   drains_clean : int;  (** Graceful drains that finished in time. *)
   drain_aborted_jobs : int;
-      (** Admitted dispatches abandoned because a drain deadline passed
-          before they completed. *)
+      (** Admitted requests still unanswered when a drain deadline
+          passed, in either server mode. *)
   pool_depth : int;  (** Requests queued in the pool right now (0 without a pool). *)
   pool_active : int;  (** Pool workers currently executing (0 without a pool). *)
   mux_in_flight : int;
