@@ -24,11 +24,7 @@
    pool lock. A wait that cannot pass a deadline parks on the [change]
    condition with [Locked.wait_until_c] and re-decides on every wakeup,
    so a deadline and a freed slot racing each other resolve exactly as
-   if they had arrived in either order.
-
-   The pool has no drain of its own: shutdown waits on [Admit]'s count
-   of unanswered requests, the same in either server mode, then stops
-   the pool. *)
+   if they had arrived in either order. *)
 
 type admission = Reject | Block of float option
 type backend = Systhreads | Domains
