@@ -75,11 +75,6 @@ let default_mux = { max_in_flight = 32 }
 (* Below the default server policy's [max_pipelined] (64), so a default
    client never trips a default server's pipelining cap. *)
 
-(* The bootstrap name registry ([Bootstrap] below). Its servant's
-   handlers run on pool workers and [Bootstrap.bind] on application
-   threads, so every access holds [b_lock]. *)
-type bootstrap = { b_lock : Locked.t; b_names : (string, Objref.t) Hashtbl.t }
-
 type t = {
   proto : Protocol.t;
   codecs : Protocol.t list;
@@ -118,7 +113,9 @@ type t = {
       (* EWMA of pool-dispatch service time in µs (0 until the first
          completion) — the doomed-request shed threshold *)
   mux_peak : int Atomic.t;  (* highest in-flight count any connection saw *)
-  mutable bootstrap_registry : bootstrap option;  (* under [lock] *)
+  mutable bootstrap_registry : (string, Objref.t) Hashtbl.t option;
+      (* the table too is under [lock]: [Bootstrap]'s handlers run on
+         pool workers and [Bootstrap.bind] on application threads *)
   fwd_cache : (string, Objref.t) Hashtbl.t;
       (* logical target (stringified) -> last Locate_forward redirect;
          invalidated when the forwarded target fails *)
@@ -1803,35 +1800,32 @@ module Bootstrap = struct
   let type_id = "IDL:Heidi/Bootstrap:1.0"
   let oid = "bootstrap"
 
-  let with_names r f = Locked.with_lock r.b_lock (fun () -> f r.b_names)
-
-  let skeleton r =
+  let skeleton t names =
     Skeleton.create ~type_id
       [
         ( "bind",
           fun args _res ->
             let name = args.Wire.Codec.get_string () in
             let target = Serial.get_byref args in
-            with_names r (fun names ->
+            with_lock t (fun () ->
                 match target with
                 | Some o -> Hashtbl.replace names name o
                 | None -> Hashtbl.remove names name) );
         ( "resolve",
           fun args res ->
             let name = args.Wire.Codec.get_string () in
-            match with_names r (fun names -> Hashtbl.find_opt names name) with
+            match with_lock t (fun () -> Hashtbl.find_opt names name) with
             | Some o -> Serial.put_byref res (Some o)
             | None -> failwith (Printf.sprintf "bootstrap: name %S is not bound" name)
         );
         ( "unbind",
           fun args _res ->
             let name = args.Wire.Codec.get_string () in
-            with_names r (fun names -> Hashtbl.remove names name) );
+            with_lock t (fun () -> Hashtbl.remove names name) );
         ( "list",
           fun _args res ->
             let names =
-              with_names r (fun names ->
-                  Hashtbl.fold (fun k _ acc -> k :: acc) names [])
+              with_lock t (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) names [])
             in
             let names = List.sort compare names in
             res.Wire.Codec.put_len (List.length names);
@@ -1839,25 +1833,19 @@ module Bootstrap = struct
       ]
 
   let serve t =
-    let r =
-      {
-        b_lock =
-          Locked.create ~name:"bootstrap.registry"
-            ~rank:Locked.Rank.naming_registry;
-        b_names = Hashtbl.create 16;
-      }
-    in
-    let boot = export_named t ~oid (skeleton r) in
-    with_lock t (fun () -> t.bootstrap_registry <- Some r);
+    let names = Hashtbl.create 16 in
+    let boot = export_named t ~oid (skeleton t names) in
+    with_lock t (fun () -> t.bootstrap_registry <- Some names);
     boot
 
   let reference ~proto ~host ~port =
     Objref.make ~proto ~host ~port ~oid ~type_id
 
   let bind t ~name objref =
-    match with_lock t (fun () -> t.bootstrap_registry) with
-    | Some r -> with_names r (fun names -> Hashtbl.replace names name objref)
-    | None -> invalid_arg "Bootstrap.bind: serve this ORB first"
+    with_lock t (fun () ->
+        match t.bootstrap_registry with
+        | Some names -> Hashtbl.replace names name objref
+        | None -> invalid_arg "Bootstrap.bind: serve this ORB first")
 
   (* A two-way call here returns [None] only when a client interceptor
      rewrote it to oneway: there is no reply to decode. *)
