@@ -692,14 +692,13 @@ let admit_scenarios =
   let a = { aname = ""; cap = 0; pooled = true; workers = 2; reqs = []; drain = true;
             cancel = true } in
   [
-    { a with aname = "pool, a budget, a oneway, drain and cancel"; workers = 1;
+    { a with aname = "pool, a budget, a oneway, drain and cancel";
       reqs = [ two_way ~budget:true (); { oneway = true; budget = false; on = 0 }; two_way () ] };
     { a with aname = "pool, two connections, drain"; workers = 1; cancel = false;
       reqs = [ two_way (); two_way ~on:1 (); two_way ~on:1 () ] };
     { a with aname = "pool, cap 2, one worker, budgets"; cap = 2; workers = 1; drain = false;
       cancel = false; reqs = [ two_way ~budget:true (); two_way (); two_way ~budget:true () ] };
-    { a with aname = "thread per connection, cap 1"; cap = 1; pooled = false; drain = false;
-      cancel = false;
+    { a with aname = "thread per connection, cap 1"; cap = 1; pooled = false; cancel = false;
       reqs = [ two_way ~budget:true (); two_way ~budget:true ();
                { oneway = true; budget = true; on = 0 } ] };
     { a with aname = "thread per connection, two connections, drain"; pooled = false;
