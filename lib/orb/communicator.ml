@@ -45,49 +45,54 @@ let add_uvarint buf n =
   done;
   Buffer.add_char buf (Char.unsafe_chr !n)
 
-(* Bodies up to this size are concatenated with their frame header and
-   written in one syscall; larger bodies go through the channel's
-   [writev] as header + body slices — no coalescing copy of the
-   payload. The threshold keeps the common small-frame case a single
-   packet under TCP_NODELAY (a tiny header-only segment would otherwise
-   go out on its own). *)
+(* A frame goes to the channel's [writev] as slices: each slice over
+   [coalesce_limit] bytes (a payload the encoder kept by reference) as
+   it is, and each run of smaller ones (the frame header with the
+   envelope's head; the trailer) joined into one string. So a frame of
+   up to this size is copied once and written in one syscall, which
+   keeps the common small-frame case a single packet under TCP_NODELAY
+   (a tiny header-only segment would otherwise go out on its own), and
+   a large payload is not copied at all. *)
 let coalesce_limit = 4096
 
-(* Frame header + body: a small body is copied once, next to its
-   header; a large one goes out as its own slice. *)
-let send_framed t ~mk_header body =
-  let blen = String.length body in
+let join_small slices =
+  let flush run acc =
+    match run with [] -> acc | run -> Wire.Codec.concat (List.rev run) :: acc
+  in
+  let rec go run acc = function
+    | [] -> List.rev (flush run acc)
+    | s :: rest when String.length s > coalesce_limit ->
+        go [] (s :: flush run acc) rest
+    | s :: rest -> go (s :: run) acc rest
+  in
+  go [] [] slices
+
+(* The caller already serializes sends per connection, so the slices
+   stay adjacent on the wire. *)
+let send_framed t ~mk_header slices =
   let hdr = Buffer.create 16 in
-  mk_header hdr blen;
-  if blen <= coalesce_limit then begin
-    let hlen = Buffer.length hdr in
-    let frame = Bytes.create (hlen + blen) in
-    Buffer.blit hdr 0 frame 0 hlen;
-    Bytes.blit_string body 0 frame hlen blen;
-    t.chan.Transport.write (Bytes.unsafe_to_string frame)
-  end
-  else
-    (* The caller already serializes sends per connection, so the
-       header and body slices stay adjacent on the wire. *)
-    t.chan.Transport.writev [ Buffer.contents hdr; body ]
+  mk_header hdr (List.fold_left (fun n s -> n + String.length s) 0 slices);
+  t.chan.Transport.writev (join_small (Buffer.contents hdr :: slices))
 
 let send ?(proto : Protocol.t option) t msg =
   let proto = match proto with Some p -> p | None -> t.sproto in
-  let body = proto.Protocol.encode_message msg in
   match proto.Protocol.framing with
   | Protocol.Line ->
+      let body = proto.Protocol.encode_message msg in
       if String.contains body '\n' then
         raise
           (Protocol.Protocol_error
              "line-framed message bodies must not contain newlines");
       t.chan.Transport.write (body ^ "\n")
   | Protocol.Length_prefixed { header } ->
-      send_framed t body ~mk_header:(fun buf blen ->
+      send_framed t (proto.Protocol.encode_slices msg)
+        ~mk_header:(fun buf blen ->
           Buffer.add_string buf header;
           add_hex8 buf blen;
           Buffer.add_char buf '\n')
   | Protocol.Varint_prefixed { magic } ->
-      send_framed t body ~mk_header:(fun buf blen ->
+      send_framed t (proto.Protocol.encode_slices msg)
+        ~mk_header:(fun buf blen ->
           Buffer.add_char buf magic;
           add_uvarint buf blen)
 
@@ -99,20 +104,32 @@ type recv_error = { reason : string; req_id_hint : int option }
    reply and keep serving the connection. Exceptions mean the stream
    state is unknown (bad header, I/O failure): close the connection. *)
 let recv_opt t =
-  let decode body =
-    match t.rproto.Protocol.decode_limited t.limits body with
+  let decode bytes ~pos ~len =
+    match t.rproto.Protocol.decode_sub t.limits bytes ~pos ~len with
     | msg -> Ok msg
     | exception Protocol.Protocol_error reason ->
-        Error { reason; req_id_hint = Protocol.request_id_hint t.rproto body }
+        Error
+          {
+            reason;
+            req_id_hint = Protocol.request_id_hint t.rproto bytes ~pos ~len;
+          }
   in
-  (* Consume the advertised body in bounded chunks — the peer declared
-     it honestly, so after the discard the stream is synchronized and an
-     error reply can be delivered. *)
+  (* A counted frame is decoded where it lies in the channel's read
+     buffer. The string view of that buffer lives only for this decode
+     (and the id hint), before the next read on the channel; everything
+     decoded out of it is a fresh copy. *)
+  let decode_body len =
+    let buf, pos = t.chan.Transport.read_view len in
+    decode (Bytes.unsafe_to_string buf) ~pos ~len
+  in
+  (* Consume the advertised body in bounded views — the peer declared
+     it honestly, so after the discard the stream is synchronized and
+     an error reply can be delivered. *)
   let discard_body len =
     let remaining = ref len in
     while !remaining > 0 do
       let n = min !remaining 65536 in
-      ignore (t.chan.Transport.read_exact n);
+      ignore (t.chan.Transport.read_view n);
       remaining := !remaining - n
     done;
     Error
@@ -123,6 +140,10 @@ let recv_opt t =
         req_id_hint = None;
       }
   in
+  let byte () =
+    let buf, pos = t.chan.Transport.read_view 1 in
+    Bytes.get buf pos
+  in
   (* Each line read is bounded while the frame is still in flight: for
      line framing the line IS the frame, so its limit is the frame
      limit; for length-prefixed framing only the short fixed-size
@@ -130,7 +151,7 @@ let recv_opt t =
   match t.rproto.Protocol.framing with
   | Protocol.Line -> (
       match t.chan.Transport.read_line ~max:t.limits.Wire.Codec.max_frame_bytes with
-      | line -> decode line
+      | line -> decode line ~pos:0 ~len:(String.length line)
       | exception Transport.Frame_limit reason ->
           (* The transport discarded the oversized line through its
              newline: synchronized, recoverable. *)
@@ -158,9 +179,9 @@ let recv_opt t =
                  (Printf.sprintf "bad frame length %S" len_hex))
       in
       if len > t.limits.Wire.Codec.max_frame_bytes then discard_body len
-      else decode (t.chan.Transport.read_exact len)
+      else decode_body len
   | Protocol.Varint_prefixed { magic } ->
-      let m = (t.chan.Transport.read_exact 1).[0] in
+      let m = byte () in
       if m <> magic then
         (* The stream is positioned who-knows-where in a frame we cannot
            delimit: fatal. *)
@@ -168,17 +189,17 @@ let recv_opt t =
           (Protocol.Protocol_error
              (Printf.sprintf "bad frame magic 0x%02x (expected 0x%02x)"
                 (Char.code m) (Char.code magic)));
-      (* Body length as LEB128, read byte-at-a-time (the transport
-         buffers). More than 9 groups, or a 9th group reaching bit 62
-         (the sign bit of an OCaml int), cannot be a length any encoder
-         produced — and with the continuation bit's position unknown the
-         stream cannot be resynchronized: fatal. *)
+      (* Body length as LEB128, read byte-at-a-time through one-byte
+         views (the transport buffers). More than 9 groups, or a 9th
+         group reaching bit 62 (the sign bit of an OCaml int), cannot be
+         a length any encoder produced — and with the continuation bit's
+         position unknown the stream cannot be resynchronized: fatal. *)
       let len =
         let v = ref 0 and shift = ref 0 and continue = ref true in
         while !continue do
           if !shift > 56 then
             raise (Protocol.Protocol_error "over-long frame length varint");
-          let b = Char.code (t.chan.Transport.read_exact 1).[0] in
+          let b = Char.code (byte ()) in
           if !shift = 56 && b land 0x40 <> 0 then
             raise (Protocol.Protocol_error "over-long frame length varint");
           v := !v lor ((b land 0x7f) lsl !shift);
@@ -188,7 +209,7 @@ let recv_opt t =
         !v
       in
       if len > t.limits.Wire.Codec.max_frame_bytes then discard_body len
-      else decode (t.chan.Transport.read_exact len)
+      else decode_body len
 
 let recv t =
   match recv_opt t with

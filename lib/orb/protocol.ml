@@ -38,7 +38,9 @@ type t = {
   version : int;
   codec : Wire.Codec.t;
   framing : framing;
+  encode_slices : message -> string list;
   encode_message : message -> string;
+  decode_sub : Wire.Codec.limits -> string -> pos:int -> len:int -> message;
   decode_message : string -> message;
   decode_limited : Wire.Codec.limits -> string -> message;
 }
@@ -176,7 +178,7 @@ let reference what s =
   | None -> fail "malformed %s %S" what s
 
 let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
-  let encode_message msg =
+  let encode_slices msg =
     let e = codec.Wire.Codec.encoder () in
     (match msg with
     | Request r ->
@@ -220,11 +222,12 @@ let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
         e.put_octet tag_locate_forward;
         e.put_ulong rep_id;
         e.put_string (Objref.to_string target));
-    e.finish ()
+    e.finish_slices ()
   in
-  let decode_limited limits bytes =
+  let encode_message msg = Wire.Codec.concat (encode_slices msg) in
+  let decode_sub limits bytes ~pos ~len =
     let d =
-      try codec.Wire.Codec.decoder_limited limits bytes
+      try codec.Wire.Codec.decoder_sub limits bytes ~pos ~len
       with Wire.Codec.Type_error m -> raise (Protocol_error m)
     in
     (* Decode strictly in wire order (record-field evaluation order is
@@ -283,16 +286,31 @@ let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
       else fail "unknown message tag %d" tag
     with Wire.Codec.Type_error m -> raise (Protocol_error m)
   in
+  let decode_limited limits bytes =
+    decode_sub limits bytes ~pos:0 ~len:(String.length bytes)
+  in
   let decode_message bytes = decode_limited Wire.Codec.default_limits bytes in
-  { name; version; codec; framing; encode_message; decode_message; decode_limited }
+  {
+    name;
+    version;
+    codec;
+    framing;
+    encode_slices;
+    encode_message;
+    decode_sub;
+    decode_message;
+    decode_limited;
+  }
 
 (* Best-effort request id of a frame that failed to decode: the tag and
    request id are the first two fields of every envelope, so they often
    survive a mutation further in. Lets the server's error reply carry
    the id the client is waiting on instead of 0. *)
-let request_id_hint t bytes =
+let request_id_hint t bytes ~pos ~len =
   match
-    let d = t.codec.Wire.Codec.decoder bytes in
+    let d =
+      t.codec.Wire.Codec.decoder_sub Wire.Codec.default_limits bytes ~pos ~len
+    in
     let tag = d.Wire.Codec.get_octet () in
     if tag = tag_request || tag = tag_locate_request then
       Some (d.Wire.Codec.get_ulong ())

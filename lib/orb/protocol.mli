@@ -17,9 +17,11 @@ type framing =
   | Varint_prefixed of { magic : char }
       (** [magic ^ LEB128 body length ^ body] — compact binary framing:
           2-3 bytes of overhead on ordinary messages instead of the
-          fixed header's ~14. Large bodies are sent as header + body
-          slices through the transport's [writev] with no coalescing
-          copy. *)
+          fixed header's ~14. As with {!Length_prefixed}, a large body
+          goes out as the slices of [encode_slices] through the
+          transport's [writev], its payload uncopied, and is decoded on
+          receive where it lies in the channel's read buffer
+          ([decode_sub]). *)
 
 (** {b The trailer.} Everything the envelope grew after the paper — the trace context,
     the deadline budget and the negotiation offer of a {!request}, the
@@ -102,13 +104,23 @@ type t = {
           on-the-wire version byte (HCX) report it here; others are 1. *)
   codec : Wire.Codec.t;
   framing : framing;
+  encode_slices : message -> string list;
+      (** The encoded message as slices for a gathered write (the
+          codec's [finish_slices]): a long payload comes back as its own
+          slice, uncopied, between the envelope's head and trailer. *)
   encode_message : message -> string;
+      (** The slices of [encode_slices], joined. *)
+  decode_sub : Wire.Codec.limits -> string -> pos:int -> len:int -> message;
+      (** Decode the message in the [len] bytes at [pos], in place
+          (the codec's [decoder_sub]), under explicit resource limits
+          (see {!Wire.Codec.limits}): the server side decodes untrusted
+          frames where they lie in the channel's read buffer. The
+          result, or the {!Protocol_error} text, is that of
+          [decode_limited] on the range's bytes alone. *)
   decode_message : string -> message;
       (** Equivalent to [decode_limited Wire.Codec.default_limits]. *)
   decode_limited : Wire.Codec.limits -> string -> message;
-      (** Decode under explicit resource limits (see
-          {!Wire.Codec.limits}) — the server side decodes untrusted
-          frames through this. *)
+      (** [decode_sub] over the whole string. *)
 }
 
 val generic : name:string -> ?version:int -> framing:framing -> Wire.Codec.t -> t
@@ -171,9 +183,9 @@ end
 exception Protocol_error of string
 (** Raised by [decode_message] on malformed messages. *)
 
-val request_id_hint : t -> string -> int option
-(** Best-effort request id of a frame that failed to decode: the tag
-    and request id lead every envelope, so they often survive damage
-    further into the frame. [Some id] when the frame starts like a
+val request_id_hint : t -> string -> pos:int -> len:int -> int option
+(** Best-effort request id of a frame (the [len] bytes at [pos]) that
+    failed to decode: the tag and request id lead every envelope, so
+    they often survive damage further into the frame. [Some id] when the frame starts like a
     request or locate-request; [None] otherwise. Never raises — used to
     address error replies for malformed frames. *)

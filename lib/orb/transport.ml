@@ -22,6 +22,7 @@ type channel = {
   writev : string list -> unit;
   read_line : max:int -> string;
   read_exact : int -> string;
+  read_view : int -> Bytes.t * int;
   close : unit -> unit;
   peer : string;
 }
@@ -43,12 +44,14 @@ type listener = {
 
    [rbuf.[rpos .. rlen-1]] holds bytes filled but not yet consumed. The
    buffer starts at 4 KiB and doubles only when one frame (or line) does
-   not fit, and only as that frame's bytes arrive (see [read_exact]), so
+   not fit, and only as that frame's bytes arrive (see [fill_to]), so
    it ends up the size of the largest frame actually received. Consumed
    bytes are reclaimed by sliding the live bytes to the front when they
    are no more than the dead prefix (amortized linear) or when the tail
-   is too short for the next fill. Only the one reader thread touches
-   these. *)
+   is too short for the next fill. [read_exact] copies a frame out as a
+   fresh string; [read_view] lends it where it lies, valid until the
+   next read slides or replaces the buffer. Only the one reader thread
+   touches these. *)
 let buffered_reader ~peer fill =
   let rbuf = ref (Bytes.create 4096) in
   let rpos = ref 0 and rlen = ref 0 in
@@ -136,14 +139,26 @@ let buffered_reader ~peer fill =
      declared length: a peer that sends only a header announcing a
      16 MiB frame must not make this connection allocate (and keep)
      16 MiB before the body's bytes arrive. *)
-  let rec read_exact n =
+  let rec fill_to n =
     let live = available () in
-    if live >= n then take n
-    else (
+    if live < n then begin
       refill (min (n - live) 65536);
-      read_exact n)
+      fill_to n
+    end
   in
-  (read_line, read_exact)
+  let read_exact n =
+    fill_to n;
+    take n
+  in
+  (* Lend the next [n] bytes where they lie: consumed, but left in place
+     until the next read slides or replaces the buffer. *)
+  let read_view n =
+    fill_to n;
+    let off = !rpos in
+    rpos := off + n;
+    (!rbuf, off)
+  in
+  (read_line, read_exact, read_view)
 
 (* ---------------- TCP ---------------- *)
 
@@ -184,7 +199,7 @@ let tcp_channel fd ~peer =
   (* Each [Unix.read] copies at most 64 KiB through the runtime's stack
      buffer into the reader's free tail: no heap chunk per read, but
      still one copy. *)
-  let read_line, read_exact =
+  let read_line, read_exact, read_view =
     buffered_reader ~peer (fun buf off len ->
         guarded (fun () ->
             try Unix.read fd buf off len
@@ -223,7 +238,7 @@ let tcp_channel fd ~peer =
           if !users = 0 then really_close ()
         end)
   in
-  { write; writev; read_line; read_exact; close; peer }
+  { write; writev; read_line; read_exact; read_view; close; peer }
 
 let resolve_host host =
   if host = "localhost" || host = "" then Unix.inet_addr_loopback
@@ -402,7 +417,9 @@ end
 let mem_channel_pair ~peer_a ~peer_b =
   let a_to_b = Pipe.create () and b_to_a = Pipe.create () in
   let mk ~incoming ~outgoing ~peer =
-    let read_line, read_exact = buffered_reader ~peer (Pipe.fill incoming) in
+    let read_line, read_exact, read_view =
+      buffered_reader ~peer (Pipe.fill incoming)
+    in
     {
       write = Pipe.write outgoing;
       (* Callers serialize sends per connection, so the slices stay
@@ -410,6 +427,7 @@ let mem_channel_pair ~peer_a ~peer_b =
       writev = List.iter (Pipe.write outgoing);
       read_line;
       read_exact;
+      read_view;
       close =
         (fun () ->
           Pipe.close outgoing;
@@ -676,6 +694,7 @@ let faulty_channel inner =
     writev = (fun parts -> write (String.concat "" parts));
     read_line = (fun ~max -> on_read (fun () -> inner.read_line ~max));
     read_exact = (fun n -> on_read (fun () -> inner.read_exact n));
+    read_view = (fun n -> on_read (fun () -> inner.read_view n));
     (* Closing marks the channel broken so a concurrently stalled read
        (Stall_read) wakes with a transport error instead of spinning on a
        channel nobody will use again — the client demux relies on this
@@ -721,6 +740,11 @@ let metered ~on_read ~on_write chan =
         let s = chan.read_exact n in
         on_read (String.length s);
         s);
+    read_view =
+      (fun n ->
+        let v = chan.read_view n in
+        on_read n;
+        v);
   }
 
 (* ---------------- dispatch by protocol name ---------------- *)

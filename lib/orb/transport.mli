@@ -54,13 +54,21 @@ type channel = {
   read_exact : int -> string;
       (** Read exactly [n] bytes, as a fresh string the caller owns.
 
-          Reads have one owner at a time: [read_line] and [read_exact]
-          share the channel's receive buffer (one [Bytes] per
-          connection that grows, as bytes arrive, to the largest frame
-          received), so two threads must not read one channel
+          Reads have one owner at a time: [read_line], [read_exact] and
+          [read_view] share the channel's receive buffer (one [Bytes]
+          per connection that grows, as bytes arrive, to the largest
+          frame received), so two threads must not read one channel
           concurrently. A read blocks until its bytes arrive or the
           channel closes. Writes and [close] may come from other
           threads; [close] wakes a blocked read.
+          @raise Transport_error on EOF. *)
+  read_view : int -> Bytes.t * int;
+      (** [read_view n] reads exactly [n] bytes like [read_exact], but
+          copies nothing: it returns [(buf, off)], where
+          [buf.[off .. off+n-1]] are the bytes, lent in the channel's
+          own receive buffer. The view is valid only until the next read
+          on this channel, which may slide or replace that buffer; the
+          caller must neither keep it past then nor write to it.
           @raise Transport_error on EOF. *)
   close : unit -> unit;
   peer : string;  (** Peer description for logs. *)
@@ -90,9 +98,10 @@ val metered :
 (** Wrap a channel so every wire byte (framing included) is reported to
     the callbacks after the underlying operation succeeds — the feed
     for the observability layer's per-endpoint byte counters.
-    [read_line] counts the consumed newline terminator, so a loopback
-    pair's in/out totals match. Callbacks run on the I/O path: they
-    must be cheap and must not raise. *)
+    [read_line] counts the consumed newline terminator and [read_view]
+    the bytes it lends, so a loopback pair's in/out totals match.
+    Callbacks run on the I/O path: they must be cheap and must not
+    raise. *)
 
 (** Deterministic fault injection for the ["faulty:<inner>"] transport.
 

@@ -2,29 +2,22 @@ type byte_order = Big_endian | Little_endian
 
 (* ---------------- encoding ---------------- *)
 
+(* Written into a {!Buf}, so a long string (a payload put into its
+   envelope) is kept by reference and comes back from [finish_slices]
+   as its own slice. Alignment counts the referenced bytes too. *)
 let make_encoder order () : Codec.encoder =
-  let buf = Buffer.create 128 in
+  let buf = Buf.create ~initial:128 () in
   let align n =
-    let pos = Buffer.length buf in
-    let pad = (n - (pos mod n)) mod n in
+    let pad = (n - (Buf.length buf mod n)) mod n in
     for _ = 1 to pad do
-      Buffer.add_char buf '\000'
+      Buf.add_char buf '\000'
     done
   in
-  let add16 v =
+  let add16, add32, add64 =
     match order with
-    | Big_endian -> Buffer.add_uint16_be buf (v land 0xffff)
-    | Little_endian -> Buffer.add_uint16_le buf (v land 0xffff)
-  in
-  let add32 v =
-    match order with
-    | Big_endian -> Buffer.add_int32_be buf v
-    | Little_endian -> Buffer.add_int32_le buf v
-  in
-  let add64 v =
-    match order with
-    | Big_endian -> Buffer.add_int64_be buf v
-    | Little_endian -> Buffer.add_int64_le buf v
+    | Big_endian -> (Buf.add_uint16_be buf, Buf.add_int32_be buf, Buf.add_int64_be buf)
+    | Little_endian ->
+        (Buf.add_uint16_le buf, Buf.add_int32_le buf, Buf.add_int64_le buf)
   in
   let put_ulong v =
     let v = Codec.range_check "unsigned long" ~min:0 ~max:4294967295 v in
@@ -34,15 +27,15 @@ let make_encoder order () : Codec.encoder =
   let put_string s =
     (* ulong length including NUL, then bytes, then NUL. *)
     put_ulong (String.length s + 1);
-    Buffer.add_string buf s;
-    Buffer.add_char buf '\000'
+    Buf.add_string buf s;
+    Buf.add_char buf '\000'
   in
   {
-    put_bool = (fun b -> Buffer.add_char buf (if b then '\001' else '\000'));
-    put_char = (fun c -> Buffer.add_char buf c);
+    put_bool = (fun b -> Buf.add_char buf (if b then '\001' else '\000'));
+    put_char = (fun c -> Buf.add_char buf c);
     put_octet =
       (fun v ->
-        Buffer.add_char buf (Char.chr (Codec.range_check "octet" ~min:0 ~max:255 v)));
+        Buf.add_char buf (Char.chr (Codec.range_check "octet" ~min:0 ~max:255 v)));
     put_short =
       (fun v ->
         let v = Codec.range_check "short" ~min:(-32768) ~max:32767 v in
@@ -79,24 +72,29 @@ let make_encoder order () : Codec.encoder =
     put_begin = (fun () -> ());
     put_end = (fun () -> ());
     put_len = put_ulong;
-    finish = (fun () -> Buffer.contents buf);
+    finish = (fun () -> Buf.contents buf);
+    finish_slices = (fun () -> Buf.slices buf);
   }
 
 (* ---------------- decoding ---------------- *)
 
-let make_decoder_limited order (limits : Codec.limits) payload : Codec.decoder =
-  let pos = ref 0 in
+(* Reads [payload.[base .. stop-1]] in place. [pos] is absolute;
+   alignment and error offsets count from [base], the start of the
+   encapsulation. *)
+let make_decoder_sub order (limits : Codec.limits) payload ~pos:base ~len :
+    Codec.decoder =
+  let pos = ref base in
   let depth = ref 0 in
-  let len = String.length payload in
+  let stop = base + len in
   let need n what =
-    if !pos + n > len then
+    if !pos + n > stop then
       raise
         (Codec.Type_error
            (Printf.sprintf "truncated payload: need %d bytes for %s at offset %d"
-              n what !pos))
+              n what (!pos - base)))
   in
   let align n =
-    let pad = (n - (!pos mod n)) mod n in
+    let pad = (n - ((!pos - base) mod n)) mod n in
     pos := !pos + pad
   in
   let byte what =
@@ -203,16 +201,10 @@ let make_decoder_limited order (limits : Codec.limits) payload : Codec.decoder =
                (Printf.sprintf "sequence length %d exceeds limit %d" n
                   limits.Codec.max_sequence_length));
         n);
-    at_end = (fun () -> !pos >= len);
+    at_end = (fun () -> !pos >= stop);
   }
 
-let make_decoder order payload =
-  make_decoder_limited order Codec.default_limits payload
-
-let codec order : Codec.t =
-  {
-    Codec.name = (match order with Big_endian -> "cdr-be" | Little_endian -> "cdr-le");
-    encoder = make_encoder order;
-    decoder = make_decoder order;
-    decoder_limited = make_decoder_limited order;
-  }
+let codec order =
+  Codec.make
+    ~name:(match order with Big_endian -> "cdr-be" | Little_endian -> "cdr-le")
+    ~encoder:(make_encoder order) (make_decoder_sub order)

@@ -22,6 +22,7 @@ type encoder = {
   put_end : unit -> unit;
   put_len : int -> unit;
   finish : unit -> string;
+  finish_slices : unit -> string list;
 }
 
 type decoder = {
@@ -79,7 +80,30 @@ type t = {
   encoder : unit -> encoder;
   decoder : string -> decoder;  (* decoder_limited default_limits *)
   decoder_limited : limits -> string -> decoder;
+  decoder_sub : limits -> string -> pos:int -> len:int -> decoder;
 }
+
+(* One decoder per codec, over a sub-range; the whole-string decoders
+   are that sub-range decoder over the whole string, so there is one
+   decode path. The range is checked here, once for every codec. *)
+let make ~name ~encoder sub =
+  let decoder_sub limits s ~pos ~len =
+    if pos < 0 || len < 0 || pos > String.length s - len then
+      invalid_arg
+        (Printf.sprintf "Wire.Codec.decoder_sub: range %d+%d of a %d-byte string"
+           pos len (String.length s));
+    sub limits s ~pos ~len
+  in
+  let decoder_limited limits s = sub limits s ~pos:0 ~len:(String.length s) in
+  {
+    name;
+    encoder;
+    decoder = decoder_limited default_limits;
+    decoder_limited;
+    decoder_sub;
+  }
+
+let concat = function [ s ] -> s | slices -> String.concat "" slices
 
 let range_check what ~min ~max v =
   if v < min || v > max then

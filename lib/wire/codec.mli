@@ -34,6 +34,13 @@ type encoder = {
   put_end : unit -> unit;
   put_len : int -> unit;  (** Sequence length prefix. *)
   finish : unit -> string;  (** The completed payload. *)
+  finish_slices : unit -> string list;
+      (** The gather finish: the completed payload as slices that
+          concatenate to what [finish] returns. A long string put into
+          the encoder (see {!Buf.ref_min}) comes back as its own slice,
+          uncopied, so an envelope around a payload is handed back as
+          head, payload and trailer for a gathered write. The two
+          finishes agree, and either may be called more than once. *)
 }
 
 type decoder = {
@@ -86,7 +93,29 @@ type t = {
   decoder : string -> decoder;
       (** Equivalent to [decoder_limited default_limits]. *)
   decoder_limited : limits -> string -> decoder;
+      (** [decoder_sub] over the whole string. *)
+  decoder_sub : limits -> string -> pos:int -> len:int -> decoder;
+      (** Decode the [len] bytes at [pos], in place: nothing outside the
+          range is read, [at_end] is the range's end, a truncation there
+          fails as it would at the end of a string holding only the
+          range, and error offsets (and CDR alignment) count from [pos].
+          So the result, or the error text, is the same as for
+          [decoder_limited] on [String.sub s pos len].
+          @raise Invalid_argument if the range is not inside [s]. *)
 }
+
+val make :
+  name:string ->
+  encoder:(unit -> encoder) ->
+  (limits -> string -> pos:int -> len:int -> decoder) ->
+  t
+(** A codec from its encoder and its sub-range decoder; [decoder] and
+    [decoder_limited] decode the whole string through the latter, and
+    [decoder_sub] checks the range before calling it. *)
+
+val concat : string list -> string
+(** Join slices (from [finish_slices]) into one string; a single slice
+    is returned as it is, uncopied. *)
 
 val range_check : string -> min:int -> max:int -> int -> int
 (** [range_check what ~min ~max v] returns [v] or raises {!Type_error}

@@ -21,13 +21,18 @@
                [Codec.limits.max_nesting_depth]
 
    Unlike CDR there is no alignment padding, so positions never depend
-   on what came before. The decoder reads whole payload strings: the
-   transport returns each frame as one fresh string, and the envelope's
-   payload field is one [String.sub].
+   on what came before. The decoder reads a sub-range of a string in
+   place — on receive, the frame's bytes where they lie in the
+   channel's read buffer — and error offsets count from the start of
+   that range. The strings it decodes are its only allocations; the
+   envelope's payload field is one [String.sub].
 
    The encoder writes into a {!Buf} taken from a one-slot-per-domain
    cache and handed back by [finish], so a steady stream of messages
-   reuses one buffer and allocates only each message's result string.
+   reuses one buffer. A long string (a payload put into its envelope)
+   is kept by reference, not copied: [finish_slices] hands it back as
+   its own slice, between the head and the trailer, for a gathered
+   write; [finish] copies everything once into the result string.
    Varints up to 63 bits are written with one capacity check per
    value; every varint is read by one loop whose bounds test is an
    inline compare per byte. *)
@@ -71,31 +76,43 @@ let slot () = slots.((Domain.self () :> int) land 15)
 
 let acquire () =
   match Atomic.exchange (slot ()) None with
-  | Some buf ->
-      Buf.clear buf;
-      buf
+  | Some buf -> buf
   | None -> Buf.create ~initial:128 ()
 
+(* Cleared before it is cached, so the cache holds no reference to a
+   finished message's strings. *)
 let release buf =
-  if Buf.capacity buf <= retain_cap then Atomic.set (slot ()) (Some buf)
+  if Buf.capacity buf <= retain_cap then begin
+    Buf.clear buf;
+    Atomic.set (slot ()) (Some buf)
+  end
 
 let make_encoder () : Codec.encoder =
   let cur = ref (acquire ()) in
   Buf.add_char !cur (Char.chr version);
-  (* [finish] returns the buffer to the cache and remembers its result
-     here; the encoder never touches that buffer again. A put after
-     [finish] continues in a private buffer seeded with the result, so
-     a later [finish] still returns every byte put. *)
+  (* The first finish returns the buffer to the cache and remembers its
+     result here, as slices; the encoder never touches that buffer
+     again. A put after a finish continues in a private buffer seeded
+     with the result, so a later finish still returns every byte put. *)
   let finished = ref None in
   let buf () =
     match !finished with
     | None -> !cur
-    | Some s ->
-        let b = Buf.create ~initial:(String.length s + 128) () in
-        Buf.add_string b s;
+    | Some slices ->
+        let b = Buf.create ~initial:128 () in
+        List.iter (Buf.add_string b) slices;
         cur := b;
         finished := None;
         b
+  in
+  let finish_with take =
+    match !finished with
+    | Some slices -> slices
+    | None ->
+        let slices = take !cur in
+        release !cur;
+        finished := Some slices;
+        slices
   in
   let put_ulong v =
     Buf.add_uvarint (buf ())
@@ -135,29 +152,28 @@ let make_encoder () : Codec.encoder =
     put_len = put_ulong;
     finish =
       (fun () ->
-        match !finished with
-        | Some s -> s
-        | None ->
-            let s = Buf.contents !cur in
-            release !cur;
-            finished := Some s;
-            s);
+        let s = Codec.concat (finish_with (fun b -> [ Buf.contents b ])) in
+        finished := Some [ s ];
+        s);
+    finish_slices = (fun () -> finish_with Buf.slices);
   }
 
 (* ---------------- decoding ---------------- *)
 
-(* Every read is positional in [payload]; nothing of it is copied but
-   the strings decoded out of it. *)
-let make_decoder_limited (limits : Codec.limits) payload : Codec.decoder =
-  let pos = ref 0 in
-  let stop = String.length payload in
+(* Every read is positional in [payload.[base .. stop-1]]; nothing of
+   it is copied but the strings decoded out of it. [pos] is absolute;
+   errors name it relative to [base]. *)
+let make_decoder_sub (limits : Codec.limits) payload ~pos:base ~len :
+    Codec.decoder =
+  let pos = ref base in
+  let stop = base + len in
   let depth = ref 0 in
   let need n what =
     if !pos + n > stop then
       raise
         (Codec.Type_error
            (Printf.sprintf "truncated HCX payload: need %d bytes for %s at offset %d"
-              n what !pos))
+              n what (!pos - base)))
   in
   let byte what =
     need 1 what;
@@ -185,7 +201,8 @@ let make_decoder_limited (limits : Codec.limits) payload : Codec.decoder =
         pos := !p;
         raise
           (Codec.Type_error
-             (Printf.sprintf "over-long varint for %s at offset %d" what !p))
+             (Printf.sprintf "over-long varint for %s at offset %d" what
+                (!p - base)))
       end;
       v := !v lor ((b land 0x7f) lsl !shift);
       shift := !shift + 7;
@@ -201,11 +218,13 @@ let make_decoder_limited (limits : Codec.limits) payload : Codec.decoder =
       if !shift = 63 && b > 1 then
         raise
           (Codec.Type_error
-             (Printf.sprintf "over-long varint for %s at offset %d" what !pos))
+             (Printf.sprintf "over-long varint for %s at offset %d" what
+                (!pos - base)))
       else if !shift > 63 then
         raise
           (Codec.Type_error
-             (Printf.sprintf "over-long varint for %s at offset %d" what !pos));
+             (Printf.sprintf "over-long varint for %s at offset %d" what
+                (!pos - base)));
       v := Int64.logor !v (Int64.shift_left (Int64.of_int (b land 0x7f)) !shift);
       shift := !shift + 7;
       continue := b land 0x80 <> 0
@@ -305,12 +324,4 @@ let make_decoder_limited (limits : Codec.limits) payload : Codec.decoder =
     at_end = (fun () -> !pos >= stop);
   }
 
-let make_decoder payload = make_decoder_limited Codec.default_limits payload
-
-let codec : Codec.t =
-  {
-    Codec.name = "hcx";
-    encoder = make_encoder;
-    decoder = make_decoder;
-    decoder_limited = make_decoder_limited;
-  }
+let codec = Codec.make ~name:"hcx" ~encoder:make_encoder make_decoder_sub

@@ -6,11 +6,13 @@
     Integers use LEB128 varints (signed types zigzag-mapped first), so
     small values — the overwhelming majority of ids, lengths and enum
     tags — cost one byte. Floats are fixed-width little-endian, and
-    nothing is aligned. The decoder reads a whole payload string.
+    nothing is aligned. The decoder reads a sub-range of a string in
+    place, so a frame is decoded where it lies in the read buffer.
 
     Encoders take their buffer from a one-slot-per-domain cache and
-    return it on [finish]; the result string is the only allocation a
-    warm encoder makes per message. *)
+    return it on the first finish. A long string is kept by reference
+    ({!Buf.ref_min}): the gather finish hands it back as its own slice,
+    and [finish] copies it once into the result string. *)
 
 val version : int
 (** Wire-format version this implementation encodes (currently 1); the

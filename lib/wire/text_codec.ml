@@ -96,15 +96,16 @@ let make_encoder () : Codec.encoder =
     put_len =
       (fun v -> sigil_int '#' (Codec.range_check "length" ~min:0 ~max:max_int v));
     finish = (fun () -> Buffer.contents buf);
+    finish_slices = (fun () -> [ Buffer.contents buf ]);
   }
 
 (* ---------------- decoding ---------------- *)
 
-(* Split the payload into tokens; quote-aware for string tokens. *)
-let tokenize payload =
-  let len = String.length payload in
+(* Split [payload.[pos .. stop-1]] into tokens; quote-aware for string
+   tokens. *)
+let tokenize payload ~pos ~stop:len =
   let toks = ref [] in
-  let i = ref 0 in
+  let i = ref pos in
   while !i < len do
     match payload.[!i] with
     | ' ' | '\t' -> incr i
@@ -134,8 +135,8 @@ let tokenize payload =
   done;
   List.rev !toks
 
-let make_decoder_limited (limits : Codec.limits) payload : Codec.decoder =
-  let toks = ref (tokenize payload) in
+let make_decoder_sub (limits : Codec.limits) payload ~pos ~len : Codec.decoder =
+  let toks = ref (tokenize payload ~pos ~stop:(pos + len)) in
   let depth = ref 0 in
   let next what =
     match !toks with
@@ -230,12 +231,4 @@ let make_decoder_limited (limits : Codec.limits) payload : Codec.decoder =
     at_end = (fun () -> !toks = []);
   }
 
-let make_decoder payload = make_decoder_limited Codec.default_limits payload
-
-let codec : Codec.t =
-  {
-    Codec.name = "text";
-    encoder = make_encoder;
-    decoder = make_decoder;
-    decoder_limited = make_decoder_limited;
-  }
+let codec = Codec.make ~name:"text" ~encoder:make_encoder make_decoder_sub

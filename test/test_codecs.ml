@@ -624,6 +624,38 @@ let test_hcx_encoder_reuse_domains () =
   let bad = List.fold_left (fun acc d -> acc + Domain.join d) 0 ds in
   Alcotest.(check int) "results differing from a fresh encoding" 0 bad
 
+let test_gather_finish () =
+  (* The gather finish hands a long string back as its own slice,
+     uncopied; the slices join to what [finish] returns, and a put after
+     either finish still keeps every byte. *)
+  let long = String.make (2 * Wire.Buf.ref_min) 'g' in
+  List.iter
+    (fun ((codec : Wire.Codec.t), by_reference) ->
+      let encode e =
+        e.Wire.Codec.put_long 7;
+        e.Wire.Codec.put_string long;
+        e.Wire.Codec.put_string "short"
+      in
+      let e = codec.encoder () in
+      encode e;
+      let whole = e.finish () in
+      let e' = codec.encoder () in
+      encode e';
+      let slices = e'.finish_slices () in
+      Alcotest.(check string) (codec.name ^ ": slices join to finish") whole
+        (Wire.Codec.concat slices);
+      e'.put_long 8;
+      let e'' = codec.encoder () in
+      encode e'';
+      e''.put_long 8;
+      Alcotest.(check string) (codec.name ^ ": a put after finish_slices")
+        (e''.finish ()) (e'.finish ());
+      (* The text codec escapes strings, so it copies them. *)
+      Alcotest.(check bool) (codec.name ^ ": the long string is a slice")
+        by_reference
+        (List.exists (fun s -> s == long) slices))
+    [ (text, false); (cdr_be, true); (cdr_le, true); (hcx, true) ]
+
 (* ---------------- decode limits ---------------- *)
 
 let test_nesting_depth_pinned () =
@@ -767,6 +799,7 @@ let () =
             test_hcx_encoder_reuse;
           Alcotest.test_case "encode buffers across two domains" `Quick
             test_hcx_encoder_reuse_domains;
+          Alcotest.test_case "gather finish" `Quick test_gather_finish;
           QCheck_alcotest.to_alcotest varint_tail_prop;
           QCheck_alcotest.to_alcotest varint_hostile_prop;
         ] );

@@ -98,49 +98,79 @@ let eval_fuzz =
 let gen_bytes =
   QCheck.Gen.(string_size ~gen:(map Char.chr (int_bound 255)) (int_range 0 64))
 
+(* Each op renders what it decoded, so two decoders' runs compare. *)
 let decode_ops (d : Wire.Codec.decoder) =
   [
-    (fun () -> ignore (d.Wire.Codec.get_bool ()));
-    (fun () -> ignore (d.Wire.Codec.get_char ()));
-    (fun () -> ignore (d.Wire.Codec.get_octet ()));
-    (fun () -> ignore (d.Wire.Codec.get_short ()));
-    (fun () -> ignore (d.Wire.Codec.get_long ()));
-    (fun () -> ignore (d.Wire.Codec.get_longlong ()));
-    (fun () -> ignore (d.Wire.Codec.get_double ()));
-    (fun () -> ignore (d.Wire.Codec.get_string ()));
-    (fun () -> ignore (d.Wire.Codec.get_len ()));
-    (fun () -> d.Wire.Codec.get_begin ());
+    (fun () -> string_of_bool (d.Wire.Codec.get_bool ()));
+    (fun () -> String.make 1 (d.Wire.Codec.get_char ()));
+    (fun () -> string_of_int (d.Wire.Codec.get_octet ()));
+    (fun () -> string_of_int (d.Wire.Codec.get_short ()));
+    (fun () -> string_of_int (d.Wire.Codec.get_long ()));
+    (fun () -> Int64.to_string (d.Wire.Codec.get_longlong ()));
+    (fun () -> Printf.sprintf "%h" (d.Wire.Codec.get_double ()));
+    (fun () -> d.Wire.Codec.get_string ());
+    (fun () -> string_of_int (d.Wire.Codec.get_len ()));
+    (fun () -> d.Wire.Codec.get_begin (); "{");
   ]
+
+(* The same bytes decoded whole, and as a sub-range between junk. Every
+   result must be [Type_error] or a value, and the two decodes must
+   agree value for value, or error text for error text. *)
+let in_junk bytes (before, after) =
+  (before ^ bytes ^ after, String.length before)
+
+let print_in_junk (bytes, (before, after)) =
+  Printf.sprintf "%S between %d and %d junk bytes" bytes (String.length before)
+    (String.length after)
 
 let codec_fuzz (codec : Wire.Codec.t) =
   QCheck.Test.make ~count:1000
     ~name:(codec.Wire.Codec.name ^ " decoder on random bytes: Type_error only")
     (QCheck.make
-       ~print:(fun (s, _) -> String.escaped s)
-       QCheck.Gen.(pair gen_bytes (list_size (int_range 1 8) (int_bound 9))))
-    (fun (bytes, ops) ->
+       ~print:(fun (s, _, j) -> print_in_junk (s, j))
+       QCheck.Gen.(
+         triple gen_bytes (list_size (int_range 1 8) (int_bound 9))
+           (pair gen_bytes gen_bytes)))
+    (fun (bytes, ops, junk) ->
       (* Some decoders (text) tokenize at construction, so building the
          decoder may itself raise Type_error. *)
-      match codec.Wire.Codec.decoder bytes with
-      | exception Wire.Codec.Type_error _ -> true
-      | d ->
-          List.for_all
-            (fun i ->
-              match (List.nth (decode_ops d) i) () with
-              | () -> true
-              | exception Wire.Codec.Type_error _ -> true)
-            ops)
+      let run make =
+        match make () with
+        | exception Wire.Codec.Type_error e -> [ Error e ]
+        | d ->
+            List.map
+              (fun i ->
+                match (List.nth (decode_ops d) i) () with
+                | v -> Ok v
+                | exception Wire.Codec.Type_error e -> Error e)
+              ops
+      in
+      let whole = run (fun () -> codec.Wire.Codec.decoder bytes) in
+      let s, pos = in_junk bytes junk in
+      let embedded =
+        run (fun () ->
+            codec.Wire.Codec.decoder_sub Wire.Codec.default_limits s ~pos
+              ~len:(String.length bytes))
+      in
+      whole = embedded)
 
 (* ------------- protocol decoder on random bytes ------------- *)
 
 let protocol_fuzz (proto : Orb.Protocol.t) =
   QCheck.Test.make ~count:1000
     ~name:(proto.Orb.Protocol.name ^ " decode_message on random bytes")
-    (QCheck.make ~print:String.escaped gen_bytes)
-    (fun bytes ->
-      match proto.Orb.Protocol.decode_message bytes with
-      | _ -> true
-      | exception Orb.Protocol.Protocol_error _ -> true)
+    (QCheck.make ~print:print_in_junk QCheck.Gen.(pair gen_bytes (pair gen_bytes gen_bytes)))
+    (fun (bytes, junk) ->
+      let outcome decode =
+        match decode () with
+        | m -> Ok (proto.Orb.Protocol.encode_message m)
+        | exception Orb.Protocol.Protocol_error e -> Error e
+      in
+      let s, pos = in_junk bytes junk in
+      outcome (fun () -> proto.Orb.Protocol.decode_message bytes)
+      = outcome (fun () ->
+            proto.Orb.Protocol.decode_sub Wire.Codec.default_limits s ~pos
+              ~len:(String.length bytes)))
 
 (* ------------- objref parser on random strings ------------- *)
 
@@ -188,8 +218,10 @@ let () =
             eval_fuzz;
             codec_fuzz Wire.Text_codec.codec;
             codec_fuzz (Wire.Cdr_codec.codec Wire.Cdr_codec.Big_endian);
+            codec_fuzz Wire.Hcx_codec.codec;
             protocol_fuzz Orb.Protocol.text;
             protocol_fuzz (Giop.protocol ());
+            protocol_fuzz Orb.Protocol.hcx;
             objref_fuzz;
             est_dump_fuzz;
           ] );

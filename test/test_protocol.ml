@@ -20,35 +20,35 @@ let sample_request payload =
     { P.req_id = 42; target = sample_target; operation = "f"; oneway = false;
       payload; trace_ctx = ""; budget_us = None; nego_offer = "" }
 
+let render = function
+  | P.Request r ->
+      Printf.sprintf "req %d %s %s %b %S ctx=%S budget=%s offer=%S" r.P.req_id
+        (Orb.Objref.to_string r.P.target)
+        r.P.operation r.P.oneway r.P.payload r.P.trace_ctx
+        (match r.P.budget_us with
+        | None -> "-"
+        | Some b -> string_of_int b)
+        r.P.nego_offer
+  | P.Reply r ->
+      Printf.sprintf "rep %d %s %S answer=%S" r.P.rep_id
+        (match r.P.status with
+        | P.Status_ok -> "ok"
+        | P.Status_user_exception id -> "exn " ^ id
+        | P.Status_system_error m -> "err " ^ m)
+        r.P.payload r.P.nego_answer
+  | P.Locate_request { req_id; target } ->
+      Printf.sprintf "locate %d %s" req_id (Orb.Objref.to_string target)
+  | P.Locate_reply { rep_id; found; forward } ->
+      Printf.sprintf "located %d %b fwd=%s" rep_id found
+        (match forward with
+        | None -> "-"
+        | Some r -> Orb.Objref.to_string r)
+  | P.Locate_forward { rep_id; target } ->
+      Printf.sprintf "forward %d %s" rep_id (Orb.Objref.to_string target)
+
 let check_message proto msg =
   let bytes = proto.P.encode_message msg in
   let back = proto.P.decode_message bytes in
-  let render = function
-    | P.Request r ->
-        Printf.sprintf "req %d %s %s %b %S ctx=%S budget=%s offer=%S" r.P.req_id
-          (Orb.Objref.to_string r.P.target)
-          r.P.operation r.P.oneway r.P.payload r.P.trace_ctx
-          (match r.P.budget_us with
-          | None -> "-"
-          | Some b -> string_of_int b)
-          r.P.nego_offer
-    | P.Reply r ->
-        Printf.sprintf "rep %d %s %S answer=%S" r.P.rep_id
-          (match r.P.status with
-          | P.Status_ok -> "ok"
-          | P.Status_user_exception id -> "exn " ^ id
-          | P.Status_system_error m -> "err " ^ m)
-          r.P.payload r.P.nego_answer
-    | P.Locate_request { req_id; target } ->
-        Printf.sprintf "locate %d %s" req_id (Orb.Objref.to_string target)
-    | P.Locate_reply { rep_id; found; forward } ->
-        Printf.sprintf "located %d %b fwd=%s" rep_id found
-          (match forward with
-          | None -> "-"
-          | Some r -> Orb.Objref.to_string r)
-    | P.Locate_forward { rep_id; target } ->
-        Printf.sprintf "forward %d %s" rep_id (Orb.Objref.to_string target)
-  in
   Alcotest.(check string) proto.P.name (render msg) (render back)
 
 let test_request_roundtrip () =
@@ -1054,6 +1054,222 @@ let test_hcx_negative_frame_length () =
       listener.Orb.Transport.shutdown ())
     [ ("mem", "local"); ("tcp", "127.0.0.1") ]
 
+(* ---------------- gathered encode, in-place decode ---------------- *)
+
+(* Frames up to the communicator's coalesce limit go out as one write,
+   larger ones as gathered slices; payloads are drawn on both sides of
+   it, and around the size from which encoders keep a string by
+   reference. *)
+let coalesce_limit = 4096
+
+let gen_payload_size =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range 0 64;
+        int_range (Wire.Buf.ref_min - 8) (Wire.Buf.ref_min + 8);
+        int_range (coalesce_limit - 64) coalesce_limit;
+        int_range (coalesce_limit + 1) (coalesce_limit + 64);
+        int_range 8192 20_000;
+      ])
+
+(* Every message kind, with and without a trailer. Payloads are
+   lowercase letters, so the text codec embeds them unescaped and a
+   test can find them in the encoding. *)
+let gen_message =
+  QCheck.Gen.(
+    let* n = gen_payload_size in
+    let* payload = string_size ~gen:(char_range 'a' 'z') (return n) in
+    let* id = int_bound 0xffff in
+    let* kind = int_bound 4 in
+    let* trailer = bool in
+    return
+      (match kind with
+      | 0 ->
+          P.Request
+            { P.req_id = id; target = sample_target; operation = "op";
+              oneway = trailer; payload;
+              trace_ctx = (if trailer then "0011223344556677-89ab" else "");
+              budget_us = (if trailer then Some 1500 else None);
+              nego_offer = (if trailer then "hcx/1" else "") }
+      | 1 ->
+          P.Reply
+            { P.rep_id = id;
+              status =
+                (if trailer then P.Status_user_exception "IDL:E:1.0"
+                 else P.Status_ok);
+              payload;
+              nego_answer = (if trailer then "hcx/1" else "") }
+      | 2 -> P.Locate_request { req_id = id; target = sample_target }
+      | 3 ->
+          P.Locate_reply
+            { rep_id = id; found = trailer;
+              forward = (if trailer then Some multi_target else None) }
+      | _ -> P.Locate_forward { rep_id = id; target = multi_target }))
+
+let payload_of_message = function
+  | P.Request r -> Some r.P.payload
+  | P.Reply r -> Some r.P.payload
+  | P.Locate_request _ | P.Locate_reply _ | P.Locate_forward _ -> None
+
+let print_message m =
+  match payload_of_message m with
+  | Some p ->
+      Printf.sprintf "%s... (payload of %d bytes)"
+        (String.sub (render m) 0 (min 60 (String.length (render m))))
+        (String.length p)
+  | None -> render m
+
+let arb_message = QCheck.make ~print:print_message gen_message
+
+(* The outcome of a decode: the message, or the error text. *)
+let outcome f =
+  match f () with
+  | m -> Ok (render m)
+  | exception P.Protocol_error e -> Error e
+
+let pp_outcome = function Ok m -> "message " ^ m | Error e -> "error " ^ e
+
+let junk rng n = String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+
+(* [bytes] placed at a random offset between random junk, and decoded as
+   that sub-range. *)
+let decode_embedded proto rng bytes =
+  let before = junk rng (Random.State.int rng 64)
+  and after = junk rng (Random.State.int rng 64) in
+  outcome (fun () ->
+      proto.P.decode_sub Wire.Codec.default_limits (before ^ bytes ^ after)
+        ~pos:(String.length before) ~len:(String.length bytes))
+
+let prop_slices_concatenate proto =
+  QCheck.Test.make ~count:200
+    ~name:(proto.P.name ^ ": slices concatenate to encode_message")
+    arb_message
+    (fun m ->
+      let slices = proto.P.encode_slices m in
+      if Wire.Codec.concat slices <> proto.P.encode_message m then
+        QCheck.Test.fail_report "slices differ from encode_message";
+      (* A long payload is handed back as it is, uncopied, by every
+         counted-frame protocol. *)
+      match (payload_of_message m, proto.P.framing) with
+      | Some p, (P.Length_prefixed _ | P.Varint_prefixed _)
+        when String.length p >= Wire.Buf.ref_min ->
+          List.exists (fun s -> s == p) slices
+      | _ -> true)
+
+let prop_embedded_decode proto =
+  QCheck.Test.make ~count:300
+    ~name:(proto.P.name ^ ": a frame between junk decodes as decode_message")
+    (QCheck.pair arb_message QCheck.(pair small_nat (pair int int)))
+    (fun (m, (mutation, (a, b))) ->
+      let rng = Random.State.make [| a; b |] in
+      let bytes = proto.P.encode_message m in
+      let n = String.length bytes in
+      (* Most cases damaged: cut short, or one byte changed. *)
+      let bytes =
+        match mutation mod 3 with
+        | 0 -> bytes
+        | 1 -> String.sub bytes 0 (a land max_int mod n)
+        | _ ->
+            let damaged = Bytes.of_string bytes in
+            Bytes.set damaged (a land max_int mod n) (Char.chr (b land 255));
+            Bytes.to_string damaged
+      in
+      let whole = outcome (fun () -> proto.P.decode_message bytes) in
+      let embedded = decode_embedded proto rng bytes in
+      if whole <> embedded then
+        QCheck.Test.fail_reportf "whole: %s\nembedded: %s" (pp_outcome whole)
+          (pp_outcome embedded);
+      true)
+
+(* A frame cut inside its payload, followed in the string by the rest
+   of the frame and a whole second frame: a decoder that read past its
+   range would find every byte it wants there. *)
+let prop_truncated_range proto =
+  QCheck.Test.make ~count:200
+    ~name:(proto.P.name ^ ": a frame cut short fails even before valid bytes")
+    (QCheck.pair arb_message QCheck.int)
+    (fun (m, cut) ->
+      match payload_of_message m with
+      | Some p when String.length p >= 2 ->
+          let bytes = proto.P.encode_message m in
+          let start = Tutil.find bytes p in
+          let len = start + 1 + (cut land max_int mod (String.length p - 1)) in
+          let s = "junk" ^ bytes ^ bytes in
+          let embedded =
+            outcome (fun () ->
+                proto.P.decode_sub Wire.Codec.default_limits s ~pos:4 ~len)
+          in
+          let alone =
+            outcome (fun () -> proto.P.decode_message (String.sub bytes 0 len))
+          in
+          (match embedded with
+          | Ok _ -> QCheck.Test.fail_report "a cut frame decoded"
+          | Error e when embedded <> alone ->
+              QCheck.Test.fail_reportf "error %S, alone %s" e (pp_outcome alone)
+          | Error e -> (
+              match proto.P.framing with
+              | P.Line -> ()
+              | P.Length_prefixed _ | P.Varint_prefixed _ ->
+                  if not (Tutil.contains e "truncated") then
+                    QCheck.Test.fail_reportf "not a truncation error: %S" e));
+          true
+      | _ -> QCheck.assume_fail ())
+
+let test_error_offsets_relative () =
+  (* A binary codec's truncation error names its offset from the start
+     of the decoded range, not of the string around it. *)
+  List.iter
+    (fun proto ->
+      let payload = String.make 5000 'p' in
+      let bytes = proto.P.encode_message (sample_request payload) in
+      let cut = String.sub bytes 0 (String.length bytes - 100) in
+      let want =
+        match proto.P.decode_message cut with
+        | exception P.Protocol_error e -> e
+        | _ -> Alcotest.failf "%s: cut frame decoded" proto.P.name
+      in
+      let pad = String.make 3000 '\000' in
+      (match
+         proto.P.decode_sub Wire.Codec.default_limits (pad ^ cut ^ pad)
+           ~pos:(String.length pad) ~len:(String.length cut)
+       with
+      | exception P.Protocol_error e ->
+          Alcotest.(check string) (proto.P.name ^ " error text") want e
+      | _ -> Alcotest.failf "%s: cut frame decoded in place" proto.P.name);
+      (* The offset named is inside the range: the payload's start. *)
+      let offset =
+        let i = Tutil.find want "offset " in
+        Scanf.sscanf (String.sub want i (String.length want - i)) "offset %d"
+          Fun.id
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: offset %d is inside the %d-byte range" proto.P.name
+           offset (String.length cut))
+        true
+        (offset > 0 && offset < String.length cut))
+    [ P.hcx; Giop.protocol (); Giop.protocol ~order:Wire.Cdr_codec.Little_endian () ]
+
+let test_sub_range_checked () =
+  List.iter
+    (fun proto ->
+      List.iter
+        (fun (pos, len) ->
+          match proto.P.decode_sub Wire.Codec.default_limits "0123456789" ~pos ~len with
+          | exception Invalid_argument _ -> ()
+          | exception P.Protocol_error _ ->
+              Alcotest.failf "%s: range %d+%d decoded" proto.P.name pos len
+          | _ -> Alcotest.failf "%s: range %d+%d accepted" proto.P.name pos len)
+        [ (-1, 2); (0, 11); (9, 2); (3, -1) ])
+    protocols
+
+let gather_props =
+  List.concat_map
+    (fun proto ->
+      [ prop_slices_concatenate proto; prop_embedded_decode proto;
+        prop_truncated_range proto ])
+    protocols
+
 let () =
   Alcotest.run "protocol"
     [
@@ -1130,4 +1346,10 @@ let () =
           Alcotest.test_case "HCX negative frame length" `Quick
             test_hcx_negative_frame_length;
         ] );
+      ( "gather and sub-range",
+        Alcotest.test_case "error offsets count from the range" `Quick
+          test_error_offsets_relative
+        :: Alcotest.test_case "sub-range bounds checked" `Quick
+             test_sub_range_checked
+        :: List.map QCheck_alcotest.to_alcotest gather_props );
     ]

@@ -366,6 +366,117 @@ let test_header_only_frame chan_proto () =
     [ (P.hcx, String.make 1 P.hcx_magic ^ uvarint limit);
       (Giop.protocol (), Printf.sprintf "%s%08x\n" Giop.magic limit) ]
 
+(* Frame [k]'s body: [n] bytes that depend on [k] and the position. *)
+let view_body k n = String.init n (fun i -> Char.chr ((k * 31 + i) land 255))
+
+let test_views proto () =
+  (* Small and large frames, interleaved, in a stream cut into chunks
+     that end anywhere: the buffer grows for the large frames and
+     slides for the small ones, and every frame spans several fills.
+     Each lent view must hold its frame's bytes until the next read. *)
+  let rng = Random.State.make [| 17 |] in
+  let sizes =
+    List.init 240 (fun k ->
+        if k mod 7 = 3 then 5_000 + Random.State.int rng 150_000
+        else Random.State.int rng 300)
+  in
+  let stream =
+    String.concat ""
+      (List.mapi
+         (fun k n ->
+           let len = Bytes.create 4 in
+           Bytes.set_int32_be len 0 (Int32.of_int n);
+           Bytes.to_string len ^ view_body k n)
+         sizes)
+  in
+  with_pair ~proto (fun ~client ~server ->
+      let writer =
+        Thread.create
+          (fun () ->
+            let wrng = Random.State.make [| 23 |] in
+            let pos = ref 0 in
+            while !pos < String.length stream do
+              let n =
+                min (String.length stream - !pos) (1 + Random.State.int wrng 9_000)
+              in
+              client.Orb.Transport.write (String.sub stream !pos n);
+              pos := !pos + n
+            done)
+          ()
+      in
+      List.iteri
+        (fun k n ->
+          let buf, off = server.Orb.Transport.read_view 4 in
+          Alcotest.(check int) "frame length" n
+            (Int32.to_int (Bytes.get_int32_be buf off));
+          (* Every third frame is copied out instead, so lent and copied
+             reads alternate on one buffer. *)
+          let body =
+            if k mod 3 = 2 then server.Orb.Transport.read_exact n
+            else
+              let buf, off = server.Orb.Transport.read_view n in
+              Bytes.sub_string buf off n
+          in
+          if body <> view_body k n then
+            Alcotest.failf "%s: frame %d (%d bytes) differs" proto k n)
+        sizes;
+      Thread.join writer)
+
+let test_meter_in_equals_out proto () =
+  (* HCX and GIOP exchanges of small and gathered large frames through
+     metered channels: every byte written on one side is counted once
+     when the other side reads it, through views, exact reads or
+     lines. *)
+  let meter chan =
+    let read = ref 0 and written = ref 0 in
+    ( Orb.Transport.metered
+        ~on_read:(fun n -> read := !read + n)
+        ~on_write:(fun n -> written := !written + n)
+        chan,
+      read,
+      written )
+  in
+  List.iter
+    (fun wire ->
+      with_pair ~proto (fun ~client ~server ->
+          let client, c_in, c_out = meter client
+          and server, s_in, s_out = meter server in
+          let ccomm = Orb.Communicator.wrap wire client
+          and scomm = Orb.Communicator.wrap wire server in
+          let payloads =
+            List.map (fun n -> view_body n n) [ 0; 10; 3_000; 4_096; 9_000; 70_000 ]
+          in
+          let echo =
+            Thread.create
+              (fun () ->
+                List.iter
+                  (fun _ ->
+                    match Orb.Communicator.recv scomm with
+                    | P.Request r ->
+                        Orb.Communicator.send scomm
+                          (P.Reply
+                             { P.rep_id = r.P.req_id; status = P.Status_ok;
+                               payload = r.P.payload; nego_answer = "" })
+                    | _ -> failwith "expected a request")
+                  payloads)
+              ()
+          in
+          List.iteri
+            (fun i p ->
+              Orb.Communicator.send ccomm (request i p);
+              match Orb.Communicator.recv ccomm with
+              | P.Reply r -> Alcotest.(check string) "echoed" p r.P.payload
+              | _ -> Alcotest.fail "expected a reply")
+            payloads;
+          Thread.join echo;
+          client.Orb.Transport.write "line\n";
+          Alcotest.(check string) "line" "line" (server.Orb.Transport.read_line ~max:64);
+          let what dir = Printf.sprintf "%s %s %s" proto wire.P.name dir in
+          Alcotest.(check bool) (what "carried the payloads") true (!c_out > 86_000);
+          Alcotest.(check int) (what "client to server") !c_out !s_in;
+          Alcotest.(check int) (what "server to client") !s_out !c_in))
+    [ P.hcx; Giop.protocol () ]
+
 let receive_buffer proto =
   ( proto ^ " receive buffer",
     [
@@ -376,6 +487,10 @@ let receive_buffer proto =
       Alcotest.test_case "allocation per frame read" `Quick
         (test_read_allocation proto);
       Alcotest.test_case "header-only frame" `Quick (test_header_only_frame proto);
+      Alcotest.test_case "views while the buffer grows and slides" `Quick
+        (test_views proto);
+      Alcotest.test_case "byte meter: in equals out" `Quick
+        (test_meter_in_equals_out proto);
     ] )
 
 let () =
