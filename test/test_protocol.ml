@@ -1346,7 +1346,7 @@ let () =
           Alcotest.test_case "HCX negative frame length" `Quick
             test_hcx_negative_frame_length;
         ] );
-      ( "gather and sub-range",
+      ( "gather, ranges",
         Alcotest.test_case "error offsets count from the range" `Quick
           test_error_offsets_relative
         :: Alcotest.test_case "sub-range bounds checked" `Quick
