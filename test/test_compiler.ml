@@ -121,7 +121,7 @@ let test_all_mappings_compile_kitchen_sink () =
 (* Under `dune runtest` the cwd is _build/default/test; under a direct
    `dune exec` it is the project root. *)
 let read_file path =
-  let path = if Sys.file_exists path then path else Filename.basename (Filename.dirname path) ^ "/" ^ Filename.basename path in
+  let path = if Sys.file_exists path then path else String.sub path 3 (String.length path - 3) in
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
@@ -160,6 +160,64 @@ let test_shipped_markdown_template () =
   Tutil.check_contains ~what:"default note" md "default `int:10`";
   Tutil.check_contains ~what:"raises" md "Raises `IDL:Zoo/Full:1.0`"
 
+(* Byte identity of every mapping's output. Each entry is the Digest of
+   one compile's stdout and of every generated file (name and contents,
+   in generation order), for the example IDL files and a scaled synthetic
+   spec under all five mappings. A change meant to leave the generated
+   code alone must pass this table unedited. *)
+let identity_inputs =
+  List.map
+    (fun f -> (f, read_file ("../examples/idl/" ^ f)))
+    [ "A.idl"; "Receiver.idl"; "heidi.idl" ]
+  @ [ ("scale8.idl", Scale_idl.generate ~modules:8) ]
+
+let output_digest (r : Core.Compiler.result) =
+  let b = Buffer.create 4096 in
+  let add name contents =
+    Printf.bprintf b "%s\n%d\n" name (String.length contents);
+    Buffer.add_string b contents
+  in
+  add "<stdout>" r.Core.Compiler.stdout;
+  List.iter (fun (name, contents) -> add name contents) r.Core.Compiler.files;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let output_digests =
+  [
+    ("A.idl heidi-cpp", "33677852b735272f7be9d1e3529402de");
+    ("A.idl corba-cpp", "0fceb3246a3aff0db85f1632de204275");
+    ("A.idl java", "57fcc2fdcc23b39b6ab2af1c8132272d");
+    ("A.idl tcl", "d3508b3fe55cb5a3e96664b7da551403");
+    ("A.idl ocaml", "0c2fb4b7138e213c0949b461020bf610");
+    ("Receiver.idl heidi-cpp", "c6f57f917a31ec547b71b74f5afe3608");
+    ("Receiver.idl corba-cpp", "7114daaad9dbab6fa87932c783ed034b");
+    ("Receiver.idl java", "cc5c7dda276760a711d7e8efd5044fd3");
+    ("Receiver.idl tcl", "67d9a90b7d6ae997d3e0399766aa6f62");
+    ("Receiver.idl ocaml", "351fa93241fcbccbcbb32dc39e870115");
+    ("heidi.idl heidi-cpp", "b73da39d5d9a0de4b3e3f44656ae65a6");
+    ("heidi.idl corba-cpp", "d7c6010957704638a35d21670bbc0b87");
+    ("heidi.idl java", "6877d8415b760bc0b437cf0dfd5883e6");
+    ("heidi.idl tcl", "135b228d96c2fa7e2f50e687cc61df4f");
+    ("heidi.idl ocaml", "591c12e9341e451dfc337554c653fc48");
+    ("scale8.idl heidi-cpp", "e4ba66bbe46348603e673a98f80cf548");
+    ("scale8.idl corba-cpp", "1d71a834a61f734b9312e8a961c5291c");
+    ("scale8.idl java", "11a5a6e4107a430670a3f7e588c7fcd3");
+    ("scale8.idl tcl", "69ae9c4a53ebccb54f6b6eaeec0b03be");
+    ("scale8.idl ocaml", "5d3e2dfa5202df75b3f2791f4652c772");
+  ]
+
+let test_output_identity () =
+  let actual =
+    List.concat_map
+      (fun (filename, src) ->
+        List.map
+          (fun (m : Mappings.Mapping.t) ->
+            ( filename ^ " " ^ m.Mappings.Mapping.name,
+              output_digest (Core.Compiler.compile_string ~filename ~mapping:m src) ))
+          Mappings.Registry.all)
+      identity_inputs
+  in
+  Alcotest.(check (list (pair string string))) "output digests" output_digests actual
+
 let () =
   Alcotest.run "compiler"
     [
@@ -176,5 +234,6 @@ let () =
           Alcotest.test_case "shipped Fig. 9 template" `Quick test_shipped_fig9_template;
           Alcotest.test_case "shipped markdown template" `Quick
             test_shipped_markdown_template;
+          Alcotest.test_case "output byte identity" `Quick test_output_identity;
         ] );
     ]
