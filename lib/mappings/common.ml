@@ -31,7 +31,29 @@ let hd_name s =
 
 let cpp_scoped s = String.concat "::" (split_name s)
 let java_name s = last_segment s
-let ctype s = Est.Ctype.of_string s
+
+(* Map functions ask for the same few hundred type strings tens of
+   thousands of times per compile, so each domain memoizes the parse in
+   its own table. The table is cleared rather than grown once it holds
+   [ctype_memo_limit] entries: it keeps the bucket array it was created
+   with and never resizes, so threads of one domain that interleave here
+   can at worst lose an entry, and a long-lived process holds at most
+   that many types per domain. *)
+let ctype_memo_limit = 1024
+
+let ctype_memo : (string, Est.Ctype.t) Hashtbl.t Locked.domain_local =
+  Locked.new_domain_local (fun () -> Hashtbl.create ctype_memo_limit)
+
+let ctype s =
+  let memo = Locked.domain_local_get ctype_memo in
+  match Hashtbl.find memo s with
+  | t -> t
+  | exception Not_found ->
+      let t = Est.Ctype.of_string s in
+      if Hashtbl.length memo >= ctype_memo_limit then Hashtbl.clear memo;
+      Hashtbl.add memo s t;
+      t
+
 let value s = Est.Value.of_string s
 let capitalize = String.capitalize_ascii
 

@@ -28,7 +28,8 @@ val last_segment : string -> string
 
 val ctype : string -> Est.Ctype.t
 (** Parse a type-property encoding; raises [Failure] on garbage (a
-    template bug). *)
+    template bug). Each domain parses a given string once and keeps the
+    result in a bounded table of its own. *)
 
 val value : string -> Est.Value.t
 

@@ -12,32 +12,41 @@ type state = {
   mutable files : (string * Buffer.t) list;  (* reverse order of opening *)
 }
 
+(* The innermost node's value of [var], as [Est.Node.prop] stored it. *)
+let rec lookup var = function
+  | [] -> None
+  | node :: rest -> (
+      match Est.Node.prop node var with Some _ as v -> v | None -> lookup var rest)
+
 (* A source's raw (unmapped) value. *)
 let raw st ~line = function
   | Bind.Const s -> s
-  | Bind.Prop var ->
-      let rec go = function
-        | [] ->
-            raise
-              (Eval_error
-                 { template = st.template; line;
-                   message =
-                     Printf.sprintf "unresolved variable ${%s} (node stack: %s)" var
-                       (String.concat " > " (List.rev_map Est.Node.kind st.nodes)) })
-        | node :: rest -> (
-            match Est.Node.prop node var with Some v -> v | None -> go rest)
-      in
-      go st.nodes
+  | Bind.Prop var -> (
+      match lookup var st.nodes with
+      | Some v -> v
+      | None ->
+          raise
+            (Eval_error
+               { template = st.template; line;
+                 message =
+                   Printf.sprintf "unresolved variable ${%s} (node stack: %s)" var
+                     (String.concat " > " (List.rev_map Est.Node.kind st.nodes)) }))
   | Bind.Loop f -> f st.index st.count
 
-let subst_into buf st ~line segments =
-  List.iter
-    (fun { Bind.src; map } ->
+(* Recursion rather than [List.iter] over a closure: evaluation calls
+   these for every line, and a closure would be allocated each time. *)
+let rec subst_into buf st ~line = function
+  | [] -> ()
+  | { Bind.src; map } :: rest ->
       let v = raw st ~line src in
-      Buffer.add_string buf (match map with None -> v | Some f -> f v))
-    segments
+      Buffer.add_string buf (match map with None -> v | Some f -> f v);
+      subst_into buf st ~line rest
 
-let rec eval_items st items = List.iter (eval_item st) items
+let rec eval_items st = function
+  | [] -> ()
+  | item :: rest ->
+      eval_item st item;
+      eval_items st rest
 
 and eval_item st = function
   | Bind.Text { segments; newline; line } ->

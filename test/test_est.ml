@@ -135,6 +135,74 @@ let test_node_ops () =
   Alcotest.(check int) "tree size" 3 (N.size n);
   Alcotest.(check bool) "missing group" true (N.group n "nope" = [])
 
+let test_prop_replace_in_place () =
+  let n = N.create ~name:"x" ~kind:"K" in
+  List.iter (fun k -> N.add_prop n k ("old " ^ k)) [ "a"; "b"; "c" ];
+  N.add_prop n "b" "new";
+  Alcotest.(check (list (pair string string)))
+    "b keeps its position" [ ("a", "old a"); ("b", "new"); ("c", "old c") ] (N.props n);
+  Alcotest.(check (option string)) "new value read back" (Some "new") (N.prop n "b")
+
+(* More properties than a node starts with room for, so the store has
+   grown several times; order, values and replacement survive it. *)
+let test_prop_growth () =
+  let n = N.create ~name:"x" ~kind:"K" in
+  let keys = List.init 40 (Printf.sprintf "k%d") in
+  List.iter (fun k -> N.add_prop n k (k ^ "=v")) keys;
+  N.add_prop n "k5" "replaced";
+  let expected = List.map (fun k -> (k, if k = "k5" then "replaced" else k ^ "=v")) keys in
+  Alcotest.(check (list (pair string string))) "insertion order" expected (N.props n);
+  List.iter
+    (fun (k, v) -> Alcotest.(check (option string)) k (Some v) (N.prop n k))
+    expected
+
+let test_prop_missing () =
+  let empty = N.create ~name:"x" ~kind:"K" in
+  Alcotest.(check (option string)) "empty node" None (N.prop empty "a");
+  Alcotest.(check string) "prop_or" "d" (N.prop_or empty "a" ~default:"d");
+  let n = N.create ~name:"x" ~kind:"K" in
+  List.iter (fun k -> N.add_prop n k "") (List.init 20 (Printf.sprintf "k%d"));
+  Alcotest.(check (option string)) "full node" None (N.prop n "k20");
+  Alcotest.(check (option string)) "empty value is present" (Some "") (N.prop n "k0")
+
+let test_node_equal () =
+  let mk props =
+    let n = N.create ~name:"x" ~kind:"K" in
+    List.iter (fun (k, v) -> N.add_prop n k v) props;
+    N.add_child n ~group:"g" (N.create ~name:"c" ~kind:"C");
+    n
+  in
+  let base = [ ("a", "1"); ("b", "2") ] in
+  Alcotest.(check bool) "same" true (N.equal (mk base) (mk base));
+  Alcotest.(check bool) "same after a replace" true
+    (N.equal (mk base) (mk (base @ [ ("a", "1") ])));
+  Alcotest.(check bool) "value differs" false (N.equal (mk base) (mk [ ("a", "1"); ("b", "3") ]));
+  Alcotest.(check bool) "extra property" false (N.equal (mk base) (mk (base @ [ ("c", "") ])));
+  Alcotest.(check bool) "order differs" false (N.equal (mk base) (mk (List.rev base)));
+  Alcotest.(check bool) "built trees" true (N.equal (est_of fig3_idl) (est_of fig3_idl))
+
+(* Template evaluation looks properties up on every line it emits, so
+   [prop] must allocate nothing, hit or miss. Allocation counts are
+   exact, so this is no timing gate. *)
+let test_prop_allocation_free () =
+  let nodes = ref [] in
+  N.iter (fun n -> nodes := n :: !nodes) (est_of fig3_idl);
+  let targets =
+    Array.of_list
+      (List.concat_map
+         (fun n -> (n, "noSuchProperty") :: List.map (fun (k, _) -> (n, k)) (N.props n))
+         !nodes)
+  in
+  let hits = ref 0 and misses = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let n, k = targets.(i mod Array.length targets) in
+    match N.prop n k with Some _ -> incr hits | None -> incr misses
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "hits and misses" true (!hits > 0 && !misses > 0);
+  Alcotest.(check (float 0.)) "minor words for 10,000 lookups" 0. words
+
 (* ---------------- dumps ---------------- *)
 
 let test_perl_dump_shape () =
@@ -272,7 +340,15 @@ let () =
           Alcotest.test_case "allMethodList" `Quick test_all_method_list;
           Alcotest.test_case "enum members" `Quick test_enum_members;
         ] );
-      ("node", [ Alcotest.test_case "primitives" `Quick test_node_ops ]);
+      ( "node",
+        [
+          Alcotest.test_case "primitives" `Quick test_node_ops;
+          Alcotest.test_case "replace in place" `Quick test_prop_replace_in_place;
+          Alcotest.test_case "more props than capacity" `Quick test_prop_growth;
+          Alcotest.test_case "missing prop" `Quick test_prop_missing;
+          Alcotest.test_case "equal" `Quick test_node_equal;
+          Alcotest.test_case "prop allocates nothing" `Quick test_prop_allocation_free;
+        ] );
       ( "dump",
         [
           Alcotest.test_case "perl rendering (Fig. 8)" `Quick test_perl_dump_shape;
