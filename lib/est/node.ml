@@ -14,7 +14,7 @@ type t = {
   n_name : string;
   n_kind : string;
   mutable n_keys : string array;
-  mutable n_values : string option array;  (* always [Some] below [n_count] *)
+  mutable n_values : string option array;  (* [Some] in every slot *)
   mutable n_count : int;
   mutable n_groups : group list;  (* newest first *)
 }
@@ -24,14 +24,6 @@ and group = {
   mutable g_rev : t list;  (* newest first *)
   mutable g_fwd : t list option;  (* [g_rev] reversed; [None] after an append *)
 }
-
-let grow n =
-  let capacity = 2 * n.n_count in
-  let keys = Array.make capacity "" and values = Array.make capacity None in
-  Array.blit n.n_keys 0 keys 0 n.n_count;
-  Array.blit n.n_values 0 values 0 n.n_count;
-  n.n_keys <- keys;
-  n.n_values <- values
 
 let create ~name ~kind =
   { n_name = name; n_kind = kind; n_keys = [||]; n_values = [||]; n_count = 0; n_groups = [] }
@@ -48,7 +40,9 @@ let rec find_key keys count key i =
 (* A node's first property makes room for eight, what a parameter node
    of {!Build} holds, as literal arrays filled with copies of it: the
    compiler allocates those inline, where [Array.make] calls into the
-   runtime. Past eight, [grow] doubles them. *)
+   runtime. A full node doubles its arrays by appending each to itself.
+   Slots at or past [n_count] hold such stale copies; nothing reads
+   them. *)
 let add_prop n key value =
   let v = Some value in
   let i = find_key n.n_keys n.n_count key 0 in
@@ -59,7 +53,10 @@ let add_prop n key value =
       n.n_values <- [| v; v; v; v; v; v; v; v |]
     end
     else begin
-      if n.n_count = Array.length n.n_keys then grow n;
+      if n.n_count = Array.length n.n_keys then begin
+        n.n_keys <- Array.append n.n_keys n.n_keys;
+        n.n_values <- Array.append n.n_values n.n_values
+      end;
       n.n_keys.(n.n_count) <- key;
       n.n_values.(n.n_count) <- v
     end;

@@ -15,12 +15,14 @@
 
     With [p] the properties and [g] the groups of a node (a few each, in
     the trees {!Build} makes), appending is O(1) apart from finding the
-    key or group: [add_prop] and [add_child] are O(p) and O(g), and
-    never copy the lists. Reads are O(p) or O(g) and allocate nothing,
-    except that the first [group] read after an [add_child] to that
-    group rebuilds its insertion-order list once, O(children). [props],
-    [groups] and [equal] build fresh lists on every call; they serve
-    dumps and tests, not template evaluation. *)
+    key or group: [add_prop] and [add_child] are O(p) and O(g). A node's
+    properties sit in two flat arrays that double when full, so the
+    copying is amortized O(1) per append, whose only other allocation
+    is the option that holds the value. Reads are O(p) or O(g) and
+    allocate nothing, except that the first [group] read after an
+    [add_child] to that group rebuilds its insertion-order list once,
+    O(children). [props], [groups] and [equal] build fresh lists on
+    every call; they serve dumps and tests, not template evaluation. *)
 
 type t
 
@@ -35,7 +37,7 @@ val add_prop : t -> string -> string -> unit
     while keeping the original insertion position. O(p). *)
 
 val prop : t -> string -> string option
-(** O(p); allocates nothing. *)
+(** O(p); allocates nothing, hit or miss. *)
 
 val prop_or : t -> string -> default:string -> string
 val props : t -> (string * string) list
