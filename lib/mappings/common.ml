@@ -32,9 +32,9 @@ let hd_name s =
 let cpp_scoped s = String.concat "::" (split_name s)
 let java_name s = last_segment s
 
-(* Map functions ask for the same few hundred type strings tens of
-   thousands of times per compile, so each domain memoizes the parse in
-   its own table. The table is cleared rather than grown once it holds
+(* Map functions ask for the same few hundred type strings thousands of
+   times per compile, so each domain memoizes the parse in its own
+   table. The table is cleared rather than grown once it holds
    [ctype_memo_limit] entries: it keeps the bucket array it was created
    with and never resizes, so threads of one domain that interleave here
    can at worst lose an entry, and a long-lived process holds at most
