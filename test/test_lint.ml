@@ -94,6 +94,43 @@ let test_dedup () =
   let e003 = List.filter (fun c -> c = "E003") (codes reporter) in
   Alcotest.(check int) "one E003" 1 (List.length e003)
 
+(* Two domains lint at the same time, each with its own reporter, while
+   this domain compiles a one-error spec with none. Every lint must count
+   exactly its own errors, and every compile must still raise: a reporter
+   shared across domains would catch the compile's error, or leave a
+   lint's errors to escape. *)
+let test_lint_across_domains () =
+  let iterations = 2000 in
+  let unresolved n =
+    String.concat "\n"
+      (List.init n (fun i ->
+           Printf.sprintf "interface I%d { void f(in Nope%d x); };" i i))
+  in
+  let lint n () =
+    let src = unresolved n in
+    let miscounted = ref 0 in
+    for _ = 1 to iterations do
+      let reporter = Diag.reporter () in
+      ignore (Analysis.Lint.run_source reporter ~filename:"t.idl" src);
+      if Diag.error_count reporter <> n then incr miscounted
+    done;
+    !miscounted
+  in
+  let lints = List.map (fun n -> (n, Domain.spawn (lint n))) [ 3; 5 ] in
+  let unraised = ref 0 in
+  for _ = 1 to iterations do
+    match Core.Compiler.est_of_string (unresolved 1) with
+    | _ -> incr unraised
+    | exception Diag.Idl_error _ -> ()
+  done;
+  List.iter
+    (fun (n, d) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d-error lints miscounted" n)
+        0 (Domain.join d))
+    lints;
+  Alcotest.(check int) "compiles that did not raise" 0 !unraised
+
 (* ---------------- rendering and per-code control ---------------- *)
 
 let test_json () =
@@ -373,6 +410,7 @@ let () =
           Alcotest.test_case "multiple diagnostics" `Quick test_recovery_multiple;
           Alcotest.test_case "no reporter raises" `Quick test_no_reporter_still_raises;
           Alcotest.test_case "cascade dedup" `Quick test_dedup;
+          Alcotest.test_case "across domains" `Quick test_lint_across_domains;
         ] );
       ( "rendering",
         [
