@@ -188,14 +188,16 @@ let all : info list =
        contains stray exceptions). locked.ml itself is the one \
        sanctioned implementation site.";
     w "C404" "module-level mutable state mutated outside a lock"
-      "A top-level ref, Hashtbl or Buffer in a concurrency-aware file \
-       (one that references Locked/Thread/Atomic) is mutated outside \
-       any with_lock scope. Module-level state is reachable from every \
-       thread, so an unlocked := or Hashtbl.replace is a data race \
-       under OCaml's memory model. Guard the mutation with the owning \
-       lock, make the cell an Atomic.t, or replace the table with an \
-       immutable map behind an Atomic.t updated by compare_and_set \
-       (the shape Metrics.find_or_create uses).";
+      "A top-level ref, Hashtbl or Buffer is mutated outside any \
+       with_lock scope, in any file, whether or not it names a lock. \
+       Module-level state is reachable from every thread and domain, \
+       so an unlocked := or Hashtbl.replace is a data race under \
+       OCaml's memory model (a save/restore wrapper is no exception: \
+       one domain's restore undoes another's setting). Guard the \
+       mutation with the owning lock, make the cell an Atomic.t, or \
+       replace the table with an immutable map behind an Atomic.t \
+       updated by compare_and_set (the shape Metrics.find_or_create \
+       uses).";
     w "C405" "atomic read-modify-write split into get and set"
       "An Atomic.set whose value expression reads the same atomic with \
        Atomic.get: between the read and the write another thread's \

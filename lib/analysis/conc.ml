@@ -97,7 +97,6 @@ type state = {
   file : string;
   reporter : Idl.Diag.reporter;
   is_locked_impl : bool;  (* locked.ml itself: C403/C404 exempt *)
-  conc_aware : bool;  (* file references Locked/Thread/Mutex: gates C404 *)
   mutable domain_shared : bool;
       (* file spawns domains or uses domain-local state (detected from
          the AST in pass 1, not the raw source, so an analyzer or doc
@@ -427,7 +426,7 @@ let pass2 st str =
                  with every lock released"
                 (String.concat "." path) (describe_held st)));
         (if
-           st.conc_aware && (not st.is_locked_impl) && st.held = []
+           (not st.is_locked_impl) && st.held = []
            && Hashtbl.length st.mutables > 0
          then
            match
@@ -530,19 +529,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let references_concurrency src =
-  let mentions needle =
-    let nlen = String.length needle and slen = String.length src in
-    let rec go i =
-      if i + nlen > slen then false
-      else if String.sub src i nlen = needle then true
-      else go (i + 1)
-    in
-    go 0
-  in
-  mentions "Locked." || mentions "Thread." || mentions "Mutex."
-  || mentions "Atomic."
-
 let check_file reporter path =
   let src = read_file path in
   match
@@ -559,7 +545,6 @@ let check_file reporter path =
           file = path;
           reporter;
           is_locked_impl = Filename.basename path = "locked.ml";
-          conc_aware = references_concurrency src;
           domain_shared = false;
           ranks = Hashtbl.create 16;
           ambiguous = Hashtbl.create 4;

@@ -16,7 +16,8 @@
     - [C403] raw [Mutex]/[Condition]/[Thread.create] primitives outside
       [locked.ml] (the one sanctioned implementation site);
     - [C404] module-level mutable state ([ref]/[Hashtbl]/[Buffer])
-      mutated outside any [with_lock] scope in a concurrency-aware file;
+      mutated outside any [with_lock] scope, in every file (one that
+      names no lock shares its top-level cells across domains too);
     - [C405] an [Atomic] read-modify-write written as separate
       [Atomic.get]/[Atomic.set] (racy; use [fetch_and_add] or a
       compare-and-set loop);

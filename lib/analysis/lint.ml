@@ -348,16 +348,15 @@ let check_spec ?(mappings = Mappings.Registry.all) reporter ~file spec =
 (* Parse + resolve with recovery + run every pass. Returns the resolved
    spec when the front-end got far enough to produce one. *)
 let run_source ?mappings reporter ~filename src =
-  Diag.with_reporter reporter (fun () ->
-      match
-        Diag.recover ~default:None (fun () ->
-            Some (Idl.Parser.parse_string ~filename src))
-      with
-      | None -> None (* syntax error: already reported; nothing to lint *)
-      | Some ast ->
-          let spec = Est.Resolve.spec ast in
-          check_spec ?mappings reporter ~file:filename spec;
-          Some spec)
+  match
+    Diag.recover (Some reporter) ~default:None (fun () ->
+        Some (Idl.Parser.parse_string ~reporter ~filename src))
+  with
+  | None -> None (* syntax error: already reported; nothing to lint *)
+  | Some ast ->
+      let spec = Est.Resolve.spec ~reporter ast in
+      check_spec ?mappings reporter ~file:filename spec;
+      Some spec
 
 let run_file ?mappings reporter path =
   let src =

@@ -39,9 +39,10 @@ val run_source :
   string ->
   Est.Sem.spec option
 (** Parse and resolve IDL source with error recovery (the reporter is
-    installed around resolution, so all independent front-end errors are
-    accumulated), then run {!check_spec}. Returns [None] when a syntax
-    error prevented parsing — the error has already been reported. *)
+    passed to the parser and the resolver, so all independent front-end
+    errors are accumulated in it and in no other), then run
+    {!check_spec}. Returns [None] when a syntax error prevented parsing
+    — the error has already been reported. *)
 
 val run_file :
   ?mappings:Mappings.Mapping.t list ->

@@ -65,6 +65,8 @@ type env = {
   interface_scopes : (Sem.qname, scope) Hashtbl.t;
       (** Module and interface scopes, for re-opening and base-scope
           linking. *)
+  reporter : Diag.reporter option;
+      (** Where the recovery points report; [None] raises the first error. *)
   mutable warnings : Diag.t list;
 }
 
@@ -135,7 +137,7 @@ let rec collect_definition env scope prefix (def : A.definition) : string =
       ignore
         (List.fold_left
            (fun pfx d ->
-             Diag.recover ~default:pfx (fun () ->
+             Diag.recover env.reporter ~default:pfx (fun () ->
                  collect_definition env sub pfx d))
            prefix defs);
       prefix
@@ -365,7 +367,7 @@ and check_distinct ~loc ~what names =
 and resolve_fields env scope members =
   List.concat_map
     (fun (m : A.struct_member) ->
-      Diag.recover ~default:[] (fun () ->
+      Diag.recover env.reporter ~default:[] (fun () ->
           let ty = resolve_type env scope ~loc:m.A.sm_loc m.A.sm_type in
           if ty = Ctype.Void then
             Diag.error ~code:"E008" ~loc:m.A.sm_loc
@@ -416,7 +418,7 @@ and resolve_interface env qn (i : A.interface_decl) own_scope =
     List.filter_map
       (function
         | A.Ex_op op ->
-            Diag.recover ~default:None (fun () ->
+            Diag.recover env.reporter ~default:None (fun () ->
                 Some (resolve_operation env own_scope op))
         | _ -> None)
       i.A.if_exports
@@ -425,7 +427,7 @@ and resolve_interface env qn (i : A.interface_decl) own_scope =
     List.concat_map
       (function
         | A.Ex_attr at ->
-            Diag.recover ~default:[] (fun () ->
+            Diag.recover env.reporter ~default:[] (fun () ->
                 let ty = resolve_type env own_scope ~loc:at.A.at_loc at.A.at_type in
                 if ty = Ctype.Void then
                   Diag.error ~code:"E008" ~loc:at.A.at_loc
@@ -735,7 +737,7 @@ and coerce_value env ~loc ty v =
 
 (* ---------------- entry point ---------------- *)
 
-let spec (ast : A.spec) : Sem.spec =
+let spec ?reporter (ast : A.spec) : Sem.spec =
   let root = new_scope [] in
   let env =
     {
@@ -746,24 +748,28 @@ let spec (ast : A.spec) : Sem.spec =
       prefixes = Hashtbl.create 8;
       module_scopes = Hashtbl.create 16;
       interface_scopes = Hashtbl.create 16;
+      reporter;
       warnings = [];
     }
   in
   (* Each top-of-scope definition and each entity resolution is a recovery
-     point: in lint mode (an installed Diag reporter) a failure there is
-     accumulated and the remaining declarations still get checked; without
-     a reporter [Diag.recover] is transparent and the first error aborts,
-     exactly as before. *)
+     point: in lint mode (given a reporter) a failure there is accumulated
+     and the remaining declarations still get checked; without a reporter
+     [Diag.recover] is transparent and the first error aborts, exactly as
+     before. *)
   ignore
     (List.fold_left
        (fun pfx d ->
-         Diag.recover ~default:pfx (fun () -> collect_definition env root pfx d))
+         Diag.recover reporter ~default:pfx (fun () ->
+             collect_definition env root pfx d))
        "" ast);
   let toplevel = List.rev root.s_members in
   (* Resolve every declared entity (depth-first through modules). Forward
      declarations that were never completed have no source and are only
      warned about, never forced. *)
-  let resolve qn = Diag.recover ~default:() (fun () -> ignore (resolve_entity env qn)) in
+  let resolve qn =
+    Diag.recover reporter ~default:() (fun () -> ignore (resolve_entity env qn))
+  in
   let rec force qn =
     if Hashtbl.mem env.sources qn then resolve qn;
     match Hashtbl.find_opt env.module_scopes qn with

@@ -24,13 +24,12 @@
     - invalid union discriminator types, duplicate case labels, and more
       than one [default] case. *)
 
-val spec : Idl.Ast.spec -> Sem.spec
+val spec : ?reporter:Idl.Diag.reporter -> Idl.Ast.spec -> Sem.spec
 (** @raise Idl.Diag.Idl_error on any semantic error.
 
-    Error recovery: when an {!Idl.Diag.reporter} is installed (via
-    [Idl.Diag.with_reporter], as [idlc lint] does), errors are accumulated
-    at per-definition, per-entity, per-operation, per-attribute and
-    per-field recovery points instead of raised, so one run reports every
-    independent problem. Entities that failed to resolve are absent from
-    the returned {!Sem.spec}. Without a reporter the first error raises,
-    exactly the historic behaviour. *)
+    Error recovery: given a [reporter] (as [idlc lint] passes one), errors
+    are accumulated at per-definition, per-entity, per-operation,
+    per-attribute and per-field recovery points instead of raised, so one
+    run reports every independent problem. Entities that failed to
+    resolve are absent from the returned {!Sem.spec}. Without a reporter
+    the first error raises, exactly the historic behaviour. *)

@@ -70,16 +70,11 @@ type reporter = {
   mutable diags : t list;  (* reverse emission order *)
   mutable seen : (string * Loc.t * string) list;  (* dedup keys *)
   disabled : (string, unit) Hashtbl.t;
-  mutable werror : bool;
-  mutable max_errors : int;  (* 0 = unlimited *)
+  werror : bool;
 }
 
-exception Too_many_errors
-
-let reporter ?(werror = false) ?(max_errors = 0) () =
-  { diags = []; seen = []; disabled = Hashtbl.create 8; werror; max_errors }
-
-let set_werror r b = r.werror <- b
+let reporter ?(werror = false) () =
+  { diags = []; seen = []; disabled = Hashtbl.create 8; werror }
 
 let set_enabled r code enabled =
   if enabled then Hashtbl.remove r.disabled code
@@ -96,12 +91,7 @@ let report r t =
   else if List.mem key r.seen then ()
   else begin
     r.seen <- key :: r.seen;
-    r.diags <- t :: r.diags;
-    if
-      r.max_errors > 0
-      && List.length (List.filter (fun d -> d.severity = Error) r.diags)
-         >= r.max_errors
-    then raise Too_many_errors
+    r.diags <- t :: r.diags
   end
 
 let diagnostics r =
@@ -138,23 +128,13 @@ let render_json r =
 
 (* ---------------- recovery hooks ----------------
 
-   When a reporter is installed, code paths that would normally abort on
-   the first [Idl_error] can instead accumulate the diagnostic and keep
-   going, so one run surfaces every problem (the lint mode contract).
-   Without a reporter, behaviour is exactly the historic raise-on-first-
-   error semantics. *)
+   Given a reporter, code paths that would normally abort on the first
+   [Idl_error] can instead accumulate the diagnostic and keep going, so
+   one run surfaces every problem (the lint mode contract). Given none,
+   behaviour is exactly the historic raise-on-first-error semantics. *)
 
-let installed : reporter option ref = ref None
-
-let current_reporter () = !installed
-
-let with_reporter r f =
-  let prev = !installed in
-  installed := Some r;
-  Fun.protect ~finally:(fun () -> installed := prev) f
-
-let recover ~default f =
-  match !installed with
+let recover reporter ~default f =
+  match reporter with
   | None -> f ()
   | Some r -> (
       try f ()
@@ -162,21 +142,13 @@ let recover ~default f =
         report r d;
         default)
 
-(* Accumulate an error when a reporter is installed; raise otherwise. *)
-let emit ?code ?notes ~loc fmt =
+let emit reporter ?code ?notes ~loc fmt =
   Format.kasprintf
     (fun message ->
       let d = make ?code ?notes ~severity:Error ~loc message in
-      match !installed with
+      match reporter with
       | Some r -> report r d
       | None -> raise (Idl_error d))
-    fmt
-
-let emit_warning ?code ?notes ~loc fmt =
-  Format.kasprintf
-    (fun message ->
-      let d = make ?code ?notes ~severity:Warning ~loc message in
-      match !installed with Some r -> report r d | None -> ())
     fmt
 
 let () =

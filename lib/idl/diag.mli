@@ -1,16 +1,17 @@
 (** Diagnostics: compile-time errors and warnings with source locations,
     stable codes, and an accumulating reporter for lint mode.
 
-    Two regimes coexist:
+    Two regimes coexist, chosen per call by the [reporter option] the
+    front end is given (there is no ambient reporter):
 
     - {b Abort-on-first-error} (the historic compiler behaviour): {!error}
       raises {!Idl_error}; callers catch it at the driver and render one
-      diagnostic. This is still the default whenever no reporter is
-      installed.
-    - {b Accumulate-and-continue} (lint mode): install a {!reporter} with
-      {!with_reporter}; recovery points wrapped in {!recover} then catch
-      {!Idl_error}, add the diagnostic to the reporter, and continue, so a
-      single run surfaces every independent problem.
+      diagnostic. This is the regime whenever no reporter is passed.
+    - {b Accumulate-and-continue} (lint mode): pass a {!reporter} to
+      [Parser.parse_string] and [Est.Resolve.spec]; recovery points
+      wrapped in {!recover} then catch {!Idl_error}, add the diagnostic to
+      the reporter, and continue, so a single run surfaces every
+      independent problem.
 
     Codes are stable strings: [E0xx] front-end errors, [W1xx] lint
     warnings, [T2xx] template-checker findings, [V3xx] interface-evolution
@@ -66,14 +67,9 @@ val to_json : t -> string
 
 type reporter
 
-exception Too_many_errors
-(** Raised by {!report} once [max_errors] errors have accumulated. *)
-
-val reporter : ?werror:bool -> ?max_errors:int -> unit -> reporter
+val reporter : ?werror:bool -> unit -> reporter
 (** A fresh reporter. [werror] promotes warnings to errors for counting
-    and rendering purposes; [max_errors = 0] (default) means unlimited. *)
-
-val set_werror : reporter -> bool -> unit
+    and rendering purposes. *)
 
 val set_enabled : reporter -> string -> bool -> unit
 (** Enable or disable a warning code. Disabled codes are dropped at
@@ -99,31 +95,21 @@ val render_text : reporter -> string
 val render_json : reporter -> string
 (** The [--lint-json] document: a JSON array of diagnostic objects. *)
 
-(** {1 Error-recovery hooks} *)
+(** {1 Error-recovery hooks}
 
-val with_reporter : reporter -> (unit -> 'a) -> 'a
-(** [with_reporter r f] runs [f] with [r] installed as the ambient
-    reporter (restored afterwards, exception-safe). While installed,
-    {!recover} and {!emit} accumulate instead of aborting. *)
+    Each takes the reporter of the run it belongs to, or [None]. *)
 
-val current_reporter : unit -> reporter option
-
-val recover : default:'a -> (unit -> 'a) -> 'a
-(** [recover ~default f]: with a reporter installed, catch {!Idl_error}
-    from [f], report it, and return [default]; with none, run [f] bare. *)
+val recover : reporter option -> default:'a -> (unit -> 'a) -> 'a
+(** [recover reporter ~default f]: given a reporter, catch {!Idl_error}
+    from [f], report it, and return [default]; given [None], run [f]
+    bare. *)
 
 val emit :
+  reporter option ->
   ?code:string ->
   ?notes:(Loc.t * string) list ->
   loc:Loc.t ->
   ('a, Format.formatter, unit, unit) format4 ->
   'a
-(** Accumulate an error when a reporter is installed; raise otherwise. *)
-
-val emit_warning :
-  ?code:string ->
-  ?notes:(Loc.t * string) list ->
-  loc:Loc.t ->
-  ('a, Format.formatter, unit, unit) format4 ->
-  'a
-(** Accumulate a warning when a reporter is installed; drop otherwise. *)
+(** Accumulate an error given a reporter; raise {!Idl_error} given
+    [None]. *)

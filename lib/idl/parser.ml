@@ -6,6 +6,7 @@ module Stream_ = struct
     lexbuf : Lexing.lexbuf;
     mutable tok : Token.t;
     mutable loc : Loc.t;
+    reporter : Diag.reporter option;  (* where [Diag.emit] reports *)
   }
 
   let current_loc lexbuf =
@@ -13,11 +14,11 @@ module Stream_ = struct
     Loc.make ~file:p.Lexing.pos_fname ~line:p.Lexing.pos_lnum
       ~col:(p.Lexing.pos_cnum - p.Lexing.pos_bol + 1)
 
-  let make ~filename src =
+  let make ~reporter ~filename src =
     let lexbuf = Lexing.from_string src in
     Lexing.set_filename lexbuf filename;
     let tok = Lexer.token lexbuf in
-    { lexbuf; tok; loc = current_loc lexbuf }
+    { lexbuf; tok; loc = current_loc lexbuf; reporter }
 
   let peek t = t.tok
   let loc t = t.loc
@@ -429,7 +430,7 @@ let parse_param st =
   in
   (match (mode, default) with
   | (Out | Inout), Some _ ->
-      Diag.emit ~code:"E012" ~loc
+      Diag.emit st.reporter ~code:"E012" ~loc
         "default values are only allowed on 'in' and 'incopy' parameters"
   | _ -> ());
   { p_mode = mode; p_type = ty; p_name = name; p_default = default; p_loc = loc }
@@ -483,12 +484,12 @@ let parse_operation st =
       | Some _ -> seen_default := true
       | None ->
           if !seen_default then
-            Diag.emit ~code:"E012" ~loc:p.p_loc
+            Diag.emit st.reporter ~code:"E012" ~loc:p.p_loc
               "parameter %S without a default value follows a parameter with one"
               p.p_name)
     params;
   if oneway && ret <> Void then
-    Diag.emit ~code:"E005" ~loc
+    Diag.emit st.reporter ~code:"E005" ~loc
       "oneway operation %S must have a 'void' return type" name;
   {
     op_oneway = oneway;
@@ -608,18 +609,18 @@ let rec parse_definition st =
   | other ->
       Stream_.error st "expected a definition but found %s" (Token.to_string other)
 
-let parse_string ?(filename = "<string>") src =
-  let st = Stream_.make ~filename src in
+let parse_string ?reporter ?(filename = "<string>") src =
+  let st = Stream_.make ~reporter ~filename src in
   let rec defs acc =
     if peek st = Token.EOF then List.rev acc else defs (parse_definition st :: acc)
   in
   defs []
 
-let parse_file path =
+let parse_file ?reporter path =
   let ic = open_in_bin path in
   let content =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  parse_string ~filename:path content
+  parse_string ?reporter ~filename:path content

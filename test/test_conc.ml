@@ -22,10 +22,11 @@ let corpus_cases () =
 
 let test_corpus () =
   let cases = corpus_cases () in
-  (* One fixture per C4xx code, plus the second C404 shape (the
-     unlocked stats counter) and the second C402 shape (a deadline
-     wait on a foreign lock). *)
-  Alcotest.(check int) "fixture count" 10 (List.length cases);
+  (* One fixture per C4xx code, plus two more C404 shapes (the
+     unlocked stats counter, and an ambient setting saved and restored
+     in a file that names no concurrency primitive) and the second C402
+     shape (a deadline wait on a foreign lock). *)
+  Alcotest.(check int) "fixture count" 11 (List.length cases);
   List.iter
     (fun case ->
       let path = Filename.concat corpus_dir case in
