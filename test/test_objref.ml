@@ -148,6 +148,39 @@ let test_to_string_cache_multi () =
   Alcotest.(check string) "reparse stable" multi_example
     (Orb.Objref.to_string (Orb.Objref.of_string (Orb.Objref.to_string r)))
 
+let test_noncanonical_port () =
+  (* The port is canonical decimal, the only form the printer writes:
+     every other spelling of 80 is refused, so a parsed reference's
+     text is always its printed form. *)
+  List.iter
+    (fun port ->
+      let s = Printf.sprintf "@tcp:h:%s#o#t" port in
+      match Orb.Objref.of_string_opt s with
+      | None -> ()
+      | Some _ -> Alcotest.failf "expected parse failure for %S" s)
+    [ "0x50"; "0o120"; "0b1010000"; "0u80"; "8_0"; "+80"; "080" ];
+  List.iter
+    (fun s ->
+      match Orb.Objref.of_string_opt s with
+      | Some r -> Alcotest.(check string) "prints back" s (Orb.Objref.to_string r)
+      | None -> Alcotest.failf "expected %S to parse" s)
+    [ "@tcp:h:0#o#t"; "@tcp:h:65535#o#t" ]
+
+let test_to_string_allocation_free () =
+  let r = Orb.Objref.of_string multi_example in
+  let single = Orb.Objref.make ~proto:"tcp" ~host:"h" ~port:1 ~oid:"o" ~type_id:"t" in
+  ignore (Orb.Objref.to_string r);
+  ignore (Orb.Objref.to_string single);
+  let len = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let s = Orb.Objref.to_string (if i land 1 = 0 then r else single) in
+    len := !len + String.length s
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "printed" true (!len > 0);
+  Alcotest.(check (float 0.)) "minor words for 10,000 prints" 0. words
+
 let gen_objref =
   QCheck.Gen.(
     let* proto = oneofl [ "tcp"; "mem"; "udp" ] in
@@ -198,6 +231,54 @@ let multi_roundtrip_prop =
       && Orb.Objref.endpoints r = Orb.Objref.endpoints r'
       && Orb.Objref.is_multi r = Orb.Objref.is_multi r')
 
+(* Printed references with one endpoint's port respelled: each
+   spelling is either refused or parses to a reference that prints back
+   byte for byte. Canonical respellings keep the property from holding
+   vacuously. *)
+let gen_port_mutant =
+  QCheck.Gen.(
+    let* r = oneof [ gen_objref; gen_multi_objref ] in
+    let s = Orb.Objref.to_string r in
+    let hash = String.index s '#' in
+    let segs = String.split_on_char ',' (String.sub s 1 (hash - 1)) in
+    let* i = int_bound (List.length segs - 1) in
+    let* n = int_bound 70000 in
+    let* spelling =
+      oneofl
+        [
+          string_of_int n;
+          "0" ^ string_of_int n;
+          "+" ^ string_of_int n;
+          "-" ^ string_of_int n;
+          Printf.sprintf "0x%x" n;
+          Printf.sprintf "0X%X" n;
+          Printf.sprintf "0o%o" n;
+          "0b1010000";
+          "0u" ^ string_of_int n;
+          string_of_int n ^ "_";
+          "1_" ^ string_of_int n;
+          " " ^ string_of_int n;
+          string_of_int n ^ "a";
+          "";
+        ]
+    in
+    let respell j seg =
+      if j <> i then seg
+      else String.sub seg 0 (String.rindex seg ':' + 1) ^ spelling
+    in
+    return
+      ("@" ^ String.concat "," (List.mapi respell segs)
+      ^ String.sub s hash (String.length s - hash)))
+
+let port_mutant_prop =
+  QCheck.Test.make ~count:1000
+    ~name:"an accepted reference prints back byte for byte"
+    (QCheck.make ~print:Fun.id gen_port_mutant)
+    (fun s ->
+      match Orb.Objref.of_string_opt s with
+      | None -> true
+      | Some r -> Orb.Objref.to_string r = s)
+
 let () =
   Alcotest.run "objref"
     [
@@ -207,7 +288,12 @@ let () =
           Alcotest.test_case "colons in type id" `Quick test_type_id_with_colons;
           Alcotest.test_case "malformed references" `Quick test_malformed;
           Alcotest.test_case "endpoint" `Quick test_endpoint;
+          Alcotest.test_case "non-canonical port is refused" `Quick
+            test_noncanonical_port;
+          Alcotest.test_case "to_string allocates nothing" `Quick
+            test_to_string_allocation_free;
           QCheck_alcotest.to_alcotest roundtrip_prop;
+          QCheck_alcotest.to_alcotest port_mutant_prop;
         ] );
       ( "endpoint sets",
         [
