@@ -17,7 +17,6 @@ module Rank = struct
   let communicator = 70
   let pool = 60
   let connection_cache = 50
-  let interceptor = 47
   let smart = 46
   let adapter = 45
   let naming_registry = 44
@@ -31,7 +30,6 @@ module Rank = struct
   let fault = 23
   let metrics = 20
   let trace_ids = 15
-  let objref_cache = 12
   let obs = 11
   let sinks = 10
 
@@ -40,7 +38,6 @@ module Rank = struct
       ("communicator", communicator);
       ("pool", pool);
       ("connection_cache", connection_cache);
-      ("interceptor", interceptor);
       ("smart", smart);
       ("adapter", adapter);
       ("naming_registry", naming_registry);
@@ -54,7 +51,6 @@ module Rank = struct
       ("fault", fault);
       ("metrics", metrics);
       ("trace_ids", trace_ids);
-      ("objref_cache", objref_cache);
       ("obs", obs);
       ("sinks", sinks);
     ]

@@ -21,7 +21,6 @@ module Rank : sig
   val communicator : int (* 70 — per-connection send locks *)
   val pool : int (* 60 — server worker pool queue *)
   val connection_cache : int (* 50 — ORB state: conns, counters, rng *)
-  val interceptor : int (* 47 — interceptor chains and counters *)
   val smart : int (* 46 — smart-proxy memo tables *)
   val adapter : int (* 45 — object adapter servant table *)
   val naming_registry : int (* 44 — naming lease registry *)
@@ -35,7 +34,6 @@ module Rank : sig
   val fault : int (* 23 — fault-injection plans; stalled-read gates *)
   val metrics : int (* 20 — Obs histogram/counter tables *)
   val trace_ids : int (* 15 — trace/span id generator *)
-  val objref_cache : int (* 12 — memoized Objref.to_string cache *)
   val obs : int (* 11 — Obs facade: sink list, span counter *)
   val sinks : int (* 10 — individual sink buffers (innermost) *)
 

@@ -9,8 +9,8 @@ val wrap : ?limits:Wire.Codec.limits -> Protocol.t -> Transport.channel -> t
     {!Wire.Codec.default_limits}) bounds what {!recv}/{!recv_opt} will
     decode: each line read is bounded by the receive protocol's framing
     (the frame limit for line framing, a short header for
-    length-prefixed framing), and payload decoding runs through the
-    protocol's [decode_limited]. *)
+    length-prefixed framing), and each frame is decoded under them by
+    the protocol's [decode_sub]. *)
 
 val send : ?proto:Protocol.t -> t -> Protocol.message -> unit
 (** Encode, frame and write one message in [proto] (default: the

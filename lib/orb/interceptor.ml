@@ -16,26 +16,26 @@ let make ?(on_request = Fun.id) ?(on_reply = fun _ r -> r)
     ?(on_error = fun _ _ -> ()) name =
   { name; on_request; on_reply; on_error }
 
-type chain = { lock : Locked.t; mutable items : t list (* reversed *) }
+(* Registration order. Read with one atomic load per call; [add] is
+   rare, so it copies the list and swings the pointer. *)
+type chain = t list Atomic.t
 
-let empty_chain () =
-  { lock = Locked.create ~name:"interceptor" ~rank:Locked.Rank.interceptor;
-    items = [] }
+let empty_chain () = Atomic.make []
 
-let add chain i = Locked.with_lock chain.lock (fun () -> chain.items <- i :: chain.items)
+let rec add chain i =
+  let items = Atomic.get chain in
+  if not (Atomic.compare_and_set chain items (items @ [ i ])) then add chain i
 
-let snapshot chain = Locked.with_lock chain.lock (fun () -> List.rev chain.items)
-
-let names chain = List.map (fun i -> i.name) (snapshot chain)
+let names chain = List.map (fun i -> i.name) (Atomic.get chain)
 
 let apply_request chain req =
-  List.fold_left (fun req i -> i.on_request req) req (snapshot chain)
+  List.fold_left (fun req i -> i.on_request req) req (Atomic.get chain)
 
 let apply_reply chain req rep =
-  List.fold_left (fun rep i -> i.on_reply req rep) rep (List.rev (snapshot chain))
+  List.fold_right (fun i rep -> i.on_reply req rep) (Atomic.get chain) rep
 
 let apply_error chain req exn =
-  List.iter (fun i -> i.on_error req exn) (snapshot chain)
+  List.iter (fun i -> i.on_error req exn) (Atomic.get chain)
 
 (* ---------------- stock interceptors ---------------- *)
 

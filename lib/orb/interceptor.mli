@@ -39,7 +39,10 @@ val make :
   t
 (** Identity behaviour for omitted hooks. *)
 
-(** A chain of interceptors. *)
+(** A chain of interceptors: an immutable list behind one atomic
+    reference. Applying a chain is one atomic load and takes no lock;
+    {!add} may race with calls in flight on any domain, which see the
+    chain either with or without the new interceptor. *)
 type chain
 
 val empty_chain : unit -> chain

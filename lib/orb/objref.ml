@@ -5,6 +5,7 @@ type t = {
   extra : (string * string * int) list;  (* replica endpoints beyond the primary *)
   oid : string;
   type_id : string;
+  text : string;  (* the printed form, made once with the reference *)
 }
 
 let check_endpoint (proto, host, port) =
@@ -21,26 +22,35 @@ let check_endpoint (proto, host, port) =
       (Printf.sprintf "Objref: endpoint proto %S contains a reserved character"
          proto)
 
+let endpoint_to_string (proto, host, port) =
+  proto ^ ":" ^ host ^ ":" ^ string_of_int port
+
+(* A reference is immutable, so it is printed once, here: the client
+   writes the target's text into every request it encodes. *)
+let build ((proto, host, port) as primary) extra ~oid ~type_id =
+  let url = String.concat "," (List.map endpoint_to_string (primary :: extra)) in
+  let text = String.concat "" [ "@"; url; "#"; oid; "#"; type_id ] in
+  { proto; host; port; extra; oid; type_id; text }
+
 let make ~proto ~host ~port ~oid ~type_id =
-  { proto; host; port; extra = []; oid; type_id }
+  build (proto, host, port) [] ~oid ~type_id
 
 let rec check_no_dup = function
   | [] -> ()
   | ep :: rest ->
       if List.mem ep rest then
-        let p, h, n = ep in
         invalid_arg
-          (Printf.sprintf "Objref: duplicate endpoint %s:%s:%d in endpoint set"
-             p h n)
+          (Printf.sprintf "Objref: duplicate endpoint %s in endpoint set"
+             (endpoint_to_string ep))
       else check_no_dup rest
 
 let make_multi ~endpoints ~oid ~type_id =
   match endpoints with
   | [] -> invalid_arg "Objref.make_multi: endpoint set must not be empty"
-  | (proto, host, port) :: rest ->
+  | primary :: rest ->
       List.iter check_endpoint endpoints;
       check_no_dup endpoints;
-      { proto; host; port; extra = rest; oid; type_id }
+      build primary rest ~oid ~type_id
 
 let endpoints r = (r.proto, r.host, r.port) :: r.extra
 let endpoint r = (r.proto, r.host, r.port)
@@ -52,83 +62,49 @@ let with_endpoints r endpoints =
 (* The single-endpoint view of [r] at one of its endpoints: what goes on
    the wire when the client has picked a replica — peers that predate the
    multi-endpoint grammar must keep parsing every envelope target. *)
-let at_endpoint r (proto, host, port) =
+let at_endpoint r ((proto, host, port) as ep) =
   if r.extra = [] && r.proto = proto && r.host = host && r.port = port then r
-  else { r with proto; host; port; extra = [] }
+  else build ep [] ~oid:r.oid ~type_id:r.type_id
 
-(* Memoized stringification: the client stringifies the target reference
-   into every request it encodes, and an application typically holds a
-   handful of distinct references. Keyed structurally (references are
-   immutable records — the endpoint list included — and derived refs
-   built with [{ r with ... }] are distinct keys), guarded by a mutex
-   because encoding happens on concurrent client threads, and bounded so
-   a workload that synthesizes references (one per call) cannot grow the
-   table without limit. *)
-let to_string_cache : (t, string) Hashtbl.t = Hashtbl.create 64
+let to_string r = r.text
 
-let to_string_lock =
-  Locked.create ~name:"objref.to_string" ~rank:Locked.Rank.objref_cache
+(* The port in [s] from [pos] to the end, in canonical decimal — the
+   only form the printer writes: digits only, no sign, prefix or '_',
+   and no leading zero but "0" itself. -1 for anything else. *)
+let rec digits s i acc =
+  if i = String.length s then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> digits s (i + 1) ((acc * 10) + Char.code c - 48)
+    | _ -> -1
 
-let to_string_cache_max = 1024
-
-let add_endpoint buf (proto, host, port) =
-  Buffer.add_string buf proto;
-  Buffer.add_char buf ':';
-  Buffer.add_string buf host;
-  Buffer.add_char buf ':';
-  Buffer.add_string buf (string_of_int port)
-
-let to_string r =
-  Locked.with_lock to_string_lock @@ fun () ->
-  match Hashtbl.find_opt to_string_cache r with
-  | Some s -> s
-  | None ->
-      let s =
-        match r.extra with
-        | [] ->
-            Printf.sprintf "@%s:%s:%d#%s#%s" r.proto r.host r.port r.oid
-              r.type_id
-        | extra ->
-            let buf = Buffer.create 64 in
-            Buffer.add_char buf '@';
-            add_endpoint buf (r.proto, r.host, r.port);
-            List.iter
-              (fun ep ->
-                Buffer.add_char buf ',';
-                add_endpoint buf ep)
-              extra;
-            Buffer.add_char buf '#';
-            Buffer.add_string buf r.oid;
-            Buffer.add_char buf '#';
-            Buffer.add_string buf r.type_id;
-            Buffer.contents buf
-      in
-      if Hashtbl.length to_string_cache >= to_string_cache_max then
-        Hashtbl.reset to_string_cache;
-      Hashtbl.replace to_string_cache r s;
-      s
+let port_from s pos =
+  let n = String.length s - pos in
+  if n = 0 || n > 5 || (n > 1 && s.[pos] = '0') then -1 else digits s pos 0
 
 (* One endpoint segment: proto:host:port — host may not contain ':',
    ',' or '#'; the proto may itself contain ':' (e.g. "faulty:mem"), so
    the segment is parsed from the right: last piece is the port, the one
    before it the host, everything earlier the proto. *)
 let parse_endpoint seg =
-  match List.rev (String.split_on_char ':' seg) with
-  | port_s :: host :: proto_rev when proto_rev <> [] -> (
-      let proto = String.concat ":" (List.rev proto_rev) in
-      match int_of_string_opt port_s with
-      | Some port when port >= 0 && port < 65536 && proto <> "" && host <> ""
-        ->
-          Some (proto, host, port)
-      | _ -> None)
-  | _ -> None
+  match String.rindex_opt seg ':' with
+  | None | Some 0 -> None
+  | Some j -> (
+      match String.rindex_from_opt seg (j - 1) ':' with
+      | None -> None
+      | Some i ->
+          let port = port_from seg (j + 1) in
+          if port < 0 || port >= 65536 || i = 0 || j = i + 1 then None
+          else Some (String.sub seg 0 i, String.sub seg (i + 1) (j - i - 1), port))
 
 let of_string_opt s =
   (* @proto:host:port[,proto:host:port...]#oid#type_id — the url part is
      a comma-separated endpoint set (one endpoint in the historical
      grammar, which this parser accepts unchanged); the type id may
      contain ':' (IDL:...:1.0) but not '#'. Empty or duplicate endpoint
-     segments make the whole reference malformed. *)
+     segments make the whole reference malformed. Every accepted string
+     is the printed form of what it parses to, so it is kept as the
+     reference's text. *)
   if String.length s < 2 || s.[0] <> '@' then None
   else
     match String.split_on_char '#' (String.sub s 1 (String.length s - 1)) with
@@ -143,7 +119,7 @@ let of_string_opt s =
         in
         match parse_all [] segs with
         | Some ((proto, host, port) :: extra) ->
-            Some { proto; host; port; extra; oid; type_id }
+            Some { proto; host; port; extra; oid; type_id; text = s }
         | _ -> None)
     | _ -> None
 
@@ -153,4 +129,4 @@ let of_string s =
   | None -> invalid_arg (Printf.sprintf "Objref.of_string: malformed reference %S" s)
 
 let equal (a : t) b = a = b
-let pp ppf r = Format.pp_print_string ppf (to_string r)
+let pp ppf r = Format.pp_print_string ppf r.text

@@ -19,7 +19,7 @@
     references written by older peers interoperate both ways. Hosts and
     protocols therefore must not contain [','] or ['#']. *)
 
-type t = {
+type t = private {
   proto : string;  (** Primary endpoint's transport, e.g. ["tcp"] or ["mem"]. *)
   host : string;
   port : int;
@@ -28,6 +28,12 @@ type t = {
           [[]] for the historical single-endpoint reference. *)
   oid : string;  (** Object identifier within the address space. *)
   type_id : string;  (** Repository ID, e.g. ["IDL:Heidi/A:1.0"]. *)
+  text : string;
+      (** The printed form ({!to_string}). A reference is immutable, so
+          it is printed once, by the constructor that makes it; a parsed
+          reference keeps the string it was parsed from, which is
+          already its printed form. The type is [private] so no record
+          can be built whose [text] disagrees with its fields. *)
 }
 
 val make : proto:string -> host:string -> port:int -> oid:string -> type_id:string -> t
@@ -60,13 +66,21 @@ val at_endpoint : t -> string * string * int -> t
     envelope target. *)
 
 val to_string : t -> string
-(** [@proto:host:port[,proto:host:port...]#oid#type_id] *)
+(** [@proto:host:port[,proto:host:port...]#oid#type_id] — the [text]
+    field, read without allocating. *)
+
+val endpoint_to_string : string * string * int -> string
+(** One endpoint as it is printed in a reference: [proto:host:port]. *)
 
 val of_string : string -> t
 (** @raise Invalid_argument on a malformed reference (including empty or
     duplicate endpoints in a set). *)
 
 val of_string_opt : string -> t option
+(** Accepts exactly the strings {!to_string} produces. A port is
+    canonical decimal: ASCII digits below 65536, no sign, no [0x]/[0o]/
+    [0b]/[0u] prefix, no ['_'], and no leading zero except ["0"]
+    itself, so [@tcp:h:080#o#t] is refused. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -71,6 +71,13 @@ let accept_backoff = 0.01
    limit below 1 counts as 1. *)
 type mux = { max_in_flight : int }
 
+(* A channel's byte-meter labels: its endpoint, and the per-codec split
+   [<codec>:<endpoint>] for the codec it speaks now. A negotiated switch
+   re-points [m_codec] ({!meter_codec}); reads and writes only load it. *)
+type meter = { m_endpoint : string; mutable m_codec : string }
+
+let meter_codec m codec = m.m_codec <- codec ^ ":" ^ m.m_endpoint
+
 let default_mux = { max_in_flight = 32 }
 (* Below the default server policy's [max_pipelined] (64), so a default
    client never trips a default server's pipelining cap. *)
@@ -133,9 +140,7 @@ and conn = {
          free, offer settled *)
   mux : Mux.t;
   mx_gauge : string;  (* obs gauge name, precomputed off the hot path *)
-  c_codec : string ref;
-      (* current codec label for per-codec byte metering; re-pointed at
-         the negotiated switch *)
+  c_meter : meter;  (* byte-meter labels; re-pointed at the negotiated switch *)
 }
 
 (* One accepted server-side connection: its reader thread decodes
@@ -147,7 +152,7 @@ and sconn = {
   mutable s_last_active : float;  (* for idle-LRU eviction *)
   s_adm : Admit.conn;  (* requests read but not yet answered; ORB lock *)
   s_nego : Nego.server;
-  s_codec : string ref;  (* current codec label for byte metering *)
+  s_meter : meter;  (* byte-meter labels *)
 }
 
 let create ?(protocol = Protocol.text) ?(codecs = [])
@@ -199,25 +204,25 @@ let obs t = t.obs
 let client_interceptors t = t.client_chain
 let server_interceptors t = t.server_chain
 
-(* Hot path (span per traced call): plain concatenation, not sprintf. *)
-let endpoint_key (proto, host, port) =
-  proto ^ ":" ^ host ^ ":" ^ string_of_int port
-
 (* Channels report their wire bytes (framing included) to the ORB's
    metrics under an endpoint label; [Obs.add_bytes] is a boolean load
-   when observability is disabled. Each byte is also accounted to a
-   per-codec label ([<codec>:<endpoint>]) through a mutable codec-name
-   cell: a negotiated switch re-points the cell, so the split shows how
-   much of an endpoint's traffic travelled in each encoding. *)
-let meter_channel t label codec chan =
+   when observability is disabled. Each byte is also accounted to the
+   meter's per-codec label: a negotiated switch re-points it, so the
+   split shows how much of an endpoint's traffic travelled in each
+   encoding. Returns the metered channel and its meter. *)
+let meter_channel t label chan =
   let obs = t.obs in
-  Transport.metered chan
-    ~on_read:(fun n ->
-      Obs.add_bytes obs ~endpoint:label ~dir:`In n;
-      Obs.add_bytes obs ~endpoint:(!codec ^ ":" ^ label) ~dir:`In n)
-    ~on_write:(fun n ->
-      Obs.add_bytes obs ~endpoint:label ~dir:`Out n;
-      Obs.add_bytes obs ~endpoint:(!codec ^ ":" ^ label) ~dir:`Out n)
+  let m =
+    { m_endpoint = label; m_codec = t.proto.Protocol.name ^ ":" ^ label }
+  in
+  ( Transport.metered chan
+      ~on_read:(fun n ->
+        Obs.add_bytes obs ~endpoint:m.m_endpoint ~dir:`In n;
+        Obs.add_bytes obs ~endpoint:m.m_codec ~dir:`In n)
+      ~on_write:(fun n ->
+        Obs.add_bytes obs ~endpoint:m.m_endpoint ~dir:`Out n;
+        Obs.add_bytes obs ~endpoint:m.m_codec ~dir:`Out n),
+    m )
 
 let with_lock t f = Locked.with_lock t.lock f
 let port t = with_lock t (fun () -> t.bound_port)
@@ -326,7 +331,8 @@ let handle_request t proto (req : Protocol.request) : Protocol.reply option =
       let context = Obs.Trace.decode_context req.Protocol.trace_ctx in
       let s =
         Obs.Trace.start_server ?context ~operation:req.Protocol.operation
-          ~endpoint:(endpoint_key (Objref.endpoint req.Protocol.target))
+          ~endpoint:
+            (Objref.endpoint_to_string (Objref.endpoint req.Protocol.target))
           ()
       in
       s.Obs.Trace.req_id <- req.Protocol.req_id;
@@ -388,7 +394,7 @@ let serve_connection t sc =
                 Communicator.send ?proto comm
                   (Protocol.Reply { r with Protocol.nego_answer = tok });
                 Communicator.set_protocol ~dir:`Send comm p;
-                sc.s_codec := p.Protocol.name
+                meter_codec sc.s_meter p.Protocol.name
             | None -> Communicator.send ?proto comm msg)
         | _ -> Communicator.send ?proto comm msg)
   in
@@ -663,16 +669,13 @@ let start t =
         (* Inbound bytes are accounted to the listening endpoint (one
            bounded label per server), not per remote peer. *)
         let label =
-          Printf.sprintf "%s:%s:%d" t.transport t.host l.Transport.bound_port
+          Objref.endpoint_to_string (t.transport, t.host, l.Transport.bound_port)
         in
         let rec loop backoff =
           match l.Transport.accept () with
           | chan ->
-              let s_codec = ref t.proto.Protocol.name in
-              let comm =
-                Communicator.wrap ~limits:t.policy.limits t.proto
-                  (meter_channel t label s_codec chan)
-              in
+              let chan, s_meter = meter_channel t label chan in
+              let comm = Communicator.wrap ~limits:t.policy.limits t.proto chan in
               let sc =
                 {
                   scomm = comm;
@@ -682,7 +685,7 @@ let start t =
                   s_last_active = Unix.gettimeofday ();
                   s_adm = Admit.conn ();
                   s_nego = Nego.server ();
-                  s_codec;
+                  s_meter;
                 }
               in
               admit_connection t sc;
@@ -754,7 +757,8 @@ let shutdown ?drain_deadline t =
         if Obs.enabled t.obs then
           Some
             (Obs.Trace.start_server ~operation:"orb.drain"
-               ~endpoint:(endpoint_key (t.transport, t.host, t.bound_port))
+               ~endpoint:
+                 (Objref.endpoint_to_string (t.transport, t.host, t.bound_port))
                ())
         else None
       in
@@ -908,8 +912,9 @@ let get_connection t endpoint =
   | Mux.Dial -> (
       let proto_name, host, port = endpoint in
       let chan = Transport.connect ~proto:proto_name ~host ~port in
-      let c_codec = ref t.proto.Protocol.name in
-      let chan = meter_channel t (endpoint_key endpoint) c_codec chan in
+      let chan, c_meter =
+        meter_channel t (Objref.endpoint_to_string endpoint) chan
+      in
       let c =
         { comm = Communicator.wrap t.proto chan;
           conn_lock =
@@ -917,8 +922,8 @@ let get_connection t endpoint =
           mx_lock = Locked.create ~name:"mux" ~rank:Locked.Rank.mux;
           mux =
             Mux.create ~limit:t.mux_cfg.max_in_flight ~negotiate:(t.codecs <> []);
-          mx_gauge = "client:in_flight:" ^ endpoint_key endpoint;
-          c_codec }
+          mx_gauge = "client:in_flight:" ^ Objref.endpoint_to_string endpoint;
+          c_meter }
       in
       match with_lock t (fun () -> Mux.install t.cache endpoint c) with
       | Mux.Won ->
@@ -988,7 +993,7 @@ let settle_offer t conn reply =
   match Nego.answer ~codecs:t.codecs ~compat:t.codec_compat reply with
   | Nego.Chosen p ->
       Communicator.set_protocol conn.comm p;
-      conn.c_codec := p.Protocol.name;
+      meter_codec conn.c_meter p.Protocol.name;
       count t Event.c_negotiated;
       settle ()
   | Nego.Unknown tok ->
@@ -1281,7 +1286,7 @@ let request_reply t target ~make_msg ~payload ~deadline ~notify ~span =
   let available ~now ep =
     match t.breaker with
     | None -> true
-    | Some br -> Breaker.available br (endpoint_key ep) ~now
+    | Some br -> Breaker.available br (Objref.endpoint_to_string ep) ~now
   in
   (* Endpoints that already failed during THIS call. Once every
      available endpoint has been tried the set clears: a long retry
@@ -1368,7 +1373,7 @@ let request_reply t target ~make_msg ~payload ~deadline ~notify ~span =
       | Some ep -> ep
       | None -> Objref.endpoint target
     in
-    let key = endpoint_key ep in
+    let key = Objref.endpoint_to_string ep in
     match deadline with
     | Some d when now >= d ->
         (* An attempt that cannot answer in time is not sent: the server
@@ -1438,7 +1443,7 @@ let start_client_span t target ~op =
   if Obs.enabled t.obs then begin
     let s =
       Obs.Trace.start_client ~operation:op
-        ~endpoint:(endpoint_key (Objref.endpoint target))
+        ~endpoint:(Objref.endpoint_to_string (Objref.endpoint target))
         ()
     in
     (match t.breaker with
@@ -1446,7 +1451,8 @@ let start_client_span t target ~op =
         s.Obs.Trace.breaker <-
           Some
             (Breaker.state_to_string
-               (Breaker.state br (endpoint_key (Objref.endpoint target))))
+               (Breaker.state br
+                  (Objref.endpoint_to_string (Objref.endpoint target))))
     | None -> ());
     Some s
   end
@@ -1506,17 +1512,15 @@ let payload_encoder ?seed ~span marshal =
 
 (* The forward cache is keyed by the logical target's printed form —
    the same identity the application holds. *)
-let forward_key target = Objref.to_string target
-
 let cached_forward t target =
-  with_lock t (fun () -> Hashtbl.find_opt t.fwd_cache (forward_key target))
+  with_lock t (fun () -> Hashtbl.find_opt t.fwd_cache (Objref.to_string target))
 
 let note_forward t target fwd =
-  with_lock t (fun () -> Hashtbl.replace t.fwd_cache (forward_key target) fwd);
+  with_lock t (fun () -> Hashtbl.replace t.fwd_cache (Objref.to_string target) fwd);
   count t Event.forwards
 
 let invalidate_forward t target =
-  with_lock t (fun () -> Hashtbl.remove t.fwd_cache (forward_key target))
+  with_lock t (fun () -> Hashtbl.remove t.fwd_cache (Objref.to_string target))
 
 (* Redirect chains are honoured up to this depth per call; past it the
    servers are pointing at each other and the call fails loudly. *)
@@ -1777,7 +1781,9 @@ let stats t =
 let breaker_state t target =
   match t.breaker with
   | None -> None
-  | Some br -> Some (Breaker.state br (endpoint_key (Objref.endpoint target)))
+  | Some br ->
+      Some
+        (Breaker.state br (Objref.endpoint_to_string (Objref.endpoint target)))
 
 (* Server-side location forwarding: after [set_forward], requests and
    locates naming [oid] on this ORB are answered with a GIOP-style

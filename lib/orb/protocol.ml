@@ -42,7 +42,6 @@ type t = {
   encode_message : message -> string;
   decode_sub : Wire.Codec.limits -> string -> pos:int -> len:int -> message;
   decode_message : string -> message;
-  decode_limited : Wire.Codec.limits -> string -> message;
 }
 
 exception Protocol_error of string
@@ -286,10 +285,9 @@ let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
       else fail "unknown message tag %d" tag
     with Wire.Codec.Type_error m -> raise (Protocol_error m)
   in
-  let decode_limited limits bytes =
-    decode_sub limits bytes ~pos:0 ~len:(String.length bytes)
+  let decode_message bytes =
+    decode_sub Wire.Codec.default_limits bytes ~pos:0 ~len:(String.length bytes)
   in
-  let decode_message bytes = decode_limited Wire.Codec.default_limits bytes in
   {
     name;
     version;
@@ -299,7 +297,6 @@ let generic ~name ?(version = 1) ~framing (codec : Wire.Codec.t) : t =
     encode_message;
     decode_sub;
     decode_message;
-    decode_limited;
   }
 
 (* Best-effort request id of a frame that failed to decode: the tag and

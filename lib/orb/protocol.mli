@@ -115,12 +115,11 @@ type t = {
           (the codec's [decoder_sub]), under explicit resource limits
           (see {!Wire.Codec.limits}): the server side decodes untrusted
           frames where they lie in the channel's read buffer. The
-          result, or the {!Protocol_error} text, is that of
-          [decode_limited] on the range's bytes alone. *)
+          result, or the {!Protocol_error} text, depends only on the
+          range's bytes. *)
   decode_message : string -> message;
-      (** Equivalent to [decode_limited Wire.Codec.default_limits]. *)
-  decode_limited : Wire.Codec.limits -> string -> message;
-      (** [decode_sub] over the whole string. *)
+      (** [decode_sub Wire.Codec.default_limits] over the whole
+          string. *)
 }
 
 val generic : name:string -> ?version:int -> framing:framing -> Wire.Codec.t -> t

@@ -369,7 +369,9 @@ let test_locate_and_probe_emit_no_spans () =
       let target = Orb.export server (echo_skeleton ()) in
       Alcotest.(check bool) "located" true (Orb.locate client target);
       Alcotest.(check bool) "missing" false
-        (Orb.locate client { target with Orb.Objref.oid = "none" });
+        (Orb.locate client
+           (Orb.Objref.make_multi ~endpoints:(Orb.Objref.endpoints target)
+              ~oid:"none" ~type_id:target.Orb.Objref.type_id));
       Thread.delay 0.05;
       Alcotest.(check int) "no client spans" 0 (List.length (cspans ()));
       Alcotest.(check int) "no server spans" 0 (List.length (sspans ()));

@@ -104,7 +104,10 @@ let test_system_errors () =
           Tutil.check_contains ~what:"unknown op" m "no operation"
       | _ -> Alcotest.fail "expected System_exception");
       (* Unknown object. *)
-      let bogus = { target with Orb.Objref.oid = "99999" } in
+      let bogus =
+        Orb.Objref.make_multi ~endpoints:(Orb.Objref.endpoints target)
+          ~oid:"99999" ~type_id:target.Orb.Objref.type_id
+      in
       (match Orb.invoke client bogus ~op:"echo" (fun e -> e.Wire.Codec.put_string "x") with
       | exception Orb.System_exception m -> Tutil.check_contains ~what:"unknown oid" m "no object"
       | _ -> Alcotest.fail "expected System_exception");
@@ -178,7 +181,10 @@ let test_locate () =
       with_pair cfg (fun ~name ~server ~client ->
           let target = Orb.export server (echo_skeleton ()) in
           Alcotest.(check bool) (name ^ " found") true (Orb.locate client target);
-          let bogus = { target with Orb.Objref.oid = "424242" } in
+          let bogus =
+            Orb.Objref.make_multi ~endpoints:(Orb.Objref.endpoints target)
+              ~oid:"424242" ~type_id:target.Orb.Objref.type_id
+          in
           Alcotest.(check bool) (name ^ " missing") false (Orb.locate client bogus);
           (* Normal calls still work on the same connection. *)
           Alcotest.(check string) (name ^ " still callable") "echo:x"
