@@ -88,14 +88,14 @@ let port_from s pos =
    before it the host, everything earlier the proto. *)
 let parse_endpoint seg =
   match String.rindex_opt seg ':' with
-  | None | Some 0 -> None
+  | None -> None
   | Some j -> (
       match String.rindex_from_opt seg (j - 1) ':' with
-      | None -> None
-      | Some i ->
+      | Some i when i > 0 && j > i + 1 ->
           let port = port_from seg (j + 1) in
-          if port < 0 || port >= 65536 || i = 0 || j = i + 1 then None
-          else Some (String.sub seg 0 i, String.sub seg (i + 1) (j - i - 1), port))
+          if port < 0 || port >= 65536 then None
+          else Some (String.sub seg 0 i, String.sub seg (i + 1) (j - i - 1), port)
+      | _ -> None)
 
 let of_string_opt s =
   (* @proto:host:port[,proto:host:port...]#oid#type_id — the url part is

@@ -71,16 +71,16 @@ let accept_backoff = 0.01
    limit below 1 counts as 1. *)
 type mux = { max_in_flight : int }
 
+let default_mux = { max_in_flight = 32 }
+(* Below the default server policy's [max_pipelined] (64), so a default
+   client never trips a default server's pipelining cap. *)
+
 (* A channel's byte-meter labels: its endpoint, and the per-codec split
    [<codec>:<endpoint>] for the codec it speaks now. A negotiated switch
    re-points [m_codec] ({!meter_codec}); reads and writes only load it. *)
 type meter = { m_endpoint : string; mutable m_codec : string }
 
 let meter_codec m codec = m.m_codec <- codec ^ ":" ^ m.m_endpoint
-
-let default_mux = { max_in_flight = 32 }
-(* Below the default server policy's [max_pipelined] (64), so a default
-   client never trips a default server's pipelining cap. *)
 
 type t = {
   proto : Protocol.t;
