@@ -18,19 +18,15 @@ module Rank = struct
   let pool = 60
   let connection_cache = 50
   let smart = 46
-  let adapter = 45
   let naming_registry = 44
   let naming_resolver = 43
   let mux = 40
   let breaker = 30
-  let mem_registry = 28
   let mem_listener = 26
   let tcp_channel = 25
   let pipe = 24
   let fault = 23
   let metrics = 20
-  let trace_ids = 15
-  let obs = 11
   let sinks = 10
 
   let all =
@@ -39,19 +35,15 @@ module Rank = struct
       ("pool", pool);
       ("connection_cache", connection_cache);
       ("smart", smart);
-      ("adapter", adapter);
       ("naming_registry", naming_registry);
       ("naming_resolver", naming_resolver);
       ("mux", mux);
       ("breaker", breaker);
-      ("mem_registry", mem_registry);
       ("mem_listener", mem_listener);
       ("tcp_channel", tcp_channel);
       ("pipe", pipe);
       ("fault", fault);
       ("metrics", metrics);
-      ("trace_ids", trace_ids);
-      ("obs", obs);
       ("sinks", sinks);
     ]
 end
@@ -204,6 +196,13 @@ let wait_c c =
 
 let signal_c c = Condition.signal c.c_cond
 let broadcast_c c = Condition.broadcast c.c_cond
+
+(* ---------------- atomic snapshots ---------------- *)
+
+let rec update a f =
+  let cur = Atomic.get a in
+  let next, r = f cur in
+  if Atomic.compare_and_set a cur next then r else update a f
 
 (* ---------------- timed waits: the deadline service ---------------- *)
 
@@ -460,7 +459,7 @@ let spawn_domain _name f =
 (* ---------------- domain-local storage ---------------- *)
 
 (* The sanctioned Domain.DLS access point (raw Domain.DLS outside this
-   module is a C407): per-domain state such as the trace-id RNG lives
+   module is a C407): per-domain state such as the ctype memo lives
    behind these, so the analyzer has one place to trust and callers
    never touch split-orphan DLS keys directly. *)
 

@@ -22,19 +22,15 @@ module Rank : sig
   val pool : int (* 60 — server worker pool queue *)
   val connection_cache : int (* 50 — ORB state: conns, counters, rng *)
   val smart : int (* 46 — smart-proxy memo tables *)
-  val adapter : int (* 45 — object adapter servant table *)
   val naming_registry : int (* 44 — naming lease registry *)
   val naming_resolver : int (* 43 — client-side resolve cache *)
   val mux : int (* 40 — per-connection reply demultiplexer *)
   val breaker : int (* 30 — per-endpoint circuit breakers *)
-  val mem_registry : int (* 28 — in-memory transport port table *)
   val mem_listener : int (* 26 — in-memory listener accept queue *)
   val tcp_channel : int (* 25 — tcp channel/listener close guards *)
   val pipe : int (* 24 — in-memory byte pipes *)
   val fault : int (* 23 — fault-injection plans; stalled-read gates *)
-  val metrics : int (* 20 — Obs histogram/counter tables *)
-  val trace_ids : int (* 15 — trace/span id generator *)
-  val obs : int (* 11 — Obs facade: sink list, span counter *)
+  val metrics : int (* 20 — retired: the Obs registries are lock-free *)
   val sinks : int (* 10 — individual sink buffers (innermost) *)
 
   val all : (string * int) list
@@ -70,6 +66,15 @@ val new_cond : t -> cond
 val wait_c : cond -> unit
 val signal_c : cond -> unit
 val broadcast_c : cond -> unit
+
+(** {2 Atomic snapshots} *)
+
+val update : 'a Atomic.t -> ('a -> 'a * 'b) -> 'b
+(** [update a f] publishes [fst (f v)] in place of the current value [v]
+    by compare-and-set and returns [snd (f v)]: the write side of a
+    read-mostly registry kept as one immutable value behind an atomic.
+    When another writer publishes first, [f] runs again on the newer
+    value, so [f] must only compute; if it raises, [a] is unchanged. *)
 
 (** {2 Deadline waits} *)
 
@@ -121,11 +126,6 @@ val spawn_domain : string -> (unit -> unit) -> unit Domain.t
     other domains. Join the returned handle (or hand it to a reaper)
     so the runtime's domain slot is reclaimed. *)
 
-val domain_id : unit -> int
-(** Numeric id of the calling domain (0 = the main domain). Exposed so
-    domain-aware seeding (e.g. trace-id RNGs) need not touch [Domain]
-    directly. *)
-
 type 'a domain_local
 (** A per-domain cell: each domain sees its own value, created lazily
     by the init function on first access from that domain. The
@@ -134,8 +134,7 @@ type 'a domain_local
 
 val new_domain_local : (unit -> 'a) -> 'a domain_local
 (** [new_domain_local init] registers a new per-domain cell. [init]
-    runs once per domain, in that domain, on first {!domain_local_get};
-    it may call {!domain_id} to vary the value per domain. *)
+    runs once per domain, in that domain, on first {!domain_local_get}. *)
 
 val domain_local_get : 'a domain_local -> 'a
 

@@ -12,8 +12,10 @@ module Sink = Sink
 type t = {
   on : bool Atomic.t;  (* read from every domain; a plain mutable bool
                           would be an unsynchronized cross-domain read *)
-  lock : Locked.t;  (* guards [sinks]; rank [obs] *)
-  mutable sinks : Sink.t list;  (* registration order; emit iterates as-is *)
+  sinks : Sink.t list Atomic.t;
+      (* registration order; emit iterates as-is. Registration is rare,
+         emit is per-span: [add_sink] copies the list and swings the
+         pointer, so emit reads it with one atomic load. *)
   spans_emitted : int Atomic.t;
   metrics : Metrics.t;
 }
@@ -21,8 +23,7 @@ type t = {
 let create ?(enabled = true) () =
   {
     on = Atomic.make enabled;
-    lock = Locked.create ~name:"obs" ~rank:Locked.Rank.obs;
-    sinks = [];
+    sinks = Atomic.make [];
     spans_emitted = Atomic.make 0;
     metrics = Metrics.create ();
   }
@@ -31,23 +32,18 @@ let enabled t = Atomic.get t.on
 let set_enabled t on = Atomic.set t.on on
 let metrics t = t.metrics
 
-let add_sink t sink =
-  Locked.with_lock t.lock (fun () ->
-      (* Append: registration is rare, emit is per-span — keeping the
-         list in registration order saves a List.rev on every emit. *)
-      t.sinks <- t.sinks @ [ sink ])
+let add_sink t sink = Locked.update t.sinks (fun l -> (l @ [ sink ], ()))
 
 let sink_names t =
-  Locked.with_lock t.lock (fun () ->
-      List.map (fun (s : Sink.t) -> s.Sink.name) t.sinks)
+  List.map (fun (s : Sink.t) -> s.Sink.name) (Atomic.get t.sinks)
 
 let emit t span =
   if Atomic.get t.on then begin
-    let sinks = Locked.with_lock t.lock (fun () -> t.sinks) in
     Atomic.incr t.spans_emitted;
-    (* Sinks run outside the lock (a slow sink must not serialize the
-       ORB) and never propagate: losing a span beats failing a call. *)
-    List.iter (fun (s : Sink.t) -> try s.Sink.emit span with _ -> ()) sinks
+    (* Sinks never propagate: losing a span beats failing a call. *)
+    List.iter
+      (fun (s : Sink.t) -> try s.Sink.emit span with _ -> ())
+      (Atomic.get t.sinks)
   end
 
 let observe t ~name seconds =

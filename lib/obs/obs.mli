@@ -31,12 +31,16 @@ val set_enabled : t -> bool -> unit
 val metrics : t -> Metrics.t
 
 val add_sink : t -> Sink.t -> unit
+(** Append a sink. The sink list is an immutable list behind an
+    [Atomic.t]: adding copies it and publishes the copy, so an {!emit}
+    already running delivers to the list it loaded. *)
+
 val sink_names : t -> string list
 
 val emit : t -> Trace.span -> unit
-(** Deliver a finished span to every sink, registration order. No-op
-    when disabled; sink exceptions are swallowed (losing a span beats
-    failing a call). *)
+(** Deliver a finished span to every sink, registration order, with no
+    lock (one atomic load of the sink list). No-op when disabled; sink
+    exceptions are swallowed (losing a span beats failing a call). *)
 
 val observe : t -> name:string -> float -> unit
 (** {!Metrics.observe}, gated on {!enabled}. *)

@@ -37,31 +37,26 @@ let now () = Unix.gettimeofday ()
 
 (* ---------------- id generation ---------------- *)
 
-(* Ids must be unique across address spaces (a trace spans processes),
-   so the generator is seeded from wall clock + pid, not deterministic.
-   Random.State is not thread-safe; one global lock used to guard one
-   global state, which worker domains would turn into a cross-domain
-   serialization point on the traced-call hot path. So each domain gets
-   its own state via DLS, with the domain id folded into the seed so
-   sibling domains (which may initialize within the same microsecond)
-   draw from distinct streams. The state still travels with a lock —
-   per-domain, so never contended across domains — because systhreads
-   of one domain share their domain's cell, and a thread switch at an
-   allocation point mid-draw could otherwise hand two threads the same
-   generator position (duplicate ids). *)
-let id_state =
-  Locked.new_domain_local (fun () ->
-      ( Locked.create ~name:"trace.ids" ~rank:Locked.Rank.trace_ids,
-        Random.State.make
-          [|
-            Unix.getpid ();
-            int_of_float (Unix.gettimeofday () *. 1e6) land 0x3FFFFFFF;
-            Locked.domain_id ();
-          |] ))
+(* Every id is one draw from a process-wide atomic counter, passed
+   through splitmix64's finalizer, a bijection on 64-bit values: no
+   trace id repeats within a process, and no draw takes a lock. The
+   start is mixed from the pid and the clock, so the processes of one
+   trace draw from far-apart stretches. A span id keeps the low 32 bits
+   of its draw, so span ids collide as often as random draws do. *)
+let mix64 z =
+  let open Int64 in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
+  logxor z (shift_right_logical z 31)
+
+let draw n = mix64 (Int64.of_int n)
+
+let id_counter =
+  let usec = int_of_float (Unix.gettimeofday () *. 1e6) in
+  Atomic.make (Int64.to_int (draw ((Unix.getpid () lsl 32) lxor usec)))
 
 (* One 64-bit draw yields 16 hex digits by nibble slicing — ids are on
-   the traced-call hot path, so this beats drawing one random int per
-   digit by an order of magnitude. *)
+   the traced-call hot path, so this beats formatting digit by digit. *)
 let hex_of_bits bits digits =
   let out = Bytes.create digits in
   let n = ref bits in
@@ -73,25 +68,15 @@ let hex_of_bits bits digits =
   Bytes.unsafe_to_string out
 
 let hex_id digits =
-  let id_lock, st = Locked.domain_local_get id_state in
-  let bits =
-    Locked.with_lock id_lock (fun () -> Random.State.int64 st Int64.max_int)
-  in
-  hex_of_bits bits digits
+  hex_of_bits (draw (Atomic.fetch_and_add id_counter 1)) digits
 
 let new_trace_id () = hex_id 16
 let new_span_id () = hex_id 8
 
-(* Client spans need both ids; fuse the draws under one acquisition. *)
+(* Client spans need both ids: one fetch-and-add reserves two draws. *)
 let new_trace_and_span_ids () =
-  let id_lock, st = Locked.domain_local_get id_state in
-  let b1, b2 =
-    Locked.with_lock id_lock (fun () ->
-        let b1 = Random.State.int64 st Int64.max_int in
-        let b2 = Random.State.int64 st Int64.max_int in
-        (b1, b2))
-  in
-  (hex_of_bits b1 16, hex_of_bits b2 8)
+  let n = Atomic.fetch_and_add id_counter 2 in
+  (hex_of_bits (draw n) 16, hex_of_bits (draw (n + 1)) 8)
 
 (* ---------------- wire context ---------------- *)
 

@@ -21,10 +21,7 @@ let make ?(on_request = Fun.id) ?(on_reply = fun _ r -> r)
 type chain = t list Atomic.t
 
 let empty_chain () = Atomic.make []
-
-let rec add chain i =
-  let items = Atomic.get chain in
-  if not (Atomic.compare_and_set chain items (items @ [ i ])) then add chain i
+let add chain i = Locked.update chain (fun items -> (items @ [ i ], ()))
 
 let names chain = List.map (fun i -> i.name) (Atomic.get chain)
 

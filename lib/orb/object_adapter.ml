@@ -1,68 +1,75 @@
-type t = {
-  lock : Locked.t;
-  skeletons : (string, Skeleton.t) Hashtbl.t;
-  by_key : (int, string) Hashtbl.t;  (* servant identity -> oid *)
-  forwards : (string, Objref.t) Hashtbl.t;  (* oid -> redirect target *)
-  mutable next_oid : int;
-  mutable hits : int;
+module Smap = Map.Make (String)
+module Imap = Map.Make (Int)
+
+(* One immutable version of the tables: a request reads it with one
+   atomic load, a registration publishes the next one. *)
+type state = {
+  skeletons : Skeleton.t Smap.t;
+  forwards : Objref.t Smap.t;  (* oid -> redirect target *)
+  by_key : string Imap.t;  (* servant identity -> oid *)
+  next_oid : int;
 }
 
-let create () =
-  { lock = Locked.create ~name:"adapter" ~rank:Locked.Rank.adapter;
-    skeletons = Hashtbl.create 64;
-    by_key = Hashtbl.create 64; forwards = Hashtbl.create 8; next_oid = 1;
-    hits = 0 }
+type t = { state : state Atomic.t; hits : int Atomic.t }
 
-let with_lock t f = Locked.with_lock t.lock f
+let empty =
+  { skeletons = Smap.empty; forwards = Smap.empty; by_key = Imap.empty;
+    next_oid = 1 }
 
-let register t skel =
-  with_lock t (fun () ->
-      let oid = string_of_int t.next_oid in
-      t.next_oid <- t.next_oid + 1;
-      Hashtbl.replace t.skeletons oid skel;
-      oid)
+let create () = { state = Atomic.make empty; hits = Atomic.make 0 }
+
+let update t f = Locked.update t.state f
+
+(* Register under the first free numeric oid from [next_oid] on: an
+   automatic oid never replaces a servant exported under a chosen one. *)
+let rec add_fresh s skel =
+  let oid = string_of_int s.next_oid in
+  let s = { s with next_oid = s.next_oid + 1 } in
+  if Smap.mem oid s.skeletons then add_fresh s skel
+  else ({ s with skeletons = Smap.add oid skel s.skeletons }, oid)
+
+let register t skel = update t (fun s -> add_fresh s skel)
 
 let register_named t ~oid skel =
   if String.contains oid '#' then
     invalid_arg "Object_adapter.register_named: oid must not contain '#'";
-  with_lock t (fun () ->
-      if Hashtbl.mem t.skeletons oid then
+  update t (fun s ->
+      if Smap.mem oid s.skeletons then
         invalid_arg
           (Printf.sprintf "Object_adapter.register_named: oid %S is taken" oid);
-      Hashtbl.replace t.skeletons oid skel)
+      ({ s with skeletons = Smap.add oid skel s.skeletons }, ()))
 
 let register_cached t ~key build =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.by_key key with
-      | Some oid ->
-          t.hits <- t.hits + 1;
-          oid
-      | None ->
-          let skel = build () in
-          let oid = string_of_int t.next_oid in
-          t.next_oid <- t.next_oid + 1;
-          Hashtbl.replace t.skeletons oid skel;
-          Hashtbl.replace t.by_key key oid;
-          oid)
+  match Imap.find_opt key (Atomic.get t.state).by_key with
+  | Some oid ->
+      Atomic.incr t.hits;
+      oid
+  | None ->
+      let skel = build () in
+      update t (fun s ->
+          match Imap.find_opt key s.by_key with
+          | Some oid -> (s, oid)  (* lost the race: the winner's oid *)
+          | None ->
+              let s, oid = add_fresh s skel in
+              ({ s with by_key = Imap.add key oid s.by_key }, oid))
 
-let cache_hits t = with_lock t (fun () -> t.hits)
-let lookup t oid = with_lock t (fun () -> Hashtbl.find_opt t.skeletons oid)
+let cache_hits t = Atomic.get t.hits
+let lookup t oid = Smap.find_opt oid (Atomic.get t.state).skeletons
 
 let set_forward t ~oid target =
-  with_lock t (fun () -> Hashtbl.replace t.forwards oid target)
+  update t (fun s -> ({ s with forwards = Smap.add oid target s.forwards }, ()))
 
 let clear_forward t ~oid =
-  with_lock t (fun () -> Hashtbl.remove t.forwards oid)
+  update t (fun s -> ({ s with forwards = Smap.remove oid s.forwards }, ()))
 
-let forward t oid = with_lock t (fun () -> Hashtbl.find_opt t.forwards oid)
+let forward t oid = Smap.find_opt oid (Atomic.get t.state).forwards
 
 let unregister t oid =
-  with_lock t (fun () ->
-      Hashtbl.remove t.skeletons oid;
-      (* Drop any identity-cache entry pointing at this oid. *)
-      let stale =
-        Hashtbl.fold (fun k o acc -> if o = oid then k :: acc else acc) t.by_key []
-      in
-      List.iter (Hashtbl.remove t.by_key) stale)
+  update t (fun s ->
+      ( { s with
+          skeletons = Smap.remove oid s.skeletons;
+          (* Drop any identity-cache entry pointing at this oid. *)
+          by_key = Imap.filter (fun _ o -> o <> oid) s.by_key },
+        () ))
 
-let count t = with_lock t (fun () -> Hashtbl.length t.skeletons)
+let count t = Smap.cardinal (Atomic.get t.state).skeletons

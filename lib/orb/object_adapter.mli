@@ -6,14 +6,21 @@
     Also implements the skeleton cache of Section 3.1: "The skeleton for
     a particular object is only created when a reference to it is being
     passed"; repeated exports of the same servant (identified by a caller
-    supplied key) reuse the existing registration. Thread-safe. *)
+    supplied key) reuse the existing registration.
+
+    Thread- and domain-safe with no lock: the tables are one immutable
+    value behind an [Atomic.t], so {!lookup} and {!forward}, read on
+    every request, are one atomic load each; a registration publishes
+    a new version by compare-and-set. *)
 
 type t
 
 val create : unit -> t
 
 val register : t -> Skeleton.t -> string
-(** Register a skeleton under a fresh numeric oid; returns the oid. *)
+(** Register a skeleton under a fresh numeric oid; returns the oid.
+    Numbers taken by {!register_named} are skipped, so an automatic oid
+    never replaces a named servant. *)
 
 val register_named : t -> oid:string -> Skeleton.t -> unit
 (** Register under a caller-chosen oid (e.g. ["bootstrap"]).
@@ -22,7 +29,11 @@ val register_named : t -> oid:string -> Skeleton.t -> unit
 val register_cached : t -> key:int -> (unit -> Skeleton.t) -> string
 (** Lazy, cached registration keyed by a servant identity: the skeleton
     is only built on the first call for a given [key]; later calls return
-    the same oid. [key] is typically the servant's unique id. *)
+    the same oid. [key] is typically the servant's unique id.
+
+    One skeleton is installed per key, but two racing first calls for
+    a key may each build one: the call that publishes second throws its
+    build away and returns the winner's oid. *)
 
 val cache_hits : t -> int
 (** Number of [register_cached] calls served from the cache (bench §E6). *)

@@ -13,7 +13,7 @@ let check_endpoint (proto, host, port) =
   if host = "" then invalid_arg "Objref: endpoint host must not be empty";
   if port < 0 || port >= 65536 then
     invalid_arg (Printf.sprintf "Objref: endpoint port %d out of range" port);
-  if String.contains host ',' || String.contains host '#' then
+  if String.exists (fun c -> c = ',' || c = '#' || c = ':') host then
     invalid_arg
       (Printf.sprintf "Objref: endpoint host %S contains a reserved character"
          host);
@@ -32,9 +32,6 @@ let build ((proto, host, port) as primary) extra ~oid ~type_id =
   let text = String.concat "" [ "@"; url; "#"; oid; "#"; type_id ] in
   { proto; host; port; extra; oid; type_id; text }
 
-let make ~proto ~host ~port ~oid ~type_id =
-  build (proto, host, port) [] ~oid ~type_id
-
 let rec check_no_dup = function
   | [] -> ()
   | ep :: rest ->
@@ -50,7 +47,12 @@ let make_multi ~endpoints ~oid ~type_id =
   | primary :: rest ->
       List.iter check_endpoint endpoints;
       check_no_dup endpoints;
+      if String.contains oid '#' || String.contains type_id '#' then
+        invalid_arg "Objref: oid and type id must not contain '#'";
       build primary rest ~oid ~type_id
+
+let make ~proto ~host ~port ~oid ~type_id =
+  make_multi ~endpoints:[ (proto, host, port) ] ~oid ~type_id
 
 let endpoints r = (r.proto, r.host, r.port) :: r.extra
 let endpoint r = (r.proto, r.host, r.port)
@@ -64,7 +66,7 @@ let with_endpoints r endpoints =
    multi-endpoint grammar must keep parsing every envelope target. *)
 let at_endpoint r ((proto, host, port) as ep) =
   if r.extra = [] && r.proto = proto && r.host = host && r.port = port then r
-  else build ep [] ~oid:r.oid ~type_id:r.type_id
+  else make_multi ~endpoints:[ ep ] ~oid:r.oid ~type_id:r.type_id
 
 let to_string r = r.text
 

@@ -17,7 +17,11 @@
 
     The single-endpoint grammar parses and prints unchanged, so
     references written by older peers interoperate both ways. Hosts and
-    protocols therefore must not contain [','] or ['#']. *)
+    protocols therefore must not contain [','] or ['#'], hosts not
+    [':'] either (the parser reads an endpoint's host and port from the
+    right), and the oid and type id not ['#']. Every constructor checks
+    this, so every reference prints a text that {!of_string_opt} parses
+    back to an equal reference. *)
 
 type t = private {
   proto : string;  (** Primary endpoint's transport, e.g. ["tcp"] or ["mem"]. *)
@@ -37,13 +41,15 @@ type t = private {
 }
 
 val make : proto:string -> host:string -> port:int -> oid:string -> type_id:string -> t
-(** A single-endpoint reference (the historical constructor). *)
+(** A single-endpoint reference (the historical constructor):
+    {!make_multi} with one endpoint, and the same checks. *)
 
 val make_multi :
   endpoints:(string * string * int) list -> oid:string -> type_id:string -> t
 (** A reference over an endpoint set; the first endpoint is the primary.
     @raise Invalid_argument on an empty set, an empty proto/host, an
-    out-of-range port, a host or proto containing [','] or ['#'], or
+    out-of-range port, a host or proto containing [','] or ['#'], a
+    host containing [':'], an oid or type id containing ['#'], or
     duplicate endpoints. *)
 
 val endpoints : t -> (string * string * int) list
@@ -63,7 +69,9 @@ val at_endpoint : t -> string * string * int -> t
 (** The single-endpoint view of a reference at one of its replicas —
     what the client puts on the wire once it has picked an endpoint, so
     peers that predate the multi-endpoint grammar keep parsing every
-    envelope target. *)
+    envelope target.
+    @raise Invalid_argument if the endpoint is malformed, as in
+    {!make_multi}. *)
 
 val to_string : t -> string
 (** [@proto:host:port[,proto:host:port...]#oid#type_id] — the [text]

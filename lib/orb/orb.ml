@@ -19,6 +19,7 @@ module Admit = Admit
 let src = Logs.Src.create "orb" ~doc:"HeidiRMI ORB runtime"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+module Smap = Map.Make (String)
 
 exception Remote_exception of {
   repo_id : string;
@@ -90,7 +91,6 @@ type t = {
       (* version-compatibility predicate for negotiation (default
          [Protocol.Nego.exact]; the analysis layer's evolution verdict
          can be wired in) *)
-  strat : Dispatch.strategy;
   transport : string;
   host : string;
   cfg_port : int;
@@ -123,10 +123,11 @@ type t = {
   mutable bootstrap_registry : (string, Objref.t) Hashtbl.t option;
       (* the table too is under [lock]: [Bootstrap]'s handlers run on
          pool workers and [Bootstrap.bind] on application threads *)
-  fwd_cache : (string, Objref.t) Hashtbl.t;
+  fwd_cache : Objref.t Smap.t Atomic.t;
       (* logical target (stringified) -> last Locate_forward redirect;
-         invalidated when the forwarded target fails *)
-  rng : Random.State.t;  (* replica selection; guarded by [mutex] *)
+         invalidated when the forwarded target fails. Read on every
+         call, written only on a redirect or its failure. *)
+  rng : Random.State.t;  (* replica selection; guarded by [lock] *)
 }
 
 (* One cached outbound connection. [conn_lock] serializes sends (each
@@ -156,7 +157,7 @@ and sconn = {
 }
 
 let create ?(protocol = Protocol.text) ?(codecs = [])
-    ?(codec_compat = Protocol.Nego.exact) ?(strategy = Dispatch.Linear)
+    ?(codec_compat = Protocol.Nego.exact)
     ?(transport = "mem") ?(host = "local") ?(port = 0) ?call_timeout
     ?(propagate_deadlines = true) ?(retry = Retry.default)
     ?(retry_budget = Retry.Budget.default_config) ?breaker ?obs
@@ -165,7 +166,6 @@ let create ?(protocol = Protocol.text) ?(codecs = [])
     proto = protocol;
     codecs;
     codec_compat;
-    strat = strategy;
     transport;
     host;
     cfg_port = port;
@@ -191,14 +191,13 @@ let create ?(protocol = Protocol.text) ?(codecs = [])
     service_ewma_us = Atomic.make 0;
     mux_peak = Atomic.make 0;
     bootstrap_registry = None;
-    fwd_cache = Hashtbl.create 8;
+    fwd_cache = Atomic.make Smap.empty;
     (* Fixed seed: replica selection only needs spread, not entropy, and
        determinism keeps test runs reproducible. *)
     rng = Random.State.make [| 0x9e3779b9 |];
   }
 
 let protocol t = t.proto
-let strategy t = t.strat
 let adapter t = t.oa
 let obs t = t.obs
 let client_interceptors t = t.client_chain
@@ -1513,14 +1512,16 @@ let payload_encoder ?seed ~span marshal =
 (* The forward cache is keyed by the logical target's printed form —
    the same identity the application holds. *)
 let cached_forward t target =
-  with_lock t (fun () -> Hashtbl.find_opt t.fwd_cache (Objref.to_string target))
+  Smap.find_opt (Objref.to_string target) (Atomic.get t.fwd_cache)
 
 let note_forward t target fwd =
-  with_lock t (fun () -> Hashtbl.replace t.fwd_cache (Objref.to_string target) fwd);
+  Locked.update t.fwd_cache (fun m ->
+      (Smap.add (Objref.to_string target) fwd m, ()));
   count t Event.forwards
 
 let invalidate_forward t target =
-  with_lock t (fun () -> Hashtbl.remove t.fwd_cache (Objref.to_string target))
+  Locked.update t.fwd_cache (fun m ->
+      (Smap.remove (Objref.to_string target) m, ()))
 
 (* Redirect chains are honoured up to this depth per call; past it the
    servers are pointing at each other and the call fails loudly. *)

@@ -3,7 +3,8 @@
     Configurable along the three axes the paper argues for (Section 2):
     the {e wire protocol} (a {!Protocol.t}: text or GIOP-like binary),
     the {e transport} (["tcp"] or the in-process ["mem"] loopback), and
-    the skeletons' {e dispatch strategy}.
+    the skeletons' {e dispatch strategy} (chosen per skeleton: the
+    [?strategy] of {!Skeleton.create} and of generated skeletons).
 
     Server side: {!start} binds the bootstrap port and spawns one thread
     per accepted connection (Fig. 5). Client side: {!invoke} implements
@@ -121,7 +122,6 @@ val create :
   ?protocol:Protocol.t ->
   ?codecs:Protocol.t list ->
   ?codec_compat:(name:string -> offered:int -> local:int -> bool) ->
-  ?strategy:Dispatch.strategy ->
   ?transport:string ->
   ?host:string ->
   ?port:int ->
@@ -135,7 +135,7 @@ val create :
   ?mux:mux ->
   unit ->
   t
-(** Defaults: the text protocol, [Linear] dispatch, the ["mem"] transport
+(** Defaults: the text protocol, the ["mem"] transport
     on a fresh port. For TCP use [~transport:"tcp" ~host:"127.0.0.1"]
     (with [port = 0] picking a free port at {!start}).
 
@@ -224,11 +224,6 @@ val shutdown : ?drain_deadline:float -> t -> unit
     may be started again. *)
 
 val protocol : t -> Protocol.t
-val strategy : t -> Dispatch.strategy
-(** The configured dispatch strategy. The ORB cannot retrofit strategies
-    into skeletons built elsewhere, so this is the advertised default:
-    skeleton builders (e.g. the generated [skeleton ?strategy] functions)
-    should pass [~strategy:(Orb.strategy orb)] to honour it. *)
 
 val port : t -> int
 (** Bound port (after {!start}). *)

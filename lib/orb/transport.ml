@@ -438,56 +438,50 @@ let mem_channel_pair ~peer_a ~peer_b =
   ( mk ~incoming:b_to_a ~outgoing:a_to_b ~peer:peer_a,
     mk ~incoming:a_to_b ~outgoing:b_to_a ~peer:peer_b )
 
-(* Registry of in-memory listeners: port -> pending-connection queue. *)
+(* One in-memory listener: its pending-connection queue. *)
 type mem_listener_state = {
   ml_lock : Locked.t;  (* rank [mem_listener]; intrinsic cond = pending *)
   mutable ml_pending : channel list;  (* server-side ends awaiting accept *)
   mutable ml_closed : bool;
 }
 
-let mem_registry : (int, mem_listener_state) Hashtbl.t = Hashtbl.create 16
+module Imap = Map.Make (Int)
 
-let mem_registry_lock =
-  Locked.create ~name:"mem.registry" ~rank:Locked.Rank.mem_registry
+(* The in-memory port table: port -> listener, and the number a port-0
+   listen tries next. A connect reads it with one atomic load. *)
+type mem_ports = { listeners : mem_listener_state Imap.t; next_port : int }
 
-let mem_next_port = ref 1
+let mem_ports = Atomic.make { listeners = Imap.empty; next_port = 1 }
+
+let close_listener st =
+  Locked.with_lock st.ml_lock (fun () ->
+      st.ml_closed <- true;
+      Locked.broadcast st.ml_lock)
 
 let mem_reset () =
-  (* registry (28) > listener (26): this nesting is the reason the two
-     ranks are distinct. *)
-  Locked.with_lock mem_registry_lock (fun () ->
-      Hashtbl.iter
-        (fun _ st ->
-          Locked.with_lock st.ml_lock (fun () ->
-              st.ml_closed <- true;
-              Locked.broadcast st.ml_lock))
-        mem_registry;
-      Hashtbl.reset mem_registry)
+  let old =
+    Locked.update mem_ports (fun p ->
+        ({ p with listeners = Imap.empty }, p.listeners))
+  in
+  Imap.iter (fun _ st -> close_listener st) old
 
 let mem_listen ~port =
-  let port, st =
-    Locked.with_lock mem_registry_lock (fun () ->
+  let st =
+    { ml_lock =
+        Locked.create ~name:"mem.listener" ~rank:Locked.Rank.mem_listener;
+      ml_pending = []; ml_closed = false }
+  in
+  let port =
+    Locked.update mem_ports (fun p ->
         (* A port-0 listen never hands out a number twice: once its
            listener shuts down, a stale reference to it must fail, not
            reach whichever server would reuse the number. *)
-        let port =
-          if port <> 0 then port
-          else (
-            while Hashtbl.mem mem_registry !mem_next_port do
-              incr mem_next_port
-            done;
-            incr mem_next_port;
-            !mem_next_port - 1)
-        in
-        if Hashtbl.mem mem_registry port then
-          fail "in-memory port %d is already bound" port;
-        let st =
-          { ml_lock =
-              Locked.create ~name:"mem.listener" ~rank:Locked.Rank.mem_listener;
-            ml_pending = []; ml_closed = false }
-        in
-        Hashtbl.replace mem_registry port st;
-        (port, st))
+        let rec free n = if Imap.mem n p.listeners then free (n + 1) else n in
+        let n = if port <> 0 then port else free p.next_port in
+        if Imap.mem n p.listeners then
+          fail "in-memory port %d is already bound" n;
+        let next_port = if port <> 0 then p.next_port else n + 1 in
+        ({ listeners = Imap.add n st p.listeners; next_port }, n))
   in
   let accept () =
     Locked.with_lock st.ml_lock (fun () ->
@@ -506,20 +500,14 @@ let mem_listen ~port =
         wait ())
   in
   let shutdown () =
-    Locked.with_lock mem_registry_lock (fun () ->
-        Hashtbl.remove mem_registry port);
-    Locked.with_lock st.ml_lock (fun () ->
-        st.ml_closed <- true;
-        Locked.broadcast st.ml_lock)
+    Locked.update mem_ports (fun p ->
+        ({ p with listeners = Imap.remove port p.listeners }, ()));
+    close_listener st
   in
   { accept; shutdown; bound_host = "local"; bound_port = port }
 
 let mem_connect ~port =
-  let st =
-    Locked.with_lock mem_registry_lock (fun () ->
-        Hashtbl.find_opt mem_registry port)
-  in
-  match st with
+  match Imap.find_opt port (Atomic.get mem_ports).listeners with
   | None -> fail "no in-memory listener on port %d" port
   | Some st ->
       let client_end, server_end =

@@ -91,7 +91,8 @@ val connect : proto:string -> host:string -> port:int -> channel
     @raise Transport_error on unknown protocol or connection failure. *)
 
 val mem_reset : unit -> unit
-(** Drop all in-memory listeners (test isolation). *)
+(** Drop all in-memory listeners and shut each down (test isolation).
+    Port-0 numbers handed out before stay retired. *)
 
 val metered :
   on_read:(int -> unit) -> on_write:(int -> unit) -> channel -> channel

@@ -229,6 +229,44 @@ let test_rank_table_strictly_ordered () =
   Alcotest.(check bool) "sinks innermost" true
     (List.for_all (fun v -> v >= Locked.Rank.sinks) values)
 
+let test_no_dead_ranks () =
+  (* A rank no lock under lib/ is created with is a dead row of the
+     lattice. [metrics] is retired but kept: the fixtures and tests
+     still name it. *)
+  let rec sources dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.concat_map (fun f ->
+           let path = Filename.concat dir f in
+           if Sys.is_directory path then sources path
+           else if Filename.check_suffix path ".ml" then
+             [ In_channel.with_open_bin path In_channel.input_all ]
+           else [])
+  in
+  let texts = sources "../lib" in
+  let is_ident_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+    | _ -> false
+  in
+  let mentions needle text =
+    let n = String.length needle and len = String.length text in
+    let rec from i =
+      i + n <= len
+      && ((String.sub text i n = needle
+          && (i + n = len || not (is_ident_char text.[i + n])))
+         || from (i + 1))
+    in
+    from 0
+  in
+  let dead =
+    List.filter
+      (fun (name, _) ->
+        name <> "metrics"
+        && not (List.exists (mentions ("Rank." ^ name)) texts))
+      Locked.Rank.all
+  in
+  Alcotest.(check (list string)) "ranks no lib/ lock uses" []
+    (List.map fst dead)
+
 let () =
   Alcotest.run "conc"
     [
@@ -258,5 +296,6 @@ let () =
             test_checker_off_by_default;
           Alcotest.test_case "rank table well-formed" `Quick
             test_rank_table_strictly_ordered;
+          Alcotest.test_case "no dead ranks" `Quick test_no_dead_ranks;
         ] );
     ]

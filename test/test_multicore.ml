@@ -4,8 +4,11 @@
    - Obs conservation: N domains hammer one Metrics registry while the
      main thread snapshots concurrently — the lock-free registries must
      lose no update and tear no float.
-   - Trace ids: per-domain DLS generators must never clone a stream —
-     ids stay unique across domains.
+   - Trace ids: one process-wide counter feeds every domain and every
+     systhread — ids stay unique across domains and across the threads
+     of one domain.
+   - Adapter: registrations from two domains while calls dispatch —
+     no registration is lost to a concurrent one.
    - Pool overlap: with domain workers, >= 2 jobs must be *executing*
      simultaneously (each job waits to observe the other in flight —
      a rendezvous that deadlocks if execution is serialized).
@@ -98,6 +101,112 @@ let test_trace_ids_unique_across_domains () =
   Alcotest.(check int) "no id drawn twice across domains"
     (List.length all)
     (List.length (List.sort_uniq compare all))
+
+let test_trace_ids_unique_across_threads () =
+  (* Systhreads of one worker domain draw side by side with other
+     domains: no id may repeat. *)
+  let per_drawer = 5_000 and threads = 4 in
+  let draw () = List.init per_drawer (fun _ -> Obs.Trace.new_trace_id ()) in
+  let results = Array.make (threads + n_domains) [] in
+  let threaded =
+    Locked.spawn_domain "test.ids.threads" (fun () ->
+        List.init threads (fun i ->
+            Locked.spawn "test.ids.thread" (fun () -> results.(i) <- draw ()))
+        |> List.iter Thread.join)
+  in
+  let domains =
+    List.init n_domains (fun d ->
+        Locked.spawn_domain "test.ids" (fun () ->
+            results.(threads + d) <- draw ()))
+  in
+  List.iter Domain.join (threaded :: domains);
+  let all = Array.to_list results |> List.concat in
+  Alcotest.(check int) "every drawer produced its ids"
+    ((threads + n_domains) * per_drawer)
+    (List.length all);
+  Alcotest.(check int) "no id drawn twice" (List.length all)
+    (List.length (List.sort_uniq compare all))
+
+(* ---------------- adapter: registrations under dispatch ------------- *)
+
+let echo_skeleton () =
+  Orb.Skeleton.create ~type_id:"IDL:Test/Echo:1.0"
+    [
+      ( "echo",
+        fun args results ->
+          results.Wire.Codec.put_string ("echo:" ^ args.Wire.Codec.get_string ())
+      );
+    ]
+
+let test_adapter_registrations_under_dispatch () =
+  (* Two domains register 1,000 oids each while the main domain calls
+     the ones already registered (the server dispatches on its worker
+     domains). Every registration must survive the other domain's. *)
+  let per_domain = 1_000 in
+  let server = Orb.create ~transport:"mem" ~host:"local" () in
+  Orb.start server;
+  let client = Orb.create ~transport:"mem" ~host:"local" () in
+  let oid d i = Printf.sprintf "d%d-%d" d i in
+  let target o =
+    Orb.Objref.make ~proto:"mem" ~host:"local" ~port:(Orb.port server) ~oid:o
+      ~type_id:"IDL:Test/Echo:1.0"
+  in
+  let registered = Array.init 2 (fun _ -> Atomic.make 0) in
+  let calls = Atomic.make 0 in
+  (* Every 100 registrations an exporter lets a few calls through, so
+     calls and registrations interleave however fast either side is. *)
+  let let_calls_through i =
+    let deadline = Unix.gettimeofday () +. 10. in
+    while Atomic.get calls < i / 50 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done
+  in
+  let exporters =
+    List.init 2 (fun d ->
+        Locked.spawn_domain "test.exporter" (fun () ->
+            for i = 0 to per_domain - 1 do
+              if i mod 100 = 0 then let_calls_through i;
+              ignore (Orb.export_named server ~oid:(oid d i) (echo_skeleton ()));
+              Atomic.incr registered.(d)
+            done))
+  in
+  let round = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Orb.shutdown client;
+      Orb.shutdown server)
+    (fun () ->
+      let rec dispatch () =
+        let done_ = Array.map Atomic.get registered in
+        let d = !round land 1 in
+        incr round;
+        if done_.(d) > 0 then begin
+          let o = oid d (Random.int done_.(d)) in
+          (match
+             Orb.invoke client (target o) ~op:"echo" (fun e ->
+                 e.Wire.Codec.put_string o)
+           with
+          | Some r ->
+              Alcotest.(check string) ("reply from " ^ o) ("echo:" ^ o)
+                (r.Wire.Codec.get_string ())
+          | None -> Alcotest.fail "expected a reply");
+          Atomic.incr calls
+        end;
+        if Array.exists (fun n -> n < per_domain) done_ then dispatch ()
+      in
+      dispatch ();
+      List.iter Domain.join exporters;
+      let adapter = Orb.adapter server in
+      Alcotest.(check int) "every oid registered" (2 * per_domain)
+        (Orb.Object_adapter.count adapter);
+      for d = 0 to 1 do
+        for i = 0 to per_domain - 1 do
+          if Orb.Object_adapter.lookup adapter (oid d i) = None then
+            Alcotest.failf "oid %s lost" (oid d i)
+        done
+      done;
+      Alcotest.(check bool) "calls dispatched meanwhile" true
+        (Atomic.get calls >= (per_domain - 1) / 50))
 
 (* ---------------- pool: parallel execution rendezvous --------------- *)
 
@@ -273,6 +382,13 @@ let () =
             test_metrics_conservation;
           Alcotest.test_case "trace ids unique across domains" `Quick
             test_trace_ids_unique_across_domains;
+          Alcotest.test_case "trace ids unique across threads and domains"
+            `Quick test_trace_ids_unique_across_threads;
+        ] );
+      ( "adapter",
+        [
+          Alcotest.test_case "registrations from two domains under dispatch"
+            `Quick test_adapter_registrations_under_dispatch;
         ] );
       ( "pool",
         [

@@ -128,6 +128,31 @@ let test_make_multi_validation () =
         (Orb.Objref.of_string paper_example)
         [ ("tcp", "h", 1); ("tcp", "h", 1) ])
 
+let test_make_validation () =
+  (* [make] runs [make_multi]'s checks, and both refuse what the parser
+     would read back differently: "@tcp:::1:80#o#t" parses as proto
+     "tcp::" and host "1". *)
+  let expect_invalid label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | r ->
+        Alcotest.failf "%s: expected Invalid_argument, got %s" label
+          (Orb.Objref.to_string r)
+  in
+  let make ?(host = "h") ?(port = 80) ?(oid = "o") ?(type_id = "t") () =
+    Orb.Objref.make ~proto:"tcp" ~host ~port ~oid ~type_id
+  in
+  expect_invalid "colon in host" (fun () -> make ~host:"::1" ());
+  expect_invalid "port 70000" (fun () -> make ~port:70000 ());
+  expect_invalid "hash in host" (fun () -> make ~host:"a#b" ());
+  expect_invalid "hash in oid" (fun () -> make ~oid:"x#y" ());
+  expect_invalid "hash in type id" (fun () -> make ~type_id:"IDL:A#B:1.0" ());
+  expect_invalid "make_multi, colon in host" (fun () ->
+      Orb.Objref.make_multi ~endpoints:[ ("tcp", "::1", 80) ] ~oid:"o"
+        ~type_id:"t");
+  expect_invalid "at_endpoint, colon in host" (fun () ->
+      Orb.Objref.at_endpoint (make ()) ("tcp", "::1", 80))
+
 let test_to_string_cache_multi () =
   (* The memoized printer must not conflate a multi-endpoint reference
      with its single-endpoint primary view (same oid/type), nor go
@@ -279,6 +304,60 @@ let port_mutant_prop =
       | None -> true
       | Some r -> Orb.Objref.to_string r = s)
 
+(* Constructor inputs drawn mostly from clean pools, and sometimes from
+   an alphabet rich in the grammar's separators, so both accepted and
+   refused references occur. *)
+let gen_constructed =
+  QCheck.Gen.(
+    let field clean =
+      frequency
+        [
+          (3, oneofl clean);
+          (1, string_size ~gen:(oneofl [ 'a'; '1'; ':'; '#'; ','; '@'; '.' ])
+                (int_bound 4));
+        ]
+    in
+    let gen_ep =
+      let* proto = field [ "tcp"; "mem"; "faulty:mem" ] in
+      let* host = field [ "h1"; "10.0.0.1"; "local" ] in
+      let* port = oneofl [ -1; 0; 80; 65535; 65536; 70000 ] in
+      return (proto, host, port)
+    in
+    let* eps = list_size (int_range 1 3) gen_ep in
+    let* oid = field [ "1"; "bootstrap"; "" ] in
+    let* type_id = field [ "IDL:Heidi/A:1.0"; "t" ] in
+    let proto, host, port = List.hd eps in
+    oneofl
+      [
+        (fun () -> Orb.Objref.make ~proto ~host ~port ~oid ~type_id);
+        (fun () -> Orb.Objref.make_multi ~endpoints:eps ~oid ~type_id);
+        (fun () ->
+          Orb.Objref.with_endpoints
+            (Orb.Objref.make ~proto:"tcp" ~host:"h" ~port:1 ~oid:"o" ~type_id:"t")
+            eps);
+        (fun () ->
+          Orb.Objref.at_endpoint
+            (Orb.Objref.make ~proto:"tcp" ~host:"h" ~port:1 ~oid:"o" ~type_id:"t")
+            (proto, host, port));
+      ])
+
+let constructed_prop =
+  QCheck.Test.make ~count:1000
+    ~name:"every reference a constructor accepts parses back from its text"
+    (QCheck.make
+       ~print:(fun f ->
+         match f () with
+         | r -> Orb.Objref.to_string r
+         | exception Invalid_argument m -> "refused: " ^ m)
+       gen_constructed)
+    (fun f ->
+      match f () with
+      | exception Invalid_argument _ -> true
+      | r -> (
+          match Orb.Objref.of_string_opt (Orb.Objref.to_string r) with
+          | Some r' -> Orb.Objref.equal r r'
+          | None -> false))
+
 let () =
   Alcotest.run "objref"
     [
@@ -304,8 +383,10 @@ let () =
           Alcotest.test_case "malformed endpoint sets" `Quick test_multi_malformed;
           Alcotest.test_case "make_multi validation" `Quick
             test_make_multi_validation;
+          Alcotest.test_case "make validation" `Quick test_make_validation;
           Alcotest.test_case "to_string cache with multi refs" `Quick
             test_to_string_cache_multi;
           QCheck_alcotest.to_alcotest multi_roundtrip_prop;
+          QCheck_alcotest.to_alcotest constructed_prop;
         ] );
     ]

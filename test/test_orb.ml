@@ -202,6 +202,24 @@ let test_named_export () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "duplicate oid accepted")
 
+let test_auto_oid_skips_named () =
+  (* Automatic oids are numbers too: one a named export already holds
+     must be skipped, not silently replaced. *)
+  with_pair (List.hd configs) (fun ~name:_ ~server ~client ->
+      let named =
+        Orb.export_named server ~oid:"2"
+          (Orb.Skeleton.create ~type_id:"IDL:Test/Named:1.0"
+             [ ("who", fun _ results -> results.Wire.Codec.put_string "named") ])
+      in
+      let a = Orb.export server (echo_skeleton ()) in
+      let b = Orb.export server (echo_skeleton ()) in
+      Alcotest.(check (list string)) "auto oids skip \"2\"" [ "1"; "3" ]
+        [ a.Orb.Objref.oid; b.Orb.Objref.oid ];
+      Alcotest.(check string) "named servant still answers" "named"
+        (invoke_string client named ~op:"who" "");
+      Alcotest.(check string) "auto export answers" "echo:x"
+        (invoke_string client b ~op:"echo" "x"))
+
 let test_concurrent_clients () =
   with_pair (List.nth configs 2) (fun ~name:_ ~server ~client:_ ->
       let target = Orb.export server (echo_skeleton ()) in
@@ -532,6 +550,8 @@ let () =
         [
           Alcotest.test_case "skeleton cache" `Quick test_skeleton_cache;
           Alcotest.test_case "named export" `Quick test_named_export;
+          Alcotest.test_case "auto oid skips a named one" `Quick
+            test_auto_oid_skips_named;
           Alcotest.test_case "locate (GIOP LocateRequest)" `Quick test_locate;
           Alcotest.test_case "reconnect after drop" `Quick test_connection_retry_after_drop;
         ] );
