@@ -23,7 +23,6 @@ module Rank = struct
   let mux = 40
   let breaker = 30
   let mem_listener = 26
-  let tcp_channel = 25
   let pipe = 24
   let fault = 23
   let metrics = 20
@@ -40,7 +39,6 @@ module Rank = struct
       ("mux", mux);
       ("breaker", breaker);
       ("mem_listener", mem_listener);
-      ("tcp_channel", tcp_channel);
       ("pipe", pipe);
       ("fault", fault);
       ("metrics", metrics);

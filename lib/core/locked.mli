@@ -27,7 +27,6 @@ module Rank : sig
   val mux : int (* 40 — per-connection reply demultiplexer *)
   val breaker : int (* 30 — per-endpoint circuit breakers *)
   val mem_listener : int (* 26 — in-memory listener accept queue *)
-  val tcp_channel : int (* 25 — tcp channel/listener close guards *)
   val pipe : int (* 24 — in-memory byte pipes *)
   val fault : int (* 23 — fault-injection plans; stalled-read gates *)
   val metrics : int (* 20 — retired: the Obs registries are lock-free *)

@@ -162,46 +162,62 @@ let buffered_reader ~peer fill =
 
 (* ---------------- TCP ---------------- *)
 
+(* Never [Unix.close] an fd another thread may still hand to a syscall:
+   the kernel recycles fd numbers immediately, so a stale read, write or
+   accept would land on whatever socket got the number next — a
+   cross-connection hijack (observed as a text server answering a GIOP
+   client after a test tore one down). Every tcp fd therefore carries a
+   use word: the number of threads inside a syscall on it, times 2, plus
+   a closing bit. A syscall enters (refused once the bit is set) and
+   leaves; closing sets the bit and takes a use of its own in one step,
+   wakes whoever is blocked, and leaves. The leave that finds the bit
+   and one use — the last one out — runs [Unix.close], exactly once. The
+   closer's own use keeps the fd open across its [Unix.shutdown] or
+   wake-up connect, which therefore cannot hit a recycled number. *)
+module Use = struct
+  let idle = 0
+  let closing w = w land 1 = 1
+  let users w = w lsr 1
+  let enter w = if closing w then None else Some (w + 2)
+  let close w = if closing w then None else Some (w + 3)
+  let leave w = w - 2
+  let last w = w = 3
+end
+
+(* One pure step by compare-and-set; the word before it, or [None] if
+   the step refused. *)
+let rec use_step word step =
+  let w = Atomic.get word in
+  match step w with
+  | None -> None
+  | Some w' -> if Atomic.compare_and_set word w w' then Some w else use_step word step
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+
+(* [Use.leave] as one [fetch_and_add]. *)
+let leave word fd = if Use.last (Atomic.fetch_and_add word (-2)) then close_quietly fd
+
+(* Run [f] inside one use of [fd]; [closed] raises when the fd is
+   closing. *)
+let guarded word fd ~closed f =
+  (match use_step word Use.enter with None -> closed () | Some _ -> ());
+  match f () with
+  | v ->
+      leave word fd;
+      v
+  | exception e ->
+      leave word fd;
+      raise e
+
 let tcp_channel fd ~peer =
-  (* Never [Unix.close] an fd another thread may still hand to a
-     syscall: the kernel recycles fd numbers immediately, so a stale
-     read/write would land on whatever connection got the number next —
-     a cross-connection hijack (observed as a text server answering a
-     GIOP client after a test torn one down). [close] therefore only
-     marks the channel closing and shuts the socket down (which wakes a
-     reader blocked in read with EOF); the real [Unix.close] is done by
-     the last thread to leave a syscall, or by [close] itself when no
-     syscall is in flight. *)
-  let guard = Locked.create ~name:"tcp.channel" ~rank:Locked.Rank.tcp_channel in
-  let users = ref 0 in
-  let closing = ref false in
-  let fd_closed = ref false in
-  let really_close () =
-    if not !fd_closed then begin
-      fd_closed := true;
-      try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
-    end
-  in
-  let enter () =
-    Locked.with_lock guard (fun () ->
-        if !closing then fail "connection to %s is closed" peer;
-        incr users)
-  in
-  let leave () =
-    Locked.with_lock guard (fun () ->
-        decr users;
-        if !closing && !users = 0 then really_close ())
-  in
-  let guarded f =
-    enter ();
-    Fun.protect ~finally:leave f
-  in
+  let use = Atomic.make Use.idle in
+  let closed () = fail "connection to %s is closed" peer in
   (* Each [Unix.read] copies at most 64 KiB through the runtime's stack
      buffer into the reader's free tail: no heap chunk per read, but
      still one copy. *)
   let read_line, read_exact, read_view =
     buffered_reader ~peer (fun buf off len ->
-        guarded (fun () ->
+        guarded use fd ~closed (fun () ->
             try Unix.read fd buf off len
             with Unix.Unix_error (e, _, _) ->
               fail "read from %s failed: %s" peer (Unix.error_message e)))
@@ -224,19 +240,16 @@ let tcp_channel fd ~peer =
     in
     go 0
   in
-  let writev parts = guarded (fun () -> List.iter write_slice parts) in
+  let writev parts = guarded use fd ~closed (fun () -> List.iter write_slice parts) in
   let write s = writev [ s ] in
+  (* shutdown(2) wakes a thread blocked in read on this socket with EOF;
+     its next step is refused as closed. *)
   let close () =
-    Locked.with_lock guard (fun () ->
-        if not !closing then begin
-          closing := true;
-          (* Wake any thread blocked in read on this socket; their next
-             step observes [closing] and fails cleanly. shutdown(2)
-             never blocks, so holding the guard across it is safe. *)
-          (try Unix.shutdown fd Unix.SHUTDOWN_ALL
-           with Unix.Unix_error (_, _, _) -> ());
-          if !users = 0 then really_close ()
-        end)
+    match use_step use Use.close with
+    | None -> ()
+    | Some _ ->
+        (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error (_, _, _) -> ());
+        leave use fd
   in
   { write; writev; read_line; read_exact; read_view; close; peer }
 
@@ -251,108 +264,76 @@ let resolve_host host =
       | exception Not_found -> fail "unknown host %s" host)
 
 let tcp_listen ~host ~port =
-  let addr = Unix.ADDR_INET (resolve_host host, port) in
+  let ip = resolve_host host in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  (try Unix.bind sock addr
-   with Unix.Unix_error (e, _, _) ->
-     fail "bind to %s:%d failed: %s" host port (Unix.error_message e));
-  Unix.listen sock 64;
   let bound_port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
+    try
+      Unix.setsockopt sock Unix.SO_REUSEADDR true;
+      Unix.bind sock (Unix.ADDR_INET (ip, port));
+      Unix.listen sock 64;
+      match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
+    with Unix.Unix_error (e, fn, _) ->
+      close_quietly sock;
+      fail "listen on %s:%d failed (%s): %s" host port fn (Unix.error_message e)
   in
-  let stopped = ref false in
-  (* Same deferred-close discipline as [tcp_channel]: [Unix.close]-ing
-     the listening socket while another thread is (or is about to be)
-     inside [Unix.accept] on it lets the kernel recycle the fd number;
-     the stale accept would then serve connections meant for whoever
-     got the recycled fd. The accepting thread holds a use count; the
-     real close happens only when the last user leaves. *)
-  let guard = Locked.create ~name:"tcp.listener" ~rank:Locked.Rank.tcp_channel in
-  let users = ref 0 in
-  let sock_closed = ref false in
-  let really_close () =
-    if not !sock_closed then begin
-      sock_closed := true;
-      try Unix.close sock with Unix.Unix_error (_, _, _) -> ()
-    end
-  in
+  let use = Atomic.make Use.idle in
+  let closed () = fail "listener on port %d is shut down" bound_port in
   let accept () =
-    Locked.with_lock guard (fun () ->
-        if !stopped then fail "listener on port %d is shut down" bound_port;
-        incr users);
-    let leave () =
-      Locked.with_lock guard (fun () ->
-          decr users;
-          if !stopped && !users = 0 then really_close ())
+    let fd, addr =
+      guarded use sock ~closed (fun () ->
+          match Unix.accept sock with
+          | (fd, _) as conn ->
+              (* A connection taken once shutdown has begun — the
+                 shutdown's own wake-up among them — is handed back: the
+                 client sees a reset and (if configured) retries. *)
+              if Use.closing (Atomic.get use) then begin
+                close_quietly fd;
+                closed ()
+              end;
+              conn
+          | exception Unix.Unix_error (e, _, _) ->
+              fail "accept on port %d failed: %s" bound_port (Unix.error_message e))
     in
-    match Fun.protect ~finally:leave (fun () -> Unix.accept sock) with
-    | fd, addr ->
-        if !stopped then begin
-          (* Shutdown raced the accept: the fd number of the closed
-             listener may already have been recycled for a NEW listener,
-             in which case this thread just stole a connection meant for
-             the new server. Hand it back by closing; the client sees a
-             reset and (if configured) retries against the real owner. *)
-          (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-          fail "listener on port %d is shut down" bound_port
-        end;
-        (* Request/reply frames are small; without TCP_NODELAY each reply
-           can sit in Nagle's buffer waiting for the previous segment's
-           ACK, adding up to an RTT of idle latency per call. *)
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true
+    (* Request/reply frames are small; without TCP_NODELAY each reply
+       can sit in Nagle's buffer waiting for the previous segment's
+       ACK, adding up to an RTT of idle latency per call. *)
+    (try Unix.setsockopt fd Unix.TCP_NODELAY true
+     with Unix.Unix_error (_, _, _) -> ());
+    let peer =
+      match addr with
+      | Unix.ADDR_INET (peer_addr, peer_port) ->
+          Printf.sprintf "%s:%d" (Unix.string_of_inet_addr peer_addr) peer_port
+      | _ -> "<unknown>"
+    in
+    tcp_channel fd ~peer
+  in
+  (* Closing alone does not interrupt a blocked accept on Linux (and
+     [Unix.shutdown] on a listening socket is ENOTCONN), so each thread
+     inside [accept] when shutdown begins is popped out of the kernel by
+     a throwaway self-connection, which it then hands back. *)
+  let wake () =
+    match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+    | s ->
+        (try Unix.connect s (Unix.ADDR_INET (ip, bound_port))
          with Unix.Unix_error (_, _, _) -> ());
-        let peer =
-          match addr with
-          | Unix.ADDR_INET (peer_addr, peer_port) ->
-              Printf.sprintf "%s:%d" (Unix.string_of_inet_addr peer_addr) peer_port
-          | _ -> "<unknown>"
-        in
-        tcp_channel fd ~peer
-    | exception Unix.Unix_error (e, _, _) ->
-        fail "accept on port %d failed: %s" bound_port (Unix.error_message e)
+        close_quietly s
+    | exception Unix.Unix_error (_, _, _) -> ()
   in
   let shutdown () =
-    let need_wake =
-      Locked.with_lock guard (fun () ->
-          if !stopped then None
-          else begin
-            stopped := true;
-            let need_wake = !users > 0 in
-            if not need_wake then really_close ();
-            Some need_wake
-          end)
-    in
-    match need_wake with
+    match use_step use Use.close with
     | None -> ()
-    | Some need_wake ->
-      (* Wake any thread blocked in [accept]. Closing alone does not
-         interrupt a blocked accept on Linux (and [Unix.shutdown] on a
-         listening socket is ENOTCONN): the thread would sleep on until
-         the fd number is recycled — possibly for the NEXT listener,
-         whose connections the old accept loop (still speaking the OLD
-         protocol) would then steal. A throwaway self-connection pops
-         the blocked accept out of the kernel; the post-accept
-         [stopped] re-check makes it discard the dummy and bail out,
-         and its [leave] performs the deferred close. *)
-        if need_wake then
-          try
-            let wake = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-            (try
-               Unix.connect wake (Unix.ADDR_INET (resolve_host host, bound_port))
-             with Unix.Unix_error (_, _, _) -> ());
-            try Unix.close wake with Unix.Unix_error (_, _, _) -> ()
-          with Unix.Unix_error (_, _, _) -> ()
+    | Some w ->
+        for _ = 1 to Use.users w do wake () done;
+        leave use sock
   in
   { accept; shutdown; bound_host = host; bound_port }
 
 let tcp_connect ~host ~port =
+  let addr = Unix.ADDR_INET (resolve_host host, port) in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect sock (Unix.ADDR_INET (resolve_host host, port))
+  (try Unix.connect sock addr
    with Unix.Unix_error (e, _, _) ->
-     (try Unix.close sock with Unix.Unix_error (_, _, _) -> ());
+     close_quietly sock;
      fail "connect to %s:%d failed: %s" host port (Unix.error_message e));
   (* See the accept path: requests are small, so disable Nagle. *)
   (try Unix.setsockopt sock Unix.TCP_NODELAY true

@@ -71,6 +71,13 @@ type channel = {
           caller must neither keep it past then nor write to it.
           @raise Transport_error on EOF. *)
   close : unit -> unit;
+      (** Close the channel. Idempotent: a second call does nothing. It
+          wakes a read blocked on the channel (which then fails), and
+          every later read or write fails with {!Transport_error}
+          ("is closed" on tcp). On tcp the fd itself is closed when the
+          last syscall in flight on it returns — at once if none is —
+          so a thread still inside a read or write never meets a
+          recycled fd number. *)
   peer : string;  (** Peer description for logs. *)
 }
 
@@ -89,6 +96,34 @@ val listen : proto:string -> host:string -> port:int -> listener
 val connect : proto:string -> host:string -> port:int -> channel
 (** Open a channel to a listening endpoint.
     @raise Transport_error on unknown protocol or connection failure. *)
+
+(** The use word that guards one tcp fd, as pure steps; the transport
+    applies them by compare-and-set, and a test can run them through
+    every interleaving. A word is the number of threads inside a
+    syscall on the fd (a closer counts as one while it wakes the
+    others), times 2, plus a closing bit. *)
+module Use : sig
+  val idle : int
+  (** Open, no users. *)
+
+  val closing : int -> bool
+  val users : int -> int
+
+  val enter : int -> int option
+  (** A syscall begins: one more user, or [None] once closing. *)
+
+  val close : int -> int option
+  (** Closing begins: set the bit and take a use for the closer itself,
+      in one step; [None] if already closing. The closer then shuts
+      down or wakes, and leaves. *)
+
+  val leave : int -> int
+  (** A user (or the closer) is done: one user fewer. *)
+
+  val last : int -> bool
+  (** [last w]: the leave that found [w] (closing, one user) is the last
+      one out, and closes the fd. *)
+end
 
 val mem_reset : unit -> unit
 (** Drop all in-memory listeners and shut each down (test isolation).

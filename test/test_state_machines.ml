@@ -1,7 +1,8 @@
 (* The state machines — [Orb.Mux] (the client demux, codec gate and
    connection cache), [Orb.Admit] (server admission),
-   [Orb.Breaker.Circuit] (one endpoint's circuit breaker) and
-   [Orb.Pool.Core] (the worker pool) — run through every interleaving
+   [Orb.Breaker.Circuit] (one endpoint's circuit breaker),
+   [Orb.Pool.Core] (the worker pool) and [Orb.Transport.Use] (one tcp
+   fd's deferred close) — run through every interleaving
    of small event sets, and the client's one retry decision
    ([Orb.Retry.decide]) over every combination of its inputs. No
    threads and no clock: each event is one lock section of the shell
@@ -1080,6 +1081,186 @@ let p_scenarios =
       block = true; pworkers = 2; budgets = [ true; false ]; stop = true; pticks = 2 };
   ]
 
+(* ---------------- Transport.Use: one tcp fd's use word ---------------- *)
+
+module U = Orb.Transport.Use
+
+(* The word's shell in [Transport]: [enter] and [close] are
+   compare-and-set steps, [leave] is one fetch-and-add whose old value
+   says whether this thread closes the fd. Each event below is one of
+   those atomic steps or one syscall, so the search covers every order
+   the threads can take. Channel: a reader (its read returns only once
+   the socket is shut down, like a read with nothing coming) or a writer
+   enters, makes its syscall and leaves; a closer takes the bit and a
+   use, shuts the socket down and leaves. Listener: an accepter enters,
+   blocks in accept until a connection is queued, hands it back if
+   closing has begun, and leaves; a shutdown takes the bit and a use,
+   queues one wake-up connection per user its step counted, and leaves;
+   a client may connect at any time the fd is open. *)
+type ushape = Channel | Listener
+type ukind = Reader | Writer | Accepter
+
+type uscenario = { uname : string; shape : ushape; users : ukind list; closers : int; clients : int }
+
+type upc = Enter | Inside | Check | Leave_u | Done_u
+type cpc = Close | Wake | Leave_c | Done_c
+
+type uworld = {
+  usc : uscenario;
+  kinds : ukind array;
+  us : upc array;
+  cs : cpc array;
+  counted : int array;  (* users the closer's step found *)
+  mutable word : int;
+  mutable bit_by : int option;  (* the closer whose step set the bit *)
+  mutable shut : bool;  (* shutdown(2) ran *)
+  mutable closes : int;  (* close(2) ran *)
+  mutable pending : [ `Wake | `Client ] list;  (* the listener's backlog, oldest first *)
+  taken : [ `Wake | `Client ] option array;  (* what each accepter's accept returned *)
+  mutable clients_left : int;
+}
+
+type uevent = User of int | Closer of int | Client
+
+let show_u = function
+  | User i -> Printf.sprintf "user %d" i
+  | Closer k -> Printf.sprintf "closer %d" k
+  | Client -> "client connects"
+
+let u_fresh usc () =
+  let n = List.length usc.users in
+  { usc; kinds = Array.of_list usc.users; us = Array.make n Enter;
+    cs = Array.make usc.closers Close; counted = Array.make usc.closers 0;
+    word = U.idle; bit_by = None; shut = false; closes = 0; pending = [];
+    taken = Array.make n None; clients_left = usc.clients }
+
+(* Threads holding a use: users between enter and leave, closers
+   between their step and their leave. *)
+let holders w =
+  let n = ref 0 in
+  Array.iter (function Inside | Check | Leave_u -> incr n | _ -> ()) w.us;
+  Array.iter (function Wake | Leave_c -> incr n | _ -> ()) w.cs;
+  !n
+
+let on_open w what = if w.closes > 0 then violation "%s on a closed fd" what
+
+(* The fetch-and-add; the thread that finds (closing, one user) closes. *)
+let u_leave w =
+  let old = w.word in
+  w.word <- U.leave old;
+  if U.last old then begin
+    if not (U.closing old) then violation "close(2) before the bit was set";
+    if w.closes > 0 then violation "close(2) ran twice";
+    if holders w > 0 then violation "close(2) with %d uses held" (holders w);
+    w.closes <- w.closes + 1
+  end
+
+let u_apply w e =
+  (match e with
+  | User i -> (
+      match w.us.(i) with
+      | Enter -> (
+          let was_closing = U.closing w.word in
+          match U.enter w.word with
+          | Some w' ->
+              if was_closing then violation "user %d entered after the bit" i;
+              w.word <- w';
+              w.us.(i) <- Inside
+          | None ->
+              if not was_closing then violation "user %d refused while open" i;
+              w.us.(i) <- Done_u)
+      | Inside ->
+          on_open w (Printf.sprintf "user %d's syscall" i);
+          if w.kinds.(i) = Accepter then begin
+            w.taken.(i) <- Some (List.hd w.pending);
+            w.pending <- List.tl w.pending;
+            w.us.(i) <- Check
+          end
+          else w.us.(i) <- Leave_u
+      | Check ->
+          (* Once closing has begun, whatever was taken is handed back;
+             a wake-up must never be served as a connection. *)
+          if w.taken.(i) = Some `Wake && not (U.closing w.word) then
+            violation "user %d served the shutdown's wake-up" i;
+          w.us.(i) <- Leave_u
+      | Leave_u ->
+          w.us.(i) <- Done_u;
+          u_leave w
+      | Done_u -> violation "user %d ran after it was done" i)
+  | Closer k -> (
+      match w.cs.(k) with
+      | Close -> (
+          let was_closing = U.closing w.word in
+          match U.close w.word with
+          | Some w' ->
+              if was_closing then violation "closer %d set the bit twice" k;
+              w.counted.(k) <- U.users w.word;
+              w.word <- w';
+              w.bit_by <- Some k;
+              w.cs.(k) <- Wake
+          | None ->
+              if not was_closing then violation "closer %d refused while open" k;
+              w.cs.(k) <- Done_c)
+      | Wake ->
+          if w.usc.shape = Channel then begin
+            on_open w "shutdown(2)";
+            w.shut <- true
+          end
+          else begin
+            on_open w "the wake-up connect";
+            w.pending <- w.pending @ List.init w.counted.(k) (fun _ -> `Wake)
+          end;
+          w.cs.(k) <- Leave_c
+      | Leave_c ->
+          w.cs.(k) <- Done_c;
+          u_leave w
+      | Done_c -> violation "closer %d ran after it was done" k)
+  | Client ->
+      w.clients_left <- w.clients_left - 1;
+      if w.closes = 0 then w.pending <- w.pending @ [ `Client ]);
+  if U.users w.word <> holders w then
+    violation "the word counts %d users, %d hold a use" (U.users w.word) (holders w);
+  if U.closing w.word <> (w.bit_by <> None) then violation "the bit disagrees with the closers"
+
+let u_enabled w =
+  let acc = ref [] in
+  Array.iteri
+    (fun i pc ->
+      let ready =
+        match (pc, w.kinds.(i)) with
+        | Done_u, _ -> false
+        | Inside, Reader -> w.shut
+        | Inside, Accepter -> w.pending <> []
+        | _ -> true
+      in
+      if ready then acc := User i :: !acc)
+    w.us;
+  Array.iteri (fun k pc -> if pc <> Done_c then acc := Closer k :: !acc) w.cs;
+  if w.clients_left > 0 then acc := Client :: !acc;
+  !acc
+
+let u_final w =
+  Array.iteri (fun i pc -> if pc <> Done_u then violation "user %d is stuck" i) w.us;
+  if w.usc.closers > 0 then begin
+    if w.closes <> 1 then violation "close(2) ran %d times" w.closes;
+    if w.word <> 1 then violation "ended with word %d" w.word
+  end
+  else if w.word <> U.idle then violation "ended open with word %d" w.word
+
+let u_scenarios =
+  let c = { uname = ""; shape = Channel; users = []; closers = 1; clients = 0 } in
+  let l = { c with shape = Listener } in
+  [
+    { c with uname = "channel: a reader and a writer, a close"; users = [ Reader; Writer ] };
+    { c with uname = "channel: two writers, two closes"; users = [ Writer; Writer ]; closers = 2 };
+    { c with uname = "channel: two readers, a writer, a close"; users = [ Reader; Reader; Writer ] };
+    { l with uname = "listener: two accepts, a shutdown"; users = [ Accepter; Accepter ] };
+    { l with uname = "listener: an accept, a client, two shutdowns"; users = [ Accepter ];
+      closers = 2; clients = 1 };
+    { l with uname = "listener: two accepts, two clients, a shutdown";
+      users = [ Accepter; Accepter ]; clients = 2 };
+  ]
+
 (* ---------------- Retry.decide: the one re-send rule ---------------- *)
 
 module R = Orb.Retry
@@ -1257,6 +1438,16 @@ let test_pool () =
   in
   Alcotest.(check bool) ">= 10^4 interleavings" true (total >= 10_000)
 
+let test_use () =
+  let total =
+    run_all ~what:"Use"
+      (List.map (fun usc -> (usc.uname, usc)) u_scenarios)
+      (fun usc ->
+        explore ~fresh:(u_fresh usc) ~enabled:u_enabled ~apply:u_apply ~final:u_final
+          ~show:show_u)
+  in
+  Alcotest.(check bool) ">= 10^4 interleavings" true (total >= 10_000)
+
 let () =
   Alcotest.run "state_machines"
     [
@@ -1267,6 +1458,8 @@ let () =
           Alcotest.test_case "Breaker: every interleaving" `Quick test_breaker;
           Alcotest.test_case "Pool: every interleaving" `Quick test_pool;
         ] );
+      ( "tcp fd",
+        [ Alcotest.test_case "Use: every interleaving" `Quick test_use ] );
       ( "breaker",
         [ Alcotest.test_case "Breaker: rules (a)-(d)" `Quick test_breaker_rules ] );
       ( "retry",

@@ -121,20 +121,116 @@ let test_mem_port_allocation () =
   l5.Orb.Transport.shutdown ()
 
 let test_listener_shutdown_wakes_accept () =
-  let listener = Orb.Transport.listen ~proto:"mem" ~host:"local" ~port:0 in
-  let result = ref `Pending in
-  let t =
-    Thread.create
-      (fun () ->
-        match listener.Orb.Transport.accept () with
-        | _ -> result := `Accepted
-        | exception Orb.Transport.Transport_error _ -> result := `Stopped)
-      ()
-  in
-  Thread.delay 0.05;
-  listener.Orb.Transport.shutdown ();
-  Thread.join t;
-  Alcotest.(check bool) "woken with error" true (!result = `Stopped)
+  List.iter
+    (fun proto ->
+      let host = if proto = "tcp" then "127.0.0.1" else "local" in
+      let listener = Orb.Transport.listen ~proto ~host ~port:0 in
+      let result = ref `Pending in
+      let t =
+        Thread.create
+          (fun () ->
+            match listener.Orb.Transport.accept () with
+            | _ -> result := `Accepted
+            | exception Orb.Transport.Transport_error _ -> result := `Stopped)
+          ()
+      in
+      Thread.delay 0.05;
+      listener.Orb.Transport.shutdown ();
+      Thread.join t;
+      Alcotest.(check bool) (proto ^ ": woken with error") true (!result = `Stopped);
+      (* The listener is gone: a second shutdown is harmless, a later
+         accept fails at once. *)
+      listener.Orb.Transport.shutdown ();
+      match listener.Orb.Transport.accept () with
+      | exception Orb.Transport.Transport_error _ -> ()
+      | _ -> Alcotest.failf "%s: accept after shutdown succeeded" proto)
+    protos
+
+(* ---------------- fds ---------------- *)
+
+(* The process's open fds, from [/proc/self/fd]; [None] where that
+   directory does not exist, and the case is skipped. *)
+let count_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None
+
+let check_no_fd_leak ~what f =
+  match count_fds () with
+  | None -> Printf.printf "%s: no /proc/self/fd, skipped\n%!" what
+  | Some before ->
+      f ();
+      Alcotest.(check (option int)) (what ^ ": open fds") (Some before) (count_fds ())
+
+let expect_transport_error ~what f =
+  match f () with
+  | exception Orb.Transport.Transport_error _ -> ()
+  | _ -> Alcotest.failf "%s succeeded" what
+
+let test_failed_listen_closes_socket () =
+  let busy = Orb.Transport.listen ~proto:"tcp" ~host:"127.0.0.1" ~port:0 in
+  Fun.protect ~finally:busy.Orb.Transport.shutdown (fun () ->
+      check_no_fd_leak ~what:"50 binds to a port in use" (fun () ->
+          for _ = 1 to 50 do
+            expect_transport_error ~what:"bind to a port in use" (fun () ->
+                Orb.Transport.listen ~proto:"tcp" ~host:"127.0.0.1"
+                  ~port:busy.Orb.Transport.bound_port)
+          done))
+
+(* A host name with a NUL byte is refused by the resolver itself, with
+   no lookup: a resolution failure that needs no network. *)
+let test_unresolved_connect_opens_no_socket () =
+  check_no_fd_leak ~what:"5 connects to an unknown host" (fun () ->
+      for _ = 1 to 5 do
+        expect_transport_error ~what:"connect to an unknown host" (fun () ->
+            Orb.Transport.connect ~proto:"tcp" ~host:"no-such-host\000" ~port:1)
+      done)
+
+(* Tcp pairs each with a reader blocked on the client end and a writer
+   looping on it, the client end closed from a third thread at varying
+   moments. Each I/O thread ends with a transport error, every later
+   operation on the closed end fails as closed, and once the server
+   ends are closed too every fd is back. A write blocked when the close
+   shuts the socket down returns EPIPE, which raises SIGPIPE; the
+   transport leaves that signal's disposition to the program, and this
+   one ignores it. *)
+let test_close_under_io () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  check_no_fd_leak ~what:"close under I/O" (fun () ->
+      for round = 1 to 20 do
+        with_pair ~proto:"tcp" (fun ~client ~server:_ ->
+            let ended = Atomic.make 0 in
+            let io f =
+              Thread.create
+                (fun () ->
+                  (try
+                     while true do
+                       f ()
+                     done
+                   with Orb.Transport.Transport_error _ -> ());
+                  Atomic.incr ended)
+                ()
+            in
+            let reader = io (fun () -> ignore (client.Orb.Transport.read_exact 1)) in
+            let writer = io (fun () -> client.Orb.Transport.write (String.make 4096 'x')) in
+            Thread.delay (float_of_int (round mod 5) *. 0.002);
+            let closer = Thread.create client.Orb.Transport.close () in
+            List.iter Thread.join [ closer; reader; writer ];
+            Alcotest.(check int) "both I/O threads ended" 2 (Atomic.get ended);
+            client.Orb.Transport.close ();
+            List.iter
+              (fun (what, op) ->
+                match op () with
+                | () -> Alcotest.failf "%s after close succeeded" what
+                | exception Orb.Transport.Transport_error m ->
+                    Tutil.check_contains ~what m "is closed")
+              [
+                ("read_line", fun () -> ignore (client.Orb.Transport.read_line ~max:16));
+                ("read_exact", fun () -> ignore (client.Orb.Transport.read_exact 1));
+                ("write", fun () -> client.Orb.Transport.write "x");
+                ("writev", fun () -> client.Orb.Transport.writev [ "a"; "b" ]);
+              ])
+      done)
 
 let test_close_wakes_blocked_read () =
   (* Reads have no deadline of their own: a read with nothing coming
@@ -520,5 +616,14 @@ let () =
           Alcotest.test_case "mem port allocation" `Quick test_mem_port_allocation;
           Alcotest.test_case "shutdown wakes accept" `Quick test_listener_shutdown_wakes_accept;
           Alcotest.test_case "sequential connections" `Quick test_multiple_connections;
+        ] );
+      ( "fds",
+        [
+          Alcotest.test_case "failed listen closes its socket" `Quick
+            test_failed_listen_closes_socket;
+          Alcotest.test_case "unresolved connect opens no socket" `Quick
+            test_unresolved_connect_opens_no_socket;
+          Alcotest.test_case "close under blocked read and looping write" `Quick
+            test_close_under_io;
         ] );
     ]
