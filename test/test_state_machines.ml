@@ -1149,7 +1149,7 @@ let u_leave w =
   let old = w.word in
   w.word <- U.leave old;
   if U.last old then begin
-    if not (U.closing old) then violation "close(2) before the bit was set";
+    if w.bit_by = None then violation "close(2) before the bit was set";
     if w.closes > 0 then violation "close(2) ran twice";
     if holders w > 0 then violation "close(2) with %d uses held" (holders w);
     w.closes <- w.closes + 1
@@ -1160,7 +1160,7 @@ let u_apply w e =
   | User i -> (
       match w.us.(i) with
       | Enter -> (
-          let was_closing = U.closing w.word in
+          let was_closing = w.bit_by <> None in
           match U.enter w.word with
           | Some w' ->
               if was_closing then violation "user %d entered after the bit" i;
@@ -1190,7 +1190,7 @@ let u_apply w e =
   | Closer k -> (
       match w.cs.(k) with
       | Close -> (
-          let was_closing = U.closing w.word in
+          let was_closing = w.bit_by <> None in
           match U.close w.word with
           | Some w' ->
               if was_closing then violation "closer %d set the bit twice" k;
